@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -69,10 +70,7 @@ def build_integrator(config: dict) -> ig.IntegratorConfig:
     spec = config.get("integrator", {})
     if not isinstance(spec, dict):
         raise ConfigError("'integrator' must be an object")
-    known = {"method", "dt_init", "dt_min", "dt_max", "rel_tol", "abs_tol",
-             "t_max", "equilibrium_norm_tol", "projection", "sample_every",
-             "sample_dt"}
-    unknown = set(spec) - known
+    unknown = set(spec) - set(INTEGRATOR_SCHEMA)
     if unknown:
         raise ConfigError(f"unknown integrator fields: {sorted(unknown)}")
     try:
@@ -162,13 +160,10 @@ def build_dynamics(kind: str, model, name: str, block: dict, units):
             return lb.double_commutator_rhs(m, f, tau, h, units=units)
 
         def g_rate(m):
-            rho = st.StateOperator(0.5 * (m + m.conj().T))
-            p = rho.spectral.eigenvalues
-            if p[-1] < 1e-12:
+            rho = st.as_state(m)
+            if rho.spectral.eigenvalues[-1] < st.LOG_FLOOR:
                 return float("nan")
-            u = rho.spectral.eigenvectors
-            log_rho = (u * np.log(p)) @ u.conj().T
-            return -k_B * float(np.trace(rhs(m) @ log_rho).real)
+            return -k_B * float(np.trace(rhs(m) @ st.log_operator(rho)).real)
 
         obs = ig.Observables(energy_op=h, generator_ops=(f,), g_rate=g_rate, k_B=k_B)
         return rhs, obs, None
@@ -301,7 +296,6 @@ def cmd_compare(config: dict, out_dir: Path, seed: int | None) -> int:
     int_config = build_integrator(config)
     if int_config.sample_dt is None and int_config.method != "rk4":
         # pointwise diffs need a shared time grid; pin the sample boundaries
-        from dataclasses import replace
         int_config = replace(int_config, sample_dt=int_config.t_max / 256.0)
     trajectories = {}
     observables = {}
@@ -442,7 +436,6 @@ def cmd_ensemble(config: dict, out_dir: Path, seed: int | None) -> int:
     rhs, obs, _ = build_dynamics(kind, model, name, block or {}, units)
     int_config = build_integrator(config)
     if int_config.method != "rk4":
-        from dataclasses import replace
         dt = min(int_config.dt_init, int_config.dt_max)
         int_config = replace(int_config, method="rk4", dt_init=dt, dt_min=dt,
                              dt_max=dt, equilibrium_norm_tol=0.0)
@@ -501,6 +494,15 @@ STATE_SCHEMA = {
                    "{random: {dim?, seed, min_eig?}}, {mix: {state, epsilon}}",
 }
 
+# one property per IntegratorConfig field, typed from its annotation
+INTEGRATOR_SCHEMA = {
+    f.name: {"enum": list(ig.METHODS)} if f.name == "method"
+    else {"enum": list(ig.PROJECTION_MODES)} if f.name == "projection"
+    else {"type": "integer", "minimum": 1} if f.type == "int"
+    else {"type": "number"}
+    for f in fields(ig.IntegratorConfig)
+}
+
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "seaqt scenario configuration",
@@ -557,18 +559,7 @@ CONFIG_SCHEMA = {
                                       "required": ["F", "tau"]},
             },
         },
-        "integrator": {
-            "type": "object",
-            "properties": {
-                "method": {"enum": ["rk45", "rk4"]},
-                "dt_init": {"type": "number"}, "dt_min": {"type": "number"},
-                "dt_max": {"type": "number"}, "rel_tol": {"type": "number"},
-                "abs_tol": {"type": "number"}, "t_max": {"type": "number"},
-                "equilibrium_norm_tol": {"type": "number"},
-                "projection": {"enum": ["off", "hermitize_only", "full"]},
-                "sample_every": {"type": "integer", "minimum": 1},
-            },
-        },
+        "integrator": {"type": "object", "properties": INTEGRATOR_SCHEMA},
         "outputs": {"type": "object",
                     "properties": {"trajectory_csv": {"type": "string"},
                                    "states_jsonl": {"type": "string"},

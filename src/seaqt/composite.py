@@ -1,16 +1,21 @@
 """Composite-system equation of motion with per-constituent dissipators.
 
-Each elementary constituent J contributes a factor-local Gram-determinant
-dissipator built from its reduced log operator W(J), reduced Hamiltonian
-V(J), and its own generators, all paired in the covariance product of the
-reduced state rho(J).  The full dissipative term is the tensor embedding
-{D(J), rho(J)} (x) rho(J') summed over constituents.
+Each elementary constituent J contributes a factor-local dissipator: the
+projection-form kernel of the single-constituent law (``sea.dissipator_kernel``)
+evaluated on the reduced state rho(J), with the reduced log operator W(J)
+as an ordinary first column, then the reduced Hamiltonian V(J) and J's own
+generators.  W(J) = Tr_J'((I(J) (x) rho(J')) ln rho), V(J) likewise with H,
+and rho(J), rho(J') all come from one reshape of rho into (J, rest) tensor
+indices, so the dim x dim embedding I(J) (x) rho(J') is never formed.  The
+full dissipative term is {D(J), rho(J)} (x) rho(J') summed over
+constituents.
 
 W(J) needs ln(rho) of the full composite state, which exists only for
 full-rank rho.  Exact products of pure states branch to Hamiltonian-only
-evolution; any other state with an eigenvalue below the log floor raises
-``SingularCompositeStateError`` (the documented workflow is to mix with
-epsilon >= 1e-8 of the identity before integrating).
+evolution; any other state with an eigenvalue below the log floor
+``states.LOG_FLOOR`` raises ``SingularCompositeStateError`` (the documented
+workflow is to mix with epsilon >= 1e-8 of the identity before
+integrating).
 """
 
 from __future__ import annotations
@@ -20,13 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import operators as op
+from . import sea
+from . import states as st
 from .errors import (DimensionMismatchError, NonCommutingGeneratorError,
                      NonPositiveTauError, SingularCompositeStateError)
 from .operators import UnitSystem
 from .states import StateOperator
 
-LOG_FLOOR = 1e-12          # eigenvalues below this make ln(rho) unusable
-PURE_FACTOR_TOL = 1e-10    # spectral weight off the top factor eigenvalue
 SEPARABILITY_TOL = 1e-10
 INDEPENDENCE_TOL = 1e-8
 
@@ -80,7 +85,7 @@ def validate_model(model: CompositeModel) -> CompositeModel:
                     f"constituent {j} generator {i} has dim {x.shape[0]}, expected {c.dim}")
             lifted = op.embed_factors({j: x}, dims)
             defect = float(np.abs(op.commutator(lifted, h)).max())
-            if defect > 1e-10 * scale:
+            if defect > sea.COMMUTATION_TOL * scale:
                 raise NonCommutingGeneratorError(
                     f"lifted generator {i} of constituent {j} does not commute "
                     f"with H (defect {defect:.3e})")
@@ -89,61 +94,65 @@ def validate_model(model: CompositeModel) -> CompositeModel:
     return CompositeModel(tuple(new_constituents), h, model.units)
 
 
-def _matrix(rho) -> np.ndarray:
-    return rho.matrix if isinstance(rho, StateOperator) else op.as_complex(rho)
+def _split(a: np.ndarray, dims, j: int) -> np.ndarray:
+    """Operator a as a (d_J, r, d_J, r) tensor: constituent j first, then
+    the rest in order."""
+    n = len(dims)
+    t = np.moveaxis(a.reshape(list(dims) * 2), (j, n + j), (0, n))
+    return t.reshape(dims[j], a.shape[0] // dims[j], dims[j], a.shape[0] // dims[j])
+
+
+def _unsplit(t: np.ndarray, dims, j: int) -> np.ndarray:
+    """Inverse of ``_split``."""
+    n = len(dims)
+    rest = [d for i, d in enumerate(dims) if i != j]
+    t = t.reshape([dims[j], *rest, dims[j], *rest])
+    size = int(np.prod(dims))
+    return np.moveaxis(t, (0, n), (j, n + j)).reshape(size, size)
+
+
+def _marginals(rho: StateOperator, dims, j: int):
+    """rho(J) and rho(J') from one contraction of the split state."""
+    t = _split(rho.matrix, dims, j)
+    return st.as_state(np.einsum("arbr->ab", t)), np.einsum("aras->rs", t)
+
+
+def _reduce(rest: np.ndarray, a: np.ndarray, dims, j: int) -> np.ndarray:
+    """Tr_{J'}((I(J) (x) rho(J')) a) without forming the embedding."""
+    return op.hermitize(np.einsum("rs,ascr->ac", rest, _split(a, dims, j)))
+
+
+def _check_index(model: CompositeModel, j: int) -> None:
+    if not 0 <= j < len(model.constituents):
+        raise IndexError(f"constituent index {j} out of range")
+
+
+def _require_full_rank(rho: StateOperator) -> None:
+    """The documented domain of W(J): no eigenvalue below the log floor."""
+    p_min = rho.spectral.eigenvalues[-1]
+    if p_min < st.LOG_FLOOR:
+        raise SingularCompositeStateError(
+            f"composite state has eigenvalue {p_min:.3e} below the log floor "
+            f"{st.LOG_FLOOR:g}; mix with identity (epsilon >= 1e-8) before use")
 
 
 def reduced_state(rho, model: CompositeModel, j: int) -> StateOperator:
     """Reduced state operator of constituent j (partial trace over the rest)."""
-    m = _matrix(rho)
-    if not 0 <= j < len(model.constituents):
-        raise IndexError(f"constituent index {j} out of range")
-    sub = op.partial_trace(m, model.dims, keep=[j])
-    return StateOperator(op.hermitize(sub))
+    _check_index(model, j)
+    return _marginals(st.as_state(rho), model.dims, j)[0]
 
 
 def subsystem_state(rho, model: CompositeModel, indices) -> StateOperator:
-    sub = op.partial_trace(_matrix(rho), model.dims, keep=sorted(indices))
+    sub = op.partial_trace(st._as_matrix(rho), model.dims, keep=sorted(indices))
     return StateOperator(op.hermitize(sub))
-
-
-def _complement_embedding(rho, model: CompositeModel, j: int) -> np.ndarray:
-    """(I(j) (x) rho(j')) as an operator on the full space."""
-    dims = model.dims
-    others = [i for i in range(len(dims)) if i != j]
-    if not others:
-        return np.eye(dims[j], dtype=complex)
-    rho_rest = op.partial_trace(_matrix(rho), dims, keep=others)
-    return op.tensor_interleave(np.eye(dims[j], dtype=complex), [j], rho_rest, dims)
 
 
 def reduced_hamiltonian(rho, model: CompositeModel, j: int) -> np.ndarray:
     """V(j) = Tr_{j'}((I(j) (x) rho(j')) H); for a separable constituent this
     is its private Hamiltonian shifted by the complement's mean energy."""
-    if not 0 <= j < len(model.constituents):
-        raise IndexError(f"constituent index {j} out of range")
-    weighted = _complement_embedding(rho, model, j) @ model.H
-    v = op.partial_trace(weighted, model.dims, keep=[j])
-    return op.hermitize(v)
-
-
-def _full_log(rho: StateOperator, strict: bool = True) -> np.ndarray:
-    """ln(rho) by eigendecomposition.
-
-    strict=True enforces the documented domain: states with an eigenvalue
-    below the log floor are rejected.  strict=False clamps eigenvalues at the
-    floor instead; integrator trial steps perturb tiny eigenvalues negative
-    by O(dt^2), so the right-hand side needs a continuous extension off the
-    state manifold.  Accepted states in the supported workflow (identity
-    mixing with epsilon >= 1e-8) never reach the clamp.
-    """
-    p = rho.spectral.eigenvalues
-    if strict and p[-1] < LOG_FLOOR:
-        raise SingularCompositeStateError(
-            f"composite state has eigenvalue {p[-1]:.3e} below the log floor "
-            f"{LOG_FLOOR:g}; mix with identity (epsilon >= 1e-8) before use")
-    u = rho.spectral.eigenvectors
-    return (u * np.log(np.maximum(p, LOG_FLOOR))) @ u.conj().T
+    _check_index(model, j)
+    _, rest = _marginals(st.as_state(rho), model.dims, j)
+    return _reduce(rest, model.H, model.dims, j)
 
 
 def reduced_log(rho, model: CompositeModel, j: int) -> np.ndarray:
@@ -154,56 +163,50 @@ def reduced_log(rho, model: CompositeModel, j: int) -> np.ndarray:
     finite W(j); they are handled by the pure-product branch of the equation
     of motion, and calling this directly on one raises.
     """
-    rho = rho if isinstance(rho, StateOperator) else StateOperator(op.hermitize(_matrix(rho)))
-    log_full = _full_log(rho)
-    weighted = _complement_embedding(rho, model, j) @ log_full
-    return op.hermitize(op.partial_trace(weighted, model.dims, keep=[j]))
+    rho = st.as_state(rho)
+    _require_full_rank(rho)
+    _, rest = _marginals(rho, model.dims, j)
+    return _reduce(rest, st.log_operator(rho), model.dims, j)
 
 
-def is_pure_product(rho, model: CompositeModel) -> bool:
+def is_pure_product(rho, model: CompositeModel, reduced=None) -> bool:
     """True when the state is (numerically exactly) a product of pure factor
     states: all spectral weight on one global eigenvector and every reduced
-    state pure."""
-    rho = rho if isinstance(rho, StateOperator) else StateOperator(op.hermitize(_matrix(rho)))
-    if float(np.sum(rho.spectral.eigenvalues[1:])) > PURE_FACTOR_TOL:
+    state pure.  ``reduced`` passes reduced states already at hand."""
+    rho = st.as_state(rho)
+    if float(np.sum(rho.spectral.eigenvalues[1:])) > st.PURE_TOL:
         return False
-    for j in range(len(model.constituents)):
-        sub = reduced_state(rho, model, j)
-        if float(np.sum(sub.spectral.eigenvalues[1:])) > PURE_FACTOR_TOL:
-            return False
-    return True
+    if reduced is None:
+        reduced = [reduced_state(rho, model, j) for j in range(len(model.constituents))]
+    return all(float(np.sum(sub.spectral.eigenvalues[1:])) <= st.PURE_TOL
+               for sub in reduced)
 
 
-def _factor_dissipator(rho: StateOperator, model: CompositeModel, j: int,
-                       log_full: np.ndarray):
-    """{D(j), rho(j)} and the scalar Gram pieces for constituent j.
+def _factor_terms(rho, model: CompositeModel):
+    """[({D(J), rho(J)}, g(J), rho(J'))] per constituent; None on pure products.
 
-    Returns (acomm, gram) where gram is over [W(j), V(j), X(j), ...] in the
-    factor-local covariance product.
+    A StateOperator is held to the documented full-rank domain.  A raw
+    matrix is an integrator trial point, whose tiny eigenvalues step
+    negative by O(dt^2): ln rho is then clamped at the log floor, a
+    continuous extension off the state manifold.
     """
+    strict = isinstance(rho, StateOperator)
+    rho = st.as_state(rho)
     dims = model.dims
-    rho_j = reduced_state(rho, model, j).matrix
-    embed = _complement_embedding(rho, model, j)
-    w_j = op.hermitize(op.partial_trace(embed @ log_full, dims, keep=[j]))
-    v_j = op.hermitize(op.partial_trace(embed @ model.H, dims, keep=[j]))
-    ops = [w_j, v_j, *model.constituents[j].generators]
-    n = len(ops)
-    means = [float(np.trace(rho_j @ f).real) for f in ops]
-    gram = np.empty((n, n))
-    for a in range(n):
-        fa_rho = ops[a] @ rho_j + rho_j @ ops[a]
-        for b in range(a, n):
-            val = float(np.trace(fa_rho @ ops[b]).real) - 2.0 * means[a] * means[b]
-            gram[a, b] = gram[b, a] = val
-    acomms = [ops[a] @ rho_j + rho_j @ ops[a] - 2.0 * means[a] * rho_j
-              for a in range(n)]
-    cols = np.arange(n)
-    acomm = np.zeros_like(rho_j)
-    for col in range(n):
-        minor = gram[1:, cols != col]
-        c = (-1.0) ** col * np.linalg.det(minor)
-        acomm = acomm + c * acomms[col]
-    return op.hermitize(acomm), gram
+    marginals = [_marginals(rho, dims, j) for j in range(len(dims))]
+    if is_pure_product(rho, model, [r for r, _ in marginals]):
+        return None
+    if strict:
+        _require_full_rank(rho)
+    log_full = st.log_operator(rho)
+    terms = []
+    for j, (c, (rho_j, rest)) in enumerate(zip(model.constituents, marginals)):
+        ops = [_reduce(rest, log_full, dims, j), _reduce(rest, model.H, dims, j),
+               *c.generators]
+        spec = rho_j.spectral
+        terms.append((*sea.dissipator_kernel(spec.eigenvalues, spec.eigenvectors, ops),
+                      rest))
+    return terms
 
 
 def dissipative_term(rho, model: CompositeModel) -> np.ndarray:
@@ -211,45 +214,31 @@ def dissipative_term(rho, model: CompositeModel) -> np.ndarray:
 
     Zero (exactly) on pure products; raises on other singular states.
     """
-    strict = isinstance(rho, StateOperator)
-    rho = rho if strict else StateOperator(op.hermitize(_matrix(rho)))
-    if is_pure_product(rho, model):
-        return np.zeros_like(rho.matrix)
-    log_full = _full_log(rho, strict=strict)
+    terms = _factor_terms(rho, model)
+    out = np.zeros((model.dim, model.dim), dtype=complex)
+    if terms is None:
+        return out
     dims = model.dims
-    hbar = model.units.hbar
-    out = np.zeros_like(rho.matrix)
-    for j, c in enumerate(model.constituents):
-        acomm, _ = _factor_dissipator(rho, model, j, log_full)
-        if len(dims) == 1:
-            term = acomm
-        else:
-            others = [i for i in range(len(dims)) if i != j]
-            rho_rest = op.partial_trace(rho.matrix, dims, keep=others)
-            term = op.tensor_interleave(acomm, [j], rho_rest, dims)
-        out = out + c.tau / hbar**2 * term
+    for j, (c, (acomm, _, rest)) in enumerate(zip(model.constituents, terms)):
+        out += c.tau / model.units.hbar**2 * _unsplit(
+            np.einsum("ab,rs->arbs", acomm, rest), dims, j)
     return out
 
 
 def composite_rhs(rho, model: CompositeModel) -> np.ndarray:
     """d rho/dt = -(i/hbar)[H, rho] - sum_J (tau(J)/hbar^2) {D(J), rho(J)} (x) rho(J')."""
-    m = _matrix(rho)
+    m = st._as_matrix(rho)
     hbar = model.units.hbar
     return -1j / hbar * op.commutator(model.H, m) - dissipative_term(rho, model)
 
 
 def composite_entropy_production(rho, model: CompositeModel):
     """Total rate sum_J k tau(J) g(J) / hbar^2 and the per-constituent g(J) >= 0."""
-    strict = isinstance(rho, StateOperator)
-    rho = rho if strict else StateOperator(op.hermitize(_matrix(rho)))
-    if is_pure_product(rho, model):
+    terms = _factor_terms(rho, model)
+    if terms is None:
         return 0.0, [0.0] * len(model.constituents)
-    log_full = _full_log(rho, strict=strict)
     u = model.units
-    per = []
-    for j, c in enumerate(model.constituents):
-        _, gram = _factor_dissipator(rho, model, j, log_full)
-        per.append(float(np.linalg.det(gram)))
+    per = [g for _, g, _ in terms]
     total = sum(u.k_B * c.tau * g / u.hbar**2
                 for c, g in zip(model.constituents, per))
     return total, per
@@ -257,10 +246,10 @@ def composite_entropy_production(rho, model: CompositeModel):
 
 def entropy_rate_pairing(rho, model: CompositeModel) -> float:
     """-k Tr(composite_rhs ln rho) on full-rank states."""
-    rho = rho if isinstance(rho, StateOperator) else StateOperator(op.hermitize(_matrix(rho)))
-    log_full = _full_log(rho)
+    rho = st.as_state(rho)
+    _require_full_rank(rho)
     rhs = composite_rhs(rho, model)
-    return -model.units.k_B * float(np.trace(rhs @ log_full).real)
+    return -model.units.k_B * float(np.trace(rhs @ st.log_operator(rho)).real)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +341,7 @@ def is_independent_state(rho, model: CompositeModel,
     partition.validate_for(model)
     keep = sorted(block)
     rest = [i for i in range(len(model.constituents)) if i not in keep]
-    m = _matrix(rho)
+    m = st._as_matrix(rho)
     rho_k = op.partial_trace(m, model.dims, keep=keep)
     rho_rest = op.partial_trace(m, model.dims, keep=rest)
     product = op.tensor_interleave(rho_k, keep, rho_rest, model.dims)
@@ -367,44 +356,27 @@ def reduced_rhs(rho, model: CompositeModel, partition: SubsystemPartition,
     each embedded against the reduced state of the rest of K."""
     partition.validate_for(model)
     keep = sorted(block)
-    strict = isinstance(rho, StateOperator)
-    rho = rho if strict else StateOperator(op.hermitize(_matrix(rho)))
+    m = st._as_matrix(rho)
     dims = model.dims
     hbar = model.units.hbar
-    ham = -1j / hbar * op.partial_trace(op.commutator(model.H, rho.matrix),
-                                        dims, keep=keep)
-    if is_pure_product(rho, model):
-        return ham
-    log_full = _full_log(rho, strict=strict)
+    out = -1j / hbar * op.partial_trace(op.commutator(model.H, m), dims, keep=keep)
+    terms = _factor_terms(rho, model)
+    if terms is None:
+        return out
     dims_k = [dims[i] for i in keep]
-    out = ham
     for local_pos, j in enumerate(keep):
-        acomm, _ = _factor_dissipator(rho, model, j, log_full)
-        if len(keep) == 1:
-            term = acomm
-        else:
-            others = [i for i in keep if i != j]
-            rho_rest_k = op.partial_trace(rho.matrix, dims, keep=others)
-            term = op.tensor_interleave(acomm, [local_pos], rho_rest_k, dims_k)
-        out = out - model.constituents[j].tau / hbar**2 * term
+        others = [i for i in keep if i != j]
+        rest_k = op.partial_trace(m, dims, keep=others) if others else np.ones((1, 1))
+        term = np.einsum("ab,rs->arbs", terms[j][0], rest_k)
+        out = out - model.constituents[j].tau / hbar**2 * _unsplit(term, dims_k, local_pos)
     return out
 
 
 def composite_constant_check(c, model: CompositeModel,
-                             tol: float = 1e-9):
+                             tol: float = sea.SPAN_RESIDUAL_TOL) -> sea.ConstantReport:
     """C is a constant of the motion iff [C, H] = 0 and C lies in the span of
     {I, H, lifted generators} under the trace inner product."""
-    c = op.require_hermitian(c, name="C")
-    op.require_same_dim(c, model.H)
-    scale = max(1.0, float(np.abs(model.H).max()))
-    commutes = float(np.abs(op.commutator(c, model.H)).max()) <= 1e-10 * scale
-    span_ops = [np.eye(model.dim, dtype=complex), model.H]
-    for j, constituent in enumerate(model.constituents):
-        for x in constituent.generators:
-            span_ops.append(model.lifted_generator(j, x))
-    basis = np.column_stack([s.ravel() for s in span_ops])
-    coeffs, *_ = np.linalg.lstsq(basis, c.ravel(), rcond=None)
-    residual = float(np.linalg.norm(basis @ coeffs - c.ravel()))
-    in_span = residual <= tol * max(float(np.linalg.norm(c.ravel())), 1e-300)
-    from .sea import ConstantReport
-    return ConstantReport(commutes, in_span, residual)
+    lifted = [model.lifted_generator(j, x)
+              for j, constituent in enumerate(model.constituents)
+              for x in constituent.generators]
+    return sea.span_check(c, model.H, lifted, tol)

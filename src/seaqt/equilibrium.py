@@ -26,6 +26,7 @@ from .states import StateOperator
 FEASIBILITY_MARGIN = 1e-9
 MEAN_RESIDUAL_TOL = 1e-10
 MAX_NEWTON_ITERATIONS = 200
+PHI_ROUNDOFF = 4 * np.finfo(float).eps    # relative round-off of the dual value
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,10 @@ def solve_multipliers(constants: ConstantSet, target_means,
 
     Starts from m = 0 (the maximally mixed state, always interior).  The
     Jacobian of the mean map is the covariance matrix of the constants at the
-    current Gibbs state, which is positive semidefinite.
+    current Gibbs state, which is positive semidefinite.  Near the optimum
+    the predicted decrease of phi falls below its round-off, where the
+    sufficient-decrease test can no longer judge a step; the full Newton
+    step is then taken.
     """
     targets = check_feasible(constants, target_means)
     n = len(constants)
@@ -160,25 +164,23 @@ def solve_multipliers(constants: ConstantSet, target_means,
     phi = _dual_value(constants, m_arr, targets)
     for _ in range(max_iter):
         rho = gibbs_state(constants, MultiplierVector.from_array(m_arr))
-        means = np.array([st.mean(c, rho) for c in constants.operators])
+        means, cov, _ = st.covariance_table(*st.in_eigenbasis(rho, constants.operators))
         residual = means - targets
         if float(np.linalg.norm(residual)) <= tol:
             return MultiplierVector.from_array(m_arr)
         grad = sign * residual
-        cov = 0.5 * np.array(
-            [[st.covariance_product(a, b, rho) for b in constants.operators]
-             for a in constants.operators])
-        hess = (sign[:, None] * cov) * sign[None, :]
+        hess = 0.5 * (sign[:, None] * cov) * sign[None, :]
         # regularize the PSD Hessian slightly so Newton never stalls flat
         reg = 1e-12 * max(1.0, float(np.trace(hess)))
         step = np.linalg.solve(hess + reg * np.eye(n), -grad)
+        slope = float(np.dot(grad, step))
         alpha = 1.0
-        for _ in range(60):
-            trial = m_arr + alpha * step
-            phi_trial = _dual_value(constants, trial, targets)
-            if phi_trial <= phi + 1e-4 * alpha * float(np.dot(grad, step)):
-                break
-            alpha *= 0.5
+        if -slope > PHI_ROUNDOFF * max(1.0, abs(phi)):
+            for _ in range(60):
+                phi_trial = _dual_value(constants, m_arr + alpha * step, targets)
+                if phi_trial <= phi + 1e-4 * alpha * slope:
+                    break
+                alpha *= 0.5
         m_arr = m_arr + alpha * step
         phi = _dual_value(constants, m_arr, targets)
     raise NoConvergenceError(

@@ -21,9 +21,8 @@ from . import states as st
 from .errors import StateInvalidError, StepUnderflowError
 from .states import StateOperator
 
+METHODS = ("rk45", "rk4")
 PROJECTION_MODES = ("off", "hermitize_only", "full")
-PURITY_SNAP_TOL = 1e-10  # spectral weight below this off the top eigenvalue
-                         # is integrator noise on the pure manifold; snap it
 
 # Dormand-Prince 5(4) tableau
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -57,7 +56,7 @@ class IntegratorConfig:
                                         # record exactly at the boundaries
 
     def __post_init__(self):
-        if self.method not in ("rk45", "rk4"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.projection not in PROJECTION_MODES:
             raise ValueError(f"unknown projection mode {self.projection!r}")
@@ -145,9 +144,10 @@ def project(rho_raw: np.ndarray, mode: str) -> np.ndarray:
         raise StateInvalidError(f"trace {tr!r} drifted beyond repair")
     vals = np.clip(vals, 0.0, None)
     # pure states are exact fixed points of the dissipative flow but sit on
-    # an entropy-ascent-unstable manifold; strip sub-truncation impurity so
-    # step noise cannot seed an escape
-    if float(np.sum(vals[:-1])) <= PURITY_SNAP_TOL:
+    # an entropy-ascent-unstable manifold; spectral weight off the top
+    # eigenvalue below the pure cut is step noise, so strip it before it
+    # can seed an escape
+    if float(np.sum(vals[:-1])) <= st.PURE_TOL:
         top = vecs[:, -1]
         return np.outer(top, top.conj())
     m = (vecs * vals) @ vecs.conj().T

@@ -21,8 +21,6 @@ from .errors import (DimensionMismatchError, NonCommutingFError,
 from .operators import UnitSystem
 from .states import StateOperator
 
-SINGULAR_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class LindbladModel:
@@ -49,17 +47,13 @@ def lindblad_model(B, jump_ops=(), units: UnitSystem | None = None) -> LindbladM
     return LindbladModel(b, tuple(jumps), units or UnitSystem())
 
 
-def _matrix(rho) -> np.ndarray:
-    return rho.matrix if isinstance(rho, StateOperator) else op.as_complex(rho)
-
-
 def kl_rhs(rho, model: LindbladModel) -> np.ndarray:
     """i[B, rho] + sum_j (A_j rho A_j+ - (1/2){A_j+ A_j, rho}).
 
     Trace-free and linear in rho.  The drift part is the Liouvillian when
     B = -H/hbar.
     """
-    m = _matrix(rho)
+    m = st._as_matrix(rho)
     op.require_same_dim(m, model.B)
     out = 1j * op.commutator(model.B, m)
     for a in model.jump_ops:
@@ -99,13 +93,11 @@ def kl_entropy_production(rho, model: LindbladModel) -> float:
     """k sum_j Tr(A_j+ A_j rho ln rho - A_j rho A_j+ ln rho) on full-rank
     states; equals -k Tr(kl_rhs ln rho), the drift part contributing zero."""
     rho = rho if isinstance(rho, StateOperator) else st.validate(rho)
-    p = rho.spectral.eigenvalues
-    if p[-1] < SINGULAR_FLOOR:
+    if rho.spectral.eigenvalues[-1] < st.LOG_FLOOR:
         raise SingularStateError(
             "entropy production diverges on singular states; "
             "see singular_divergence_demo")
-    u = rho.spectral.eigenvectors
-    log_rho = (u * np.log(p)) @ u.conj().T
+    log_rho = st.log_operator(rho)
     m = rho.matrix
     total = 0.0
     for a in model.jump_ops:
@@ -198,7 +190,7 @@ def pauli_rhs(rho, rates: PauliRates) -> np.ndarray:
     """Matrix-element form of the master equation: gains delta_ij sum_r
     w_ir rho_rr, losses (1/2) rho_ij sum_r (w_ri + w_rj), on top of the
     Hamiltonian phase rotation."""
-    m = _matrix(rho)
+    m = st._as_matrix(rho)
     dim = rates.dim
     if m.shape != (dim, dim):
         raise DimensionMismatchError(f"state shape {m.shape} vs {dim} levels")
@@ -230,7 +222,7 @@ def symmetric_limit_rhs(rho, w: float, h) -> np.ndarray:
     frozen, coherences decay at rate w on top of the phase rotation."""
     if w < 0:
         raise ValueError("decay rate w must be nonnegative")
-    m = _matrix(rho)
+    m = st._as_matrix(rho)
     h = op.require_hermitian(h, name="H")
     op.require_same_dim(m, h)
     vals, vecs = np.linalg.eigh(h)
@@ -247,7 +239,7 @@ def double_commutator_rhs(rho, f, tau: float, h,
     Conserves the trace and the means of H and F by construction.
     """
     u = units or UnitSystem()
-    m = _matrix(rho)
+    m = st._as_matrix(rho)
     f = op.require_hermitian(f, name="F")
     h = op.require_hermitian(h, name="H")
     op.require_same_dim(f, h)

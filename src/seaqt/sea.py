@@ -3,14 +3,21 @@
 The dissipative term is the anticommutator {D, rho} of an operator-valued
 Gram determinant whose first row holds the deviation operators
 (Delta ln rho, Delta H, Delta X, ...) and whose remaining rows are scalar
-covariance products of the generators against those same columns.  The
-determinant is evaluated by cofactor expansion along the operator row;
-generator counts are small, so exact expansion is cheap and mirrors the
-analytic structure.
+covariance products of the generators against those same columns.  By the
+Schur complement on the generator block G = [(F_a, F_b)] that determinant
+is the projection form
 
-All ln(rho) occurrences enter through the entropy-regular forms
-(states.rho_log_rho and friends), so singular states need no eigenvalue
-flooring: {Delta ln rho, rho} = 2 (B - Tr(B) rho) with B = rho ln rho.
+    {D, rho} = det G [{Delta ln rho, rho} - sum_a beta_a {Delta F_a, rho}],
+    G beta = (F, ln rho),
+
+and the entropy-production determinant is g = det G [(ln rho, ln rho) -
+(F, ln rho)^T beta] >= 0.  ``dissipator_kernel`` evaluates both in the
+eigenbasis of rho, where every trace is a weighted sum over the spectrum;
+the composite module calls the same kernel on each reduced state.
+
+The log column enters through the entropy-regular p ln p forms, so singular
+states need no eigenvalue flooring: {Delta ln rho, rho} = 2 (B - Tr(B) rho)
+with B = rho ln rho = diag(p ln p) in the eigenbasis.
 """
 
 from __future__ import annotations
@@ -30,10 +37,6 @@ from .states import StateOperator
 COMMUTATION_TOL = 1e-10       # relative, against ||H||_max
 GRAM_CONDITION_WARN = 1e8
 SPAN_RESIDUAL_TOL = 1e-9
-SUPPORT_FLOOR = 1e-12         # eigenvalues above this count as support
-PURE_BRANCH_TOL = 1e-10       # spectral weight off the top eigenvalue below
-                              # this takes the exact pure-state branch; kept
-                              # well under the documented 1e-8 mixing floor
 
 
 class GramConditionWarning(UserWarning):
@@ -68,8 +71,8 @@ def validate_model(model: SingleConstituentModel) -> SingleConstituentModel:
 
     Returns the model with symmetrized operators.  The Gram condition number
     of the generators is probed at rho = I/dim and a warning is issued above
-    1e8 (duplicate generators degrade gracefully to zero minors, but silence
-    would hide the degeneracy).
+    1e8 (duplicate generators degrade gracefully to a round-off-level
+    dissipator, but silence would hide the degeneracy).
     """
     if model.tau <= 0:
         raise NonPositiveTauError(f"tau must be positive, got {model.tau}")
@@ -94,88 +97,62 @@ def validate_model(model: SingleConstituentModel) -> SingleConstituentModel:
     return validated
 
 
-def _pair_table(rho_m: np.ndarray, ops: list[np.ndarray]) -> np.ndarray:
-    """Scalar covariance products (F_a, F_b) = Tr(rho {F_a, F_b}) - 2 fbar_a fbar_b."""
-    n = len(ops)
-    means = np.array([np.trace(rho_m @ f).real for f in ops])
-    table = np.empty((n, n))
-    for a in range(n):
-        fa_rho = ops[a] @ rho_m + rho_m @ ops[a]
-        for b in range(a, n):
-            val = np.trace(fa_rho @ ops[b]).real - 2.0 * means[a] * means[b]
-            table[a, b] = table[b, a] = val
-    return table
-
-
-def _log_pairs(rho: StateOperator, ops: list[np.ndarray]):
-    """Regular-form pieces involving ln rho: B, Tr B, and (F_a, ln rho)."""
-    b = st.rho_log_rho(rho)
-    tr_b = float(np.trace(b).real)
-    m = rho.matrix
-    pairs = np.array([
-        2.0 * (np.trace(f @ b).real - np.trace(m @ f).real * tr_b)
-        for f in ops])
-    return b, tr_b, pairs
-
-
-def _gram_matrix(rho: StateOperator, model: SingleConstituentModel) -> np.ndarray:
-    """Full Gram matrix over {ln rho, H, X, ..., Y} in the (., .)_rho product."""
-    ops = model.operator_list()
-    table = _pair_table(rho.matrix, ops)
-    _, _, log_pairs = _log_pairs(rho, ops)
-    n = len(ops)
-    gram = np.empty((n + 1, n + 1))
-    gram[0, 0] = st.log_variance(rho)
-    gram[0, 1:] = log_pairs
-    gram[1:, 0] = log_pairs
-    gram[1:, 1:] = table
-    return gram
-
-
-def gram_condition_number(rho: StateOperator, model: SingleConstituentModel) -> float:
+def gram_condition_number(rho, model: SingleConstituentModel) -> float:
     """Condition number of the generator Gram block [(F_a, F_b)] at rho."""
-    table = _pair_table(rho.matrix, model.operator_list())
+    _, table, _ = st.covariance_table(*st.in_eigenbasis(rho, model.operator_list()))
     return float(np.linalg.cond(table))
 
 
-def dissipator_anticommutator(rho, model: SingleConstituentModel) -> np.ndarray:
-    """{D, rho} with D the operator-valued determinant of the dissipative term.
+def dissipator_kernel(p: np.ndarray, u: np.ndarray, ops, log_column=None):
+    """({D, rho}, g) of the operator-valued Gram determinant, in projection form.
 
-    Cofactor expansion along the operator row:
-    {D, rho} = sum_j c_j {Delta(col_j), rho}, where col_0 = ln rho and the
-    remaining columns are H, X, ..., Y; c_j is the signed minor of the scalar
-    Gram rows with column j removed.
+    ``p, u`` is the spectrum of rho (or of the reduced state rho(J)), ``ops``
+    the generator operators F_a, and ``log_column`` the pair
+    ({Delta L, rho} in the eigenbasis, (L, L)) of the log column L.  With
+    ``log_column=None`` the first operator is L and enters like the others.
+    With G the Gram matrix of the generators and G beta = (F, L):
+
+        {D, rho} = det G [{Delta L, rho} - sum_a beta_a {Delta F_a, rho}]
+        g        = det G [(L, L) - (F, L)^T beta]
+
+    the Schur-complement form of the determinant.  beta is a least-squares
+    solution, so a singular G gives a round-off-level term instead of an
+    error.
     """
-    rho = rho if isinstance(rho, StateOperator) else StateOperator(op.hermitize(rho))
-    ops = model.operator_list()
-    if ops[0].shape != rho.matrix.shape:
+    f = u.conj().T @ np.asarray(ops) @ u
+    _, gram, acomms = st.covariance_table(p, f)
+    if log_column is None:
+        log_acomm, log_var, pairs = acomms[0], gram[0, 0], gram[1:, 0]
+        gram, acomms = gram[1:, 1:], acomms[1:]
+    else:
+        log_acomm, log_var = log_column
+        pairs = np.einsum("ij,aij->a", log_acomm, f.conj()).real
+    det = np.linalg.det(gram)
+    beta = np.linalg.lstsq(gram, pairs, rcond=None)[0]
+    acomm = det * (log_acomm - np.einsum("a,aij->ij", beta, acomms))
+    return op.hermitize(u @ acomm @ u.conj().T), float(det * (log_var - pairs @ beta))
+
+
+def _projection_form(rho: StateOperator, model: SingleConstituentModel):
+    """The kernel at rho, with the regular p ln p pieces as the log column."""
+    p, u = rho.spectral.eigenvalues, rho.spectral.eigenvectors
+    return dissipator_kernel(p, u, model.operator_list(), st.regular_log_column(p))
+
+
+def dissipator_anticommutator(rho, model: SingleConstituentModel) -> np.ndarray:
+    """{D, rho} with D the operator-valued determinant of the dissipative term."""
+    rho = st.as_state(rho)
+    if model.H.shape != rho.matrix.shape:
         raise DimensionMismatchError(
-            f"state dim {rho.matrix.shape} vs model dim {ops[0].shape}")
+            f"state dim {rho.matrix.shape} vs model dim {model.H.shape}")
     # Pure states are exact fixed points of the dissipative term (rho ln rho
     # is the null operator); returning an exact zero keeps integrator
     # round-off from seeding the entropy-ascent instability of that manifold.
     # Judged on the clipped spectrum so that trial steps overshooting purity
     # still branch.
-    if float(np.sum(rho.spectral.eigenvalues[1:])) <= PURE_BRANCH_TOL:
+    if float(np.sum(rho.spectral.eigenvalues[1:])) <= st.PURE_TOL:
         return np.zeros_like(rho.matrix)
-    m = rho.matrix
-    b, tr_b, log_pairs = _log_pairs(rho, ops)
-    table = _pair_table(m, ops)
-    n = len(ops)
-    # scalar rows of the determinant: generators against columns [ln rho, ops...]
-    rows = np.hstack([log_pairs.reshape(n, 1), table])
-    # anticommutators {Delta(col_j), rho} for each column operator
-    acomms = [2.0 * (b - tr_b * m)]
-    means = [np.trace(m @ f).real for f in ops]
-    for f, fbar in zip(ops, means):
-        acomms.append(f @ m + m @ f - 2.0 * fbar * m)
-    cols = np.arange(n + 1)
-    out = np.zeros_like(m)
-    for j in range(n + 1):
-        minor = rows[:, cols != j]
-        c_j = (-1.0) ** j * np.linalg.det(minor)
-        out = out + c_j * acomms[j]
-    return op.hermitize(out)
+    return _projection_form(rho, model)[0]
 
 
 def sea_rhs(rho, model: SingleConstituentModel) -> np.ndarray:
@@ -189,8 +166,7 @@ def sea_rhs(rho, model: SingleConstituentModel) -> np.ndarray:
 
 def gram_determinant_g(rho, model: SingleConstituentModel) -> float:
     """Entropy-production Gram determinant over {ln rho, H, X, ..., Y}; >= 0."""
-    rho = rho if isinstance(rho, StateOperator) else StateOperator(op.hermitize(rho))
-    return float(np.linalg.det(_gram_matrix(rho, model)))
+    return _projection_form(st.as_state(rho), model)[1]
 
 
 def entropy_production_rate(rho, model: SingleConstituentModel) -> float:
@@ -201,11 +177,9 @@ def entropy_production_rate(rho, model: SingleConstituentModel) -> float:
 
 def entropy_rate_pairing(rho, model: SingleConstituentModel) -> float:
     """-k Tr(sea_rhs(rho) ln rho), evaluated spectrally (full-rank rho)."""
-    rho = rho if isinstance(rho, StateOperator) else StateOperator(op.hermitize(rho))
-    p, u = rho.spectral.eigenvalues, rho.spectral.eigenvectors
-    log_rho = (u * np.log(np.maximum(p, st.LOG_ZERO_CUTOFF))) @ u.conj().T
+    rho = st.as_state(rho)
     rhs = sea_rhs(rho, model)
-    return -model.units.k_B * float(np.trace(rhs @ log_rho).real)
+    return -model.units.k_B * float(np.trace(rhs @ st.log_operator(rho)).real)
 
 
 @dataclass(frozen=True)
@@ -219,21 +193,26 @@ class ConstantReport:
         return self.commutes_with_H and self.in_span
 
 
-def is_constant_of_motion(c, model: SingleConstituentModel,
-                          tol: float = SPAN_RESIDUAL_TOL) -> ConstantReport:
-    """C is a constant of the motion iff [C, H] = 0 and C lies in
-    span{I, H, X, ..., Y} under the trace inner product."""
+def span_check(c, h, generators, tol: float = SPAN_RESIDUAL_TOL) -> ConstantReport:
+    """[C, H] = 0, and the residual of C against span{I, H, generators} under
+    the trace inner product (relative to ||C|| for the in-span verdict)."""
     c = op.require_hermitian(c, name="C")
-    op.require_same_dim(c, model.H)
-    dim = model.dim
-    scale = max(1.0, float(np.abs(model.H).max()))
-    commutes = float(np.abs(op.commutator(c, model.H)).max()) <= COMMUTATION_TOL * scale
-    span_ops = [np.eye(dim, dtype=complex), *model.operator_list()]
+    op.require_same_dim(c, h)
+    scale = max(1.0, float(np.abs(h).max()))
+    commutes = float(np.abs(op.commutator(c, h)).max()) <= COMMUTATION_TOL * scale
+    span_ops = [np.eye(h.shape[0], dtype=complex), h, *generators]
     basis = np.column_stack([s.ravel() for s in span_ops])
     coeffs, *_ = np.linalg.lstsq(basis, c.ravel(), rcond=None)
     residual = float(np.linalg.norm(basis @ coeffs - c.ravel()))
     c_norm = max(np.linalg.norm(c.ravel()), 1e-300)
     return ConstantReport(commutes, residual <= tol * c_norm, residual)
+
+
+def is_constant_of_motion(c, model: SingleConstituentModel,
+                          tol: float = SPAN_RESIDUAL_TOL) -> ConstantReport:
+    """C is a constant of the motion iff [C, H] = 0 and C lies in
+    span{I, H, X, ..., Y} under the trace inner product."""
+    return span_check(c, model.H, model.generators, tol)
 
 
 @dataclass(frozen=True)
@@ -268,7 +247,7 @@ def is_equilibrium(rho, model: SingleConstituentModel,
     # the diagonal entries of the generators
     spec = rho.spectral
     p, u = spec.eigenvalues, spec.eigenvectors
-    support = p > SUPPORT_FLOOR
+    support = p > st.LOG_FLOOR
     ops = model.operator_list()
     diag_cols = [np.real(np.einsum("ij,jk,ki->i", u.conj().T, f, u)) for f in ops]
     a = np.column_stack([np.ones(int(support.sum())),

@@ -129,6 +129,9 @@ def decode_state(obj, model=None, seed_override: int | None = None) -> st.StateO
                                    min_eig=float(spec.get("min_eig", 1e-4)))
     if "mix" in obj:
         spec = obj["mix"]
+        for name in ("state", "epsilon"):
+            if not isinstance(spec, dict) or name not in spec:
+                raise ConfigError(f"mix initial state needs '{name}'")
         inner = decode_state(spec["state"], model=model, seed_override=seed_override)
         return st.mix_with_identity(inner, float(spec["epsilon"]))
     raise ConfigError("initial state needs one of: matrix, pure, gibbs, random, mix")

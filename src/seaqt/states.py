@@ -1,9 +1,15 @@
 """State operators: validity rules, entropy, deviations, covariance products.
 
 A state operator is a Hermitian, nonnegative-definite, unit-trace matrix.
-All log-dependent quantities route through ``rho_log_rho`` (the spectral
-form of rho*ln(rho) with the p ln p -> 0 convention), so singular states
-never require ln(rho) on its own.
+Log-dependent quantities of the equation of motion route through the
+regular p ln p forms (``rho_log_rho``, ``log_variance``), so singular
+states never require ln(rho) on its own.  Where ln(rho) itself is needed
+(entropy-rate pairings, the composite reduced log), ``log_operator`` gives
+it with eigenvalues floored at ``LOG_FLOOR``.
+
+Covariance products are evaluated in the eigenbasis of rho by
+``covariance_table``: with rho = diag(p) every trace is a weighted sum over
+the spectrum.
 """
 
 from __future__ import annotations
@@ -19,10 +25,25 @@ from .errors import NotHermitianError, NotPositiveError, TraceError
 EIG_CLAMP_FLOOR = -1e-10   # eigenvalues in [floor, 0) clamp to 0; below rejects
 TRACE_TOL = 1e-6           # |Tr - 1| beyond this rejects instead of renormalizing
 LOG_ZERO_CUTOFF = 1e-15    # p <= cutoff short-circuits p ln p and p (ln p)^2 to 0
+LOG_FLOOR = 1e-12          # eigenvalues below this make ln(rho) singular; they
+                           # count as off the support, and log_operator clamps
+                           # them here
+PURE_TOL = 1e-10           # spectral weight off the top eigenvalue below this
+                           # counts as pure: the exact pure-state branches and
+                           # the integrator's purity snap; kept well under the
+                           # documented 1e-8 mixing floor
 
 
 def _as_matrix(rho) -> np.ndarray:
     return rho.matrix if isinstance(rho, StateOperator) else op.as_complex(rho)
+
+
+def as_state(rho) -> StateOperator:
+    """rho itself, or the Hermitian part of a matrix wrapped unvalidated
+    (integrator trial points sit slightly off the state set)."""
+    if isinstance(rho, StateOperator):
+        return rho
+    return StateOperator(op.hermitize(rho))
 
 
 @dataclass(frozen=True)
@@ -106,27 +127,14 @@ def variance(g, rho) -> float:
     return float(np.trace(m @ g @ g).real) - mean(g, rho) ** 2
 
 
-def _plogp(p: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(p, dtype=float)
-    mask = p > LOG_ZERO_CUTOFF
-    out[mask] = p[mask] * np.log(p[mask])
-    return out
-
-
-def _plog2p(p: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(p, dtype=float)
-    mask = p > LOG_ZERO_CUTOFF
-    out[mask] = p[mask] * np.log(p[mask]) ** 2
-    return out
+def _plogp(p: np.ndarray, power: int = 1) -> np.ndarray:
+    """p (ln p)^power, short-circuited to 0 at p <= LOG_ZERO_CUTOFF."""
+    return p * np.log(np.where(p > LOG_ZERO_CUTOFF, p, 1.0)) ** power
 
 
 def entropy(rho, k: float = 1.0) -> float:
     """Entropy functional -k sum p_i ln p_i (p ln p -> 0 at p = 0)."""
-    if isinstance(rho, StateOperator):
-        p = rho.eigenvalues
-    else:
-        p = np.clip(np.linalg.eigvalsh(_as_matrix(rho)), 0.0, None)
-    return -k * float(np.sum(_plogp(p)))
+    return -k * float(np.sum(_plogp(as_state(rho).eigenvalues)))
 
 
 def rho_log_rho(rho) -> np.ndarray:
@@ -134,13 +142,29 @@ def rho_log_rho(rho) -> np.ndarray:
 
     Finite for every valid state; the null operator on pure states.
     """
-    if isinstance(rho, StateOperator):
-        spec = rho.spectral
-        p, u = spec.eigenvalues, spec.eigenvectors
-    else:
-        vals, u = np.linalg.eigh(_as_matrix(rho))
-        p = np.clip(vals, 0.0, None)
-    return (u * _plogp(p)) @ u.conj().T
+    spec = as_state(rho).spectral
+    u = spec.eigenvectors
+    return (u * _plogp(spec.eigenvalues)) @ u.conj().T
+
+
+def regular_log_column(p: np.ndarray):
+    """({Delta ln rho, rho}, (ln rho, ln rho)) in the eigenbasis of rho =
+    diag(p), from the regular forms: {Delta ln rho, rho} = 2 (B - Tr(B) rho)
+    and (ln rho, ln rho) = 2 [sum p (ln p)^2 - (sum p ln p)^2]."""
+    plogp = _plogp(p)
+    tr_b = float(plogp.sum())
+    return np.diag(2.0 * (plogp - tr_b * p)), 2.0 * (float(np.sum(_plogp(p, 2))) - tr_b ** 2)
+
+
+def log_operator(rho) -> np.ndarray:
+    """ln rho by the spectral form, eigenvalues floored at LOG_FLOOR.
+
+    Callers that need a full-rank state check the smallest eigenvalue
+    against LOG_FLOOR first.
+    """
+    spec = as_state(rho).spectral
+    u = spec.eigenvectors
+    return (u * np.log(np.maximum(spec.eigenvalues, LOG_FLOOR))) @ u.conj().T
 
 
 def deviation(f, rho) -> np.ndarray:
@@ -151,41 +175,54 @@ def deviation(f, rho) -> np.ndarray:
     return f - np.eye(f.shape[0], dtype=complex) * np.trace(m @ f).real
 
 
+def covariance_table(p, ops):
+    """Means, covariance products and anticommutators of operators given in
+    the eigenbasis of rho = diag(p) (``ops`` stacked as (n, d, d)).
+
+    Returns (fbar_a, (F_a, F_b), {Delta F_a, rho}).  In the eigenbasis
+    {Delta F, rho}_ij = (p_i + p_j) F_ij - 2 fbar p_i delta_ij, and
+    (F_a, F_b) = Tr(F_b {Delta F_a, rho}) is a weighted sum over the spectrum.
+    """
+    ops = np.asarray(ops)
+    means = np.einsum("aii,i->a", ops, p).real
+    acomms = (p[:, None] + p[None, :]) * ops - 2.0 * means[:, None, None] * np.diag(p)
+    table = np.einsum("aij,bij->ab", acomms, ops.conj()).real
+    return means, table, acomms
+
+
+def in_eigenbasis(rho, ops) -> tuple[np.ndarray, np.ndarray]:
+    """Spectrum p of rho and the operators rotated into its eigenbasis."""
+    spec = as_state(rho).spectral
+    u = spec.eigenvectors
+    return spec.eigenvalues, u.conj().T @ np.asarray(ops) @ u
+
+
 def covariance_product(f, g, rho) -> float:
     """(F, G) = Tr(rho {Delta F, Delta G}): symmetric, positive semidefinite.
 
     Relates to the variance by (G, G) = 2 var(G).
     """
-    m = _as_matrix(rho)
     f, g = op.as_complex(f), op.as_complex(g)
-    op.require_same_dim(f, m)
-    op.require_same_dim(g, m)
-    fg = float(np.trace(m @ (f @ g + g @ f)).real)
-    return fg - 2.0 * mean(f, rho) * mean(g, rho)
+    op.require_same_dim(f, _as_matrix(rho))
+    op.require_same_dim(g, _as_matrix(rho))
+    return float(covariance_table(*in_eigenbasis(rho, [f, g]))[1][0, 1])
 
 
 def covariance_with_log(f, rho) -> float:
-    """(F, ln rho) in the entropy-regular form 2 Tr(Delta F (B - Tr(B) rho)).
+    """(F, ln rho) = Tr(F {Delta ln rho, rho}) in the entropy-regular form.
 
     Finite even when rho is singular; agrees with the direct formula
     Tr(rho {Delta F, Delta ln rho}) on full-rank states.
     """
-    m = _as_matrix(rho)
     f = op.as_complex(f)
-    op.require_same_dim(f, m)
-    b = rho_log_rho(rho)
-    tr_b = float(np.trace(b).real)
-    df = deviation(f, rho)
-    return 2.0 * float(np.trace(df @ (b - tr_b * m)).real)
+    op.require_same_dim(f, _as_matrix(rho))
+    p, (f_eig,) = in_eigenbasis(rho, [f])
+    return float(np.einsum("ij,ij->", regular_log_column(p)[0], f_eig.conj()).real)
 
 
 def log_variance(rho) -> float:
     """(ln rho, ln rho) = 2 [sum p (ln p)^2 - (sum p ln p)^2], always finite."""
-    if isinstance(rho, StateOperator):
-        p = rho.eigenvalues
-    else:
-        p = np.clip(np.linalg.eigvalsh(_as_matrix(rho)), 0.0, None)
-    return 2.0 * (float(np.sum(_plog2p(p))) - float(np.sum(_plogp(p))) ** 2)
+    return regular_log_column(as_state(rho).eigenvalues)[1]
 
 
 def distance(rho_a, rho_b) -> float:

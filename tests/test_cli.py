@@ -1,9 +1,11 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from seaqt import cli
+from seaqt.integrate import IntegratorConfig
 
 
 def write_config(tmp_path, config, name="scenario.json"):
@@ -50,6 +52,17 @@ class TestSimulate:
         code = cli.main(["simulate", "--config", config_path, "--out", str(tmp_path)])
         assert code == 3
         assert "tau" in capsys.readouterr().err
+
+    def test_mix_without_epsilon_is_a_config_error_naming_it(self, tmp_path, capsys):
+        # a missing field exits like every other missing field (missing tau
+        # above): a ConfigError that names it, not a bare KeyError
+        config = qubit_sea_scenario()
+        config["initial"] = {"mix": {"state": {"random": {"dim": 2, "seed": 3}}}}
+        config_path = write_config(tmp_path, config)
+        code = cli.main(["simulate", "--config", config_path, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "ERROR Config:" in err and "epsilon" in err
 
     def test_malformed_json_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -274,6 +287,16 @@ class TestSchema:
     def test_print_schema_after_subcommand(self, capsys):
         assert cli.main(["simulate", "--config", "x", "--print-schema"]) == 0
         assert "seaqt" in json.loads(capsys.readouterr().out)["title"]
+
+    def test_integrator_properties_are_the_config_fields(self, capsys):
+        assert cli.main(["--print-schema"]) == 0
+        schema = json.loads(capsys.readouterr().out)
+        props = schema["properties"]["integrator"]["properties"]
+        assert set(props) == {f.name for f in fields(IntegratorConfig)}
+
+    def test_integrator_accepts_every_config_field(self):
+        spec = {f.name: f.default for f in fields(IntegratorConfig)}
+        assert cli.build_integrator({"integrator": spec}) == IntegratorConfig()
 
 
 class TestCompositeScenarios:

@@ -72,6 +72,21 @@ class TestSolveMultipliers:
             m_rec = eq.solve_multipliers(constants, targets)
             assert np.abs(m_rec.as_array() - m_true.as_array()).max() <= 1e-8
 
+    def test_converges_where_line_search_reaches_round_off(self):
+        # near the optimum the predicted decrease of the dual (about 1e-19)
+        # is below its round-off; the line search must not halve the step
+        # into a stall at residual 1.7e-10
+        rng = np.random.default_rng(206)
+        h = np.diag(rng.uniform(0, 2, 8))
+        c = np.diag(rng.uniform(-1, 1, 8))
+        m_true = eq.MultiplierVector(beta=float(rng.uniform(0.2, 1.5)),
+                                     gammas=(float(rng.uniform(-1, 1)),))
+        constants = eq.constant_set([h, c])
+        targets = eq.means_at(constants, m_true)
+        m_rec = eq.solve_multipliers(constants, targets)
+        assert np.abs(eq.means_at(constants, m_rec) - targets).max() <= 1e-10
+        assert np.abs(m_rec.as_array() - m_true.as_array()).max() <= 1e-8
+
     def test_boundary_target_rejected(self, two_level):
         with pytest.raises(TargetInfeasibleError):
             eq.solve_multipliers(two_level, [0.0])

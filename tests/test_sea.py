@@ -13,7 +13,7 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 # ---------------------------------------------------------------------------
 # Independent 2-level oracle: explicit eigensolver plus the hand-expanded
 # two-by-two determinant of the dissipative term.  Shares no code with the
-# library's cofactor machinery.
+# library's dissipator kernel.
 # ---------------------------------------------------------------------------
 
 def _eig2(m):
