@@ -1,6 +1,6 @@
 """Steepest-entropy-ascent quantum thermodynamics toolkit.
 
-A numpy/scipy library for the nonlinear (entropy-ascent) density-operator
+A numpy library for the nonlinear (entropy-ascent) density-operator
 equation of motion for single and composite systems, generalized Gibbs
 equilibrium theory, linear (Kossakowski-Lindblad/Pauli) comparison dynamics,
 and statistical-weight-measure ensembles, plus a structure-preserving

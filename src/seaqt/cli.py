@@ -3,8 +3,9 @@ dynamics/equilibrium/ensemble machinery, and emit data files plus
 machine-readable reports.
 
 Subcommands: simulate, equilibrium, compare, validate, ensemble.
-Exit codes: 0 success, 2 config parse error, 3 validation error,
-4 integration failure, 5 infeasible target.
+Exit codes: 0 success; 2 no subcommand, a usage error, or a config that is
+not a JSON object; 3 any other config or validation error (every
+ConfigError); 4 integration or multiplier-solve failure; 5 infeasible target.
 """
 
 from __future__ import annotations

@@ -16,12 +16,12 @@ conceptually carry infinite uncertainty and are out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
+from . import equilibrium as eq
 from . import states as st
 from .errors import (MeasureWeightError, TargetInfeasibleError,
                      UncoveredSupportError)
@@ -123,19 +123,19 @@ def evolve_measure(mu: StatisticalWeightMeasure, rhs, t_max: float,
                    config=None) -> StatisticalWeightMeasure:
     """Integrate every support state independently; weights are untouched.
 
-    Integration failures are re-raised tagged with the support index.
+    An integration failure propagates with its own type and traceback and a
+    note naming the support index.
     """
     from . import integrate as ig
-    cfg = config or ig.IntegratorConfig(t_max=t_max)
-    if cfg.t_max != t_max:
-        from dataclasses import replace
-        cfg = replace(cfg, t_max=t_max)
+    cfg = replace(config or ig.IntegratorConfig(), t_max=t_max)
     evolved = []
     for idx, (w, s) in enumerate(mu.support):
         try:
             traj = ig.integrate(s, rhs, cfg)
         except Exception as exc:
-            raise type(exc)(f"support point {idx}: {exc}") from exc
+            # a PEP 678 note (what add_note appends to on Python >= 3.11)
+            exc.__notes__ = [*getattr(exc, "__notes__", []), f"support point {idx}"]
+            raise
         evolved.append((w, st.validate(traj.final.rho)))
     return measure(evolved)
 
@@ -150,27 +150,11 @@ def _solve_exponential_weights(values: np.ndarray, target: float,
         raise TargetInfeasibleError(
             f"target {target!r} outside the open range ({lo:g}, {hi:g})")
 
-    def mean_at(b):
-        shifted = -b * values
-        shifted -= shifted.max()
-        q = np.exp(shifted)
-        q /= q.sum()
-        return float(q @ values) - target
-
-    b_lo, b_hi = -1.0, 1.0
-    while mean_at(b_lo) < 0:
-        b_lo *= 2
-        if b_lo < -1e8:
-            raise TargetInfeasibleError("no bracketing multiplier found")
-    while mean_at(b_hi) > 0:
-        b_hi *= 2
-        if b_hi > 1e8:
-            raise TargetInfeasibleError("no bracketing multiplier found")
-    b = brentq(mean_at, b_lo, b_hi, xtol=1e-14, rtol=8.9e-16)
-    shifted = -b * values
-    shifted -= shifted.max()
-    q = np.exp(shifted)
-    q /= q.sum()
+    # q is the Gibbs state of diag(v - lo) with b as beta: the shift keeps the
+    # exponent small, and half the tolerance leaves room for round-off below
+    constants = eq.ConstantSet((np.diag(values - lo).astype(complex),))
+    m = eq.solve_multipliers(constants, [target - lo], tol=0.5 * tol, margin=1e-12)
+    q = eq.gibbs_state(constants, m).matrix.diagonal().real
     if abs(float(q @ values) - target) > tol:
         raise TargetInfeasibleError("constraint not met to tolerance")
     return q

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import operators as op
 from . import sea
@@ -97,18 +96,22 @@ def _exponent(constants: ConstantSet, m: MultiplierVector) -> np.ndarray:
     return out
 
 
+def _gibbs_spectrum(constants: ConstantSet, m: MultiplierVector):
+    """ln Z, the Gibbs weights and their eigenvectors from one eigh of the exponent."""
+    vals, vecs = np.linalg.eigh(_exponent(constants, m))
+    w = np.exp(vals - vals[-1])
+    return float(vals[-1] + np.log1p(np.sum(w[:-1]))), w / np.sum(w), vecs
+
+
 def gibbs_state(constants: ConstantSet, m: MultiplierVector) -> StateOperator:
     """rho = exp(-beta H + sum gamma_k C_k)/Z, max-shifted against overflow."""
-    vals, vecs = np.linalg.eigh(_exponent(constants, m))
-    w = np.exp(vals - vals.max())
-    w /= w.sum()
-    return StateOperator(op.hermitize((vecs * w) @ vecs.conj().T))
+    _, p, vecs = _gibbs_spectrum(constants, m)
+    return StateOperator(op.hermitize((vecs * p) @ vecs.conj().T))
 
 
 def log_partition_function(constants: ConstantSet, m: MultiplierVector) -> float:
-    """ln Z, computed as a logsumexp of the exponent spectrum."""
-    vals = np.linalg.eigvalsh(_exponent(constants, m))
-    return float(logsumexp(vals))
+    """ln Z, a logsumexp of the exponent spectrum shifted by its largest value."""
+    return _gibbs_spectrum(constants, m)[0]
 
 
 def partition_function(constants: ConstantSet, m: MultiplierVector) -> float:
@@ -138,51 +141,55 @@ def check_feasible(constants: ConstantSet, targets,
     return targets
 
 
-def _dual_value(constants: ConstantSet, m_arr: np.ndarray, targets: np.ndarray) -> float:
-    m = MultiplierVector.from_array(m_arr)
-    lz = log_partition_function(constants, m)
-    return lz + m_arr[0] * targets[0] - float(np.dot(m_arr[1:], targets[1:]))
-
-
 def solve_multipliers(constants: ConstantSet, target_means,
                       tol: float = MEAN_RESIDUAL_TOL,
-                      max_iter: int = MAX_NEWTON_ITERATIONS) -> MultiplierVector:
-    """Newton iteration on the convex dual, damped by a halving line search.
+                      max_iter: int = MAX_NEWTON_ITERATIONS,
+                      margin: float = FEASIBILITY_MARGIN) -> MultiplierVector:
+    """Newton iteration on the convex dual, damped by a halving line search,
+    for targets more than ``margin`` inside their attainable ranges.
 
-    Starts from m = 0 (the maximally mixed state, always interior).  The
-    Jacobian of the mean map is the covariance matrix of the constants at the
-    current Gibbs state, which is positive semidefinite.  Near the optimum
-    the predicted decrease of phi falls below its round-off, where the
-    sufficient-decrease test can no longer judge a step; the full Newton
-    step is then taken.
+    Starts from m = 0 (the maximally mixed state, always interior).  Each
+    iterate costs one eigendecomposition of the exponent, which gives ln Z,
+    the Gibbs spectrum and the eigenbasis in which the means and the
+    Jacobian of the mean map (the covariance matrix of the constants,
+    positive semidefinite) are evaluated.  Near the optimum the predicted
+    decrease of phi falls below its round-off, where the sufficient-decrease
+    test can no longer judge a step; the full Newton step is then taken.
     """
-    targets = check_feasible(constants, target_means)
+    targets = check_feasible(constants, target_means, margin)
     n = len(constants)
-    m_arr = np.zeros(n)
+    ops = np.asarray(constants.operators)
     # gradient sign convention: d(lnZ)/d(beta) = -h_mean, d(lnZ)/d(gamma_k) = +c_mean
     sign = np.concatenate([[-1.0], np.ones(n - 1)])
-    phi = _dual_value(constants, m_arr, targets)
+
+    def dual(m_arr):
+        log_z, p, vecs = _gibbs_spectrum(constants, MultiplierVector.from_array(m_arr))
+        return log_z - float(np.dot(sign * m_arr, targets)), p, vecs
+
+    m_arr = np.zeros(n)
+    phi, p, vecs = dual(m_arr)
     for _ in range(max_iter):
-        rho = gibbs_state(constants, MultiplierVector.from_array(m_arr))
-        means, cov, _ = st.covariance_table(*st.in_eigenbasis(rho, constants.operators))
+        means, cov, _ = st.covariance_table(p, vecs.conj().T @ ops @ vecs)
         residual = means - targets
         if float(np.linalg.norm(residual)) <= tol:
             return MultiplierVector.from_array(m_arr)
         grad = sign * residual
         hess = 0.5 * (sign[:, None] * cov) * sign[None, :]
-        # regularize the PSD Hessian slightly so Newton never stalls flat
-        reg = 1e-12 * max(1.0, float(np.trace(hess)))
+        # regularize the PSD Hessian slightly, relative to its own scale (near
+        # a range edge the covariance is tiny; an absolute shift would stall)
+        reg = 1e-12 * float(np.trace(hess))
         step = np.linalg.solve(hess + reg * np.eye(n), -grad)
         slope = float(np.dot(grad, step))
         alpha = 1.0
+        trial = dual(m_arr + step)
         if -slope > PHI_ROUNDOFF * max(1.0, abs(phi)):
             for _ in range(60):
-                phi_trial = _dual_value(constants, m_arr + alpha * step, targets)
-                if phi_trial <= phi + 1e-4 * alpha * slope:
+                if trial[0] <= phi + 1e-4 * alpha * slope:
                     break
                 alpha *= 0.5
+                trial = dual(m_arr + alpha * step)
         m_arr = m_arr + alpha * step
-        phi = _dual_value(constants, m_arr, targets)
+        phi, p, vecs = trial
     raise NoConvergenceError(
         f"multiplier solve did not reach residual {tol:g} in {max_iter} iterations")
 

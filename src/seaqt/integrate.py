@@ -178,8 +178,7 @@ def _record(traj: Trajectory, t: float, raw: np.ndarray, projected: np.ndarray,
         generator_means=gen_means))
 
 
-def _rk4_step(f, m, dt):
-    k1 = f(m)
+def _rk4_step(f, m, dt, k1):
     k2 = f(m + 0.5 * dt * k1)
     k3 = f(m + 0.5 * dt * k2)
     k4 = f(m + dt * k3)
@@ -203,12 +202,19 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
     t = 0.0
     _record(traj, t, m, project(m, config.projection) if config.projection != "off" else m, obs)
 
-    def current_eq_norm(mat):
-        return eq_norm(mat) if eq_norm is not None else \
-            float(np.linalg.norm(rhs(mat), ord="fro"))
+    def at_equilibrium(mat):
+        """Whether detection is on and mat is at equilibrium, plus rhs(mat)
+        when the norm needed it (it then serves as the next step's k1)."""
+        tol = config.equilibrium_norm_tol
+        if tol <= 0:
+            return False, None
+        if eq_norm is not None:
+            return eq_norm(mat) <= tol, None
+        k = rhs(mat)
+        return float(np.linalg.norm(k, ord="fro")) <= tol, k
 
-    if config.equilibrium_norm_tol > 0 and \
-            current_eq_norm(m) <= config.equilibrium_norm_tol:
+    reached_eq, k1 = at_equilibrium(m)
+    if reached_eq:
         traj.termination = "equilibrium"
         return traj
 
@@ -221,14 +227,16 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
             if next_boundary <= t + 1e-15:
                 next_boundary += config.sample_dt
             dt = min(dt, next_boundary - t)
+        if k1 is None:
+            k1 = rhs(m)
         if config.method == "rk4":
-            m_new = _rk4_step(rhs, m, dt)
+            m_new = _rk4_step(rhs, m, dt, k1)
             t_new = t + dt
             dt_next = dt
         else:
             # Dormand-Prince embedded pair with standard step control
             while True:
-                k = [rhs(m)]
+                k = [k1]
                 for i in range(1, 7):
                     incr = sum(a * ki for a, ki in zip(_DP_A[i], k))
                     k.append(rhs(m + dt * incr))
@@ -257,8 +265,7 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
         t, m_raw, m = t_new, m_new, m_proj
         steps_since_sample += 1
         at_end = t >= config.t_max - 1e-15
-        reached_eq = config.equilibrium_norm_tol > 0 and \
-            current_eq_norm(m) <= config.equilibrium_norm_tol
+        reached_eq, k1 = at_equilibrium(m)
         if next_boundary is not None:
             due = t >= next_boundary - 1e-15
         else:

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +67,9 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert code == 3
         assert "ERROR Config:" in err and "epsilon" in err
+
+    def test_no_subcommand_exits_2(self, capsys):
+        assert cli.main([]) == 2
 
     def test_malformed_json_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -382,3 +389,15 @@ class TestGibbsInitialWithGenerators:
         code = cli.main(["simulate", "--config", config_path, "--out", str(tmp_path)])
         assert code == 3
         assert "multipliers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["seaqt", "seaqt.cli"])
+def test_import_loads_no_scipy(module):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = (f"import sys, {module}; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -141,6 +141,26 @@ class TestEvolveMeasure:
         assert en.mean_observable(out, h) == pytest.approx(e0, abs=1e-7)
 
 
+    def test_member_failure_keeps_its_exception_and_names_the_member(self):
+        class TwoArgumentError(Exception):
+            def __init__(self, code, detail):
+                super().__init__(code, detail)
+
+        bad = st.random_full_rank(2, seed=2)
+
+        def failing_rhs(m):
+            if np.allclose(m, bad.matrix):
+                raise TwoArgumentError(7, "rhs failed")
+            return np.zeros_like(m)
+
+        mu = en.measure([(0.3, st.random_full_rank(2, seed=1)), (0.7, bad)])
+        with pytest.raises(TwoArgumentError) as info:
+            en.evolve_measure(mu, failing_rhs, t_max=0.1)
+        assert info.value.args == (7, "rhs failed")
+        assert info.value.__notes__ == ["support point 1"]
+        assert any(entry.name == "failing_rhs" for entry in info.traceback)
+
+
 class TestMaxentKnownSpectrum:
     def test_midpoint_gives_uniform(self):
         h = np.diag([0.0, 1.0])

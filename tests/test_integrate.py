@@ -105,6 +105,26 @@ class TestIntegrate:
         final_rhs = sea.sea_rhs(traj.final.rho, qubit_model)
         assert np.linalg.norm(final_rhs, ord="fro") <= 1e-10
 
+    @pytest.mark.parametrize("method", ig.METHODS)
+    def test_rhs_never_evaluated_twice_at_one_state(self, qubit_model, method):
+        # a rejected retry keeps k1, and equilibrium detection hands the rhs
+        # it evaluates at the projected state on as the next step's k1
+        seen = []
+
+        def rhs(m):
+            seen.append(m.tobytes())
+            return sea.sea_rhs(m, qubit_model)
+
+        rho0 = st.validate(np.array([[0.6, 0.25], [0.25, 0.4]], dtype=complex))
+        dt = 1.0 if method == "rk45" else 0.05
+        config = ig.IntegratorConfig(method=method, t_max=30.0, dt_init=dt,
+                                     dt_max=dt, equilibrium_norm_tol=1e-6)
+        traj = ig.integrate(rho0, rhs, config)
+        assert traj.termination == "equilibrium"
+        if method == "rk45":
+            assert traj.times[1] < dt   # the first attempt was rejected
+        assert len(set(seen)) == len(seen)
+
     def test_rk4_order_four_convergence(self, qubit_model):
         # global error at t = 1 shrinks ~16x when dt halves
         rho0 = st.validate(np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex))
