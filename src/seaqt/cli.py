@@ -200,6 +200,7 @@ def summarize(traj: ig.Trajectory, wall: float) -> dict:
         "final_purity": final.purity,
         "final_min_eigenvalue": final.min_eig,
         "samples": len(traj.samples),
+        "stats": traj.stats,
         "wall_time_s": wall,
     }
 

@@ -163,10 +163,16 @@ def _solve_exponential_weights(values: np.ndarray, target: float,
 def maxent_known_spectrum(states: Sequence[StateOperator], target_energy: float,
                           h) -> StatisticalWeightMeasure:
     """Most heterogeneous measure over known component states subject to the
-    expected-energy constraint: weights exp(-b <h>_n), b fixed by the target."""
+    expected-energy constraint: weights exp(-b <h>_n), b fixed by the target.
+
+    A member whose weight underflows to zero (a target at the edge of a wide
+    energy range) is left out of the support: it adds exactly nothing to the
+    weight sum or to the expected energy, and a measure's weights are
+    strictly positive.
+    """
     energies = np.array([st.mean(h, s) for s in states])
     q = _solve_exponential_weights(energies, target_energy)
-    return measure(list(zip(q, states)))
+    return measure([(w, s) for w, s in zip(q, states) if w > 0])
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,22 @@ The default method is an adaptive Dormand-Prince RK45; fixed-step RK4 is
 retained for convergence-order checks.  With full projection every recorded
 sample is a valid state operator, and the pre-projection trace/Hermiticity
 residuals are logged so projection never silently masks integrator failure.
+
+Dormand-Prince is FSAL (first same as last): its 7th stage is evaluated at
+the 5th-order solution.  When the projection moved the accepted state by
+no more than ``FSAL_MOVE_TOL`` relative to ||rho|| (round-off), that stage
+is the next step's k1; a clamp or a purity snap moves further, and k1 is
+then evaluated fresh at the projected state.  A rejected retry keeps its
+k1.  With equilibrium detection by the default rhs norm, the norm is taken
+from the same k1.  ``Trajectory.stats`` counts what the integrator makes,
+and with s stages (7 for rk45, 4 for rk4; rk4 has no rejections and no
+reuse) the counts obey exactly
+
+    rhs_calls = (s - 1) (accepted_steps + rejected_steps)
+                + accepted_steps + e - k1_reused,
+
+where e = 1 when detection uses the default rhs norm (it needs a k1 at the
+initial state too) and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -24,20 +40,31 @@ from .states import StateOperator
 METHODS = ("rk45", "rk4")
 PROJECTION_MODES = ("off", "hermitize_only", "full")
 
-# Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+# Integrator tolerances
+TIME_SLOP = 1e-15          # a time this close to t_max or to a sample_dt
+                           # boundary counts as having reached it
+DT_MIN_SLACK = 1 + 1e-12   # a rejected step at dt <= dt_min * slack underflows
+FSAL_MOVE_TOL = 1e-12      # a projection move up to this (Frobenius, relative
+                           # to ||rho||) is round-off, and the last stage is
+                           # reused as the next step's k1; a clamp or a purity
+                           # snap moves further and gets a fresh k1
+
+# Dormand-Prince 5(4) tableau (the rhs is autonomous, so the nodes c_i are
+# not needed).  The last row of A is the 5th-order weight row B5, so the 7th
+# stage is evaluated at the 5th-order solution (FSAL).  E = B5 - B4 weights
+# the embedded error estimate.
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
+_DP_E = _DP_A[6] - _DP_B4
 
 
 @dataclass(frozen=True)
@@ -94,6 +121,8 @@ class Sample:
 class Trajectory:
     samples: list = field(default_factory=list)
     termination: str = ""
+    # integrator counts: rhs_calls, accepted_steps, rejected_steps, k1_reused
+    stats: dict = field(default_factory=dict)
 
     @property
     def times(self) -> np.ndarray:
@@ -194,66 +223,77 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
 
     ``eq_norm`` overrides the norm used for equilibrium detection (for the
     nonlinear dynamics the dissipative-term norm is the meaningful one);
-    the default is the full rhs Frobenius norm.
+    the default is the full rhs Frobenius norm, taken from the k1 that the
+    next step starts from.
     """
     obs = observables or Observables()
     m = rho0.matrix.copy() if isinstance(rho0, StateOperator) else op.as_complex(rho0).copy()
     traj = Trajectory()
+    stats = traj.stats
+    stats.update(rhs_calls=0, accepted_steps=0, rejected_steps=0, k1_reused=0)
     t = 0.0
     _record(traj, t, m, project(m, config.projection) if config.projection != "off" else m, obs)
 
-    def at_equilibrium(mat):
-        """Whether detection is on and mat is at equilibrium, plus rhs(mat)
-        when the norm needed it (it then serves as the next step's k1)."""
-        tol = config.equilibrium_norm_tol
-        if tol <= 0:
-            return False, None
-        if eq_norm is not None:
-            return eq_norm(mat) <= tol, None
-        k = rhs(mat)
-        return float(np.linalg.norm(k, ord="fro")) <= tol, k
+    def f(mat):
+        stats["rhs_calls"] += 1
+        return rhs(mat)
 
-    reached_eq, k1 = at_equilibrium(m)
+    tol = config.equilibrium_norm_tol
+    norm_from_k1 = tol > 0 and eq_norm is None
+
+    def at_equilibrium(mat, k1):
+        """Whether detection is on and mat is at equilibrium, plus k1 =
+        rhs(mat) once the default norm needed it."""
+        if tol <= 0:
+            return False, k1
+        if eq_norm is not None:
+            return eq_norm(mat) <= tol, k1
+        if k1 is None:
+            k1 = f(mat)
+        return float(np.linalg.norm(k1)) <= tol, k1
+
+    reached_eq, k1 = at_equilibrium(m, None)
     if reached_eq:
         traj.termination = "equilibrium"
         return traj
 
+    stages = np.empty((7, *m.shape), dtype=complex)
+    flat = stages.reshape(7, -1)
     dt = config.dt_init
     steps_since_sample = 0
     next_boundary = config.sample_dt if config.sample_dt else None
-    while t < config.t_max - 1e-15:
+    while t < config.t_max - TIME_SLOP:
         dt = min(dt, config.t_max - t)
         if next_boundary is not None:
-            if next_boundary <= t + 1e-15:
+            if next_boundary <= t + TIME_SLOP:
                 next_boundary += config.sample_dt
             dt = min(dt, next_boundary - t)
         if k1 is None:
-            k1 = rhs(m)
+            k1 = f(m)
         if config.method == "rk4":
-            m_new = _rk4_step(rhs, m, dt, k1)
+            m_new = _rk4_step(f, m, dt, k1)
             t_new = t + dt
             dt_next = dt
         else:
             # Dormand-Prince embedded pair with standard step control
+            stages[0] = k1
             while True:
-                k = [k1]
                 for i in range(1, 7):
-                    incr = sum(a * ki for a, ki in zip(_DP_A[i], k))
-                    k.append(rhs(m + dt * incr))
-                m5 = m + dt * sum(b * ki for b, ki in zip(_DP_B5, k))
-                m4 = m + dt * sum(b * ki for b, ki in zip(_DP_B4, k))
-                err = float(np.linalg.norm(m5 - m4, ord="fro"))
-                scale = config.abs_tol + config.rel_tol * float(np.linalg.norm(m, ord="fro"))
+                    y = m + dt * (_DP_A[i, :i] @ flat[:i]).reshape(m.shape)
+                    stages[i] = f(y)
+                err = dt * float(np.linalg.norm(_DP_E @ flat))
+                scale = config.abs_tol + config.rel_tol * float(np.linalg.norm(m))
                 ratio = err / scale if scale > 0 else np.inf
                 if ratio <= 1.0:
-                    m_new, t_new = m5, t + dt
+                    m_new, t_new = y, t + dt    # y = m + dt B5 k, stage 7's point
                     factor = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
                     dt_next = min(config.dt_max, dt * factor)
                     break
-                if dt <= config.dt_min * (1 + 1e-12):
+                if dt <= config.dt_min * DT_MIN_SLACK:
                     raise StepUnderflowError(
                         f"dt_min {config.dt_min:g} reached at t = {t:g} with "
                         f"scaled error {ratio:.3e}")
+                stats["rejected_steps"] += 1
                 dt = max(config.dt_min, dt * max(0.2, 0.9 * ratio ** -0.2))
 
         m_proj = project(m_new, config.projection)
@@ -263,11 +303,19 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
                 raise StateInvalidError(
                     f"state left the valid set at t = {t_new:g} with projection off")
         t, m_raw, m = t_new, m_new, m_proj
+        stats["accepted_steps"] += 1
         steps_since_sample += 1
-        at_end = t >= config.t_max - 1e-15
-        reached_eq, k1 = at_equilibrium(m)
+        at_end = t >= config.t_max - TIME_SLOP
+        # FSAL: the last stage is the rhs at m_raw, and serves as the next k1
+        # when the projection moved the state by round-off only
+        fsal = config.method == "rk45" and (
+            m is m_raw or float(np.linalg.norm(m - m_raw))
+            <= FSAL_MOVE_TOL * float(np.linalg.norm(m_raw)))
+        reached_eq, k1 = at_equilibrium(m, stages[6] if fsal else None)
+        if fsal and (norm_from_k1 or not (at_end or reached_eq)):
+            stats["k1_reused"] += 1
         if next_boundary is not None:
-            due = t >= next_boundary - 1e-15
+            due = t >= next_boundary - TIME_SLOP
         else:
             due = steps_since_sample >= config.sample_every
         if due or at_end or reached_eq:

@@ -13,7 +13,13 @@ is the projection form
 and the entropy-production determinant is g = det G [(ln rho, ln rho) -
 (F, ln rho)^T beta] >= 0.  ``dissipator_kernel`` evaluates both in the
 eigenbasis of rho, where every trace is a weighted sum over the spectrum;
-the composite module calls the same kernel on each reduced state.
+the composite module calls the same kernel on each reduced state.  Only
+det G and det G beta enter, and Cramer's rule gives them from one stacked
+determinant, det G beta_a = det(G with column a replaced by (F, ln rho)):
+the adjugate of G times the pairs, which is exactly the cofactor expansion
+of the operator-valued determinant.  It is a polynomial in the Gram
+entries, so a singular G (a generator affine in the others) needs no
+least-squares solve and gives a round-off-level term.
 
 The log column enters through the entropy-regular p ln p forms, so singular
 states need no eigenvalue flooring: {Delta ln rho, rho} = 2 (B - Tr(B) rho)
@@ -115,22 +121,42 @@ def dissipator_kernel(p: np.ndarray, u: np.ndarray, ops, log_column=None):
         {D, rho} = det G [{Delta L, rho} - sum_a beta_a {Delta F_a, rho}]
         g        = det G [(L, L) - (F, L)^T beta]
 
-    the Schur-complement form of the determinant.  beta is a least-squares
-    solution, so a singular G gives a round-off-level term instead of an
-    error.
+    the Schur-complement form of the determinant.  Only det G and
+    det G beta enter, and Cramer's rule gives both from one stacked
+    determinant: det G beta_a = det G_a, with G_a the Gram matrix whose
+    column a is replaced by (F, L).  That is the adjugate of G applied to
+    the pairs, a polynomial in the Gram entries, so it stays continuous
+    through singular G: a degenerate generator set gives a round-off-level
+    term, with no least-squares solve and no error.
+
+    The rotated operators are laid out as rows of length d^2, so that in
+    the eigenbasis {Delta F_a, rho} = (p_i + p_j) F_a - 2 fbar_a diag(p),
+    and the means, the Gram table and the pairs are a few matrix products.
     """
-    f = u.conj().T @ np.asarray(ops) @ u
-    _, gram, acomms = st.covariance_table(p, f)
+    d = len(p)
+    f = (u.conj().T @ np.asarray(ops) @ u).reshape(len(ops), d * d)
+    w = (p[:, None] + p[None, :]).ravel()
+    means = f[:, ::d + 1].real @ p
+    table = ((f * w) @ f.conj().T).real - 2.0 * np.outer(means, means)
     if log_column is None:
-        log_acomm, log_var, pairs = acomms[0], gram[0, 0], gram[1:, 0]
-        gram, acomms = gram[1:, 1:], acomms[1:]
+        log_var, pairs, gram = table[0, 0], table[1:, 0], table[1:, 1:]
+        log_f, log_mean, f, means = f[0], means[0], f[1:], means[1:]
+        log_acomm = w * log_f
+        log_acomm[::d + 1] -= 2.0 * log_mean * p
     else:
-        log_acomm, log_var = log_column
-        pairs = np.einsum("ij,aij->a", log_acomm, f.conj()).real
-    det = np.linalg.det(gram)
-    beta = np.linalg.lstsq(gram, pairs, rcond=None)[0]
-    acomm = det * (log_acomm - np.einsum("a,aij->ij", beta, acomms))
-    return op.hermitize(u @ acomm @ u.conj().T), float(det * (log_var - pairs @ beta))
+        log_acomm, log_var = log_column[0].ravel(), log_column[1]
+        pairs, gram = (f.conj() @ log_acomm).real, table
+    n = len(pairs)
+    stack = np.empty((n + 1, n, n))
+    stack[:] = gram
+    stack[np.arange(1, n + 1), :, np.arange(n)] = pairs
+    dets = np.linalg.det(stack)
+    det, det_beta = dets[0], dets[1:]
+    acomm = det * log_acomm - w * (det_beta @ f)
+    acomm[::d + 1] += 2.0 * float(det_beta @ means) * p
+    acomm = acomm.reshape(d, d)
+    return (op.hermitize(u @ acomm @ u.conj().T),
+            float(det * log_var - pairs @ det_beta))
 
 
 def _projection_form(rho: StateOperator, model: SingleConstituentModel):
@@ -202,7 +228,7 @@ def span_check(c, h, generators, tol: float = SPAN_RESIDUAL_TOL) -> ConstantRepo
     commutes = float(np.abs(op.commutator(c, h)).max()) <= COMMUTATION_TOL * scale
     span_ops = [np.eye(h.shape[0], dtype=complex), h, *generators]
     basis = np.column_stack([s.ravel() for s in span_ops])
-    coeffs, *_ = np.linalg.lstsq(basis, c.ravel(), rcond=None)
+    coeffs = np.linalg.pinv(basis) @ c.ravel()   # minimum-norm least squares
     residual = float(np.linalg.norm(basis @ coeffs - c.ravel()))
     c_norm = max(np.linalg.norm(c.ravel()), 1e-300)
     return ConstantReport(commutes, residual <= tol * c_norm, residual)
@@ -253,7 +279,7 @@ def is_equilibrium(rho, model: SingleConstituentModel,
     a = np.column_stack([np.ones(int(support.sum())),
                          *[col[support] for col in diag_cols]])
     y = np.log(p[support])
-    coeffs, *_ = np.linalg.lstsq(a, y, rcond=None)
+    coeffs = np.linalg.pinv(a) @ y
     fit_residual = float(np.max(np.abs(a @ coeffs - y))) if a.shape[0] else 0.0
     # the fitted R must actually share the state's eigenbasis on the support
     r_fit = coeffs[0] * np.eye(rho.dim, dtype=complex)

@@ -70,10 +70,8 @@ class StateOperator:
 
     @cached_property
     def spectral(self) -> SpectralForm:
-        vals, vecs = np.linalg.eigh(self.matrix)
-        order = np.argsort(vals)[::-1]
-        vals = np.clip(vals[order].real, 0.0, 1.0)
-        return SpectralForm(vals, vecs[:, order])
+        vals, vecs = np.linalg.eigh(self.matrix)   # ascending
+        return SpectralForm(np.clip(vals[::-1], 0.0, 1.0), vecs[:, ::-1])
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -127,9 +125,9 @@ def variance(g, rho) -> float:
     return float(np.trace(m @ g @ g).real) - mean(g, rho) ** 2
 
 
-def _plogp(p: np.ndarray, power: int = 1) -> np.ndarray:
-    """p (ln p)^power, short-circuited to 0 at p <= LOG_ZERO_CUTOFF."""
-    return p * np.log(np.where(p > LOG_ZERO_CUTOFF, p, 1.0)) ** power
+def _plogp(p: np.ndarray) -> np.ndarray:
+    """p ln p, short-circuited to 0 at p <= LOG_ZERO_CUTOFF."""
+    return p * np.log(np.where(p > LOG_ZERO_CUTOFF, p, 1.0))
 
 
 def entropy(rho, k: float = 1.0) -> float:
@@ -151,9 +149,10 @@ def regular_log_column(p: np.ndarray):
     """({Delta ln rho, rho}, (ln rho, ln rho)) in the eigenbasis of rho =
     diag(p), from the regular forms: {Delta ln rho, rho} = 2 (B - Tr(B) rho)
     and (ln rho, ln rho) = 2 [sum p (ln p)^2 - (sum p ln p)^2]."""
-    plogp = _plogp(p)
+    log_p = np.log(np.where(p > LOG_ZERO_CUTOFF, p, 1.0))
+    plogp = p * log_p
     tr_b = float(plogp.sum())
-    return np.diag(2.0 * (plogp - tr_b * p)), 2.0 * (float(np.sum(_plogp(p, 2))) - tr_b ** 2)
+    return np.diag(2.0 * (plogp - tr_b * p)), 2.0 * (float(plogp @ log_p) - tr_b ** 2)
 
 
 def log_operator(rho) -> np.ndarray:

@@ -49,6 +49,14 @@ class TestSimulate:
         summary = json.loads((tmp_path / "run_summary.json").read_text())
         assert summary["termination"] in ("t_max", "equilibrium")
 
+    def test_summary_carries_integrator_stats(self, tmp_path):
+        config_path = write_config(tmp_path, qubit_sea_scenario())
+        assert cli.main(["simulate", "--config", config_path, "--out", str(tmp_path)]) == 0
+        stats = json.loads((tmp_path / "run_summary.json").read_text())["stats"]
+        assert set(stats) == {"rhs_calls", "accepted_steps", "rejected_steps", "k1_reused"}
+        attempts = stats["accepted_steps"] + stats["rejected_steps"]
+        assert stats["rhs_calls"] == 6 * attempts + stats["accepted_steps"] - stats["k1_reused"]
+
     def test_missing_tau_exits_3_and_names_tau(self, tmp_path, capsys):
         config = qubit_sea_scenario()
         del config["system"]["single"]["tau"]

@@ -182,6 +182,21 @@ class TestMaxentKnownSpectrum:
         with pytest.raises(TargetInfeasibleError):
             en.maxent_known_spectrum(states, 1.5, h)
 
+    def test_underflowed_weight_leaves_the_support(self):
+        # near the bottom of a wide range the top member's weight
+        # exp(-b 1e3) underflows to exactly 0; the measure keeps the others
+        energies = [0.0, 1e-3, 1e3]
+        h = np.diag(energies)
+        states = [st.pure_state(v) for v in np.eye(3)]
+        target = 5e-10
+        mu = en.maxent_known_spectrum(states, target, h)
+        assert len(mu) == 2
+        assert (mu.weights > 0).all()
+        assert mu.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert abs(en.mean_observable(mu, h) - target) <= 1e-10
+        kept = sorted(st.mean(h, s) for s in mu.states)
+        assert kept == pytest.approx(energies[:2], abs=1e-15)
+
     def test_beats_random_feasible_weightings(self):
         h = np.diag([0.0, 1.0, 2.0, 3.0])
         states = [st.pure_state(v) for v in np.eye(4)]

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from seaqt import integrate as ig
+from seaqt import operators as op
 from seaqt import sea
 from seaqt import states as st
 from seaqt.errors import StateInvalidError
@@ -125,6 +128,68 @@ class TestIntegrate:
             assert traj.times[1] < dt   # the first attempt was rejected
         assert len(set(seen)) == len(seen)
 
+    @pytest.mark.parametrize("method", ig.METHODS)
+    @pytest.mark.parametrize("detection", ["off", "rhs_norm", "eq_norm"])
+    def test_stats_count_what_the_rhs_sees(self, qubit_model, method, detection):
+        calls = []
+
+        def rhs(m):
+            calls.append(m)
+            return sea.sea_rhs(m, qubit_model)
+
+        rho0 = st.validate(np.array([[0.6, 0.25], [0.25, 0.4]], dtype=complex))
+        dt = 1.0 if method == "rk45" else 0.05
+        config = ig.IntegratorConfig(
+            method=method, t_max=30.0, dt_init=dt, dt_max=dt,
+            equilibrium_norm_tol=0.0 if detection == "off" else 1e-6)
+        eq_norm = (lambda m: np.linalg.norm(sea.sea_rhs(m, qubit_model))) \
+            if detection == "eq_norm" else None
+        stats = ig.integrate(rho0, rhs, config, eq_norm=eq_norm).stats
+        assert stats["rhs_calls"] == len(calls)
+        if method == "rk45":
+            assert stats["rejected_steps"] > 0
+            assert stats["k1_reused"] > 0
+        else:
+            assert stats["rejected_steps"] == stats["k1_reused"] == 0
+        # every attempt evaluates stages 2..s; every accepted step, and the
+        # detection by the rhs norm at the start, needs a k1 that is either
+        # reused from the last stage or evaluated fresh
+        stages = 7 if method == "rk45" else 4
+        attempts = stats["accepted_steps"] + stats["rejected_steps"]
+        k1_needed = stats["accepted_steps"] + (detection == "rhs_norm")
+        assert stats["rhs_calls"] == (stages - 1) * attempts + k1_needed - stats["k1_reused"]
+
+    @pytest.mark.parametrize("p_last", [0.2, 0.1])
+    def test_projection_beyond_round_off_gets_fresh_k1(self, p_last):
+        # a constant rhs moves the last eigenvalue by -0.1 - 1e-11 in one
+        # step: from 0.2 it stays positive and the last stage is reused as
+        # k1; from 0.1 it ends at -1e-11, the projection clamps it, and the
+        # k1 of the detection norm is evaluated at the projected state
+        push = np.diag([0.0, 1.0, -1.0]).astype(complex)
+        calls = []
+
+        def rhs(m):
+            calls.append(m.copy())
+            return push
+
+        rho0 = np.diag([0.5, 0.5 - p_last, p_last]).astype(complex)
+        dt = 0.1 + 1e-11
+        config = ig.IntegratorConfig(t_max=dt, dt_init=dt, dt_max=dt,
+                                     equilibrium_norm_tol=1e-300)
+        traj = ig.integrate(rho0, rhs, config)
+        assert traj.stats["accepted_steps"] == 1
+        final = traj.final.rho
+        if p_last == 0.2:
+            assert traj.stats["k1_reused"] == 1
+            assert len(calls) == 7
+            assert np.abs(final - calls[-1]).max() <= 1e-15
+        else:
+            assert np.linalg.eigvalsh(calls[-2])[0] <= -5e-12   # the raw step
+            assert np.linalg.eigvalsh(final)[0] >= 0.0
+            assert traj.stats["k1_reused"] == 0
+            assert len(calls) == 8
+            assert np.array_equal(calls[-1], final)
+
     def test_rk4_order_four_convergence(self, qubit_model):
         # global error at t = 1 shrinks ~16x when dt halves
         rho0 = st.validate(np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex))
@@ -187,3 +252,36 @@ class TestTrajectoryCsv:
         assert float(first[0]) == 0.0
         # shortest round-trip representation parses back exactly
         assert float(first[1]) == traj.samples[0].entropy
+
+
+def commuting_model(dim, n_gen, rng):
+    """H and n_gen generators diagonal in one random eigenbasis; with
+    n_gen >= dim - 1 the generator Gram is exactly singular."""
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    u, _ = np.linalg.qr(x)
+    h, *gens = [op.hermitize((u * rng.normal(size=dim)) @ u.conj().T)
+                for _ in range(n_gen + 1)]
+    return sea.SingleConstituentModel(H=h, generators=tuple(gens))
+
+
+@settings(max_examples=24, deadline=None, database=None, derandomize=True)
+@given(seed=hs.integers(0, 2**31 - 1), dim=hs.sampled_from([2, 3, 4, 8]),
+       n_gen=hs.integers(0, 2))
+def test_fsal_trajectory_keeps_the_invariants(seed, dim, n_gen):
+    # the acceptance tolerances of the conservation suite and of entropy
+    # monotonicity and Gram positivity, along an rk45 trajectory whose
+    # steps reuse their last stage as the next k1
+    rng = np.random.default_rng(seed)
+    model = commuting_model(dim, n_gen, rng)
+    rho0 = st.random_full_rank(dim, seed=int(rng.integers(2**31)))
+    obs = ig.Observables(energy_op=model.H, generator_ops=model.generators,
+                         g_rate=lambda m: sea.gram_determinant_g(m, model))
+    config = ig.IntegratorConfig(t_max=5.0, dt_max=2.0, rel_tol=1e-10, abs_tol=1e-12)
+    traj = ig.integrate(rho0, lambda m: sea.sea_rhs(m, model), config, observables=obs)
+    assert traj.stats["k1_reused"] > 0
+    assert np.abs(traj.column("trace_err")).max() <= 1e-9
+    means = np.column_stack([traj.column("energy"),
+                             *np.array([s.generator_means for s in traj.samples]).T])
+    assert np.abs(means - means[0]).max() <= 1e-7
+    assert np.diff(traj.column("entropy")).min(initial=0.0) >= -1e-10
+    assert traj.column("g_rate").min() >= -1e-12
