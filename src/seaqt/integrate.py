@@ -8,14 +8,15 @@ sample is a valid state operator, and the pre-projection trace/Hermiticity
 residuals are logged so projection never silently masks integrator failure.
 
 Dormand-Prince is FSAL (first same as last): its 7th stage is evaluated at
-the 5th-order solution.  When the projection moved the accepted state by
-no more than ``FSAL_MOVE_TOL`` relative to ||rho|| (round-off), that stage
-is the next step's k1; a clamp or a purity snap moves further, and k1 is
-then evaluated fresh at the projected state.  A rejected retry keeps its
-k1.  With equilibrium detection by the default rhs norm, the norm is taken
-from the same k1.  ``Trajectory.stats`` counts what the integrator makes,
-and with s stages (7 for rk45, 4 for rk4; rk4 has no rejections and no
-reuse) the counts obey exactly
+the 5th-order solution.  When the projection neither clamped an eigenvalue
+nor snapped the state to purity, and moved it by no more than
+``FSAL_MOVE_TOL`` relative to ||rho|| (round-off of the hermitization and
+trace renormalization), that stage is the next step's k1; after a clamp or
+a snap, however small, k1 is evaluated fresh at the projected state.  A
+rejected retry keeps its k1.  With equilibrium detection by the default
+rhs norm, the norm is taken from the same k1.  ``Trajectory.stats`` counts
+what the integrator makes, and with s stages (7 for rk45, 4 for rk4; rk4
+has no rejections and no reuse) the counts obey exactly
 
     rhs_calls = (s - 1) (accepted_steps + rejected_steps)
                 + accepted_steps + e - k1_reused,
@@ -46,8 +47,8 @@ TIME_SLOP = 1e-15          # a time this close to t_max or to a sample_dt
 DT_MIN_SLACK = 1 + 1e-12   # a rejected step at dt <= dt_min * slack underflows
 FSAL_MOVE_TOL = 1e-12      # a projection move up to this (Frobenius, relative
                            # to ||rho||) is round-off, and the last stage is
-                           # reused as the next step's k1; a clamp or a purity
-                           # snap moves further and gets a fresh k1
+                           # reused as the next step's k1 unless the move
+                           # clamped or snapped; those get a fresh k1
 
 # Dormand-Prince 5(4) tableau (the rhs is autonomous, so the nodes c_i are
 # not needed).  The last row of A is the 5th-order weight row B5, so the 7th
@@ -159,11 +160,17 @@ def project(rho_raw: np.ndarray, mode: str) -> np.ndarray:
     (when above the -1e-10 floor) and renormalizes the trace.  Matrices
     beyond repair raise ``StateInvalidError``.
     """
+    return _project(rho_raw, mode)[0]
+
+
+def _project(rho_raw: np.ndarray, mode: str) -> tuple[np.ndarray, bool]:
+    """``project``, plus whether it clamped an eigenvalue or snapped the
+    state to purity (however little either moved it)."""
     if mode == "off":
-        return rho_raw
+        return rho_raw, False
     m = op.hermitize(rho_raw)
     if mode == "hermitize_only":
-        return m
+        return m, False
     vals, vecs = np.linalg.eigh(m)
     if vals[0] < st.EIG_CLAMP_FLOOR:
         raise StateInvalidError(
@@ -171,6 +178,7 @@ def project(rho_raw: np.ndarray, mode: str) -> np.ndarray:
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > st.TRACE_TOL:
         raise StateInvalidError(f"trace {tr!r} drifted beyond repair")
+    clamped = bool(vals[0] < 0.0)
     vals = np.clip(vals, 0.0, None)
     # pure states are exact fixed points of the dissipative flow but sit on
     # an entropy-ascent-unstable manifold; spectral weight off the top
@@ -178,9 +186,9 @@ def project(rho_raw: np.ndarray, mode: str) -> np.ndarray:
     # can seed an escape
     if float(np.sum(vals[:-1])) <= st.PURE_TOL:
         top = vecs[:, -1]
-        return np.outer(top, top.conj())
+        return np.outer(top, top.conj()), True
     m = (vecs * vals) @ vecs.conj().T
-    return op.hermitize(m / float(np.trace(m).real))
+    return op.hermitize(m / float(np.trace(m).real)), clamped
 
 
 def detect_equilibrium(rho: np.ndarray, rhs_val: np.ndarray, tol: float,
@@ -296,7 +304,7 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
                 stats["rejected_steps"] += 1
                 dt = max(config.dt_min, dt * max(0.2, 0.9 * ratio ** -0.2))
 
-        m_proj = project(m_new, config.projection)
+        m_proj, repaired = _project(m_new, config.projection)
         if config.projection == "off":
             vals = np.linalg.eigvalsh(op.hermitize(m_proj))
             if vals[0] < st.EIG_CLAMP_FLOOR or abs(np.trace(m_proj).real - 1) > st.TRACE_TOL:
@@ -307,8 +315,9 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
         steps_since_sample += 1
         at_end = t >= config.t_max - TIME_SLOP
         # FSAL: the last stage is the rhs at m_raw, and serves as the next k1
-        # when the projection moved the state by round-off only
-        fsal = config.method == "rk45" and (
+        # when the projection neither clamped nor snapped and moved the state
+        # by round-off only
+        fsal = config.method == "rk45" and not repaired and (
             m is m_raw or float(np.linalg.norm(m - m_raw))
             <= FSAL_MOVE_TOL * float(np.linalg.norm(m_raw)))
         reached_eq, k1 = at_equilibrium(m, stages[6] if fsal else None)

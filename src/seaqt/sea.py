@@ -131,13 +131,12 @@ def dissipator_kernel(p: np.ndarray, u: np.ndarray, ops, log_column=None):
 
     The rotated operators are laid out as rows of length d^2, so that in
     the eigenbasis {Delta F_a, rho} = (p_i + p_j) F_a - 2 fbar_a diag(p),
-    and the means, the Gram table and the pairs are a few matrix products.
+    and the means, the Gram table (``states.covariance_table``) and the
+    pairs are a few matrix products.
     """
     d = len(p)
     f = (u.conj().T @ np.asarray(ops) @ u).reshape(len(ops), d * d)
-    w = (p[:, None] + p[None, :]).ravel()
-    means = f[:, ::d + 1].real @ p
-    table = ((f * w) @ f.conj().T).real - 2.0 * np.outer(means, means)
+    means, table, w = st.covariance_table(p, f)
     if log_column is None:
         log_var, pairs, gram = table[0, 0], table[1:, 0], table[1:, 1:]
         log_f, log_mean, f, means = f[0], means[0], f[1:], means[1:]
@@ -219,6 +218,13 @@ class ConstantReport:
         return self.commutes_with_H and self.in_span
 
 
+def _least_squares(a, b):
+    """Minimum-norm least-squares solution of a x = b.  Singular values
+    below max(a.shape) eps s_max count as zero, the cutoff of numpy's
+    ``lstsq(rcond=None)``."""
+    return np.linalg.pinv(a, rcond=max(a.shape) * np.finfo(float).eps) @ b
+
+
 def span_check(c, h, generators, tol: float = SPAN_RESIDUAL_TOL) -> ConstantReport:
     """[C, H] = 0, and the residual of C against span{I, H, generators} under
     the trace inner product (relative to ||C|| for the in-span verdict)."""
@@ -228,7 +234,7 @@ def span_check(c, h, generators, tol: float = SPAN_RESIDUAL_TOL) -> ConstantRepo
     commutes = float(np.abs(op.commutator(c, h)).max()) <= COMMUTATION_TOL * scale
     span_ops = [np.eye(h.shape[0], dtype=complex), h, *generators]
     basis = np.column_stack([s.ravel() for s in span_ops])
-    coeffs = np.linalg.pinv(basis) @ c.ravel()   # minimum-norm least squares
+    coeffs = _least_squares(basis, c.ravel())
     residual = float(np.linalg.norm(basis @ coeffs - c.ravel()))
     c_norm = max(np.linalg.norm(c.ravel()), 1e-300)
     return ConstantReport(commutes, residual <= tol * c_norm, residual)
@@ -279,7 +285,7 @@ def is_equilibrium(rho, model: SingleConstituentModel,
     a = np.column_stack([np.ones(int(support.sum())),
                          *[col[support] for col in diag_cols]])
     y = np.log(p[support])
-    coeffs = np.linalg.pinv(a) @ y
+    coeffs = _least_squares(a, y)
     fit_residual = float(np.max(np.abs(a @ coeffs - y))) if a.shape[0] else 0.0
     # the fitted R must actually share the state's eigenbasis on the support
     r_fit = coeffs[0] * np.eye(rho.dim, dtype=complex)

@@ -175,18 +175,20 @@ def deviation(f, rho) -> np.ndarray:
 
 
 def covariance_table(p, ops):
-    """Means, covariance products and anticommutators of operators given in
-    the eigenbasis of rho = diag(p) (``ops`` stacked as (n, d, d)).
+    """Means and covariance products of operators given in the eigenbasis of
+    rho = diag(p), stacked as (n, d, d) or flattened to rows (n, d^2).
 
-    Returns (fbar_a, (F_a, F_b), {Delta F_a, rho}).  In the eigenbasis
-    {Delta F, rho}_ij = (p_i + p_j) F_ij - 2 fbar p_i delta_ij, and
-    (F_a, F_b) = Tr(F_b {Delta F_a, rho}) is a weighted sum over the spectrum.
+    Returns (fbar_a, (F_a, F_b), w) with w_ij = p_i + p_j flattened to
+    length d^2.  In the eigenbasis {Delta F, rho} = w F - 2 fbar diag(p),
+    so (F_a, F_b) = Tr(F_b {Delta F_a, rho}) = sum_ij w_ij F_a,ij
+    conj(F_b,ij) - 2 fbar_a fbar_b.
     """
-    ops = np.asarray(ops)
-    means = np.einsum("aii,i->a", ops, p).real
-    acomms = (p[:, None] + p[None, :]) * ops - 2.0 * means[:, None, None] * np.diag(p)
-    table = np.einsum("aij,bij->ab", acomms, ops.conj()).real
-    return means, table, acomms
+    d = len(p)
+    f = np.asarray(ops).reshape(-1, d * d)
+    w = (p[:, None] + p[None, :]).ravel()
+    means = f[:, ::d + 1].real @ p
+    table = ((f * w) @ f.conj().T).real - 2.0 * np.outer(means, means)
+    return means, table, w
 
 
 def in_eigenbasis(rho, ops) -> tuple[np.ndarray, np.ndarray]:

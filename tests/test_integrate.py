@@ -159,36 +159,62 @@ class TestIntegrate:
         k1_needed = stats["accepted_steps"] + (detection == "rhs_norm")
         assert stats["rhs_calls"] == (stages - 1) * attempts + k1_needed - stats["k1_reused"]
 
-    @pytest.mark.parametrize("p_last", [0.2, 0.1])
-    def test_projection_beyond_round_off_gets_fresh_k1(self, p_last):
-        # a constant rhs moves the last eigenvalue by -0.1 - 1e-11 in one
-        # step: from 0.2 it stays positive and the last stage is reused as
-        # k1; from 0.1 it ends at -1e-11, the projection clamps it, and the
-        # k1 of the detection norm is evaluated at the projected state
+    @pytest.mark.parametrize("case", ["round_off", "trace_drift", "clamp", "small_clamp",
+                                      "small_snap"])
+    def test_fresh_k1_unless_projection_was_round_off(self, case):
+        # one step of a constant rhs: "round_off" leaves every eigenvalue
+        # positive, and the last stage is reused as the k1 of the detection
+        # norm; "trace_drift" leaves the trace at 1 + 3e-10, and the
+        # renormalization moves the state beyond FSAL_MOVE_TOL; "clamp"
+        # leaves an eigenvalue at -1e-11, "small_clamp" at -1e-14, and
+        # "small_snap" moves 5e-14 of weight off a pure state.  The small
+        # repairs move the state by less than FSAL_MOVE_TOL, yet every
+        # repair must get a k1 evaluated at the projected state
+        mixed = np.diag([0.5, 0.4, 0.1]).astype(complex)
         push = np.diag([0.0, 1.0, -1.0]).astype(complex)
+        rho0, dt = {
+            "round_off": (np.diag([0.5, 0.3, 0.2]).astype(complex), 0.1 + 1e-11),
+            "trace_drift": (np.diag([0.5, 0.3, 0.2]).astype(complex), 0.1),
+            "clamp": (mixed, 0.1 + 1e-11),
+            "small_clamp": (mixed, 0.1 + 1e-14),
+            "small_snap": (np.diag([1.0, 0.0, 0.0]).astype(complex), 0.1),
+        }[case]
+        if case == "trace_drift":
+            push = push + 1e-9 * np.eye(3)
+        elif case == "small_snap":
+            push = np.diag([-5e-13, 5e-13, 0.0]).astype(complex)
         calls = []
 
         def rhs(m):
             calls.append(m.copy())
             return push
 
-        rho0 = np.diag([0.5, 0.5 - p_last, p_last]).astype(complex)
-        dt = 0.1 + 1e-11
         config = ig.IntegratorConfig(t_max=dt, dt_init=dt, dt_max=dt,
                                      equilibrium_norm_tol=1e-300)
         traj = ig.integrate(rho0, rhs, config)
         assert traj.stats["accepted_steps"] == 1
         final = traj.final.rho
-        if p_last == 0.2:
+        if case == "round_off":
             assert traj.stats["k1_reused"] == 1
             assert len(calls) == 7
             assert np.abs(final - calls[-1]).max() <= 1e-15
+            return
+        raw = calls[-2]   # the 7th stage, at the raw step
+        move = np.linalg.norm(final - raw) / np.linalg.norm(raw)
+        if case == "trace_drift":
+            assert move >= 1e-10
+        elif case == "clamp":
+            assert np.linalg.eigvalsh(raw)[0] <= -5e-12
+        elif case == "small_clamp":
+            assert np.linalg.eigvalsh(raw)[0] <= -5e-15
+            assert 0 < move <= ig.FSAL_MOVE_TOL
         else:
-            assert np.linalg.eigvalsh(calls[-2])[0] <= -5e-12   # the raw step
-            assert np.linalg.eigvalsh(final)[0] >= 0.0
-            assert traj.stats["k1_reused"] == 0
-            assert len(calls) == 8
-            assert np.array_equal(calls[-1], final)
+            assert np.array_equal(final, np.diag([1.0, 0.0, 0.0]))
+            assert 0 < move <= ig.FSAL_MOVE_TOL
+        assert np.linalg.eigvalsh(final)[0] >= 0.0
+        assert traj.stats["k1_reused"] == 0
+        assert len(calls) == 8
+        assert np.array_equal(calls[-1], final)
 
     def test_rk4_order_four_convergence(self, qubit_model):
         # global error at t = 1 shrinks ~16x when dt halves

@@ -49,7 +49,9 @@ def make_state(kind, dim, rng):
     return st.validate(m / np.trace(m).real)
 
 
-@SETTINGS
+# 100 examples: the regular sets keep about the 60 they drew before the two
+# singular ones joined
+@settings(SETTINGS, max_examples=100)
 @given(seed=hs.integers(0, 2**31 - 1), dim=hs.sampled_from([2, 3, 4, 6, 16]),
        gen_set=hs.sampled_from(["", "X", "XY", "X=H", "Y=X"]),
        kind=hs.sampled_from(["full", "near_pure", "rank_deficient"]))
