@@ -2,10 +2,13 @@
 dynamics/equilibrium/ensemble machinery, and emit data files plus
 machine-readable reports.
 
-Subcommands: simulate, equilibrium, compare, validate, ensemble.
-Exit codes: 0 success; 2 no subcommand, a usage error, or a config that is
-not a JSON object; 3 any other config or validation error (every
-ConfigError); 4 integration or multiplier-solve failure; 5 infeasible target.
+Subcommands: simulate, equilibrium, compare, validate, ensemble.  Every
+config is first checked against ``serialize.CONFIG_SCHEMA``, which
+``--print-schema`` prints.  Exit codes: 0 success; 2 no subcommand, a usage
+error, or a config that is not valid JSON or not a JSON object; 3 every
+ConfigError (a missing config file; a field the schema rejects, named by
+its dotted path; a failed semantic check) and every other validation
+error; 4 integration or multiplier-solve failure; 5 infeasible target.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,30 +56,22 @@ def load_config(path: str) -> dict:
                                    exc.doc, exc.pos) from exc
     if not isinstance(config, dict):
         raise json.JSONDecodeError("config top level must be an object", "", 0)
+    sz.check_config(config)
     return config
 
 
 def build_system(config: dict, units):
-    system = config.get("system")
-    if not isinstance(system, dict):
+    if "system" not in config:
         raise ConfigError("scenario needs a 'system' object")
-    if "single" in system:
-        return "single", sz.decode_single_model(system["single"], units)
-    if "composite" in system:
-        return "composite", sz.decode_composite_model(system["composite"], units)
-    raise ConfigError("system needs 'single' or 'composite'")
+    (kind, spec), = config["system"].items()
+    decode = sz.decode_single_model if kind == "single" else sz.decode_composite_model
+    return kind, decode(spec, units)
 
 
 def build_integrator(config: dict) -> ig.IntegratorConfig:
-    spec = config.get("integrator", {})
-    if not isinstance(spec, dict):
-        raise ConfigError("'integrator' must be an object")
-    unknown = set(spec) - set(INTEGRATOR_SCHEMA)
-    if unknown:
-        raise ConfigError(f"unknown integrator fields: {sorted(unknown)}")
     try:
-        return ig.IntegratorConfig(**spec)
-    except (TypeError, ValueError) as exc:
+        return ig.IntegratorConfig(**config.get("integrator", {}))
+    except ValueError as exc:
         raise ConfigError(f"integrator: {exc}") from exc
 
 
@@ -116,13 +111,22 @@ def build_dynamics(kind: str, model, name: str, block: dict, units):
     if kind != "single":
         raise ConfigError(f"dynamics '{name}' requires a single system")
     h = model.H
-    if name == "lindblad":
-        lmodel = sz.decode_lindblad(block, units)
-        if lmodel.dim != h.shape[0]:
-            raise ConfigError("lindblad operators do not match the system dimension")
+    if name in ("lindblad", "pauli"):
+        if name == "lindblad":
+            lmodel = sz.decode_lindblad(block, units)
+            energy_op = h
 
-        def rhs(m):
-            return lb.kl_rhs(m, lmodel)
+            def rhs(m):
+                return lb.kl_rhs(m, lmodel)
+        else:
+            rates = sz.decode_pauli(block, units)
+            lmodel = lb.as_lindblad(rates)
+            energy_op = np.diag(rates.energies).astype(complex)
+
+            def rhs(m):
+                return lb.pauli_rhs(m, rates)
+        if lmodel.dim != h.shape[0]:
+            raise ConfigError(f"{name} operators do not match the system dimension")
 
         def g_rate(m):
             try:
@@ -130,58 +134,30 @@ def build_dynamics(kind: str, model, name: str, block: dict, units):
             except SeaqtError:
                 return float("nan")
 
-        obs = ig.Observables(energy_op=h, generator_ops=model.generators,
+        obs = ig.Observables(energy_op=energy_op, generator_ops=model.generators,
                              g_rate=g_rate, k_B=k_B)
         return rhs, obs, None
-    if name == "pauli":
-        rates = sz.decode_pauli(block, units)
-        if rates.dim != h.shape[0]:
-            raise ConfigError("pauli rates do not match the system dimension")
-        lmodel = lb.as_lindblad(rates)
+    # double_commutator, the one block the schema admits beyond these
+    f = sz.decode_matrix(block["F"])
+    tau = float(block["tau"])
 
-        def rhs(m):
-            return lb.pauli_rhs(m, rates)
+    def rhs(m):
+        return lb.double_commutator_rhs(m, f, tau, h, units=units)
 
-        def g_rate(m):
-            try:
-                return lb.kl_entropy_production(m, lmodel)
-            except SeaqtError:
-                return float("nan")
+    def g_rate(m):
+        rho = st.as_state(m)
+        if rho.spectral.eigenvalues[-1] < st.LOG_FLOOR:
+            return float("nan")
+        return -k_B * float(np.trace(rhs(m) @ st.log_operator(rho)).real)
 
-        obs = ig.Observables(energy_op=np.diag(rates.energies).astype(complex),
-                             generator_ops=model.generators, g_rate=g_rate, k_B=k_B)
-        return rhs, obs, None
-    if name == "double_commutator":
-        if "F" not in block or "tau" not in block:
-            raise ConfigError("double_commutator block needs 'F' and 'tau'")
-        f = sz.decode_matrix(block["F"])
-        tau = float(block["tau"])
-
-        def rhs(m):
-            return lb.double_commutator_rhs(m, f, tau, h, units=units)
-
-        def g_rate(m):
-            rho = st.as_state(m)
-            if rho.spectral.eigenvalues[-1] < st.LOG_FLOOR:
-                return float("nan")
-            return -k_B * float(np.trace(rhs(m) @ st.log_operator(rho)).real)
-
-        obs = ig.Observables(energy_op=h, generator_ops=(f,), g_rate=g_rate, k_B=k_B)
-        return rhs, obs, None
-    raise ConfigError(f"unknown dynamics '{name}'")
-
-
-DYNAMICS_NAMES = ("sea", "lindblad", "pauli", "double_commutator")
+    obs = ig.Observables(energy_op=h, generator_ops=(f,), g_rate=g_rate, k_B=k_B)
+    return rhs, obs, None
 
 
 def parse_dynamics_block(config: dict) -> dict:
-    dyn = config.get("dynamics")
-    if not isinstance(dyn, dict) or not dyn:
+    if "dynamics" not in config:
         raise ConfigError("scenario needs a 'dynamics' object")
-    unknown = set(dyn) - set(DYNAMICS_NAMES)
-    if unknown:
-        raise ConfigError(f"unknown dynamics blocks: {sorted(unknown)}")
-    return dyn
+    return config["dynamics"]
 
 
 def write_states_jsonl(path: Path, traj: ig.Trajectory) -> None:
@@ -212,7 +188,7 @@ def cmd_simulate(config: dict, out_dir: Path, seed: int | None) -> int:
     if len(dyn) != 1:
         raise ConfigError("simulate needs exactly one dynamics block")
     (name, block), = dyn.items()
-    rhs, obs, eq_norm = build_dynamics(kind, model, name, block or {}, units)
+    rhs, obs, eq_norm = build_dynamics(kind, model, name, block, units)
     rho0 = sz.decode_state(config.get("initial", {}), model=model, seed_override=seed)
     if kind == "composite":
         cp.composite_rhs(rho0, model)  # pre-flight: strict domain check
@@ -298,11 +274,12 @@ def cmd_compare(config: dict, out_dir: Path, seed: int | None) -> int:
     int_config = build_integrator(config)
     if int_config.sample_dt is None and int_config.method != "rk4":
         # pointwise diffs need a shared time grid; pin the sample boundaries
+        # (the report records the settings that ran)
         int_config = replace(int_config, sample_dt=int_config.t_max / 256.0)
     trajectories = {}
     observables = {}
     for name in dyn:
-        rhs, obs, eq_norm = build_dynamics(kind, model, name, dyn[name] or {}, units)
+        rhs, obs, eq_norm = build_dynamics(kind, model, name, dyn[name], units)
         traj = ig.integrate(rho0, rhs, int_config, observables=obs, eq_norm=eq_norm)
         trajectories[name] = traj
         observables[name] = obs
@@ -326,6 +303,7 @@ def cmd_compare(config: dict, out_dir: Path, seed: int | None) -> int:
         "sea_entropy_production_max": finite_max(t_sea.column("g_rate")),
         "linear_entropy_production_max": finite_max(t_lin.column("g_rate")),
         "singular_divergence": _divergence_probe(kind, model, linear_g, units),
+        "integrator": asdict(int_config),
     }
     report_path = out_dir / "compare_report.json"
     report_path.write_text(json.dumps(report, indent=2) + "\n")
@@ -349,7 +327,7 @@ def cmd_validate(config: dict, out_dir: Path, seed: int | None) -> int:
         name, block = "sea", dyn["sea"]
     else:
         raise ConfigError("validate needs one dynamics block (or a 'sea' block)")
-    rhs, obs, _ = build_dynamics(kind, model, name, block or {}, units)
+    rhs, obs, _ = build_dynamics(kind, model, name, block, units)
     rho0 = sz.decode_state(config.get("initial", {}), model=model, seed_override=seed)
     checks = []
     rhs0 = rhs(rho0.matrix)
@@ -413,8 +391,6 @@ def cmd_ensemble(config: dict, out_dir: Path, seed: int | None) -> int:
     outputs = config.get("outputs", {})
     if "maxent" in config:
         spec = config["maxent"]
-        if "states" not in spec or "target_energy" not in spec:
-            raise ConfigError("maxent block needs 'states' and 'target_energy'")
         states = [sz.decode_state(s, model=model, seed_override=seed)
                   for s in spec["states"]]
         mu = en.maxent_known_spectrum(states, float(spec["target_energy"]), model.H)
@@ -434,10 +410,13 @@ def cmd_ensemble(config: dict, out_dir: Path, seed: int | None) -> int:
         raise ConfigError("ensemble config needs 'measure' or 'maxent'")
     mu = sz.decode_measure(config["measure"], model=model, seed_override=seed)
     dyn = parse_dynamics_block(config)
+    if len(dyn) != 1:
+        raise ConfigError("ensemble needs exactly one dynamics block")
     (name, block), = dyn.items()
-    rhs, obs, _ = build_dynamics(kind, model, name, block or {}, units)
+    rhs, obs, _ = build_dynamics(kind, model, name, block, units)
     int_config = build_integrator(config)
     if int_config.method != "rk4":
+        # fixed steps on a shared grid; the summary records the settings that ran
         dt = min(int_config.dt_init, int_config.dt_max)
         int_config = replace(int_config, method="rk4", dt_init=dt, dt_min=dt,
                              dt_max=dt, equilibrium_norm_tol=0.0)
@@ -467,126 +446,12 @@ def cmd_ensemble(config: dict, out_dir: Path, seed: int | None) -> int:
         "expected_energy_initial": en.mean_observable(mu, obs.energy_op),
         "expected_energy_final": en.mean_observable(evolved, obs.energy_op),
         "support_size": len(evolved),
+        "integrator": asdict(int_config),
     }
     summary_path = out_dir / outputs.get("summary_json", "ensemble_summary.json")
     summary_path.write_text(json.dumps(summary, indent=2) + "\n")
     print(f"wrote {series_path}, {measure_path}, {summary_path}")
     return EXIT_OK
-
-
-def print_schema() -> None:
-    print(json.dumps(CONFIG_SCHEMA, indent=2))
-
-
-MATRIX_SCHEMA = {
-    "type": "object",
-    "description": "complex matrix, row-major [re, im] pairs",
-    "properties": {
-        "dim": {"type": "integer", "minimum": 1},
-        "matrix": {"type": "array",
-                   "items": {"type": "array", "items": {"type": "number"},
-                             "minItems": 2, "maxItems": 2}},
-    },
-    "required": ["dim", "matrix"],
-}
-
-STATE_SCHEMA = {
-    "type": "object",
-    "description": "one of: {dim, matrix}, {dim, pure}, {gibbs: {multipliers}}, "
-                   "{random: {dim?, seed, min_eig?}}, {mix: {state, epsilon}}",
-}
-
-# one property per IntegratorConfig field, typed from its annotation
-INTEGRATOR_SCHEMA = {
-    f.name: {"enum": list(ig.METHODS)} if f.name == "method"
-    else {"enum": list(ig.PROJECTION_MODES)} if f.name == "projection"
-    else {"type": "integer", "minimum": 1} if f.type == "int"
-    else {"type": "number"}
-    for f in fields(ig.IntegratorConfig)
-}
-
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "seaqt scenario configuration",
-    "type": "object",
-    "properties": {
-        "units": {"type": "object",
-                  "properties": {"hbar": {"type": "number"},
-                                 "k_B": {"type": "number"},
-                                 "c_stat": {"type": "number"}}},
-        "system": {
-            "type": "object",
-            "properties": {
-                "single": {"type": "object",
-                           "properties": {"H": MATRIX_SCHEMA,
-                                          "generators": {"type": "array",
-                                                         "items": MATRIX_SCHEMA},
-                                          "tau": {"type": "number",
-                                                  "exclusiveMinimum": 0}},
-                           "required": ["H", "tau"]},
-                "composite": {"type": "object",
-                              "properties": {
-                                  "constituents": {"type": "array", "items": {
-                                      "type": "object",
-                                      "properties": {"dim": {"type": "integer"},
-                                                     "generators": {"type": "array",
-                                                                    "items": MATRIX_SCHEMA},
-                                                     "tau": {"type": "number"}},
-                                      "required": ["dim", "tau"]}},
-                                  "H": MATRIX_SCHEMA},
-                              "required": ["constituents", "H"]},
-            },
-        },
-        "initial": STATE_SCHEMA,
-        "dynamics": {
-            "type": "object",
-            "description": "one block for simulate/validate/ensemble; 'sea' plus "
-                           "one linear block for compare",
-            "properties": {
-                "sea": {"type": "object",
-                        "properties": {"equilibrium_detection":
-                                       {"enum": ["full", "dissipative"]}}},
-                "lindblad": {"type": "object",
-                             "properties": {"B": MATRIX_SCHEMA,
-                                            "jumps": {"type": "array",
-                                                      "items": MATRIX_SCHEMA}},
-                             "required": ["B"]},
-                "pauli": {"type": "object",
-                          "properties": {"w": {"type": "array"},
-                                         "energies": {"type": "array"}},
-                          "required": ["w", "energies"]},
-                "double_commutator": {"type": "object",
-                                      "properties": {"F": MATRIX_SCHEMA,
-                                                     "tau": {"type": "number"}},
-                                      "required": ["F", "tau"]},
-            },
-        },
-        "integrator": {"type": "object", "properties": INTEGRATOR_SCHEMA},
-        "outputs": {"type": "object",
-                    "properties": {"trajectory_csv": {"type": "string"},
-                                   "states_jsonl": {"type": "string"},
-                                   "summary_json": {"type": "string"},
-                                   "result_json": {"type": "string"},
-                                   "report_json": {"type": "string"},
-                                   "series_csv": {"type": "string"},
-                                   "measure_json": {"type": "string"}}},
-        "constants": {"type": "array", "items": MATRIX_SCHEMA,
-                      "description": "equilibrium subcommand"},
-        "targets": {"type": "array", "items": {"type": "number"}},
-        "multipliers": {"type": "array", "items": {"type": "number"}},
-        "measure": {"type": "object",
-                    "description": "ensemble subcommand: weighted support",
-                    "properties": {"support": {"type": "array", "items": {
-                        "type": "object",
-                        "properties": {"w": {"type": "number"},
-                                       "state": STATE_SCHEMA},
-                        "required": ["w", "state"]}}}},
-        "maxent": {"type": "object",
-                   "properties": {"states": {"type": "array",
-                                             "items": STATE_SCHEMA},
-                                  "target_energy": {"type": "number"}}},
-    },
-}
 
 
 COMMANDS = {
@@ -615,7 +480,7 @@ def main(argv=None) -> int:
                        help="emit the scenario JSON schema and exit")
     args = parser.parse_args(argv)
     if args.print_schema:
-        print_schema()
+        print(json.dumps(sz.CONFIG_SCHEMA, indent=2))
         return EXIT_OK
     if args.command is None:
         parser.print_help()

@@ -203,9 +203,11 @@ def _factor_terms(rho, model: CompositeModel):
     for j, (c, (rho_j, rest)) in enumerate(zip(model.constituents, marginals)):
         ops = [_reduce(rest, log_full, dims, j), _reduce(rest, model.H, dims, j),
                *c.generators]
+        # normalized reduced spectrum, scaled back: see sea._projection_form
         spec = rho_j.spectral
-        terms.append((*sea.dissipator_kernel(spec.eigenvalues, spec.eigenvectors, ops),
-                      rest))
+        total = float(spec.eigenvalues.sum())
+        acomm, g = sea.dissipator_kernel(spec.eigenvalues / total, spec.eigenvectors, ops)
+        terms.append((total * acomm, g, rest))
     return terms
 
 

@@ -216,8 +216,7 @@ EQUILIBRIUM = "Equilibrium"
 STABLE_EQUILIBRIUM = "StableEquilibrium"
 
 
-def max_entropy_with_means(constants: ConstantSet, targets,
-                           entropy_tol: float = 1e-8) -> float:
+def max_entropy_with_means(constants: ConstantSet, targets) -> float:
     """Entropy of the maximum-entropy state with the given mean values.
 
     Interior targets give the full-rank Gibbs state.  A target pinned at an

@@ -132,7 +132,7 @@ def log_divergence_fit(occupations, rates) -> tuple[float, float, float]:
     x = -np.log(np.asarray(occupations, dtype=float))
     y = np.asarray(rates, dtype=float)
     a = np.column_stack([np.ones_like(x), x])
-    coeffs, *_ = np.linalg.lstsq(a, y, rcond=None)
+    coeffs = op.least_squares(a, y)
     misfit = float(np.linalg.norm(a @ coeffs - y))
     spread = max(float(np.ptp(y)), 1e-300)
     return float(coeffs[0]), float(coeffs[1]), misfit / spread

@@ -92,6 +92,13 @@ def frobenius_norm(a) -> float:
     return float(np.linalg.norm(as_complex(a), ord="fro"))
 
 
+def least_squares(a, b):
+    """Minimum-norm least-squares solution of a x = b.  Singular values
+    below max(a.shape) eps s_max count as zero, the cutoff of numpy's
+    ``lstsq(rcond=None)``."""
+    return np.linalg.pinv(a, rcond=max(a.shape) * np.finfo(float).eps) @ b
+
+
 def hermitian_basis(dim: int) -> list[np.ndarray]:
     """Trace-orthonormal Hermitian basis: I/sqrt(dim) plus the generalized
     Gell-Mann family (symmetric, antisymmetric, then diagonal members, in a

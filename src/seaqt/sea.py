@@ -159,9 +159,14 @@ def dissipator_kernel(p: np.ndarray, u: np.ndarray, ops, log_column=None):
 
 
 def _projection_form(rho: StateOperator, model: SingleConstituentModel):
-    """The kernel at rho, with the regular p ln p pieces as the log column."""
+    """The kernel at rho, with the regular p ln p pieces as the log column.
+    It runs at p / sum p and scales {D, rho} back by sum p, so the result is
+    traceless even where a trial state's negative eigenvalue clipped to 0."""
     p, u = rho.spectral.eigenvalues, rho.spectral.eigenvectors
-    return dissipator_kernel(p, u, model.operator_list(), st.regular_log_column(p))
+    total = float(p.sum())
+    q = p / total
+    acomm, g = dissipator_kernel(q, u, model.operator_list(), st.regular_log_column(q))
+    return total * acomm, g
 
 
 def dissipator_anticommutator(rho, model: SingleConstituentModel) -> np.ndarray:
@@ -218,13 +223,6 @@ class ConstantReport:
         return self.commutes_with_H and self.in_span
 
 
-def _least_squares(a, b):
-    """Minimum-norm least-squares solution of a x = b.  Singular values
-    below max(a.shape) eps s_max count as zero, the cutoff of numpy's
-    ``lstsq(rcond=None)``."""
-    return np.linalg.pinv(a, rcond=max(a.shape) * np.finfo(float).eps) @ b
-
-
 def span_check(c, h, generators, tol: float = SPAN_RESIDUAL_TOL) -> ConstantReport:
     """[C, H] = 0, and the residual of C against span{I, H, generators} under
     the trace inner product (relative to ||C|| for the in-span verdict)."""
@@ -234,7 +232,7 @@ def span_check(c, h, generators, tol: float = SPAN_RESIDUAL_TOL) -> ConstantRepo
     commutes = float(np.abs(op.commutator(c, h)).max()) <= COMMUTATION_TOL * scale
     span_ops = [np.eye(h.shape[0], dtype=complex), h, *generators]
     basis = np.column_stack([s.ravel() for s in span_ops])
-    coeffs = _least_squares(basis, c.ravel())
+    coeffs = op.least_squares(basis, c.ravel())
     residual = float(np.linalg.norm(basis @ coeffs - c.ravel()))
     c_norm = max(np.linalg.norm(c.ravel()), 1e-300)
     return ConstantReport(commutes, residual <= tol * c_norm, residual)
@@ -285,7 +283,7 @@ def is_equilibrium(rho, model: SingleConstituentModel,
     a = np.column_stack([np.ones(int(support.sum())),
                          *[col[support] for col in diag_cols]])
     y = np.log(p[support])
-    coeffs = _least_squares(a, y)
+    coeffs = op.least_squares(a, y)
     fit_residual = float(np.max(np.abs(a @ coeffs - y))) if a.shape[0] else 0.0
     # the fitted R must actually share the state's eigenbasis on the support
     r_fit = coeffs[0] * np.eye(rho.dim, dtype=complex)

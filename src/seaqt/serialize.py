@@ -1,23 +1,181 @@
-"""JSON encoding of matrices, states, models, and measures.
+"""JSON encoding of matrices, states, models, and measures, and the
+scenario config schema.
 
 A complex matrix serializes as {"dim": n, "matrix": [[re, im], ...]} with
 n*n entries in row-major order; a pure state as {"dim": n, "pure": [[re,
 im], ...]} with n entries.  Real matrices (Pauli rates) are plain nested
-lists.
+lists.  ``check_config`` enforces ``CONFIG_SCHEMA``, so the decoders keep
+only the checks a schema cannot state.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 import numpy as np
 
 from . import composite as cp
 from . import ensemble as en
 from . import equilibrium as eq
+from . import integrate as ig
 from . import lindblad as lb
 from . import sea
 from . import states as st
 from .errors import ConfigError
 from .operators import UnitSystem
+
+
+def _object(properties: dict, *required: str) -> dict:
+    """A closed object schema: fields outside ``properties`` are rejected."""
+    return {"type": "object", "properties": properties, "required": list(required),
+            "additionalProperties": False}
+
+
+def _array(items: dict) -> dict:
+    return {"type": "array", "items": items}
+
+
+NUMBER = {"type": "number"}
+POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+DIM = {"type": "integer", "minimum": 1}
+ENTRIES = _array({"type": "array", "items": NUMBER, "minItems": 2, "maxItems": 2})
+MATRIX = {"$ref": "#/$defs/matrix"}
+STATE = {"$ref": "#/$defs/state"}
+STATE_KINDS = ("matrix", "pure", "gibbs", "random", "mix")
+
+# one property per IntegratorConfig field, typed from its annotation
+INTEGRATOR_SCHEMA = {
+    f.name: {"enum": list(ig.METHODS)} if f.name == "method"
+    else {"enum": list(ig.PROJECTION_MODES)} if f.name == "projection"
+    else {"type": "integer", "minimum": 1} if f.type == "int"
+    else {"type": ["number", "null"]} if f.type == "float | None"
+    else NUMBER
+    for f in fields(ig.IntegratorConfig)
+}
+
+CONFIG_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "title": "seaqt scenario configuration",
+    "$defs": {
+        "matrix": {**_object({"dim": DIM, "matrix": ENTRIES}, "dim", "matrix"),
+                   "description": "complex matrix, row-major [re, im] pairs"},
+        "state": {
+            **_object({"dim": DIM, "matrix": ENTRIES, "pure": ENTRIES,
+                       "gibbs": _object({"multipliers": _array(NUMBER)}, "multipliers"),
+                       "random": _object({"dim": DIM,
+                                          "seed": {"type": "integer", "minimum": 0},
+                                          "min_eig": NUMBER}),
+                       "mix": _object({"state": STATE, "epsilon": NUMBER},
+                                      "state", "epsilon")}),
+            "dependentRequired": {"matrix": ["dim"], "pure": ["dim"]},
+            "description": f"exactly one of {', '.join(STATE_KINDS)}; "
+                           "random needs a seed here or from --seed"},
+    },
+    **_object({
+        "units": _object({"hbar": POSITIVE, "k_B": POSITIVE, "c_stat": POSITIVE}),
+        "system": {
+            **_object({
+                "single": _object({"H": MATRIX, "generators": _array(MATRIX),
+                                   "tau": POSITIVE}, "H", "tau"),
+                "composite": _object({
+                    "constituents": _array(_object({"dim": DIM,
+                                                    "generators": _array(MATRIX),
+                                                    "tau": POSITIVE}, "dim", "tau")),
+                    "H": MATRIX}, "constituents", "H")}),
+            "minProperties": 1, "maxProperties": 1},
+        "initial": STATE,
+        "dynamics": {
+            **_object({
+                "sea": _object({"equilibrium_detection":
+                                {"enum": ["full", "dissipative"]}}),
+                "lindblad": _object({"B": MATRIX, "jumps": _array(MATRIX)}, "B"),
+                "pauli": _object({"w": _array(_array(NUMBER)),
+                                  "energies": _array(NUMBER)}, "w", "energies"),
+                "double_commutator": _object({"F": MATRIX, "tau": POSITIVE},
+                                             "F", "tau")}),
+            "minProperties": 1,
+            "description": "one block for simulate/validate/ensemble; 'sea' plus "
+                           "one linear block for compare"},
+        "integrator": _object(INTEGRATOR_SCHEMA),
+        "outputs": _object({name: {"type": "string"} for name in (
+            "trajectory_csv", "states_jsonl", "summary_json", "result_json",
+            "report_json", "series_csv", "measure_json")}),
+        "constants": {**_array(MATRIX), "description": "equilibrium subcommand"},
+        "targets": _array(NUMBER),
+        "multipliers": _array(NUMBER),
+        "measure": {**_object({"support": _array(_object({"w": NUMBER, "state": STATE},
+                                                          "w", "state"))}, "support"),
+                    "description": "ensemble subcommand: weighted support"},
+        "maxent": _object({"states": _array(STATE), "target_energy": NUMBER},
+                          "states", "target_energy"),
+    }),
+}
+
+_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float),
+          "integer": int, "null": type(None)}
+
+
+def _has_type(value, name: str) -> bool:
+    if isinstance(value, bool):    # JSON true/false is no number
+        return False
+    if name == "integer" and isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, _TYPES[name])
+
+
+def _check_size(n: int, lo: int, hi, where: str, noun: str) -> None:
+    if n < lo or (hi is not None and n > hi):
+        bound = lo if lo == hi else f"at least {lo}" if hi is None else f"{lo} to {hi}"
+        raise ConfigError(f"{where}: expected {bound} {noun}, got {n}")
+
+
+def _field(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
+
+
+def _check(value, schema: dict, path: str) -> None:
+    if "$ref" in schema:
+        schema = CONFIG_SCHEMA["$defs"][schema["$ref"].removeprefix("#/$defs/")]
+    where = path or "config"
+    if "type" in schema:
+        types = schema["type"] if isinstance(schema["type"], list) else [schema["type"]]
+        if not any(_has_type(value, t) for t in types):
+            raise ConfigError(f"{where}: expected {' or '.join(types)}, "
+                              f"got {type(value).__name__}")
+    if "enum" in schema and value not in schema["enum"]:
+        raise ConfigError(f"{where}: {value!r} is not one of {schema['enum']}")
+    if "minimum" in schema and value < schema["minimum"]:
+        raise ConfigError(f"{where}: must be >= {schema['minimum']}, got {value!r}")
+    if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+        raise ConfigError(f"{where}: must be > {schema['exclusiveMinimum']}, "
+                          f"got {value!r}")
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        for name, item in value.items():
+            if name in properties:
+                _check(item, properties[name], _field(path, name))
+            elif schema.get("additionalProperties") is False:
+                raise ConfigError(f"{_field(path, name)}: unknown field")
+        needed = [*schema.get("required", ()),
+                  *(need for name, needs in schema.get("dependentRequired", {}).items()
+                    if name in value for need in needs)]
+        for name in needed:
+            if name not in value:
+                raise ConfigError(f"{_field(path, name)}: required field missing")
+        _check_size(len(value), schema.get("minProperties", 0),
+                    schema.get("maxProperties"), where, "field(s)")
+    if isinstance(value, list):
+        _check_size(len(value), schema.get("minItems", 0), schema.get("maxItems"),
+                    where, "item(s)")
+        for i, item in enumerate(value):
+            _check(item, schema.get("items", {}), f"{path}[{i}]")
+
+
+def check_config(config) -> None:
+    """Check a decoded scenario against ``CONFIG_SCHEMA``, covering exactly
+    the keywords it uses; raise ``ConfigError`` naming the dotted path of the
+    first offending field, such as ``system.single.generators[0].dim``."""
+    _check(config, CONFIG_SCHEMA, "")
 
 
 def encode_matrix(m) -> dict:
@@ -26,11 +184,9 @@ def encode_matrix(m) -> dict:
             "matrix": [[float(v.real), float(v.imag)] for v in m.ravel()]}
 
 
-def decode_matrix(obj, field: str = "matrix") -> np.ndarray:
-    if not isinstance(obj, dict) or "dim" not in obj or field not in obj:
-        raise ConfigError(f"matrix object needs 'dim' and '{field}' fields")
+def decode_matrix(obj) -> np.ndarray:
     dim = int(obj["dim"])
-    entries = obj[field]
+    entries = obj["matrix"]
     if len(entries) != dim * dim:
         raise ConfigError(f"matrix with dim {dim} needs {dim * dim} entries, "
                           f"got {len(entries)}")
@@ -51,21 +207,10 @@ def encode_state(rho: st.StateOperator) -> dict:
 
 
 def decode_units(obj) -> UnitSystem:
-    if obj is None:
-        return UnitSystem()
-    try:
-        return UnitSystem(hbar=float(obj.get("hbar", 1.0)),
-                          k_B=float(obj.get("k_B", 1.0)),
-                          c_stat=float(obj.get("c_stat", 1.0)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"units: {exc}") from exc
+    return UnitSystem(**{name: float(v) for name, v in (obj or {}).items()})
 
 
 def decode_single_model(obj, units: UnitSystem) -> sea.SingleConstituentModel:
-    if "H" not in obj:
-        raise ConfigError("single system needs 'H'")
-    if "tau" not in obj:
-        raise ConfigError("single system needs 'tau'")
     h = decode_matrix(obj["H"])
     gens = tuple(decode_matrix(g) for g in obj.get("generators", []))
     model = sea.SingleConstituentModel(H=h, generators=gens,
@@ -74,14 +219,8 @@ def decode_single_model(obj, units: UnitSystem) -> sea.SingleConstituentModel:
 
 
 def decode_composite_model(obj, units: UnitSystem) -> cp.CompositeModel:
-    if "constituents" not in obj or "H" not in obj:
-        raise ConfigError("composite system needs 'constituents' and 'H'")
     constituents = []
-    for i, c in enumerate(obj["constituents"]):
-        if "dim" not in c:
-            raise ConfigError(f"constituent {i} needs 'dim'")
-        if "tau" not in c:
-            raise ConfigError(f"constituent {i} needs 'tau'")
+    for c in obj["constituents"]:
         gens = tuple(decode_matrix(g) for g in c.get("generators", []))
         constituents.append(cp.Constituent(dim=int(c["dim"]), generators=gens,
                                            tau=float(c["tau"])))
@@ -91,19 +230,20 @@ def decode_composite_model(obj, units: UnitSystem) -> cp.CompositeModel:
 
 
 def decode_state(obj, model=None, seed_override: int | None = None) -> st.StateOperator:
-    if not isinstance(obj, dict):
-        raise ConfigError("initial state must be an object")
-    if "matrix" in obj:
+    kinds = [kind for kind in STATE_KINDS if kind in obj]
+    if len(kinds) != 1:
+        raise ConfigError(f"a state needs exactly one of {', '.join(STATE_KINDS)}; "
+                          f"got {kinds or 'none'}")
+    kind = kinds[0]
+    if kind == "matrix":
         return st.validate(decode_matrix(obj))
-    if "pure" in obj:
+    if kind == "pure":
         return st.pure_state(decode_vector(obj))
-    if "gibbs" in obj:
-        spec = obj["gibbs"]
+    spec = obj[kind]
+    if kind == "gibbs":
         if model is None:
             raise ConfigError("gibbs initial state needs a system block")
-        multipliers = spec.get("multipliers")
-        if multipliers is None:
-            raise ConfigError("gibbs initial state needs 'multipliers'")
+        multipliers = spec["multipliers"]
         ops = [model.H]
         gens = getattr(model, "generators", ())
         ops.extend(gens)
@@ -115,8 +255,7 @@ def decode_state(obj, model=None, seed_override: int | None = None) -> st.StateO
         m = eq.MultiplierVector(beta=float(multipliers[0]),
                                 gammas=tuple(float(v) for v in multipliers[1:]))
         return eq.gibbs_state(constants, m)
-    if "random" in obj:
-        spec = obj["random"]
+    if kind == "random":
         dim = spec.get("dim")
         if dim is None:
             if model is None:
@@ -127,19 +266,12 @@ def decode_state(obj, model=None, seed_override: int | None = None) -> st.StateO
             raise ConfigError("random initial state needs 'seed'")
         return st.random_full_rank(int(dim), seed=int(seed),
                                    min_eig=float(spec.get("min_eig", 1e-4)))
-    if "mix" in obj:
-        spec = obj["mix"]
-        for name in ("state", "epsilon"):
-            if not isinstance(spec, dict) or name not in spec:
-                raise ConfigError(f"mix initial state needs '{name}'")
-        inner = decode_state(spec["state"], model=model, seed_override=seed_override)
-        return st.mix_with_identity(inner, float(spec["epsilon"]))
-    raise ConfigError("initial state needs one of: matrix, pure, gibbs, random, mix")
+    # kind == "mix"
+    inner = decode_state(spec["state"], model=model, seed_override=seed_override)
+    return st.mix_with_identity(inner, float(spec["epsilon"]))
 
 
 def decode_lindblad(obj, units: UnitSystem) -> lb.LindbladModel:
-    if "B" not in obj:
-        raise ConfigError("lindblad block needs 'B'")
     return lb.lindblad_model(decode_matrix(obj["B"]),
                              jump_ops=tuple(decode_matrix(a)
                                             for a in obj.get("jumps", [])),
@@ -147,24 +279,16 @@ def decode_lindblad(obj, units: UnitSystem) -> lb.LindbladModel:
 
 
 def decode_pauli(obj, units: UnitSystem) -> lb.PauliRates:
-    if "w" not in obj or "energies" not in obj:
-        raise ConfigError("pauli block needs 'w' and 'energies'")
     return lb.pauli_rates(np.asarray(obj["w"], dtype=float),
                           np.asarray(obj["energies"], dtype=float), units=units)
 
 
 def decode_measure(obj, model=None,
                    seed_override: int | None = None) -> en.StatisticalWeightMeasure:
-    if "support" not in obj:
-        raise ConfigError("measure needs 'support'")
-    pairs = []
-    for i, point in enumerate(obj["support"]):
-        if "w" not in point or "state" not in point:
-            raise ConfigError(f"support point {i} needs 'w' and 'state'")
-        pairs.append((float(point["w"]),
-                      decode_state(point["state"], model=model,
-                                   seed_override=seed_override)))
-    return en.measure(pairs)
+    return en.measure([(float(point["w"]),
+                        decode_state(point["state"], model=model,
+                                     seed_override=seed_override))
+                       for point in obj["support"]])
 
 
 def encode_measure(mu: en.StatisticalWeightMeasure) -> dict:

@@ -1,15 +1,20 @@
+import copy
 import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from seaqt import cli
+from seaqt import serialize as sz
+from seaqt.errors import ConfigError
 from seaqt.integrate import IntegratorConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, config, name="scenario.json"):
@@ -75,6 +80,27 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert code == 3
         assert "ERROR Config:" in err and "epsilon" in err
+
+    @pytest.mark.parametrize("path, value", [
+        ("outputz", {"trajectory_csv": "run.csv"}),
+        ("system.single.generator", [matrix_obj(np.diag([1.0, -1.0]))]),
+        ("initial.random.min_eigg", 0.01),
+        ("dynamics.sea.equilibrium_detection", "dissipativ"),
+        ("integrator.dtmax", 0.5),
+    ])
+    def test_misspelled_field_exits_3_naming_its_path(self, tmp_path, capsys,
+                                                      path, value):
+        config = qubit_sea_scenario(initial={"random": {"dim": 2, "seed": 3}})
+        *parents, leaf = path.split(".")
+        node = config
+        for key in parents:
+            node = node[key]
+        node[leaf] = value
+        config_path = write_config(tmp_path, config)
+        code = cli.main(["simulate", "--config", config_path, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "ERROR Config:" in err and path in err
 
     def test_no_subcommand_exits_2(self, capsys):
         assert cli.main([]) == 2
@@ -292,6 +318,25 @@ class TestEnsemble:
         assert summary["support_size"] == 1
 
 
+def test_reports_record_the_integrator_settings_that_ran(tmp_path):
+    compare = qubit_sea_scenario(
+        dynamics={"sea": {}, "lindblad": {"B": matrix_obj(-np.diag([0.0, 1.0]))}},
+        integrator={"t_max": 1.0})
+    assert cli.main(["compare", "--config", write_config(tmp_path, compare),
+                     "--out", str(tmp_path)]) == 0
+    ran = json.loads((tmp_path / "compare_report.json").read_text())["integrator"]
+    assert ran == asdict(IntegratorConfig(t_max=1.0, sample_dt=1.0 / 256))
+    ensemble = qubit_sea_scenario(
+        measure={"support": [{"w": 1.0, "state": qubit_sea_scenario()["initial"]}]},
+        integrator={"t_max": 0.5, "dt_init": 0.05, "dt_max": 0.1,
+                    "equilibrium_norm_tol": 1e-9}, outputs={})
+    assert cli.main(["ensemble", "--config", write_config(tmp_path, ensemble),
+                     "--out", str(tmp_path)]) == 0
+    ran = json.loads((tmp_path / "ensemble_summary.json").read_text())["integrator"]
+    assert ran == asdict(IntegratorConfig(method="rk4", t_max=0.5, dt_init=0.05,
+                                          dt_min=0.05, dt_max=0.05))
+
+
 class TestSchema:
     def test_print_schema(self, capsys):
         assert cli.main(["--print-schema"]) == 0
@@ -311,7 +356,103 @@ class TestSchema:
 
     def test_integrator_accepts_every_config_field(self):
         spec = {f.name: f.default for f in fields(IntegratorConfig)}
+        sz.check_config({"integrator": spec})
         assert cli.build_integrator({"integrator": spec}) == IntegratorConfig()
+
+    def test_print_schema_is_a_valid_draft_2020_12_schema(self, capsys):
+        jsonschema = pytest.importorskip("jsonschema")
+        assert cli.main(["--print-schema"]) == 0
+        jsonschema.Draft202012Validator.check_schema(json.loads(capsys.readouterr().out))
+
+    def test_check_config_agrees_with_jsonschema(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        validator = jsonschema.Draft202012Validator(sz.CONFIG_SCHEMA)
+        checked = 0
+        for scenario in suite_scenarios():
+            assert validator.is_valid(scenario)
+            for mutated in single_field_mutations(scenario):
+                try:
+                    sz.check_config(mutated)
+                    accepted = True
+                except ConfigError:
+                    accepted = False
+                assert accepted == validator.is_valid(mutated), mutated
+                checked += 1
+        assert checked > 1000
+
+    def test_readme_scenario_validates_and_runs(self, tmp_path):
+        scenario = readme_scenario()
+        sz.check_config(scenario)
+        config_path = write_config(tmp_path, scenario)
+        assert cli.main(["simulate", "--config", config_path, "--out", str(tmp_path)]) == 0
+
+
+def readme_scenario():
+    """The first JSON block of the README."""
+    return json.loads(README.read_text().split("```json\n", 1)[1].split("```", 1)[0])
+
+
+def suite_scenarios():
+    """Valid scenarios between them touching every block of the schema."""
+    h = matrix_obj(np.diag([0.0, 1.0]))
+    pure0 = {"dim": 2, "pure": [[1.0, 0.0], [0.0, 0.0]]}
+    return [
+        qubit_sea_scenario(),
+        qubit_sea_scenario(units={"hbar": 1.0, "k_B": 2.0, "c_stat": 1.0},
+                           initial={"mix": {"state": {"random": {"seed": 1,
+                                                                 "min_eig": 0.01}},
+                                            "epsilon": 0.1}},
+                           integrator={f.name: f.default
+                                       for f in fields(IntegratorConfig)}),
+        qubit_sea_scenario(initial={"gibbs": {"multipliers": [1.0]}},
+                           dynamics={"sea": {"equilibrium_detection": "dissipative"},
+                                     "pauli": {"w": [[0.0, 0.5], [0.2, 0.0]],
+                                               "energies": [0.0, 1.0]},
+                                     "double_commutator": {"F": h, "tau": 0.5}}),
+        TestCompositeScenarios.composite_config(),
+        {"system": {"single": {"H": h, "generators": [h], "tau": 1.0}},
+         "initial": pure0,
+         "dynamics": {"sea": {}, "lindblad": {"B": h, "jumps": [h]}}},
+        {"constants": [h], "targets": [0.25], "multipliers": [1.0],
+         "outputs": {"result_json": "r.json"}},
+        {"system": {"single": {"H": h, "tau": 1.0}}, "dynamics": {"sea": {}},
+         "measure": {"support": [{"w": 1.0, "state": pure0}]},
+         "maxent": {"states": [pure0], "target_energy": 0.0}},
+        readme_scenario(),
+    ]
+
+
+def single_field_mutations(config):
+    """Copies of ``config``, each with one field added, removed, shortened,
+    lengthened or replaced by a value of another type, sign or spelling."""
+    def nodes(node, path):
+        yield path, node
+        children = node.items() if isinstance(node, dict) else \
+            enumerate(node) if isinstance(node, list) else ()
+        for key, child in children:
+            yield from nodes(child, (*path, key))
+
+    def at(root, path):
+        for key in path:
+            root = root[key]
+        return root
+
+    for path, node in list(nodes(config, ())):
+        edits = []
+        if isinstance(node, dict):
+            edits.append(lambda n: n.update(zz_unknown=1))
+            edits += [lambda n, k=k: n.pop(k) for k in node]
+        elif isinstance(node, list) and node:
+            edits += [lambda n: n.pop(), lambda n: n.append(copy.deepcopy(n[0]))]
+        for edit in edits:
+            mutated = copy.deepcopy(config)
+            edit(at(mutated, path))
+            yield mutated
+        if path:
+            for value in ("bogus", -1, 0, 1.5, None, [], {}):
+                mutated = copy.deepcopy(config)
+                at(mutated, path[:-1])[path[-1]] = value
+                yield mutated
 
 
 class TestCompositeScenarios:
@@ -404,8 +545,9 @@ def test_import_loads_no_scipy(module):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    # nor jsonschema: the config check is seaqt's own walker
     code = (f"import sys, {module}; print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
+            "if m.split('.')[0] in ('scipy', 'jsonschema')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "[]"

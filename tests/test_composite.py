@@ -173,6 +173,17 @@ class TestCompositeRhs:
             assert abs(np.trace(model.H @ rhs).real) <= \
                 1e-8 * max(1.0, np.linalg.norm(model.H))
 
+    @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6])
+    def test_traceless_at_trial_state_with_negative_reduced_eigenvalue(self, eps):
+        hb = np.diag([0.0, 0.5, 1.3])
+        h = op.kron(SZ, np.eye(3)) + op.kron(I2, hb) + 0.2 * op.kron(SZ, hb)
+        model = cp.validate_model(cp.CompositeModel(
+            constituents=(cp.Constituent(2, tau=1.0), cp.Constituent(3, tau=0.6)),
+            H=h))
+        rho = op.kron(np.array([[0.7, 0.1], [0.1, 0.3]]),
+                      np.diag([0.6, 0.4 + eps, -eps]))
+        assert abs(np.trace(cp.composite_rhs(rho, model))) <= 1e-14
+
     def test_lifted_generator_means_conserved(self):
         h = op.kron(SZ, I2) + op.kron(I2, SZ) + 0.25 * op.kron(SZ, SZ)
         model = cp.validate_model(cp.CompositeModel(

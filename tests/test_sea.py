@@ -147,6 +147,16 @@ class TestSeaRhs:
             rho = st.random_full_rank(2, seed=seed)
             assert abs(np.trace(sea.sea_rhs(rho, qubit_model))) <= 1e-10
 
+    @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6])
+    def test_traceless_at_trial_state_with_negative_eigenvalue(self, eps):
+        # the clipped spectrum sums to 1 + eps; the dissipator must still
+        # be traceless there, not off by a multiple of eps
+        h = np.diag([0.0, 1.0, 2.0, 3.0])
+        x = np.diag([1.0, -1.0, 0.5, 0.2])
+        model = sea.validate_model(sea.SingleConstituentModel(H=h, generators=(x,)))
+        rho = np.diag([0.6, 0.3, 0.1 + eps, -eps]).astype(complex)
+        assert abs(np.trace(sea.sea_rhs(rho, model))) <= 1e-14
+
     def test_energy_conservation(self):
         for dim, seeds in ((2, range(5)), (3, range(5)), (4, range(5))):
             h = np.diag(np.arange(dim, dtype=float))
