@@ -65,7 +65,13 @@ def build_system(config: dict, units):
         raise ConfigError("scenario needs a 'system' object")
     (kind, spec), = config["system"].items()
     decode = sz.decode_single_model if kind == "single" else sz.decode_composite_model
-    return kind, decode(spec, units)
+    with sz.field_path(f"system.{kind}"):
+        return kind, decode(spec, units)
+
+
+def build_initial(config: dict, model, seed: int | None) -> st.StateOperator:
+    with sz.field_path("initial"):
+        return sz.decode_state(config.get("initial", {}), model=model, seed_override=seed)
 
 
 def build_integrator(config: dict) -> ig.IntegratorConfig:
@@ -113,7 +119,8 @@ def build_dynamics(kind: str, model, name: str, block: dict, units):
     h = model.H
     if name in ("lindblad", "pauli"):
         if name == "lindblad":
-            lmodel = sz.decode_lindblad(block, units)
+            with sz.field_path("dynamics.lindblad"):
+                lmodel = sz.decode_lindblad(block, units)
             energy_op = h
 
             def rhs(m):
@@ -138,7 +145,8 @@ def build_dynamics(kind: str, model, name: str, block: dict, units):
                              g_rate=g_rate, k_B=k_B)
         return rhs, obs, None
     # double_commutator, the one block the schema admits beyond these
-    f = sz.decode_matrix(block["F"])
+    with sz.field_path("dynamics.double_commutator.F"):
+        f = sz.decode_matrix(block["F"])
     tau = float(block["tau"])
 
     def rhs(m):
@@ -189,7 +197,7 @@ def cmd_simulate(config: dict, out_dir: Path, seed: int | None) -> int:
         raise ConfigError("simulate needs exactly one dynamics block")
     (name, block), = dyn.items()
     rhs, obs, eq_norm = build_dynamics(kind, model, name, block, units)
-    rho0 = sz.decode_state(config.get("initial", {}), model=model, seed_override=seed)
+    rho0 = build_initial(config, model, seed)
     if kind == "composite":
         cp.composite_rhs(rho0, model)  # pre-flight: strict domain check
     int_config = build_integrator(config)
@@ -213,12 +221,15 @@ def cmd_equilibrium(config: dict, out_dir: Path, seed: int | None) -> int:
     raw_constants = config.get("constants")
     if not raw_constants:
         raise ConfigError("equilibrium config needs 'constants'")
-    constants = eq.constant_set([sz.decode_matrix(c) for c in raw_constants],
+    if "targets" in config and "multipliers" in config:
+        raise ConfigError("equilibrium takes 'targets' or 'multipliers', not both")
+    constants = eq.constant_set(sz.decode_matrices(raw_constants, "constants"),
                                 units=units)
     if "multipliers" in config:
         values = [float(v) for v in config["multipliers"]]
         if len(values) != len(constants):
-            raise ConfigError(f"expected {len(constants)} multipliers")
+            raise ConfigError(f"expected {len(constants)} (one per constant), "
+                              f"got {len(values)}", "multipliers")
         m = eq.MultiplierVector(beta=values[0], gammas=tuple(values[1:]))
     elif "targets" in config:
         m = eq.solve_multipliers(constants, [float(v) for v in config["targets"]])
@@ -270,7 +281,7 @@ def cmd_compare(config: dict, out_dir: Path, seed: int | None) -> int:
     dyn = parse_dynamics_block(config)
     if "sea" not in dyn or len(dyn) != 2:
         raise ConfigError("compare needs a 'sea' block plus one linear dynamics block")
-    rho0 = sz.decode_state(config.get("initial", {}), model=model, seed_override=seed)
+    rho0 = build_initial(config, model, seed)
     int_config = build_integrator(config)
     if int_config.sample_dt is None and int_config.method != "rk4":
         # pointwise diffs need a shared time grid; pin the sample boundaries
@@ -328,7 +339,7 @@ def cmd_validate(config: dict, out_dir: Path, seed: int | None) -> int:
     else:
         raise ConfigError("validate needs one dynamics block (or a 'sea' block)")
     rhs, obs, _ = build_dynamics(kind, model, name, block, units)
-    rho0 = sz.decode_state(config.get("initial", {}), model=model, seed_override=seed)
+    rho0 = build_initial(config, model, seed)
     checks = []
     rhs0 = rhs(rho0.matrix)
     h = obs.energy_op
@@ -389,10 +400,14 @@ def cmd_ensemble(config: dict, out_dir: Path, seed: int | None) -> int:
     units = sz.decode_units(config.get("units"))
     kind, model = build_system(config, units)
     outputs = config.get("outputs", {})
+    if "maxent" in config and "measure" in config:
+        raise ConfigError("ensemble takes 'maxent' or 'measure', not both")
     if "maxent" in config:
         spec = config["maxent"]
-        states = [sz.decode_state(s, model=model, seed_override=seed)
-                  for s in spec["states"]]
+        states = []
+        for i, s in enumerate(spec["states"]):
+            with sz.field_path(f"maxent.states[{i}]"):
+                states.append(sz.decode_state(s, model=model, seed_override=seed))
         mu = en.maxent_known_spectrum(states, float(spec["target_energy"]), model.H)
         result = {
             "weights": [float(w) for w in mu.weights],
@@ -408,35 +423,27 @@ def cmd_ensemble(config: dict, out_dir: Path, seed: int | None) -> int:
         return EXIT_OK
     if "measure" not in config:
         raise ConfigError("ensemble config needs 'measure' or 'maxent'")
-    mu = sz.decode_measure(config["measure"], model=model, seed_override=seed)
+    with sz.field_path("measure"):
+        mu = sz.decode_measure(config["measure"], model=model, seed_override=seed)
     dyn = parse_dynamics_block(config)
     if len(dyn) != 1:
         raise ConfigError("ensemble needs exactly one dynamics block")
     (name, block), = dyn.items()
     rhs, obs, _ = build_dynamics(kind, model, name, block, units)
     int_config = build_integrator(config)
-    if int_config.method != "rk4":
-        # fixed steps on a shared grid; the summary records the settings that ran
-        dt = min(int_config.dt_init, int_config.dt_max)
-        int_config = replace(int_config, method="rk4", dt_init=dt, dt_min=dt,
-                             dt_max=dt, equilibrium_norm_tol=0.0)
-    trajectories = [ig.integrate(s, rhs, int_config, observables=obs)
-                    for _, s in mu.support]
-    n = min(len(t.samples) for t in trajectories)
+    # the support states advance as one stack on the user's settings; the
+    # series needs no entropy production rate
+    traj = en.integrate_support(mu, rhs, int_config, replace(obs, g_rate=None))
     weights = mu.weights
-    lines = ["t,statistical_uncertainty,expected_entropy,expected_energy"]
     i_mu = en.statistical_uncertainty(mu, c=units.c_stat)
-    for i in range(n):
-        t = trajectories[0].samples[i].t
-        s_mean = float(sum(w * traj.samples[i].entropy
-                           for w, traj in zip(weights, trajectories)))
-        e_mean = float(sum(w * traj.samples[i].energy
-                           for w, traj in zip(weights, trajectories)))
-        lines.append(",".join(repr(float(v)) for v in (t, i_mu, s_mean, e_mean)))
+    lines = ["t,statistical_uncertainty,expected_entropy,expected_energy"]
+    for s in traj.samples:
+        lines.append(",".join(repr(float(v)) for v in (
+            s.t, i_mu, weights @ s.entropy, weights @ s.energy)))
     series_path = out_dir / outputs.get("series_csv", "ensemble_series.csv")
     series_path.write_text("\n".join(lines) + "\n")
-    evolved = en.measure([(w, st.validate(traj.final.rho))
-                          for w, traj in zip(weights, trajectories)])
+    evolved = en.measure([(w, st.validate(rho))
+                          for w, rho in zip(weights, traj.final.rho)])
     measure_path = out_dir / outputs.get("measure_json", "measure_evolved.json")
     measure_path.write_text(json.dumps(sz.encode_measure(evolved), indent=2) + "\n")
     summary = {
@@ -446,7 +453,9 @@ def cmd_ensemble(config: dict, out_dir: Path, seed: int | None) -> int:
         "expected_energy_initial": en.mean_observable(mu, obs.energy_op),
         "expected_energy_final": en.mean_observable(evolved, obs.energy_op),
         "support_size": len(evolved),
+        "termination": traj.termination,
         "integrator": asdict(int_config),
+        "stats": traj.stats,
     }
     summary_path = out_dir / outputs.get("summary_json", "ensemble_summary.json")
     summary_path.write_text(json.dumps(summary, indent=2) + "\n")

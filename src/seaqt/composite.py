@@ -228,8 +228,15 @@ def dissipative_term(rho, model: CompositeModel) -> np.ndarray:
 
 
 def composite_rhs(rho, model: CompositeModel) -> np.ndarray:
-    """d rho/dt = -(i/hbar)[H, rho] - sum_J (tau(J)/hbar^2) {D(J), rho(J)} (x) rho(J')."""
+    """d rho/dt = -(i/hbar)[H, rho] - sum_J (tau(J)/hbar^2) {D(J), rho(J)} (x) rho(J').
+
+    A (..., d, d) stack is evaluated member by member, each member as a raw
+    matrix (an integrator trial point).
+    """
     m = st._as_matrix(rho)
+    if m.ndim > 2:
+        return np.stack([composite_rhs(x, model)
+                         for x in m.reshape(-1, *m.shape[-2:])]).reshape(m.shape)
     hbar = model.units.hbar
     return -1j / hbar * op.commutator(model.H, m) - dissipative_term(rho, model)
 

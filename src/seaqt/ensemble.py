@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import equilibrium as eq
+from . import integrate as ig
 from . import states as st
 from .errors import (MeasureWeightError, TargetInfeasibleError,
                      UncoveredSupportError)
@@ -121,23 +122,57 @@ def expected_entropy(mu: StatisticalWeightMeasure, k: float = 1.0) -> float:
 
 def evolve_measure(mu: StatisticalWeightMeasure, rhs, t_max: float,
                    config=None) -> StatisticalWeightMeasure:
-    """Integrate every support state independently; weights are untouched.
+    """Integrate every support state under ``rhs``; weights are untouched.
 
-    An integration failure propagates with its own type and traceback and a
-    note naming the support index.
+    The support states advance as one (N, d, d) stack with a common dt
+    (``integrate_support``), so ``rhs`` must accept a stack of shape
+    (..., d, d), as ``sea.sea_rhs`` and the linear rhs do.  An integration
+    failure propagates with its own type and traceback and a note naming
+    the support index.
     """
-    from . import integrate as ig
     cfg = replace(config or ig.IntegratorConfig(), t_max=t_max)
-    evolved = []
-    for idx, (w, s) in enumerate(mu.support):
+    final = integrate_support(mu, rhs, cfg).final.rho
+    return measure([(w, st.validate(rho)) for w, rho in zip(mu.weights, final)])
+
+
+def _raises(fn, x) -> bool:
+    """Whether fn(x) raises; locates the member behind a stacked failure."""
+    try:
+        fn(x)
+    except Exception:
+        return True
+    return False
+
+
+def integrate_support(mu: StatisticalWeightMeasure, rhs, config,
+                      observables=None) -> ig.Trajectory:
+    """The trajectory of the support states of ``mu`` integrated as one
+    (N, d, d) stack: one common dt, each member's own error norm, samples
+    at shared times with one value per member (``integrate.integrate``).
+
+    A failure propagates with its own type and traceback and a note naming
+    the support index.  The integrator names the member for its own errors;
+    an exception from ``rhs`` names the first member whose own evaluation
+    at the failing stack raises as well.
+    """
+    located = []
+
+    def stack_rhs(m):
         try:
-            traj = ig.integrate(s, rhs, cfg)
-        except Exception as exc:
+            return rhs(m)
+        except Exception:
+            located.append(next((i for i, x in enumerate(m) if _raises(rhs, x)), None))
+            raise
+
+    try:
+        return ig.integrate(np.stack([s.matrix for s in mu.states]), stack_rhs,
+                            config, observables)
+    except Exception as exc:
+        idx = located[0] if located else getattr(exc, "member", None)
+        if idx is not None:
             # a PEP 678 note (what add_note appends to on Python >= 3.11)
             exc.__notes__ = [*getattr(exc, "__notes__", []), f"support point {idx}"]
-            raise
-        evolved.append((w, st.validate(traj.final.rho)))
-    return measure(evolved)
+        raise
 
 
 def _solve_exponential_weights(values: np.ndarray, target: float,

@@ -66,4 +66,10 @@ class UncoveredSupportError(SeaqtError):
 
 
 class ConfigError(SeaqtError):
-    """Scenario configuration failed to parse or validate."""
+    """Scenario configuration failed to parse or validate.  ``field`` is the
+    dotted path of the offending field when it is known; the message then
+    starts with it."""
+
+    def __init__(self, message: str, field: str = ""):
+        super().__init__(f"{field}: {message}" if field else message)
+        self.message, self.field = message, field

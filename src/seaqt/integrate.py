@@ -23,6 +23,10 @@ has no rejections and no reuse) the counts obey exactly
 
 where e = 1 when detection uses the default rhs norm (it needs a k1 at the
 initial state too) and 0 otherwise.
+
+The state may be a stack of shape (..., d, d), a single state being the
+empty leading shape.  The stack advances with one common dt, every step
+is one stacked rhs call per stage, and the counts above are stacked calls.
 """
 
 from __future__ import annotations
@@ -137,7 +141,9 @@ class Trajectory:
         return self.samples[-1]
 
     def to_csv(self) -> str:
-        """Exact column order: t, entropy, energy, g_rate, trace_err,
+        """A single-state trajectory as CSV.
+
+        Exact column order: t, entropy, energy, g_rate, trace_err,
         herm_err, purity, min_eig, then gen_<k> per declared generator.
         Values use the shortest round-trip decimal representation."""
         n_gen = len(self.samples[0].generator_means) if self.samples else 0
@@ -154,7 +160,8 @@ class Trajectory:
 
 
 def project(rho_raw: np.ndarray, mode: str) -> np.ndarray:
-    """Pull a near-valid matrix back onto the state set.
+    """Pull a near-valid matrix, or each member of a (..., d, d) stack, back
+    onto the state set.
 
     hermitize_only symmetrizes; full additionally clamps eigenvalues at zero
     (when above the -1e-10 floor) and renormalizes the trace.  Matrices
@@ -163,32 +170,55 @@ def project(rho_raw: np.ndarray, mode: str) -> np.ndarray:
     return _project(rho_raw, mode)[0]
 
 
-def _project(rho_raw: np.ndarray, mode: str) -> tuple[np.ndarray, bool]:
-    """``project``, plus whether it clamped an eigenvalue or snapped the
-    state to purity (however little either moved it)."""
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each member of a (..., d, d) stack, bit for bit
+    ``np.linalg.norm`` of that member."""
+    f = x.reshape(*x.shape[:-2], -1)
+    return np.sqrt(np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag))
+
+
+def _raise_for(bad: np.ndarray, values, cls, message: str) -> None:
+    """Raise ``cls`` for the first member that the mask ``bad`` flags, if
+    any.  ``message`` is formatted with that member's entry of ``values``.
+    In a stack the error names the member by its flat index over the
+    leading axes, in the message and as its ``member`` attribute."""
+    if not np.count_nonzero(bad):
+        return
+    k = int(np.flatnonzero(bad)[0])
+    err = cls(message.format(float(np.ravel(values)[k]))
+              + (f" (member {k})" if bad.ndim else ""))
+    err.member = k if bad.ndim else None
+    raise err
+
+
+def _project(rho_raw: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """``project``, plus a mask of the members that it clamped or snapped
+    to purity (however little either moved them)."""
+    untouched = np.zeros(rho_raw.shape[:-2], dtype=bool)
     if mode == "off":
-        return rho_raw, False
+        return rho_raw, untouched
     m = op.hermitize(rho_raw)
     if mode == "hermitize_only":
-        return m, False
+        return m, untouched
     vals, vecs = np.linalg.eigh(m)
-    if vals[0] < st.EIG_CLAMP_FLOOR:
-        raise StateInvalidError(
-            f"eigenvalue {vals[0]:.3e} below clamp floor during integration")
-    tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > st.TRACE_TOL:
-        raise StateInvalidError(f"trace {tr!r} drifted beyond repair")
-    clamped = bool(vals[0] < 0.0)
+    _raise_for(vals[..., 0] < st.EIG_CLAMP_FLOOR, vals[..., 0], StateInvalidError,
+               "eigenvalue {:.3e} below clamp floor during integration")
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    _raise_for(np.abs(tr - 1.0) > st.TRACE_TOL, tr, StateInvalidError,
+               "trace {!r} drifted beyond repair")
+    clamped = vals[..., 0] < 0.0
     vals = np.clip(vals, 0.0, None)
     # pure states are exact fixed points of the dissipative flow but sit on
     # an entropy-ascent-unstable manifold; spectral weight off the top
     # eigenvalue below the pure cut is step noise, so strip it before it
     # can seed an escape
-    if float(np.sum(vals[:-1])) <= st.PURE_TOL:
-        top = vecs[:, -1]
-        return np.outer(top, top.conj()), True
-    m = (vecs * vals) @ vecs.conj().T
-    return op.hermitize(m / float(np.trace(m).real)), clamped
+    pure = vals[..., :-1].sum(axis=-1) <= st.PURE_TOL
+    m = (vecs * vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    m = op.hermitize(m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None])
+    if np.count_nonzero(pure):
+        top = vecs[..., :, -1][pure]
+        m[pure] = top[:, :, None] * top[:, None, :].conj()
+    return m, clamped | pure
 
 
 def detect_equilibrium(rho: np.ndarray, rhs_val: np.ndarray, tol: float,
@@ -197,22 +227,30 @@ def detect_equilibrium(rho: np.ndarray, rhs_val: np.ndarray, tol: float,
     return float(np.linalg.norm(rhs_val, ord="fro")) <= tol * max(1.0, scale)
 
 
+def _expectation(rho: np.ndarray, a: np.ndarray):
+    """Tr(rho A) per member of a (..., d, d) stack."""
+    return np.trace(rho @ a, axis1=-2, axis2=-1).real
+
+
 def _record(traj: Trajectory, t: float, raw: np.ndarray, projected: np.ndarray,
             obs: Observables) -> None:
-    trace_err = abs(float(np.trace(raw).real) - 1.0)
-    herm_err = float(np.abs(raw - raw.conj().T).max())
+    """One sample; over a stack every column holds one value per member.
+    ``obs.g_rate`` is called once per member."""
+    d = raw.shape[-1]
     vals = np.linalg.eigvalsh(op.hermitize(projected))
     p = np.clip(vals, 0.0, None)
-    entropy = -obs.k_B * float(np.sum(st._plogp(p)))
-    energy = float(np.trace(projected @ obs.energy_op).real) \
-        if obs.energy_op is not None else float("nan")
-    g_rate = float(obs.g_rate(projected)) if obs.g_rate is not None else float("nan")
-    gen_means = tuple(float(np.trace(projected @ x).real) for x in obs.generator_ops)
+    nan = float("nan")
+    energy = _expectation(projected, obs.energy_op) if obs.energy_op is not None else nan
+    g_rate = nan if obs.g_rate is None else np.array(
+        [obs.g_rate(x) for x in projected.reshape(-1, d, d)],
+        dtype=float).reshape(raw.shape[:-2])[()]
     traj.samples.append(Sample(
-        t=t, rho=projected.copy(), entropy=entropy, energy=energy, g_rate=g_rate,
-        trace_err=trace_err, herm_err=herm_err,
-        purity=float(np.sum(p ** 2)), min_eig=float(vals[0]),
-        generator_means=gen_means))
+        t=t, rho=projected.copy(), entropy=-obs.k_B * st._plogp(p).sum(axis=-1),
+        energy=energy, g_rate=g_rate,
+        trace_err=np.abs(np.trace(raw, axis1=-2, axis2=-1).real - 1.0),
+        herm_err=np.abs(raw - raw.conj().swapaxes(-1, -2)).max(axis=(-2, -1)),
+        purity=(p ** 2).sum(axis=-1), min_eig=vals[..., 0][()],
+        generator_means=tuple(_expectation(projected, x) for x in obs.generator_ops)))
 
 
 def _rk4_step(f, m, dt, k1):
@@ -228,6 +266,16 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
               eq_norm: Callable[[np.ndarray], float] | None = None) -> Trajectory:
     """Integrate d(rho)/dt = rhs(rho) up to t_max or until the equilibrium
     norm drops below the configured tolerance.
+
+    ``rho0`` is one state or a stack of shape (..., d, d), and ``rhs`` must
+    then accept the stack.  A stack advances with one common dt: each
+    member gets its own scaled error abs_tol + rel_tol ||rho_i||, and a
+    step is accepted on the largest ratio.  Projection repairs each member;
+    after any member's clamp or purity snap k1 is evaluated fresh for the
+    whole stack.  Equilibrium is reached when every member is there.  A
+    ``StateInvalidError`` or ``StepUnderflowError`` names the member.
+    Samples hold the stack, with one value per member in every column, and
+    ``stats`` counts stacked evaluations.
 
     ``eq_norm`` overrides the norm used for equilibrium detection (for the
     nonlinear dynamics the dissipative-term norm is the meaningful one);
@@ -250,15 +298,15 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
     norm_from_k1 = tol > 0 and eq_norm is None
 
     def at_equilibrium(mat, k1):
-        """Whether detection is on and mat is at equilibrium, plus k1 =
-        rhs(mat) once the default norm needed it."""
+        """Whether detection is on and every member of mat is at
+        equilibrium, plus k1 = rhs(mat) once the default norm needed it."""
         if tol <= 0:
             return False, k1
         if eq_norm is not None:
-            return eq_norm(mat) <= tol, k1
+            return bool(np.all(eq_norm(mat) <= tol)), k1
         if k1 is None:
             k1 = f(mat)
-        return float(np.linalg.norm(k1)) <= tol, k1
+        return bool((_norms(k1) <= tol).all()), k1
 
     reached_eq, k1 = at_equilibrium(m, None)
     if reached_eq:
@@ -283,43 +331,44 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
             t_new = t + dt
             dt_next = dt
         else:
-            # Dormand-Prince embedded pair with standard step control
+            # Dormand-Prince embedded pair with standard step control, on the
+            # largest scaled error over the members
             stages[0] = k1
+            scale = config.abs_tol + config.rel_tol * _norms(m)
             while True:
                 for i in range(1, 7):
                     y = m + dt * (_DP_A[i, :i] @ flat[:i]).reshape(m.shape)
                     stages[i] = f(y)
-                err = dt * float(np.linalg.norm(_DP_E @ flat))
-                scale = config.abs_tol + config.rel_tol * float(np.linalg.norm(m))
-                ratio = err / scale if scale > 0 else np.inf
+                ratios = dt * _norms((_DP_E @ flat).reshape(m.shape)) / scale
+                ratio = float(ratios.max())
                 if ratio <= 1.0:
                     m_new, t_new = y, t + dt    # y = m + dt B5 k, stage 7's point
-                    factor = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
+                    factor = 5.0 if ratio == 0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
                     dt_next = min(config.dt_max, dt * factor)
                     break
                 if dt <= config.dt_min * DT_MIN_SLACK:
-                    raise StepUnderflowError(
-                        f"dt_min {config.dt_min:g} reached at t = {t:g} with "
-                        f"scaled error {ratio:.3e}")
+                    _raise_for(ratios == ratio, ratios, StepUnderflowError,
+                               f"dt_min {config.dt_min:g} reached at t = {t:g} with "
+                               "scaled error {:.3e}")
                 stats["rejected_steps"] += 1
                 dt = max(config.dt_min, dt * max(0.2, 0.9 * ratio ** -0.2))
 
         m_proj, repaired = _project(m_new, config.projection)
         if config.projection == "off":
             vals = np.linalg.eigvalsh(op.hermitize(m_proj))
-            if vals[0] < st.EIG_CLAMP_FLOOR or abs(np.trace(m_proj).real - 1) > st.TRACE_TOL:
-                raise StateInvalidError(
-                    f"state left the valid set at t = {t_new:g} with projection off")
+            tr = np.trace(m_proj, axis1=-2, axis2=-1).real
+            _raise_for((vals[..., 0] < st.EIG_CLAMP_FLOOR) | (np.abs(tr - 1) > st.TRACE_TOL),
+                       tr, StateInvalidError,
+                       f"state left the valid set at t = {t_new:g} with projection off")
         t, m_raw, m = t_new, m_new, m_proj
         stats["accepted_steps"] += 1
         steps_since_sample += 1
         at_end = t >= config.t_max - TIME_SLOP
         # FSAL: the last stage is the rhs at m_raw, and serves as the next k1
-        # when the projection neither clamped nor snapped and moved the state
-        # by round-off only
-        fsal = config.method == "rk45" and not repaired and (
-            m is m_raw or float(np.linalg.norm(m - m_raw))
-            <= FSAL_MOVE_TOL * float(np.linalg.norm(m_raw)))
+        # when the projection neither clamped nor snapped any member and
+        # moved each by round-off only
+        fsal = config.method == "rk45" and not np.count_nonzero(repaired) and (
+            m is m_raw or bool((_norms(m - m_raw) <= FSAL_MOVE_TOL * _norms(m_raw)).all()))
         reached_eq, k1 = at_equilibrium(m, stages[6] if fsal else None)
         if fsal and (norm_from_k1 or not (at_end or reached_eq)):
             stats["k1_reused"] += 1

@@ -51,7 +51,7 @@ def kl_rhs(rho, model: LindbladModel) -> np.ndarray:
     """i[B, rho] + sum_j (A_j rho A_j+ - (1/2){A_j+ A_j, rho}).
 
     Trace-free and linear in rho.  The drift part is the Liouvillian when
-    B = -H/hbar.
+    B = -H/hbar.  A (..., d, d) stack of states broadcasts.
     """
     m = st._as_matrix(rho)
     op.require_same_dim(m, model.B)
@@ -189,16 +189,17 @@ def as_lindblad(rates: PauliRates) -> LindbladModel:
 def pauli_rhs(rho, rates: PauliRates) -> np.ndarray:
     """Matrix-element form of the master equation: gains delta_ij sum_r
     w_ir rho_rr, losses (1/2) rho_ij sum_r (w_ri + w_rj), on top of the
-    Hamiltonian phase rotation."""
+    Hamiltonian phase rotation.  A (..., d, d) stack of states broadcasts."""
     m = st._as_matrix(rho)
     dim = rates.dim
-    if m.shape != (dim, dim):
+    if m.shape[-2:] != (dim, dim):
         raise DimensionMismatchError(f"state shape {m.shape} vs {dim} levels")
     e = rates.energies
     w = rates.w
     hbar = rates.units.hbar
     phase = -1j / hbar * (e[:, None] - e[None, :]) * m
-    gains = np.diag(w @ np.real(np.diag(m)))
+    populations = np.diagonal(m, axis1=-2, axis2=-1).real
+    gains = np.eye(dim) * (populations @ w.T)[..., None, :]
     losses = 0.5 * (w.sum(axis=0)[:, None] + w.sum(axis=0)[None, :]) * m
     return phase + gains - losses
 
@@ -236,7 +237,8 @@ def double_commutator_rhs(rho, f, tau: float, h,
                           units: UnitSystem | None = None) -> np.ndarray:
     """-(i/hbar)[H, rho] - (tau/2 hbar^2) [F, [F, rho]] for [F, H] = 0.
 
-    Conserves the trace and the means of H and F by construction.
+    Conserves the trace and the means of H and F by construction.  A
+    (..., d, d) stack of states broadcasts.
     """
     u = units or UnitSystem()
     m = st._as_matrix(rho)

@@ -41,7 +41,7 @@ def as_complex(a) -> np.ndarray:
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Symmetrize (A + A†)/2, suppressing round-off asymmetry."""
     a = as_complex(a)
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def herm_defect(a: np.ndarray) -> float:
@@ -62,7 +62,9 @@ def require_hermitian(a, tol: float = HERMITICITY_TOL, name: str = "operator") -
 
 
 def require_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
+    """The last two axes (the matrix shape) agree; leading stack axes are
+    left to broadcasting."""
+    if a.shape[-2:] != b.shape[-2:]:
         raise DimensionMismatchError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 

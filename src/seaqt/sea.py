@@ -132,47 +132,53 @@ def dissipator_kernel(p: np.ndarray, u: np.ndarray, ops, log_column=None):
     The rotated operators are laid out as rows of length d^2, so that in
     the eigenbasis {Delta F_a, rho} = (p_i + p_j) F_a - 2 fbar_a diag(p),
     and the means, the Gram table (``states.covariance_table``) and the
-    pairs are a few matrix products.
+    pairs are a few matrix products.  A stack of states adds leading axes:
+    p (..., d), u (..., d, d) and the log column ((..., d, d), (...)); the
+    operators are shared, and g has the stack's shape.
     """
-    d = len(p)
-    f = (u.conj().T @ np.asarray(ops) @ u).reshape(len(ops), d * d)
+    d = p.shape[-1]
+    batch = p.shape[:-1]
+    uh = u.conj().swapaxes(-1, -2)
+    f = (uh[..., None, :, :] @ np.asarray(ops) @ u[..., None, :, :]).reshape(
+        *batch, len(ops), d * d)
     means, table, w = st.covariance_table(p, f)
     if log_column is None:
-        log_var, pairs, gram = table[0, 0], table[1:, 0], table[1:, 1:]
-        log_f, log_mean, f, means = f[0], means[0], f[1:], means[1:]
+        log_var, pairs, gram = table[..., 0, 0], table[..., 1:, 0], table[..., 1:, 1:]
+        log_f, log_mean, f, means = f[..., 0, :], means[..., 0], f[..., 1:, :], means[..., 1:]
         log_acomm = w * log_f
-        log_acomm[::d + 1] -= 2.0 * log_mean * p
+        log_acomm[..., ::d + 1] -= 2.0 * log_mean[..., None] * p
     else:
-        log_acomm, log_var = log_column[0].ravel(), log_column[1]
-        pairs, gram = (f.conj() @ log_acomm).real, table
-    n = len(pairs)
-    stack = np.empty((n + 1, n, n))
-    stack[:] = gram
-    stack[np.arange(1, n + 1), :, np.arange(n)] = pairs
+        log_acomm, log_var = log_column[0].reshape(*batch, d * d), log_column[1]
+        pairs, gram = (f.conj() @ log_acomm[..., None])[..., 0].real, table
+    n = pairs.shape[-1]
+    stack = np.empty((*batch, n + 1, n, n))
+    stack[...] = gram[..., None, :, :]
+    stack[..., np.arange(1, n + 1), :, np.arange(n)] = pairs
     dets = np.linalg.det(stack)
-    det, det_beta = dets[0], dets[1:]
-    acomm = det * log_acomm - w * (det_beta @ f)
-    acomm[::d + 1] += 2.0 * float(det_beta @ means) * p
-    acomm = acomm.reshape(d, d)
-    return (op.hermitize(u @ acomm @ u.conj().T),
-            float(det * log_var - pairs @ det_beta))
+    det, det_beta = dets[..., 0], dets[..., 1:]
+    acomm = det[..., None] * log_acomm - w * (det_beta[..., None, :] @ f)[..., 0, :]
+    acomm[..., ::d + 1] += 2.0 * np.vecdot(det_beta, means)[..., None] * p
+    acomm = acomm.reshape(*batch, d, d)
+    return op.hermitize(u @ acomm @ uh), det * log_var - np.vecdot(pairs, det_beta)
 
 
 def _projection_form(rho: StateOperator, model: SingleConstituentModel):
     """The kernel at rho, with the regular p ln p pieces as the log column.
     It runs at p / sum p and scales {D, rho} back by sum p, so the result is
-    traceless even where a trial state's negative eigenvalue clipped to 0."""
+    traceless even where a trial state's negative eigenvalue clipped to 0.
+    Per member of a (..., d, d) stack."""
     p, u = rho.spectral.eigenvalues, rho.spectral.eigenvectors
-    total = float(p.sum())
-    q = p / total
+    total = p.sum(axis=-1)
+    q = p / total[..., None]
     acomm, g = dissipator_kernel(q, u, model.operator_list(), st.regular_log_column(q))
-    return total * acomm, g
+    return total[..., None, None] * acomm, g
 
 
 def dissipator_anticommutator(rho, model: SingleConstituentModel) -> np.ndarray:
-    """{D, rho} with D the operator-valued determinant of the dissipative term."""
+    """{D, rho} with D the operator-valued determinant of the dissipative
+    term; per member of a (..., d, d) stack."""
     rho = st.as_state(rho)
-    if model.H.shape != rho.matrix.shape:
+    if model.H.shape != rho.matrix.shape[-2:]:
         raise DimensionMismatchError(
             f"state dim {rho.matrix.shape} vs model dim {model.H.shape}")
     # Pure states are exact fixed points of the dissipative term (rho ln rho
@@ -180,13 +186,24 @@ def dissipator_anticommutator(rho, model: SingleConstituentModel) -> np.ndarray:
     # round-off from seeding the entropy-ascent instability of that manifold.
     # Judged on the clipped spectrum so that trial steps overshooting purity
     # still branch.
-    if float(np.sum(rho.spectral.eigenvalues[1:])) <= st.PURE_TOL:
+    pure = rho.spectral.eigenvalues[..., 1:].sum(axis=-1) <= st.PURE_TOL
+    n_pure = np.count_nonzero(pure)
+    if n_pure == pure.size:
         return np.zeros_like(rho.matrix)
-    return _projection_form(rho, model)[0]
+    acomm = _projection_form(rho, model)[0]
+    if n_pure:
+        acomm[pure] = 0.0
+    return acomm
 
 
 def sea_rhs(rho, model: SingleConstituentModel) -> np.ndarray:
-    """d rho/dt = -(i/hbar) [H, rho] - (tau/hbar^2) {D, rho}; traceless."""
+    """d rho/dt = -(i/hbar) [H, rho] - (tau/hbar^2) {D, rho}; traceless.
+
+    ``rho`` is one state or a (..., d, d) stack of them, evaluated member by
+    member in one pass: the eigendecompositions, Gram tables and
+    determinants run stacked, and a pure member gets an exact-zero
+    dissipator.
+    """
     m = st._as_matrix(rho)
     hbar = model.units.hbar
     ham = -1j / hbar * op.commutator(model.H, m)
@@ -194,8 +211,9 @@ def sea_rhs(rho, model: SingleConstituentModel) -> np.ndarray:
     return ham - diss
 
 
-def gram_determinant_g(rho, model: SingleConstituentModel) -> float:
-    """Entropy-production Gram determinant over {ln rho, H, X, ..., Y}; >= 0."""
+def gram_determinant_g(rho, model: SingleConstituentModel):
+    """Entropy-production Gram determinant over {ln rho, H, X, ..., Y}; >= 0.
+    One value per member of a (..., d, d) stack."""
     return _projection_form(st.as_state(rho), model)[1]
 
 

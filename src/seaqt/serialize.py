@@ -10,6 +10,7 @@ only the checks a schema cannot state.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import fields
 
 import numpy as np
@@ -178,6 +179,19 @@ def check_config(config) -> None:
     _check(config, CONFIG_SCHEMA, "")
 
 
+@contextmanager
+def field_path(path: str):
+    """Prefix the field of a ``ConfigError`` raised inside with ``path``, the
+    dotted path of the object being decoded, so that a semantic error names
+    its field as a schema error does: ``system.single.generators[0].matrix``."""
+    try:
+        yield
+    except ConfigError as exc:
+        field = path + ("." if exc.field[:1] not in ("", "[") else "") + exc.field
+        exc.field, exc.args = field, (f"{field}: {exc.message}",)
+        raise
+
+
 def encode_matrix(m) -> dict:
     m = np.asarray(m, dtype=complex)
     return {"dim": m.shape[0],
@@ -188,17 +202,26 @@ def decode_matrix(obj) -> np.ndarray:
     dim = int(obj["dim"])
     entries = obj["matrix"]
     if len(entries) != dim * dim:
-        raise ConfigError(f"matrix with dim {dim} needs {dim * dim} entries, "
-                          f"got {len(entries)}")
+        raise ConfigError(f"dim {dim} needs {dim * dim} entries, got {len(entries)}",
+                          "matrix")
     flat = np.array([complex(re, im) for re, im in entries])
     return flat.reshape(dim, dim)
+
+
+def decode_matrices(objs, path: str) -> tuple:
+    """``decode_matrix`` over a list; an error names the entry ``path[i]``."""
+    out = []
+    for i, obj in enumerate(objs):
+        with field_path(f"{path}[{i}]"):
+            out.append(decode_matrix(obj))
+    return tuple(out)
 
 
 def decode_vector(obj) -> np.ndarray:
     dim = int(obj["dim"])
     entries = obj["pure"]
     if len(entries) != dim:
-        raise ConfigError(f"pure vector with dim {dim} needs {dim} entries")
+        raise ConfigError(f"dim {dim} needs {dim} entries, got {len(entries)}", "pure")
     return np.array([complex(re, im) for re, im in entries])
 
 
@@ -211,8 +234,9 @@ def decode_units(obj) -> UnitSystem:
 
 
 def decode_single_model(obj, units: UnitSystem) -> sea.SingleConstituentModel:
-    h = decode_matrix(obj["H"])
-    gens = tuple(decode_matrix(g) for g in obj.get("generators", []))
+    with field_path("H"):
+        h = decode_matrix(obj["H"])
+    gens = decode_matrices(obj.get("generators", []), "generators")
     model = sea.SingleConstituentModel(H=h, generators=gens,
                                        tau=float(obj["tau"]), units=units)
     return sea.validate_model(model)
@@ -220,12 +244,13 @@ def decode_single_model(obj, units: UnitSystem) -> sea.SingleConstituentModel:
 
 def decode_composite_model(obj, units: UnitSystem) -> cp.CompositeModel:
     constituents = []
-    for c in obj["constituents"]:
-        gens = tuple(decode_matrix(g) for g in c.get("generators", []))
+    for j, c in enumerate(obj["constituents"]):
+        gens = decode_matrices(c.get("generators", []), f"constituents[{j}].generators")
         constituents.append(cp.Constituent(dim=int(c["dim"]), generators=gens,
                                            tau=float(c["tau"])))
-    model = cp.CompositeModel(constituents=tuple(constituents),
-                              H=decode_matrix(obj["H"]), units=units)
+    with field_path("H"):
+        h = decode_matrix(obj["H"])
+    model = cp.CompositeModel(constituents=tuple(constituents), H=h, units=units)
     return cp.validate_model(model)
 
 
@@ -242,15 +267,14 @@ def decode_state(obj, model=None, seed_override: int | None = None) -> st.StateO
     spec = obj[kind]
     if kind == "gibbs":
         if model is None:
-            raise ConfigError("gibbs initial state needs a system block")
+            raise ConfigError("needs a system block", "gibbs")
         multipliers = spec["multipliers"]
         ops = [model.H]
         gens = getattr(model, "generators", ())
         ops.extend(gens)
         if len(multipliers) != len(ops):
-            raise ConfigError(
-                f"gibbs needs {len(ops)} multipliers (H plus generators), "
-                f"got {len(multipliers)}")
+            raise ConfigError(f"expected {len(ops)} (H plus generators), "
+                              f"got {len(multipliers)}", "gibbs.multipliers")
         constants = eq.constant_set(ops, units=model.units)
         m = eq.MultiplierVector(beta=float(multipliers[0]),
                                 gammas=tuple(float(v) for v in multipliers[1:]))
@@ -259,22 +283,24 @@ def decode_state(obj, model=None, seed_override: int | None = None) -> st.StateO
         dim = spec.get("dim")
         if dim is None:
             if model is None:
-                raise ConfigError("random initial state needs 'dim' or a system block")
+                raise ConfigError("required without a system block", "random.dim")
             dim = model.H.shape[0]
         seed = seed_override if seed_override is not None else spec.get("seed")
         if seed is None:
-            raise ConfigError("random initial state needs 'seed'")
+            raise ConfigError("required field missing; give it here or pass --seed",
+                              "random.seed")
         return st.random_full_rank(int(dim), seed=int(seed),
                                    min_eig=float(spec.get("min_eig", 1e-4)))
     # kind == "mix"
-    inner = decode_state(spec["state"], model=model, seed_override=seed_override)
+    with field_path("mix.state"):
+        inner = decode_state(spec["state"], model=model, seed_override=seed_override)
     return st.mix_with_identity(inner, float(spec["epsilon"]))
 
 
 def decode_lindblad(obj, units: UnitSystem) -> lb.LindbladModel:
-    return lb.lindblad_model(decode_matrix(obj["B"]),
-                             jump_ops=tuple(decode_matrix(a)
-                                            for a in obj.get("jumps", [])),
+    with field_path("B"):
+        b = decode_matrix(obj["B"])
+    return lb.lindblad_model(b, jump_ops=decode_matrices(obj.get("jumps", []), "jumps"),
                              units=units)
 
 
@@ -285,10 +311,12 @@ def decode_pauli(obj, units: UnitSystem) -> lb.PauliRates:
 
 def decode_measure(obj, model=None,
                    seed_override: int | None = None) -> en.StatisticalWeightMeasure:
-    return en.measure([(float(point["w"]),
-                        decode_state(point["state"], model=model,
-                                     seed_override=seed_override))
-                       for point in obj["support"]])
+    pairs = []
+    for i, point in enumerate(obj["support"]):
+        with field_path(f"support[{i}].state"):
+            pairs.append((float(point["w"]), decode_state(
+                point["state"], model=model, seed_override=seed_override)))
+    return en.measure(pairs)
 
 
 def encode_measure(mu: en.StatisticalWeightMeasure) -> dict:

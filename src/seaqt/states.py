@@ -55,7 +55,7 @@ class SpectralForm:
 
     def reconstruct(self) -> np.ndarray:
         u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
+        return (u * self.eigenvalues[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -66,12 +66,13 @@ class StateOperator:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @cached_property
     def spectral(self) -> SpectralForm:
+        """Per member of a (..., d, d) stack: one stacked ``eigh``."""
         vals, vecs = np.linalg.eigh(self.matrix)   # ascending
-        return SpectralForm(np.clip(vals[::-1], 0.0, 1.0), vecs[:, ::-1])
+        return SpectralForm(np.clip(vals[..., ::-1], 0.0, 1.0), vecs[..., ::-1])
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -148,11 +149,14 @@ def rho_log_rho(rho) -> np.ndarray:
 def regular_log_column(p: np.ndarray):
     """({Delta ln rho, rho}, (ln rho, ln rho)) in the eigenbasis of rho =
     diag(p), from the regular forms: {Delta ln rho, rho} = 2 (B - Tr(B) rho)
-    and (ln rho, ln rho) = 2 [sum p (ln p)^2 - (sum p ln p)^2]."""
+    and (ln rho, ln rho) = 2 [sum p (ln p)^2 - (sum p ln p)^2].  A stack of
+    spectra p (..., d) gives (..., d, d) and (...)."""
     log_p = np.log(np.where(p > LOG_ZERO_CUTOFF, p, 1.0))
     plogp = p * log_p
-    tr_b = float(plogp.sum())
-    return np.diag(2.0 * (plogp - tr_b * p)), 2.0 * (float(plogp @ log_p) - tr_b ** 2)
+    tr_b = plogp.sum(axis=-1)
+    diag = 2.0 * (plogp - tr_b[..., None] * p)
+    return (np.eye(p.shape[-1]) * diag[..., None, :],
+            2.0 * (np.vecdot(plogp, log_p) - tr_b ** 2))
 
 
 def log_operator(rho) -> np.ndarray:
@@ -176,19 +180,21 @@ def deviation(f, rho) -> np.ndarray:
 
 def covariance_table(p, ops):
     """Means and covariance products of operators given in the eigenbasis of
-    rho = diag(p), stacked as (n, d, d) or flattened to rows (n, d^2).
+    rho = diag(p), stacked as (n, d, d) or flattened to rows (n, d^2).  A
+    stack of states adds leading axes: p (..., d), ops (..., n, d^2).
 
     Returns (fbar_a, (F_a, F_b), w) with w_ij = p_i + p_j flattened to
     length d^2.  In the eigenbasis {Delta F, rho} = w F - 2 fbar diag(p),
     so (F_a, F_b) = Tr(F_b {Delta F_a, rho}) = sum_ij w_ij F_a,ij
     conj(F_b,ij) - 2 fbar_a fbar_b.
     """
-    d = len(p)
-    f = np.asarray(ops).reshape(-1, d * d)
-    w = (p[:, None] + p[None, :]).ravel()
-    means = f[:, ::d + 1].real @ p
-    table = ((f * w) @ f.conj().T).real - 2.0 * np.outer(means, means)
-    return means, table, w
+    d = p.shape[-1]
+    f = np.asarray(ops).reshape(*p.shape[:-1], -1, d * d)
+    w = (p[..., :, None] + p[..., None, :]).reshape(*p.shape[:-1], 1, d * d)
+    means = (f[..., ::d + 1].real @ p[..., None])[..., 0]
+    table = ((f * w) @ f.conj().swapaxes(-1, -2)).real \
+        - 2.0 * means[..., :, None] * means[..., None, :]
+    return means, table, w[..., 0, :]
 
 
 def in_eigenbasis(rho, ops) -> tuple[np.ndarray, np.ndarray]:

@@ -318,6 +318,92 @@ class TestEnsemble:
         assert summary["support_size"] == 1
 
 
+    def test_members_advance_as_one_stack_on_the_user_settings(self, tmp_path):
+        config = {
+            "system": {"single": {"H": matrix_obj(np.diag([0.0, 1.0, 2.5])),
+                                  "generators": [matrix_obj(np.diag([1.0, -1.0, 0.2]))],
+                                  "tau": 1.0}},
+            "dynamics": {"sea": {}},
+            "integrator": {"t_max": 2.0, "sample_dt": 0.5},
+            "measure": {"support": [
+                {"w": 0.2, "state": {"random": {"seed": 1}}},
+                {"w": 0.5, "state": {"random": {"seed": 2}}},
+                {"w": 0.3, "state": {"dim": 3, "pure": [[0.6, 0.0], [0.0, 0.8], [0.0, 0.0]]}},
+            ]},
+        }
+        code = cli.main(["ensemble", "--config", write_config(tmp_path, config),
+                         "--out", str(tmp_path)])
+        assert code == 0
+        summary = json.loads((tmp_path / "ensemble_summary.json").read_text())
+        assert summary["integrator"] == asdict(IntegratorConfig(t_max=2.0, sample_dt=0.5))
+        stats = summary["stats"]
+        assert stats["accepted_steps"] > 0
+        # the documented count identity of the stacked rk45 run
+        assert stats["rhs_calls"] == 6 * (stats["accepted_steps"] + stats["rejected_steps"]) \
+            + stats["accepted_steps"] - stats["k1_reused"]
+        rows = (tmp_path / "ensemble_series.csv").read_text().strip().split("\n")[1:]
+        assert [float(r.split(",")[0]) for r in rows] == pytest.approx(
+            [0.0, 0.5, 1.0, 1.5, 2.0], abs=1e-12)
+        energies = [float(r.split(",")[3]) for r in rows]
+        assert max(energies) - min(energies) <= 1e-8
+
+
+class TestConflictingBlocks:
+    def test_equilibrium_with_targets_and_multipliers_exits_3(self, tmp_path, capsys):
+        config = {"constants": [matrix_obj(np.diag([0.0, 1.0]))],
+                  "targets": [0.1], "multipliers": [0.0]}
+        code = cli.main(["equilibrium", "--config", write_config(tmp_path, config),
+                         "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "ERROR Config" in err and "'targets'" in err and "'multipliers'" in err
+
+    def test_ensemble_with_maxent_and_measure_exits_3(self, tmp_path, capsys):
+        state = {"dim": 2, "pure": [[1.0, 0.0], [0.0, 0.0]]}
+        config = qubit_sea_scenario(
+            maxent={"states": [state, {"dim": 2, "pure": [[0.0, 0.0], [1.0, 0.0]]}],
+                    "target_energy": 0.25},
+            measure={"support": [{"w": 1.0, "state": state}]}, outputs={})
+        code = cli.main(["ensemble", "--config", write_config(tmp_path, config),
+                         "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "ERROR Config" in err and "'maxent'" in err and "'measure'" in err
+
+
+class TestSemanticErrorsNameTheirField:
+    def run(self, tmp_path, capsys, config, command="simulate"):
+        code = cli.main([command, "--config", write_config(tmp_path, config),
+                         "--out", str(tmp_path)])
+        assert code == 3
+        return capsys.readouterr().err
+
+    def test_entry_count_against_dim(self, tmp_path, capsys):
+        gen = {"dim": 2, "matrix": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
+        config = qubit_sea_scenario()
+        config["system"]["single"]["generators"] = [matrix_obj(np.diag([1.0, 0.0])), gen]
+        err = self.run(tmp_path, capsys, config)
+        assert "ERROR Config: system.single.generators[1].matrix: dim 2 needs 4 " \
+               "entries, got 3" in err
+
+    def test_gibbs_multiplier_count(self, tmp_path, capsys):
+        config = qubit_sea_scenario(initial={"mix": {
+            "state": {"gibbs": {"multipliers": [0.8, -0.3]}}, "epsilon": 0.1}})
+        err = self.run(tmp_path, capsys, config)
+        assert "ERROR Config: initial.mix.state.gibbs.multipliers: expected 1" in err
+
+    def test_missing_seed(self, tmp_path, capsys):
+        config = qubit_sea_scenario(measure={"support": [
+            {"w": 0.5, "state": {"random": {"seed": 3}}},
+            {"w": 0.5, "state": {"random": {}}}]}, outputs={})
+        del config["initial"]
+        err = self.run(tmp_path, capsys, config, command="ensemble")
+        assert "ERROR Config: measure.support[1].state.random.seed: required" in err
+        # --seed supplies it
+        assert cli.main(["ensemble", "--config", str(tmp_path / "scenario.json"),
+                         "--out", str(tmp_path), "--seed", "4"]) == 0
+
+
 def test_reports_record_the_integrator_settings_that_ran(tmp_path):
     compare = qubit_sea_scenario(
         dynamics={"sea": {}, "lindblad": {"B": matrix_obj(-np.diag([0.0, 1.0]))}},
@@ -333,8 +419,8 @@ def test_reports_record_the_integrator_settings_that_ran(tmp_path):
     assert cli.main(["ensemble", "--config", write_config(tmp_path, ensemble),
                      "--out", str(tmp_path)]) == 0
     ran = json.loads((tmp_path / "ensemble_summary.json").read_text())["integrator"]
-    assert ran == asdict(IntegratorConfig(method="rk4", t_max=0.5, dt_init=0.05,
-                                          dt_min=0.05, dt_max=0.05))
+    assert ran == asdict(IntegratorConfig(t_max=0.5, dt_init=0.05, dt_max=0.1,
+                                          equilibrium_norm_tol=1e-9))
 
 
 class TestSchema:

@@ -1,0 +1,178 @@
+"""A (..., d, d) stack of states through the kernel, the rhs functions and
+the integrator: every member must come out as it does on its own."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
+from seaqt import composite as cp
+from seaqt import ensemble as en
+from seaqt import integrate as ig
+from seaqt import lindblad as lb
+from seaqt import operators as op
+from seaqt import sea
+from seaqt import states as st
+from seaqt.errors import StateInvalidError, StepUnderflowError
+
+
+def random_unitary(dim, rng):
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, _ = np.linalg.qr(x)
+    return q
+
+
+def commuting_model(dim, n_gen, rng):
+    """H and n_gen generators diagonal in one random eigenbasis."""
+    u = random_unitary(dim, rng)
+    h, *gens = [op.hermitize((u * rng.normal(size=dim)) @ u.conj().T)
+                for _ in range(n_gen + 1)]
+    return sea.SingleConstituentModel(H=h, generators=tuple(gens))
+
+
+def mixed_stack(dim, rng):
+    """Three full-rank members, then a pure member, then a trial point whose
+    smallest eigenvalue -1e-9 the spectral form clips to 0."""
+    members = [st.random_full_rank(dim, seed=int(rng.integers(2**31))).matrix
+               for _ in range(3)]
+    members.append(st.pure_state(rng.normal(size=dim) + 1j * rng.normal(size=dim)).matrix)
+    p = rng.uniform(0.5, 1.5, dim)
+    p = p / p.sum()
+    p[-1] -= 1e-9
+    p[0] += 1e-9
+    u = random_unitary(dim, rng)
+    members.append(op.hermitize((u * p) @ u.conj().T))
+    return np.stack(members)
+
+
+@settings(max_examples=48, deadline=None, database=None, derandomize=True)
+@given(seed=hs.integers(0, 2**31 - 1), dim=hs.sampled_from([2, 3, 4, 8]),
+       n_gen=hs.integers(0, 2))
+def test_stacked_sea_rhs_matches_the_member_loop(seed, dim, n_gen):
+    rng = np.random.default_rng(seed)
+    model = commuting_model(dim, n_gen, rng)
+    stack = mixed_stack(dim, rng)
+    got = sea.sea_rhs(stack, model)
+    want = np.stack([sea.sea_rhs(m, model) for m in stack])
+    assert got.shape == stack.shape
+    assert np.abs(got - want).max() <= 1e-14
+    g = sea.gram_determinant_g(stack, model)
+    assert g.shape == (len(stack),)
+    assert np.abs(g - [sea.gram_determinant_g(m, model) for m in stack]).max() <= 1e-14
+    # the pure member's dissipator is an exact zero, inside the stack too
+    assert not sea.dissipator_anticommutator(stack, model)[3].any()
+    # the clipped member's rhs stays traceless
+    assert abs(np.trace(got[4])) <= 1e-14
+
+
+def test_a_two_axis_stack_is_evaluated_per_member():
+    rng = np.random.default_rng(3)
+    model = commuting_model(3, 1, rng)
+    stack = mixed_stack(3, rng)[:4].reshape(2, 2, 3, 3)
+    got = sea.sea_rhs(stack, model)
+    for i in range(2):
+        for j in range(2):
+            assert np.abs(got[i, j] - sea.sea_rhs(stack[i, j], model)).max() <= 1e-14
+
+
+def test_linear_and_composite_rhs_accept_a_stack():
+    rng = np.random.default_rng(11)
+    h = np.diag([0.0, 0.7, 1.9]).astype(complex)
+    a = np.zeros((3, 3), dtype=complex)
+    a[0, 2] = 0.6
+    lmodel = lb.lindblad_model(-h, jump_ops=(a,))
+    rates = lb.pauli_rates(rng.uniform(0.1, 1.0, (3, 3)), np.diag(h).real)
+    f = np.diag([1.0, -1.0, 0.3]).astype(complex)
+    stack = np.stack([st.random_full_rank(3, seed=s).matrix for s in range(4)])
+    for rhs in (lambda m: lb.kl_rhs(m, lmodel), lambda m: lb.pauli_rhs(m, rates),
+                lambda m: lb.double_commutator_rhs(m, f, 0.5, h)):
+        want = np.stack([rhs(m) for m in stack])
+        assert np.abs(rhs(stack) - want).max() <= 1e-14
+    model = cp.validate_model(cp.CompositeModel(
+        (cp.Constituent(2, (), 1.0), cp.Constituent(2, (), 0.5)),
+        np.kron(np.diag([0.0, 1.0]), np.eye(2)) + np.kron(np.eye(2), np.diag([0.0, 1.3]))))
+    stack = np.stack([st.random_full_rank(4, seed=s).matrix for s in range(3)])
+    want = np.stack([cp.composite_rhs(m, model) for m in stack])
+    assert np.array_equal(cp.composite_rhs(stack, model), want)
+
+
+def test_stacked_integration_matches_member_by_member():
+    rng = np.random.default_rng(5)
+    model = commuting_model(4, 1, rng)
+    members = [st.random_full_rank(4, seed=s).matrix for s in range(6)]
+    config = ig.IntegratorConfig(t_max=2.0, sample_dt=0.5)
+    obs = ig.Observables(energy_op=model.H, generator_ops=model.generators,
+                         g_rate=lambda m: sea.gram_determinant_g(m, model))
+
+    def rhs(m):
+        return sea.sea_rhs(m, model)
+
+    traj = ig.integrate(np.stack(members), rhs, config, observables=obs)
+    assert traj.times == pytest.approx([0.0, 0.5, 1.0, 1.5, 2.0], abs=1e-12)
+    assert traj.column("entropy").shape == (5, 6)
+    for i, m in enumerate(members):
+        alone = ig.integrate(m, rhs, config, observables=obs)
+        assert np.abs(traj.final.rho[i] - alone.final.rho).max() <= 1e-7
+        for name in ("entropy", "energy", "g_rate", "purity", "min_eig"):
+            assert np.abs(traj.column(name)[:, i] - alone.column(name)).max() <= 1e-7
+
+
+def test_a_stack_of_one_is_the_single_state_run():
+    rng = np.random.default_rng(8)
+    model = commuting_model(3, 2, rng)
+    rho0 = st.random_full_rank(3, seed=4).matrix
+    config = ig.IntegratorConfig(t_max=3.0)
+
+    def rhs(m):
+        return sea.sea_rhs(m, model)
+
+    alone = ig.integrate(rho0, rhs, config)
+    stacked = ig.integrate(rho0[None], rhs, config)
+    assert stacked.stats == alone.stats
+    assert len(stacked.samples) == len(alone.samples)
+    for a, b in zip(stacked.samples, alone.samples):
+        assert a.t == b.t
+        assert np.abs(a.rho[0] - b.rho).max() <= 1e-14
+
+
+def kick_member(k, push):
+    """An rhs that is zero except on member k, where it is ``push(member)``."""
+    def rhs(m):
+        out = np.zeros_like(m)
+        out[k] = push(m[k])
+        return out
+    return rhs
+
+
+def test_projection_failure_names_the_member():
+    # a constant push has a zero error estimate, so the step is accepted and
+    # the projection meets the negative eigenvalue
+    stack = np.stack([st.random_full_rank(2, seed=s).matrix for s in range(4)])
+    rhs = kick_member(2, lambda m: np.diag([-10.0, 10.0]).astype(complex))
+    config = ig.IntegratorConfig(t_max=1.0, dt_init=0.1)
+    with pytest.raises(StateInvalidError, match=r"member 2\)") as info:
+        ig.integrate(stack, rhs, config)
+    assert info.value.member == 2
+    mu = en.measure([(0.25, m) for m in stack])
+    with pytest.raises(StateInvalidError) as info:
+        en.evolve_measure(mu, rhs, t_max=1.0, config=config)
+    assert info.value.__notes__ == ["support point 2"]
+
+
+def test_step_underflow_names_the_member():
+    h = np.diag([0.0, 1e4]).astype(complex)
+    stack = np.stack([st.random_full_rank(2, seed=s).matrix for s in range(3)])
+    rhs = kick_member(1, lambda m: -1j * op.commutator(h, m))
+    config = ig.IntegratorConfig(t_max=1.0, dt_init=1e-2, dt_min=1e-2, dt_max=1e-2)
+    with pytest.raises(StepUnderflowError, match=r"member 1\)") as info:
+        ig.integrate(stack, rhs, config)
+    assert info.value.member == 1
+
+
+def test_single_state_errors_name_no_member():
+    rho = st.random_full_rank(2, seed=0).matrix
+    config = ig.IntegratorConfig(t_max=1.0, dt_init=0.1)
+    with pytest.raises(StateInvalidError) as info:
+        ig.integrate(rho, lambda m: np.diag([-10.0, 10.0]).astype(complex), config)
+    assert info.value.member is None
+    assert "member" not in str(info.value)
