@@ -154,9 +154,10 @@ def regular_log_column(p: np.ndarray):
     log_p = np.log(np.where(p > LOG_ZERO_CUTOFF, p, 1.0))
     plogp = p * log_p
     tr_b = plogp.sum(axis=-1)
-    diag = 2.0 * (plogp - tr_b[..., None] * p)
-    return (np.eye(p.shape[-1]) * diag[..., None, :],
-            2.0 * (np.vecdot(plogp, log_p) - tr_b ** 2))
+    d = p.shape[-1]
+    acomm = np.zeros(p.shape + (d,))
+    acomm.reshape(*p.shape[:-1], d * d)[..., ::d + 1] = 2.0 * (plogp - tr_b[..., None] * p)
+    return acomm, 2.0 * (np.vecdot(plogp, log_p) - tr_b ** 2)
 
 
 def log_operator(rho) -> np.ndarray:
