@@ -82,7 +82,8 @@ def build_integrator(config: dict) -> ig.IntegratorConfig:
 
 
 def build_dynamics(kind: str, model, name: str, block: dict, units):
-    """Return (rhs, observables, eq_norm) for one dynamics block."""
+    """Return (rhs, observables, eq_norm) for one dynamics block.  The rhs
+    and eq_norm (one norm per member) take a (..., d, d) stack."""
     k_B = units.k_B
     if name == "sea":
         if kind == "single":
@@ -94,7 +95,7 @@ def build_dynamics(kind: str, model, name: str, block: dict, units):
 
             def diss_norm(m):
                 d = sea.dissipator_anticommutator(m, model)
-                return model.tau / units.hbar**2 * float(np.linalg.norm(d, ord="fro"))
+                return model.tau / units.hbar**2 * np.linalg.norm(d, axis=(-2, -1))
 
             gen_ops = model.generators
         else:
@@ -105,7 +106,7 @@ def build_dynamics(kind: str, model, name: str, block: dict, units):
                 return cp.composite_entropy_production(m, model)[0]
 
             def diss_norm(m):
-                return float(np.linalg.norm(cp.dissipative_term(m, model), ord="fro"))
+                return np.linalg.norm(cp.dissipative_term(m, model), axis=(-2, -1))
 
             gen_ops = tuple(model.lifted_generator(j, x)
                             for j, c in enumerate(model.constituents)
@@ -284,8 +285,8 @@ def cmd_compare(config: dict, out_dir: Path, seed: int | None) -> int:
     rho0 = build_initial(config, model, seed)
     int_config = build_integrator(config)
     if int_config.sample_dt is None and int_config.method != "rk4":
-        # pointwise diffs need a shared time grid; pin the sample boundaries
-        # (the report records the settings that ran)
+        # pointwise diffs need shared sample times; rk45 interpolates them
+        # and keeps its own steps (the report records the settings that ran)
         int_config = replace(int_config, sample_dt=int_config.t_max / 256.0)
     trajectories = {}
     observables = {}
@@ -429,11 +430,12 @@ def cmd_ensemble(config: dict, out_dir: Path, seed: int | None) -> int:
     if len(dyn) != 1:
         raise ConfigError("ensemble needs exactly one dynamics block")
     (name, block), = dyn.items()
-    rhs, obs, _ = build_dynamics(kind, model, name, block, units)
+    rhs, obs, eq_norm = build_dynamics(kind, model, name, block, units)
     int_config = build_integrator(config)
     # the support states advance as one stack on the user's settings; the
     # series needs no entropy production rate
-    traj = en.integrate_support(mu, rhs, int_config, replace(obs, g_rate=None))
+    traj = en.integrate_support(mu, rhs, int_config, replace(obs, g_rate=None),
+                                eq_norm)
     weights = mu.weights
     i_mu = en.statistical_uncertainty(mu, c=units.c_stat)
     lines = ["t,statistical_uncertainty,expected_entropy,expected_energy"]

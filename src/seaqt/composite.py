@@ -214,8 +214,13 @@ def _factor_terms(rho, model: CompositeModel):
 def dissipative_term(rho, model: CompositeModel) -> np.ndarray:
     """Sum_J (tau(J)/hbar^2) {D(J), rho(J)} (x) rho(J') on the full space.
 
-    Zero (exactly) on pure products; raises on other singular states.
+    Zero (exactly) on pure products; raises on other singular states.  A
+    (..., d, d) stack is evaluated member by member.
     """
+    m = st._as_matrix(rho)
+    if m.ndim > 2:
+        return np.stack([dissipative_term(x, model)
+                         for x in m.reshape(-1, *m.shape[-2:])]).reshape(m.shape)
     terms = _factor_terms(rho, model)
     out = np.zeros((model.dim, model.dim), dtype=complex)
     if terms is None:
@@ -233,12 +238,9 @@ def composite_rhs(rho, model: CompositeModel) -> np.ndarray:
     A (..., d, d) stack is evaluated member by member, each member as a raw
     matrix (an integrator trial point).
     """
-    m = st._as_matrix(rho)
-    if m.ndim > 2:
-        return np.stack([composite_rhs(x, model)
-                         for x in m.reshape(-1, *m.shape[-2:])]).reshape(m.shape)
     hbar = model.units.hbar
-    return -1j / hbar * op.commutator(model.H, m) - dissipative_term(rho, model)
+    return -1j / hbar * op.commutator(model.H, st._as_matrix(rho)) \
+        - dissipative_term(rho, model)
 
 
 def composite_entropy_production(rho, model: CompositeModel):

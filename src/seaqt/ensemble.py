@@ -145,10 +145,11 @@ def _raises(fn, x) -> bool:
 
 
 def integrate_support(mu: StatisticalWeightMeasure, rhs, config,
-                      observables=None) -> ig.Trajectory:
+                      observables=None, eq_norm=None) -> ig.Trajectory:
     """The trajectory of the support states of ``mu`` integrated as one
     (N, d, d) stack: one common dt, each member's own error norm, samples
     at shared times with one value per member (``integrate.integrate``).
+    ``eq_norm``, if given, takes the stack and returns one norm per member.
 
     A failure propagates with its own type and traceback and a note naming
     the support index.  The integrator names the member for its own errors;
@@ -166,7 +167,7 @@ def integrate_support(mu: StatisticalWeightMeasure, rhs, config,
 
     try:
         return ig.integrate(np.stack([s.matrix for s in mu.states]), stack_rhs,
-                            config, observables)
+                            config, observables, eq_norm)
     except Exception as exc:
         idx = located[0] if located else getattr(exc, "member", None)
         if idx is not None:

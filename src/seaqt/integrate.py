@@ -27,6 +27,12 @@ initial state too) and 0 otherwise.
 The state may be a stack of shape (..., d, d), a single state being the
 empty leading shape.  The stack advances with one common dt, every step
 is one stacked rhs call per stage, and the counts above are stacked calls.
+
+``sample_dt`` sets where samples fall, never the steps of rk45: a grid
+time inside an accepted step is read off the Dormand-Prince continuous
+extension over the step's stages, at no rhs call.  rk4, fixed-step and
+kept for order checks, has no free interpolant of its order, so its steps
+land on the grid.
 """
 
 from __future__ import annotations
@@ -70,6 +76,24 @@ _DP_A = np.array([
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
 _DP_E = _DP_A[6] - _DP_B4
+# Continuous extension of the pair (Shampine, Math. Comp. 46 (1986) 135;
+# Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6): over an accepted
+# step y(t + theta h) = y0 + h sum_i b_i(theta) k_i, 4th order, with
+# b(theta) = _DP_P @ (theta, theta^2, theta^3, theta^4), so b(1) = B5.
+_DP_P = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
 
 
 @dataclass(frozen=True)
@@ -84,8 +108,8 @@ class IntegratorConfig:
     equilibrium_norm_tol: float = 0.0   # 0 disables early termination
     projection: str = "full"
     sample_every: int = 1
-    sample_dt: float | None = None      # force steps onto this time grid and
-                                        # record exactly at the boundaries
+    sample_dt: float | None = None      # record at the multiples of this
+                                        # (rk45 interpolates, rk4 steps onto them)
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -96,6 +120,8 @@ class IntegratorConfig:
             raise ValueError("require 0 < dt_min <= dt_init <= dt_max")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.sample_dt is not None and not self.sample_dt > 0:
+            raise ValueError("sample_dt must be positive (or null for none)")
 
 
 @dataclass(frozen=True)
@@ -126,7 +152,8 @@ class Sample:
 class Trajectory:
     samples: list = field(default_factory=list)
     termination: str = ""
-    # integrator counts: rhs_calls, accepted_steps, rejected_steps, k1_reused
+    # integrator counts: rhs_calls, accepted_steps, rejected_steps, k1_reused,
+    # interpolated_samples
     stats: dict = field(default_factory=dict)
 
     @property
@@ -277,6 +304,12 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
     Samples hold the stack, with one value per member in every column, and
     ``stats`` counts stacked evaluations.
 
+    With ``sample_dt`` set, samples fall on its multiples and at the end.
+    rk45 records a multiple inside a step from the step's continuous
+    extension, projected as every sample is, with the raw interpolant's
+    residuals; a multiple at a step's end, t_max and an equilibrium are
+    recorded from the step.  rk4 clips its steps to the multiples.
+
     ``eq_norm`` overrides the norm used for equilibrium detection (for the
     nonlinear dynamics the dissipative-term norm is the meaningful one);
     the default is the full rhs Frobenius norm, taken from the k1 that the
@@ -286,7 +319,8 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
     m = rho0.matrix.copy() if isinstance(rho0, StateOperator) else op.as_complex(rho0).copy()
     traj = Trajectory()
     stats = traj.stats
-    stats.update(rhs_calls=0, accepted_steps=0, rejected_steps=0, k1_reused=0)
+    stats.update(rhs_calls=0, accepted_steps=0, rejected_steps=0, k1_reused=0,
+                 interpolated_samples=0)
     t = 0.0
     _record(traj, t, m, project(m, config.projection) if config.projection != "off" else m, obs)
 
@@ -317,13 +351,15 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
     flat = stages.reshape(7, -1)
     dt = config.dt_init
     steps_since_sample = 0
-    next_boundary = config.sample_dt if config.sample_dt else None
+    next_boundary = config.sample_dt
+    dense = next_boundary is not None and config.method == "rk45"
     while t < config.t_max - TIME_SLOP:
         dt = min(dt, config.t_max - t)
         if next_boundary is not None:
             if next_boundary <= t + TIME_SLOP:
                 next_boundary += config.sample_dt
-            dt = min(dt, next_boundary - t)
+            if not dense:
+                dt = min(dt, next_boundary - t)
         if k1 is None:
             k1 = f(m)
         if config.method == "rk4":
@@ -352,6 +388,13 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
                                "scaled error {:.3e}")
                 stats["rejected_steps"] += 1
                 dt = max(config.dt_min, dt * max(0.2, 0.9 * ratio ** -0.2))
+            # boundaries inside the step, from its continuous extension
+            while dense and next_boundary < t_new - TIME_SLOP:
+                theta = (next_boundary - t) / dt
+                mid = m + dt * (_DP_P @ theta ** np.arange(1, 5) @ flat).reshape(m.shape)
+                _record(traj, next_boundary, mid, _project(mid, config.projection)[0], obs)
+                stats["interpolated_samples"] += 1
+                next_boundary += config.sample_dt
 
         m_proj, repaired = _project(m_new, config.projection)
         if config.projection == "off":

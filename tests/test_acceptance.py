@@ -125,9 +125,9 @@ def test_04_gram_positivity():
         extra = np.diag(rng.normal(size=dim))
         for gens in ((), (extra,)):
             model = single_model(h, gens=gens)
-            for i in range(1500):
-                rho = st.random_full_rank(dim, seed=10_000 * dim + i)
-                worst = min(worst, sea.gram_determinant_g(rho, model))
+            rhos = np.stack([st.random_full_rank(dim, seed=10_000 * dim + i).matrix
+                             for i in range(1500)])
+            worst = min(worst, float(sea.gram_determinant_g(rhos, model).min()))
     # composite per-constituent g(J) on two-qubit states
     hc = op.kron(SZ, I2) + 0.7 * op.kron(I2, SZ) + 0.3 * op.kron(SZ, SZ)
     cmodel = cp.validate_model(cp.CompositeModel(

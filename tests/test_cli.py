@@ -58,7 +58,21 @@ class TestSimulate:
         config_path = write_config(tmp_path, qubit_sea_scenario())
         assert cli.main(["simulate", "--config", config_path, "--out", str(tmp_path)]) == 0
         stats = json.loads((tmp_path / "run_summary.json").read_text())["stats"]
-        assert set(stats) == {"rhs_calls", "accepted_steps", "rejected_steps", "k1_reused"}
+        assert set(stats) == {"rhs_calls", "accepted_steps", "rejected_steps", "k1_reused",
+                              "interpolated_samples"}
+        attempts = stats["accepted_steps"] + stats["rejected_steps"]
+        assert stats["rhs_calls"] == 6 * attempts + stats["accepted_steps"] - stats["k1_reused"]
+
+    def test_sampled_summary_counts_interpolated_samples(self, tmp_path):
+        # samples at the multiples of 0.25 inside a step come from its
+        # continuous extension and cost no rhs call
+        config = qubit_sea_scenario(integrator={"t_max": 5.0, "sample_dt": 0.25})
+        assert cli.main(["simulate", "--config", write_config(tmp_path, config),
+                         "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "run_summary.json").read_text())
+        stats = summary["stats"]
+        assert summary["samples"] == 21
+        assert 0 < stats["interpolated_samples"] <= 19
         attempts = stats["accepted_steps"] + stats["rejected_steps"]
         assert stats["rhs_calls"] == 6 * attempts + stats["accepted_steps"] - stats["k1_reused"]
 
@@ -346,6 +360,31 @@ class TestEnsemble:
             [0.0, 0.5, 1.0, 1.5, 2.0], abs=1e-12)
         energies = [float(r.split(",")[3]) for r in rows]
         assert max(energies) - min(energies) <= 1e-8
+
+    def test_dissipative_equilibrium_detection_stops_like_simulate(self, tmp_path):
+        # the block asks for the dissipative norm, which reaches the tolerance
+        # near t = 33 where simulate stops; the full rhs norm, which the
+        # unitary part of a coherent state keeps larger, reaches it later
+        state = {"dim": 2, "matrix": [[0.36, 0.0], [-0.25, 0.19],
+                                      [-0.25, -0.19], [0.64, 0.0]]}
+        base = {
+            "system": {"single": {"H": matrix_obj(np.diag([0.0, 0.63])), "tau": 1.0}},
+            "dynamics": {"sea": {"equilibrium_detection": "dissipative"}},
+            "integrator": {"t_max": 50.0, "equilibrium_norm_tol": 1e-6},
+        }
+        sim = {**base, "initial": state, "outputs": {"summary_json": "sim.json"}}
+        assert cli.main(["simulate", "--config", write_config(tmp_path, sim, "s.json"),
+                         "--out", str(tmp_path)]) == 0
+        simulated = json.loads((tmp_path / "sim.json").read_text())
+        ens = {**base, "measure": {"support": [{"w": 1.0, "state": state}]}}
+        assert cli.main(["ensemble", "--config", write_config(tmp_path, ens, "e.json"),
+                         "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "ensemble_summary.json").read_text())
+        rows = (tmp_path / "ensemble_series.csv").read_text().strip().split("\n")
+        assert simulated["termination"] == summary["termination"] == "equilibrium"
+        assert simulated["final_time"] < 40.0
+        assert float(rows[-1].split(",")[0]) == simulated["final_time"]
+        assert summary["stats"] == simulated["stats"]
 
 
 class TestConflictingBlocks:

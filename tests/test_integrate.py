@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from seaqt import composite as cp
 from seaqt import integrate as ig
+from seaqt import lindblad as lb
 from seaqt import operators as op
 from seaqt import sea
 from seaqt import states as st
@@ -311,3 +313,112 @@ def test_fsal_trajectory_keeps_the_invariants(seed, dim, n_gen):
     assert np.abs(means - means[0]).max() <= 1e-7
     assert np.diff(traj.column("entropy")).min(initial=0.0) >= -1e-10
     assert traj.column("g_rate").min() >= -1e-12
+
+
+class TestSampledGrid:
+    """rk45 records the sample_dt grid from the continuous extension of
+    its steps and keeps taking the steps its tolerances choose."""
+
+    @staticmethod
+    def run(name, **settings):
+        h = np.diag([0.0, 0.7, 1.9]).astype(complex)
+        if name == "sea":
+            model = sea.SingleConstituentModel(
+                H=h, generators=(np.diag([1.0, -1.0, 0.2]).astype(complex),))
+            obs = ig.Observables(energy_op=h, generator_ops=model.generators,
+                                 g_rate=lambda m: sea.gram_determinant_g(m, model))
+            return ig.integrate(st.random_full_rank(3, seed=3),
+                                lambda m: sea.sea_rhs(m, model),
+                                ig.IntegratorConfig(**settings), obs)
+        if name == "lindblad":
+            a = np.zeros((3, 3), dtype=complex)
+            a[0, 2] = 0.6
+            lmodel = lb.lindblad_model(-h, jump_ops=(a,))
+            return ig.integrate(st.random_full_rank(3, seed=3),
+                                lambda m: lb.kl_rhs(m, lmodel),
+                                ig.IntegratorConfig(**settings),
+                                ig.Observables(energy_op=h))
+        model = cp.validate_model(cp.CompositeModel(
+            (cp.Constituent(2, (), 1.0), cp.Constituent(2, (), 0.5)),
+            op.kron(np.diag([0.0, 1.0]), np.eye(2)) + op.kron(np.eye(2), np.diag([0.0, 1.3]))
+            + 0.4 * op.kron(SZ, SZ)))
+        return ig.integrate(st.random_full_rank(4, seed=3),
+                            lambda m: cp.composite_rhs(m, model),
+                            ig.IntegratorConfig(**settings),
+                            ig.Observables(energy_op=model.H))
+
+    @pytest.mark.parametrize("name", ["sea", "lindblad", "composite"])
+    def test_sampling_leaves_the_steps_alone(self, name):
+        # the first step of 0.5 is rejected
+        free = self.run(name, t_max=3.0, dt_init=0.5)
+        sampled = self.run(name, t_max=3.0, dt_init=0.5, sample_dt=0.07)
+        assert free.stats["rejected_steps"] > 0
+        counts = ("rhs_calls", "accepted_steps", "rejected_steps", "k1_reused")
+        assert {k: sampled.stats[k] for k in counts} == {k: free.stats[k] for k in counts}
+        assert np.array_equal(sampled.final.rho, free.final.rho)
+        # samples at k sample_dt, each inside a step and interpolated, then t_max
+        n = int(3.0 / 0.07)
+        assert np.allclose(sampled.times, [*(0.07 * np.arange(n + 1)), 3.0],
+                           rtol=0.0, atol=1e-12)
+        assert sampled.stats["interpolated_samples"] == n
+        assert free.stats["interpolated_samples"] == 0
+        stats = sampled.stats
+        attempts = stats["accepted_steps"] + stats["rejected_steps"]
+        assert stats["rhs_calls"] == 6 * attempts + stats["accepted_steps"] - stats["k1_reused"]
+
+    @pytest.mark.parametrize("name", ["sea", "lindblad", "composite"])
+    def test_interpolated_samples_match_a_tight_reference(self, name):
+        got = self.run(name, t_max=3.0, sample_dt=0.07)
+        ref = self.run(name, t_max=3.0, sample_dt=0.07, rel_tol=1e-12, abs_tol=1e-14)
+        assert np.array_equal(got.times, ref.times)
+        gap = max(np.abs(a.rho - b.rho).max() for a, b in zip(got.samples, ref.samples))
+        assert gap <= 1e-7
+        assert np.abs(got.column("trace_err")).max() <= 1e-9
+        if name == "lindblad":   # the decay channel changes the energy
+            return
+        e = got.column("energy")
+        assert np.abs(e - e[0]).max() <= 1e-7
+        if name == "sea":
+            x = got.column("generator_means")[:, 0]
+            assert np.abs(x - x[0]).max() <= 1e-7
+            assert np.diff(got.column("entropy")).min() >= -1e-10
+            assert got.column("g_rate").min() >= -1e-12
+
+    def test_continuous_extension_meets_the_step_and_its_order(self):
+        # b(0) = 0 gives y0 and b(1) = B5 the step's endpoint; every theta
+        # meets the eight order conditions through order 4
+        a = ig._DP_A
+        c = a.sum(axis=1)
+
+        def b(theta):
+            return ig._DP_P @ theta ** np.arange(1, 5)
+
+        assert not b(0.0).any()
+        assert np.abs(b(1.0) - a[6]).max() <= 1e-15
+        for theta in (0.1, 0.35, 0.8, 1.0):
+            w = b(theta)
+            conditions = [
+                (w.sum(), theta), (w @ c, theta**2 / 2),
+                (w @ c**2, theta**3 / 3), (w @ a @ c, theta**3 / 6),
+                (w @ c**3, theta**4 / 4), (w @ (c * (a @ c)), theta**4 / 8),
+                (w @ a @ c**2, theta**4 / 12), (w @ a @ a @ c, theta**4 / 24)]
+            for got, want in conditions:
+                assert got == pytest.approx(want, abs=1e-14)
+
+    def test_rk4_steps_land_on_the_grid(self):
+        # fixed steps of 0.2 are clipped at the multiples of 0.3
+        sampled = self.run("sea", method="rk4", t_max=1.2, dt_init=0.2, dt_max=0.2,
+                           sample_dt=0.3)
+        assert sampled.times == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.2], abs=1e-15)
+        assert sampled.stats["accepted_steps"] > 6
+        assert sampled.stats["rhs_calls"] == 4 * sampled.stats["accepted_steps"]
+        assert sampled.stats["interpolated_samples"] == 0
+
+    def test_reruns_give_identical_csv(self):
+        first = self.run("sea", t_max=3.0, sample_dt=0.07).to_csv()
+        assert self.run("sea", t_max=3.0, sample_dt=0.07).to_csv() == first
+
+    @pytest.mark.parametrize("sample_dt", [0.0, -0.5])
+    def test_a_grid_needs_a_positive_spacing(self, sample_dt):
+        with pytest.raises(ValueError, match="sample_dt"):
+            ig.IntegratorConfig(sample_dt=sample_dt)

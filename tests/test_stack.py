@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from seaqt import cli
 from seaqt import composite as cp
 from seaqt import ensemble as en
 from seaqt import integrate as ig
 from seaqt import lindblad as lb
 from seaqt import operators as op
 from seaqt import sea
+from seaqt import serialize as sz
 from seaqt import states as st
 from seaqt.errors import StateInvalidError, StepUnderflowError
 
@@ -94,6 +96,28 @@ def test_linear_and_composite_rhs_accept_a_stack():
     stack = np.stack([st.random_full_rank(4, seed=s).matrix for s in range(3)])
     want = np.stack([cp.composite_rhs(m, model) for m in stack])
     assert np.array_equal(cp.composite_rhs(stack, model), want)
+    want = np.stack([cp.dissipative_term(m, model) for m in stack])
+    assert np.array_equal(cp.dissipative_term(stack, model), want)
+
+
+@pytest.mark.parametrize("kind", ["single", "composite"])
+def test_the_dissipative_equilibrium_norm_is_per_member(kind):
+    units = sz.decode_units(None)
+    if kind == "single":
+        model = sea.SingleConstituentModel(H=np.diag([0.0, 0.7, 1.9]).astype(complex))
+        dim = 3
+    else:
+        model = cp.validate_model(cp.CompositeModel(
+            (cp.Constituent(2, (), 1.0), cp.Constituent(2, (), 0.5)),
+            np.kron(np.diag([0.0, 1.0]), np.eye(2)) + np.kron(np.eye(2), np.diag([0.0, 1.3]))))
+        dim = 4
+    *_, eq_norm = cli.build_dynamics(kind, model, "sea",
+                                     {"equilibrium_detection": "dissipative"}, units)
+    stack = np.stack([st.random_full_rank(dim, seed=s).matrix for s in range(3)])
+    got = eq_norm(stack)
+    assert got.shape == (3,)
+    assert np.abs(got - [eq_norm(m) for m in stack]).max() <= 1e-15
+    assert got.min() > 0
 
 
 def test_stacked_integration_matches_member_by_member():
