@@ -4,11 +4,20 @@ Each elementary constituent J contributes a factor-local dissipator: the
 projection-form kernel of the single-constituent law (``sea.dissipator_kernel``)
 evaluated on the reduced state rho(J), with the reduced log operator W(J)
 as an ordinary first column, then the reduced Hamiltonian V(J) and J's own
-generators.  W(J) = Tr_J'((I(J) (x) rho(J')) ln rho), V(J) likewise with H,
-and rho(J), rho(J') all come from one reshape of rho into (J, rest) tensor
-indices, so the dim x dim embedding I(J) (x) rho(J') is never formed.  The
-full dissipative term is {D(J), rho(J)} (x) rho(J') summed over
-constituents.
+generators.  W(J) = Tr_J'((I(J) (x) rho(J')) ln rho), and V(J) likewise
+with H.  The full dissipative term is the sum over constituents of
+(tau(J)/hbar^2) {D(J), rho(J)} (x) rho(J').
+
+The constituents are evaluated in one stacked pass per kind, a kind being
+a (factor dim, generator count) pair; a model of identical constituents is
+one kind.  A gather map, cached per tuple of kinds, splits any dim x dim
+operator into (k, r, r, d_J, d_J) tensors for the kind's k constituents
+(the rest's indices, then J's) with one fancy index.  Contractions of the
+split rho give every rho(J) and rho(J'), and of the split ln rho and H
+every W(J) and V(J), so the dim x dim embedding I(J) (x) rho(J') is never
+formed.  One stacked eigh decomposes the reduced states, one kernel call
+takes the per-member operators (k, n, d_J, d_J), and the inverse gather
+puts every {D(J), rho(J)} (x) rho(J') back in the full space.
 
 W(J) needs ln(rho) of the full composite state, which exists only for
 full-rank rho.  Exact products of pure states branch to Hamiltonian-only
@@ -21,6 +30,8 @@ integrating).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,32 +105,75 @@ def validate_model(model: CompositeModel) -> CompositeModel:
     return CompositeModel(tuple(new_constituents), h, model.units)
 
 
-def _split(a: np.ndarray, dims, j: int) -> np.ndarray:
-    """Operator a as a (d_J, r, d_J, r) tensor: constituent j first, then
-    the rest in order."""
-    n = len(dims)
-    t = np.moveaxis(a.reshape(list(dims) * 2), (j, n + j), (0, n))
-    return t.reshape(dims[j], a.shape[0] // dims[j], dims[j], a.shape[0] // dims[j])
+class _Kind(NamedTuple):
+    """The constituents of one (factor dim, generator count) kind, with their
+    index maps into a flattened dim x dim operator."""
+
+    n_gen: int
+    members: np.ndarray   # the k constituent indices, ascending
+    gather: np.ndarray    # (k, r, r, d_J, d_J): a.ravel()[gather] splits a
+    scatter: np.ndarray   # (k, dim^2): t.ravel()[scatter] puts each member of
+                          # a split (k, r, r, d_J, d_J) stack t back in place
 
 
-def _unsplit(t: np.ndarray, dims, j: int) -> np.ndarray:
-    """Inverse of ``_split``."""
-    n = len(dims)
-    rest = [d for i, d in enumerate(dims) if i != j]
-    t = t.reshape([dims[j], *rest, dims[j], *rest])
-    size = int(np.prod(dims))
-    return np.moveaxis(t, (0, n), (j, n + j)).reshape(size, size)
+@lru_cache(maxsize=32)   # a process meets a handful of layouts
+def _index_maps(kinds: tuple) -> tuple[tuple[_Kind, ...], tuple[np.ndarray, ...]]:
+    """The index maps of constituents with (factor dim, generator count)
+    pairs ``kinds``: one ``_Kind`` per distinct pair, in order of first
+    appearance, and each constituent's own (r, r, d_J, d_J) gather map.
+
+    Gather entry [s, t, a, b] of constituent J is the flat index of row
+    (a, s), column (b, t) of an operator, with a, b the indices of J and
+    s, t those of the rest, in tensor order.  A pure function of the tuple,
+    cached: a model's maps are built once, and the frozen model is left as
+    it is.
+    """
+    dims = [d for d, _ in kinds]
+    n, size = len(dims), int(np.prod(dims))
+    index = np.arange(size * size).reshape(dims * 2)
+    split = tuple(np.moveaxis(index, (j, n + j), (-2, -1)).reshape(
+        size // d, size // d, d, d) for j, d in enumerate(dims))
+    for a in split:
+        a.flags.writeable = False
+    out = []
+    for kind in dict.fromkeys(kinds):
+        members = np.array([j for j, other in enumerate(kinds) if other == kind])
+        gather = np.stack([split[j] for j in members])
+        # each member's inverse permutation, offset to its row of the stack
+        scatter = np.argsort(gather.reshape(len(members), -1), axis=1) \
+            + size * size * np.arange(len(members))[:, None]
+        for a in (members, gather, scatter):
+            a.flags.writeable = False
+        out.append(_Kind(kind[1], members, gather, scatter))
+    return tuple(out), split
 
 
-def _marginals(rho: StateOperator, dims, j: int):
-    """rho(J) and rho(J') from one contraction of the split state."""
-    t = _split(rho.matrix, dims, j)
-    return st.as_state(np.einsum("arbr->ab", t)), np.einsum("aras->rs", t)
+def _maps(model: CompositeModel):
+    return _index_maps(tuple((c.dim, len(c.generators)) for c in model.constituents))
 
 
-def _reduce(rest: np.ndarray, a: np.ndarray, dims, j: int) -> np.ndarray:
-    """Tr_{J'}((I(J) (x) rho(J')) a) without forming the embedding."""
-    return op.hermitize(np.einsum("rs,ascr->ac", rest, _split(a, dims, j)))
+def _marginals(m: np.ndarray, gather: np.ndarray):
+    """rho(J) and rho(J') of the state matrix m, for the constituent of a
+    (r, r, d_J, d_J) gather map or for each of a (k, ...) stack of them."""
+    t = m.reshape(-1)[gather]
+    return np.einsum("...ssab->...ab", t), np.einsum("...staa->...st", t)
+
+
+def _reduce(rest: np.ndarray, a: np.ndarray, gather: np.ndarray) -> np.ndarray:
+    """Tr_{J'}((I(J) (x) rho(J')) a) for the constituent(s) of a gather map,
+    as (..., d_J, d_J): the split a contracted with rho(J') by one
+    matrix-vector product, without forming the embedding."""
+    *lead, r, _, d, _ = gather.shape
+    t = a.reshape(-1)[gather].reshape(*lead, r * r, d * d)
+    return (rest.swapaxes(-1, -2).reshape(*lead, 1, r * r) @ t).reshape(*lead, d, d)
+
+
+def _reduced(rho: StateOperator, model: CompositeModel, j: int,
+             a: np.ndarray) -> np.ndarray:
+    """Tr_{j'}((I(j) (x) rho(j')) a) for the one constituent j."""
+    _check_index(model, j)
+    split = _maps(model)[1][j]
+    return op.hermitize(_reduce(_marginals(rho.matrix, split)[1], a, split))
 
 
 def _check_index(model: CompositeModel, j: int) -> None:
@@ -139,7 +193,7 @@ def _require_full_rank(rho: StateOperator) -> None:
 def reduced_state(rho, model: CompositeModel, j: int) -> StateOperator:
     """Reduced state operator of constituent j (partial trace over the rest)."""
     _check_index(model, j)
-    return _marginals(st.as_state(rho), model.dims, j)[0]
+    return st.as_state(_marginals(st.as_state(rho).matrix, _maps(model)[1][j])[0])
 
 
 def subsystem_state(rho, model: CompositeModel, indices) -> StateOperator:
@@ -150,9 +204,7 @@ def subsystem_state(rho, model: CompositeModel, indices) -> StateOperator:
 def reduced_hamiltonian(rho, model: CompositeModel, j: int) -> np.ndarray:
     """V(j) = Tr_{j'}((I(j) (x) rho(j')) H); for a separable constituent this
     is its private Hamiltonian shifted by the complement's mean energy."""
-    _check_index(model, j)
-    _, rest = _marginals(st.as_state(rho), model.dims, j)
-    return _reduce(rest, model.H, model.dims, j)
+    return _reduced(st.as_state(rho), model, j, model.H)
 
 
 def reduced_log(rho, model: CompositeModel, j: int) -> np.ndarray:
@@ -165,25 +217,33 @@ def reduced_log(rho, model: CompositeModel, j: int) -> np.ndarray:
     """
     rho = st.as_state(rho)
     _require_full_rank(rho)
-    _, rest = _marginals(rho, model.dims, j)
-    return _reduce(rest, st.log_operator(rho), model.dims, j)
+    return _reduced(rho, model, j, st.log_operator(rho))
 
 
 def is_pure_product(rho, model: CompositeModel, reduced=None) -> bool:
     """True when the state is (numerically exactly) a product of pure factor
     states: all spectral weight on one global eigenvector and every reduced
-    state pure.  ``reduced`` passes reduced states already at hand."""
+    state pure.  ``reduced`` passes reduced states already at hand, single
+    or stacked."""
     rho = st.as_state(rho)
     if float(np.sum(rho.spectral.eigenvalues[1:])) > st.PURE_TOL:
         return False
     if reduced is None:
-        reduced = [reduced_state(rho, model, j) for j in range(len(model.constituents))]
-    return all(float(np.sum(sub.spectral.eigenvalues[1:])) <= st.PURE_TOL
+        reduced = [st.as_state(_marginals(rho.matrix, kind.gather)[0])
+                   for kind in _maps(model)[0]]
+    return all(bool((sub.spectral.eigenvalues[..., 1:].sum(axis=-1) <= st.PURE_TOL).all())
                for sub in reduced)
 
 
 def _factor_terms(rho, model: CompositeModel):
-    """[({D(J), rho(J)}, g(J), rho(J'))] per constituent; None on pure products.
+    """[(kind, {D(J), rho(J)}, g(J), rho(J'))] per kind, each stacked over
+    the kind's k members; empty on pure products.
+
+    One pass per kind: the kind's gather map splits rho, ln rho and H for
+    all k members at once, contractions reduce them to every rho(J),
+    rho(J'), W(J) and V(J), one stacked eigh gives the reduced spectra and
+    one kernel call the k dissipators, from per-member operators
+    (k, n, d_J, d_J).
 
     A StateOperator is held to the documented full-rank domain.  A raw
     matrix is an integrator trial point, whose tiny eigenvalues step
@@ -192,23 +252,42 @@ def _factor_terms(rho, model: CompositeModel):
     """
     strict = isinstance(rho, StateOperator)
     rho = st.as_state(rho)
-    dims = model.dims
-    marginals = [_marginals(rho, dims, j) for j in range(len(dims))]
-    if is_pure_product(rho, model, [r for r, _ in marginals]):
-        return None
+    kinds = _maps(model)[0]
+    marginals = [_marginals(rho.matrix, kind.gather) for kind in kinds]
+    reduced = [st.as_state(rho_j) for rho_j, _ in marginals]
+    if is_pure_product(rho, model, reduced):
+        return []
     if strict:
         _require_full_rank(rho)
     log_full = st.log_operator(rho)
     terms = []
-    for j, (c, (rho_j, rest)) in enumerate(zip(model.constituents, marginals)):
-        ops = [_reduce(rest, log_full, dims, j), _reduce(rest, model.H, dims, j),
-               *c.generators]
-        # normalized reduced spectrum, scaled back: see sea._projection_form
+    for kind, rho_j, (_, rest) in zip(kinds, reduced, marginals):
+        k, d = len(kind.members), kind.gather.shape[-1]
+        ops = np.empty((k, 2 + kind.n_gen, d, d), dtype=complex)
+        ops[:, 0] = _reduce(rest, log_full, kind.gather)
+        ops[:, 1] = _reduce(rest, model.H, kind.gather)
+        ops[:, 2:] = np.reshape([model.constituents[j].generators for j in kind.members],
+                                (k, kind.n_gen, d, d))
+        # normalized reduced spectra, scaled back: see sea._projection_form
         spec = rho_j.spectral
-        total = float(spec.eigenvalues.sum())
-        acomm, g = sea.dissipator_kernel(spec.eigenvalues / total, spec.eigenvectors, ops)
-        terms.append((total * acomm, g, rest))
+        total = spec.eigenvalues.sum(axis=-1)
+        acomm, g = sea.dissipator_kernel(spec.eigenvalues / total[:, None],
+                                         spec.eigenvectors, op.hermitize(ops))
+        terms.append((kind, total[:, None, None] * acomm, g, rest))
     return terms
+
+
+def _embed(terms, model: CompositeModel, weights: np.ndarray) -> np.ndarray:
+    """sum_J weights[J] {D(J), rho(J)} (x) rho(J') on the full space: per
+    kind, one broadcast product forms the split tensors and the inverse
+    gather puts them back."""
+    out = np.zeros(model.dim * model.dim, dtype=complex)
+    for kind, acomm, _, rest in terms:
+        k, r = rest.shape[:2]
+        scaled = weights[kind.members, None, None] * acomm
+        t = rest.reshape(k, r * r, 1) * scaled.reshape(k, 1, -1)
+        out += t.reshape(-1)[kind.scatter].sum(axis=0)
+    return out.reshape(model.dim, model.dim)
 
 
 def dissipative_term(rho, model: CompositeModel) -> np.ndarray:
@@ -221,15 +300,8 @@ def dissipative_term(rho, model: CompositeModel) -> np.ndarray:
     if m.ndim > 2:
         return np.stack([dissipative_term(x, model)
                          for x in m.reshape(-1, *m.shape[-2:])]).reshape(m.shape)
-    terms = _factor_terms(rho, model)
-    out = np.zeros((model.dim, model.dim), dtype=complex)
-    if terms is None:
-        return out
-    dims = model.dims
-    for j, (c, (acomm, _, rest)) in enumerate(zip(model.constituents, terms)):
-        out += c.tau / model.units.hbar**2 * _unsplit(
-            np.einsum("ab,rs->arbs", acomm, rest), dims, j)
-    return out
+    taus = np.array([c.tau for c in model.constituents])
+    return _embed(_factor_terms(rho, model), model, taus / model.units.hbar**2)
 
 
 def composite_rhs(rho, model: CompositeModel) -> np.ndarray:
@@ -246,13 +318,13 @@ def composite_rhs(rho, model: CompositeModel) -> np.ndarray:
 def composite_entropy_production(rho, model: CompositeModel):
     """Total rate sum_J k tau(J) g(J) / hbar^2 and the per-constituent g(J) >= 0."""
     terms = _factor_terms(rho, model)
-    if terms is None:
-        return 0.0, [0.0] * len(model.constituents)
+    per = np.zeros(len(model.constituents))
+    for kind, _, g, _ in terms:
+        per[kind.members] = g
     u = model.units
-    per = [g for _, g, _ in terms]
     total = sum(u.k_B * c.tau * g / u.hbar**2
                 for c, g in zip(model.constituents, per))
-    return total, per
+    return total, list(per)
 
 
 def entropy_rate_pairing(rho, model: CompositeModel) -> float:
@@ -362,25 +434,18 @@ def is_independent_state(rho, model: CompositeModel,
 
 def reduced_rhs(rho, model: CompositeModel, partition: SubsystemPartition,
                 block) -> np.ndarray:
-    """Reduced equation of motion for subsystem K: partial trace of the
-    Hamiltonian term plus the dissipative terms of K's own constituents,
-    each embedded against the reduced state of the rest of K."""
+    """Reduced equation of motion for subsystem K: the partial trace over K'
+    of the Hamiltonian term and of the dissipative terms of K's own
+    constituents, which leaves each {D(J), rho(J)} of K embedded against
+    the reduced state of the rest of K."""
     partition.validate_for(model)
     keep = sorted(block)
-    m = st._as_matrix(rho)
-    dims = model.dims
     hbar = model.units.hbar
-    out = -1j / hbar * op.partial_trace(op.commutator(model.H, m), dims, keep=keep)
-    terms = _factor_terms(rho, model)
-    if terms is None:
-        return out
-    dims_k = [dims[i] for i in keep]
-    for local_pos, j in enumerate(keep):
-        others = [i for i in keep if i != j]
-        rest_k = op.partial_trace(m, dims, keep=others) if others else np.ones((1, 1))
-        term = np.einsum("ab,rs->arbs", terms[j][0], rest_k)
-        out = out - model.constituents[j].tau / hbar**2 * _unsplit(term, dims_k, local_pos)
-    return out
+    out = -1j / hbar * op.commutator(model.H, st._as_matrix(rho))
+    weights = np.array([c.tau if j in keep else 0.0
+                        for j, c in enumerate(model.constituents)])
+    out = out - _embed(_factor_terms(rho, model), model, weights / hbar**2)
+    return op.partial_trace(out, model.dims, keep=keep)
 
 
 def composite_constant_check(c, model: CompositeModel,

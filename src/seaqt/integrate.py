@@ -308,7 +308,8 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
     rk45 records a multiple inside a step from the step's continuous
     extension, projected as every sample is, with the raw interpolant's
     residuals; a multiple at a step's end, t_max and an equilibrium are
-    recorded from the step.  rk4 clips its steps to the multiples.
+    recorded from the step.  rk4 clips a step that would pass a multiple
+    to end on it, and takes its next step at dt_init again.
 
     ``eq_norm`` overrides the norm used for equilibrium detection (for the
     nonlinear dynamics the dissipative-term norm is the meaningful one);
@@ -365,7 +366,7 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
         if config.method == "rk4":
             m_new = _rk4_step(f, m, dt, k1)
             t_new = t + dt
-            dt_next = dt
+            dt_next = config.dt_init    # a step clipped to the grid is not kept
         else:
             # Dormand-Prince embedded pair with standard step control, on the
             # largest scaled error over the members
@@ -425,6 +426,6 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
         if reached_eq:
             traj.termination = "equilibrium"
             return traj
-        dt = min(dt_next, config.dt_max) if config.method == "rk45" else dt
+        dt = dt_next
     traj.termination = "t_max"
     return traj

@@ -13,8 +13,8 @@ is the projection form
 and the entropy-production determinant is g = det G [(ln rho, ln rho) -
 (F, ln rho)^T beta] >= 0.  ``dissipator_kernel`` evaluates both in the
 eigenbasis of rho, where every trace is a weighted sum over the spectrum;
-the composite module calls the same kernel on each reduced state.  Only
-det G and det G beta enter, and Cramer's rule gives them from one stacked
+the composite module calls the same kernel on its stacked reduced states.
+Only det G and det G beta enter, and Cramer's rule gives them from one stacked
 determinant, det G beta_a = det(G with column a replaced by (F, ln rho)):
 the adjugate of G times the pairs, which is exactly the cofactor expansion
 of the operator-valued determinant.  It is a polynomial in the Gram
@@ -134,13 +134,14 @@ def dissipator_kernel(p: np.ndarray, u: np.ndarray, ops, log_column=None):
     and the means, the Gram table (``states.covariance_table``) and the
     pairs are a few matrix products.  A stack of states adds leading axes:
     p (..., d), u (..., d, d) and the log column ((..., d, d), (...)); the
-    operators are shared, and g has the stack's shape.
+    operators (n, d, d) are shared, or per member with shape (..., n, d, d)
+    (the composite law's reduced operators), and g has the stack's shape.
     """
     d = p.shape[-1]
     batch = p.shape[:-1]
     uh = u.conj().swapaxes(-1, -2)
-    f = (uh[..., None, :, :] @ np.asarray(ops) @ u[..., None, :, :]).reshape(
-        *batch, len(ops), d * d)
+    f = uh[..., None, :, :] @ np.asarray(ops) @ u[..., None, :, :]
+    f = f.reshape(*f.shape[:-2], d * d)
     means, table, w = st.covariance_table(p, f)
     if log_column is None:
         log_var, pairs, gram = table[..., 0, 0], table[..., 1:, 0], table[..., 1:, 1:]

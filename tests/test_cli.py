@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from seaqt import cli
+from seaqt import sea
 from seaqt import serialize as sz
+from seaqt import states as st
 from seaqt.errors import ConfigError
 from seaqt.integrate import IntegratorConfig
 
@@ -242,6 +244,23 @@ class TestCompare:
         assert max(probe["sea_rates"]) < probe["linear_rates"][2]
         assert report["max_state_distance"] > 0
 
+    def test_report_carries_the_stats_of_each_run(self, tmp_path):
+        config = qubit_sea_scenario(
+            dynamics={"sea": {}, "lindblad": {"B": matrix_obj(-np.diag([0.0, 1.0]))}},
+            integrator={"t_max": 1.0})
+        assert cli.main(["compare", "--config", write_config(tmp_path, config),
+                         "--out", str(tmp_path)]) == 0
+        stats = json.loads((tmp_path / "compare_report.json").read_text())["stats"]
+        assert set(stats) == {"sea", "lindblad"}
+        for run in stats.values():
+            assert set(run) == {"rhs_calls", "accepted_steps", "rejected_steps",
+                                "k1_reused", "interpolated_samples"}
+            attempts = run["accepted_steps"] + run["rejected_steps"]
+            assert run["rhs_calls"] == \
+                6 * attempts + run["accepted_steps"] - run["k1_reused"]
+            # the comparison grid of 256 samples is read off the steps
+            assert run["interpolated_samples"] > 0
+
 
 class TestValidate:
     def test_gibbs_start_passes_all_checks(self, tmp_path):
@@ -255,6 +274,39 @@ class TestValidate:
         assert report["all_passed"]
         names = {c["check"] for c in report["checks"]}
         assert "fixed_point_rhs_norm" in names
+
+    def test_report_carries_the_run_stats(self, tmp_path):
+        config_path = write_config(tmp_path, qubit_sea_scenario())
+        assert cli.main(["validate", "--config", config_path, "--out", str(tmp_path)]) == 0
+        stats = json.loads((tmp_path / "validate_report.json").read_text())["stats"]
+        assert set(stats) == {"rhs_calls", "accepted_steps", "rejected_steps", "k1_reused",
+                              "interpolated_samples"}
+        attempts = stats["accepted_steps"] + stats["rejected_steps"]
+        assert stats["rhs_calls"] == 6 * attempts + stats["accepted_steps"] - stats["k1_reused"]
+
+    def test_stacked_probe_sweep_reports_the_member_loop_value(self, tmp_path):
+        h, x = np.diag([0.0, 1.0, 2.0]), np.diag([1.0, -1.0, 0.5])
+        config = {
+            "system": {"single": {"H": matrix_obj(h), "generators": [matrix_obj(x)],
+                                  "tau": 0.7}},
+            "initial": {"random": {"dim": 3, "seed": 5}},
+            "dynamics": {"sea": {}},
+            "integrator": {"t_max": 0.5},
+        }
+        assert cli.main(["validate", "--config", write_config(tmp_path, config),
+                         "--out", str(tmp_path)]) == 0
+        checks = json.loads((tmp_path / "validate_report.json").read_text())["checks"]
+        (measured,) = [c["measured"] for c in checks
+                       if c["check"] == "entropy_production_nonnegative"]
+        model = sea.validate_model(sea.SingleConstituentModel(
+            H=h.astype(complex), generators=(x.astype(complex),), tau=0.7))
+        probes = [st.random_full_rank(3, seed=s).matrix for s in range(100)]
+        loop = np.array([sea.entropy_production_rate(p, model) for p in probes])
+        stacked = sea.entropy_production_rate(np.stack(probes), model)
+        assert np.abs(stacked - loop).max() <= 1e-15 * max(1.0, np.abs(loop).max())
+        rho0 = st.random_full_rank(3, seed=5)
+        worst = max(0.0, -loop.min(), -sea.entropy_production_rate(rho0, model))
+        assert measured == pytest.approx(worst, abs=1e-16)
 
     def test_broken_generator_exits_3(self, tmp_path, capsys):
         config = qubit_sea_scenario()

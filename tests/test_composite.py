@@ -525,3 +525,108 @@ class TestMixedFactorDims:
             op.kron(rho2.matrix, sea.sea_rhs(rho3, m3))
         got = cp.composite_rhs(rho, model)
         assert np.abs(got - want).max() <= 1e-9
+
+
+class TestStackedPass:
+    """The stacked pass over a composite's constituents against a reference
+    built one constituent at a time from partial traces, explicit
+    embeddings and one kernel call per constituent."""
+
+    # (local term, coupling operator, generators, tau) of one constituent;
+    # every term on a constituent with generators commutes with them
+    QUBIT = (SZ, SX, (), 0.8)
+    QUBIT_Z = (0.9 * SZ, SZ, (SZ,), 0.6)
+    QUBIT_B = (0.8 * SZ, SX, (), 0.5)
+    QUTRIT = (np.diag([0.0, 1.0, 2.3]), np.diag([1.0, 0.0, -1.0]),
+              (np.diag([0.0, 1.0, 0.0]),), 1.3)
+    QUTRIT_B = (np.diag([0.0, 0.7, 1.5]), np.diag([0.5, -1.0, 0.0]),
+                (np.diag([1.0, 0.0, 0.0]),), 0.7)
+    # a kind of two qubits; three kinds; a kind of two qutrits whose
+    # generators differ
+    LAYOUTS = {"qubit-qutrit-qubit": (QUBIT, QUTRIT, QUBIT_B),
+               "three-kinds": (QUBIT_Z, QUTRIT, QUBIT_B),
+               "qutrit-qutrit-qubit": (QUTRIT, QUTRIT_B, QUBIT)}
+
+    @classmethod
+    def model(cls, layout):
+        """Local terms plus a coupling between every pair of constituents."""
+        factors = cls.LAYOUTS[layout]
+        dims = [len(f[0]) for f in factors]
+        h = sum(op.embed_factors({j: f[0]}, dims) for j, f in enumerate(factors))
+        for i in range(len(dims)):
+            for j in range(i + 1, len(dims)):
+                h = h + 0.3 / (i + j) * op.embed_factors(
+                    {i: factors[i][1], j: factors[j][1]}, dims)
+        return cp.validate_model(cp.CompositeModel(
+            tuple(cp.Constituent(d, gens, tau)
+                  for d, (_, _, gens, tau) in zip(dims, factors)),
+            H=h, units=op.UnitSystem(hbar=0.9)))
+
+    @staticmethod
+    def reference(rho, model):
+        """Per constituent (rho(J), V(J), W(J), {D(J), rho(J)}, g(J)), and
+        the dissipative term sum_J (tau(J)/hbar^2) {D(J), rho(J)} (x) rho(J')."""
+        dims, m = model.dims, rho.matrix
+        p, u = np.linalg.eigh(m)
+        log_full = (u * np.log(p)) @ u.conj().T
+        per, diss = [], np.zeros_like(m)
+        for j, c in enumerate(model.constituents):
+            others = [i for i in range(len(dims)) if i != j]
+            rho_j = op.partial_trace(m, dims, keep=[j])
+            rho_rest = op.partial_trace(m, dims, keep=others)
+            embed = op.tensor_interleave(np.eye(dims[j]), [j], rho_rest, dims)
+            v = op.hermitize(op.partial_trace(embed @ model.H, dims, keep=[j]))
+            w = op.hermitize(op.partial_trace(embed @ log_full, dims, keep=[j]))
+            q, uj = np.linalg.eigh(rho_j)
+            acomm, g = sea.dissipator_kernel(q, uj, [w, v, *c.generators])
+            per.append((rho_j, v, w, acomm, g))
+            diss += c.tau / model.units.hbar**2 * op.tensor_interleave(
+                acomm, [j], rho_rest, dims)
+        return per, diss
+
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_matches_the_per_constituent_reference(self, layout):
+        model = self.model(layout)
+        kinds = {(c.dim, len(c.generators)) for c in model.constituents}
+        assert len(kinds) == (3 if layout == "three-kinds" else 2)
+        for seed in range(3):
+            rho = st.random_full_rank(model.dim, seed=600 + seed)
+            per, diss = self.reference(rho, model)
+            assert np.abs(cp.dissipative_term(rho, model) - diss).max() <= 1e-13
+            _, g = cp.composite_entropy_production(rho, model)
+            assert np.abs(np.array(g) - [r[4] for r in per]).max() <= 1e-13
+            for j, (rho_j, v, w, _, _) in enumerate(per):
+                assert np.abs(cp.reduced_state(rho, model, j).matrix - rho_j).max() <= 1e-13
+                assert np.abs(cp.reduced_hamiltonian(rho, model, j) - v).max() <= 1e-13
+                assert np.abs(cp.reduced_log(rho, model, j) - w).max() <= 1e-13
+
+    def test_reduced_rhs_is_the_partial_trace_of_the_rhs(self):
+        model = self.model("qubit-qutrit-qubit")
+        partition = cp.SubsystemPartition(blocks=((0, 2), (1,)))
+        rho = st.random_full_rank(12, seed=610)
+        full = cp.composite_rhs(rho, model)
+        for block in ((0, 2), (1,)):
+            got = cp.reduced_rhs(rho, model, partition, block)
+            want = op.partial_trace(full, model.dims, keep=block)
+            assert np.abs(got - want).max() <= 1e-12
+
+    def test_pure_product_is_an_exact_zero(self):
+        model = self.model("three-kinds")
+        rho = product_state(st.pure_state([np.cos(0.3), np.sin(0.3)]),
+                            st.pure_state([0.6, 0.0, 0.8j]),
+                            st.pure_state([1.0, 1.0j]))
+        assert cp.is_pure_product(rho, model)
+        assert not cp.dissipative_term(rho, model).any()
+        assert cp.composite_entropy_production(rho, model) == (0.0, [0.0, 0.0, 0.0])
+
+    def test_index_maps_are_shared_and_read_only(self):
+        kinds, split = cp._maps(self.model("qubit-qutrit-qubit"))
+        assert cp._maps(self.model("qubit-qutrit-qubit"))[0] is kinds
+        assert [k.members.tolist() for k in kinds] == [[0, 2], [1]]
+        assert not any(a.flags.writeable for a in (*split, kinds[0].gather, kinds[0].scatter))
+        # each member's scatter row inverts its gather map
+        for kind in kinds:
+            for i, gather in enumerate(kind.gather):
+                flat = gather.ravel()
+                assert np.array_equal(flat[kind.scatter[i] - i * flat.size],
+                                      np.arange(flat.size))

@@ -414,6 +414,24 @@ class TestSampledGrid:
         assert sampled.stats["rhs_calls"] == 4 * sampled.stats["accepted_steps"]
         assert sampled.stats["interpolated_samples"] == 0
 
+    def test_rk4_goes_back_to_its_step_after_a_clip(self):
+        # steps of 0.2 clipped at 0.3, 0.9 (and landing on 0.6, 1.2):
+        # 0.2, 0.3 | 0.5, 0.6 | 0.8, 0.9 | 1.1, 1.2 is 8 steps; keeping the
+        # clipped 0.1 after the first clip would take 11
+        h = np.diag([0.0, 1.0, 2.0]).astype(complex)
+        model = sea.SingleConstituentModel(H=h)
+
+        def run(**settings):
+            return ig.integrate(st.random_full_rank(3, seed=3),
+                                lambda m: sea.sea_rhs(m, model),
+                                ig.IntegratorConfig(method="rk4", t_max=1.2, dt_init=0.2,
+                                                    dt_max=0.2, **settings))
+
+        sampled = run(sample_dt=0.3)
+        assert sampled.stats["accepted_steps"] == 8
+        assert sampled.times == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.2], abs=1e-15)
+        assert run().stats["accepted_steps"] == 6
+
     def test_reruns_give_identical_csv(self):
         first = self.run("sea", t_max=3.0, sample_dt=0.07).to_csv()
         assert self.run("sea", t_max=3.0, sample_dt=0.07).to_csv() == first

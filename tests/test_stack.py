@@ -67,6 +67,25 @@ def test_stacked_sea_rhs_matches_the_member_loop(seed, dim, n_gen):
     assert abs(np.trace(got[4])) <= 1e-14
 
 
+@settings(max_examples=24, deadline=None, database=None, derandomize=True)
+@given(seed=hs.integers(0, 2**31 - 1), dim=hs.sampled_from([2, 3, 4]),
+       n_gen=hs.integers(0, 2))
+def test_kernel_takes_per_member_operators(seed, dim, n_gen):
+    # the composite law's layout: each member has its own log column and
+    # operators (k, n, d, d), as the reduced W(J), V(J) of a constituent kind
+    rng = np.random.default_rng(seed)
+    stack = mixed_stack(dim, rng)
+    spec = st.as_state(stack).spectral
+    ops = np.stack([[st.random_hermitian(dim, rng) for _ in range(n_gen + 2)]
+                    for _ in stack])
+    acomm, g = sea.dissipator_kernel(spec.eigenvalues, spec.eigenvectors, ops)
+    assert acomm.shape == stack.shape and g.shape == (len(stack),)
+    for i in range(len(stack)):
+        want, g_i = sea.dissipator_kernel(spec.eigenvalues[i], spec.eigenvectors[i], ops[i])
+        assert np.abs(acomm[i] - want).max() <= 1e-14
+        assert abs(g[i] - g_i) <= 1e-14
+
+
 def test_a_two_axis_stack_is_evaluated_per_member():
     rng = np.random.default_rng(3)
     model = commuting_model(3, 1, rng)
