@@ -74,6 +74,14 @@ def build_initial(config: dict, model, seed: int | None) -> st.StateOperator:
         return sz.decode_state(config.get("initial", {}), model=model, seed_override=seed)
 
 
+def preflight(kind: str, model, states) -> None:
+    """Hold each state a subcommand integrates on a composite system to the
+    documented domain: ``composite_rhs`` on a ``StateOperator`` is strict."""
+    if kind == "composite":
+        for rho in states:
+            cp.composite_rhs(rho, model)
+
+
 def build_integrator(config: dict) -> ig.IntegratorConfig:
     try:
         return ig.IntegratorConfig(**config.get("integrator", {}))
@@ -199,8 +207,7 @@ def cmd_simulate(config: dict, out_dir: Path, seed: int | None) -> int:
     (name, block), = dyn.items()
     rhs, obs, eq_norm = build_dynamics(kind, model, name, block, units)
     rho0 = build_initial(config, model, seed)
-    if kind == "composite":
-        cp.composite_rhs(rho0, model)  # pre-flight: strict domain check
+    preflight(kind, model, [rho0])
     int_config = build_integrator(config)
     outputs = config.get("outputs", {})
     start = time.perf_counter()
@@ -342,6 +349,7 @@ def cmd_validate(config: dict, out_dir: Path, seed: int | None) -> int:
         raise ConfigError("validate needs one dynamics block (or a 'sea' block)")
     rhs, obs, _ = build_dynamics(kind, model, name, block, units)
     rho0 = build_initial(config, model, seed)
+    preflight(kind, model, [rho0])
     checks = []
     rhs0 = rhs(rho0.matrix)
     h = obs.energy_op
@@ -430,6 +438,7 @@ def cmd_ensemble(config: dict, out_dir: Path, seed: int | None) -> int:
         raise ConfigError("ensemble needs exactly one dynamics block")
     (name, block), = dyn.items()
     rhs, obs, eq_norm = build_dynamics(kind, model, name, block, units)
+    preflight(kind, model, mu.states)
     int_config = build_integrator(config)
     # the support states advance as one stack on the user's settings; the
     # series needs no entropy production rate

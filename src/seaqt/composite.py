@@ -83,7 +83,6 @@ def validate_model(model: CompositeModel) -> CompositeModel:
     if int(np.prod(dims)) != h.shape[0]:
         raise DimensionMismatchError(
             f"H has dim {h.shape[0]} but factors give {int(np.prod(dims))}")
-    scale = max(1.0, float(np.abs(h).max()))
     new_constituents = []
     for j, c in enumerate(model.constituents):
         if c.tau <= 0:
@@ -94,9 +93,8 @@ def validate_model(model: CompositeModel) -> CompositeModel:
             if x.shape[0] != c.dim:
                 raise DimensionMismatchError(
                     f"constituent {j} generator {i} has dim {x.shape[0]}, expected {c.dim}")
-            lifted = op.embed_factors({j: x}, dims)
-            defect = float(np.abs(op.commutator(lifted, h)).max())
-            if defect > sea.COMMUTATION_TOL * scale:
+            commutes, defect = op.commutation_check(op.embed_factors({j: x}, dims), h)
+            if not commutes:
                 raise NonCommutingGeneratorError(
                     f"lifted generator {i} of constituent {j} does not commute "
                     f"with H (defect {defect:.3e})")
@@ -122,17 +120,15 @@ def _index_maps(kinds: tuple) -> tuple[tuple[_Kind, ...], tuple[np.ndarray, ...]
     pairs ``kinds``: one ``_Kind`` per distinct pair, in order of first
     appearance, and each constituent's own (r, r, d_J, d_J) gather map.
 
-    Gather entry [s, t, a, b] of constituent J is the flat index of row
-    (a, s), column (b, t) of an operator, with a, b the indices of J and
-    s, t those of the rest, in tensor order.  A pure function of the tuple,
+    Constituent J's gather map is the array of flat indices split by
+    ``operators.split_factors`` with J kept.  A pure function of the tuple,
     cached: a model's maps are built once, and the frozen model is left as
     it is.
     """
     dims = [d for d, _ in kinds]
-    n, size = len(dims), int(np.prod(dims))
-    index = np.arange(size * size).reshape(dims * 2)
-    split = tuple(np.moveaxis(index, (j, n + j), (-2, -1)).reshape(
-        size // d, size // d, d, d) for j, d in enumerate(dims))
+    size = int(np.prod(dims))
+    index = np.arange(size * size).reshape(size, size)
+    split = tuple(op.split_factors(index, dims, [j]) for j in range(len(dims)))
     for a in split:
         a.flags.writeable = False
     out = []
@@ -226,13 +222,12 @@ def is_pure_product(rho, model: CompositeModel, reduced=None) -> bool:
     state pure.  ``reduced`` passes reduced states already at hand, single
     or stacked."""
     rho = st.as_state(rho)
-    if float(np.sum(rho.spectral.eigenvalues[1:])) > st.PURE_TOL:
+    if not st.is_pure(rho.spectral.eigenvalues):
         return False
     if reduced is None:
         reduced = [st.as_state(_marginals(rho.matrix, kind.gather)[0])
                    for kind in _maps(model)[0]]
-    return all(bool((sub.spectral.eigenvalues[..., 1:].sum(axis=-1) <= st.PURE_TOL).all())
-               for sub in reduced)
+    return all(bool(st.is_pure(sub.spectral.eigenvalues).all()) for sub in reduced)
 
 
 def _factor_terms(rho, model: CompositeModel):
@@ -366,9 +361,14 @@ class SubsystemPartition:
         return [i for i in all_idx if i not in inside]
 
 
-def bipartite_split(model: CompositeModel, block) -> tuple[list, list, list]:
+def _blocks(model: CompositeModel, block) -> tuple[list, list]:
+    """The constituents of ``block`` and those of the rest, each ascending."""
     keep = sorted(block)
-    rest = [i for i in range(len(model.constituents)) if i not in keep]
+    return keep, [i for i in range(len(model.constituents)) if i not in keep]
+
+
+def bipartite_split(model: CompositeModel, block) -> tuple[list, list, list]:
+    keep, rest = _blocks(model, block)
     if not keep or not rest:
         raise ValueError("split needs a proper nonempty subsystem")
     return keep, rest, model.dims
@@ -377,24 +377,19 @@ def bipartite_split(model: CompositeModel, block) -> tuple[list, list, list]:
 def separability_residual(model: CompositeModel, block) -> float:
     """Frobenius distance from H to its best additive split H(K) + H(K').
 
-    The private part is extracted by normalized partial trace; the scalar
-    offset ambiguity cancels in the residual.
+    Each private part, from ``private_hamiltonian``, has the offset
+    Tr(H)/dim taken out; the split adds it back once.
     """
     if not block:
         raise ValueError("block must be nonempty")
-    keep = sorted(block)
-    rest = [i for i in range(len(model.constituents)) if i not in keep]
-    dims = model.dims
+    keep, rest = _blocks(model, block)
     if not rest:
         return 0.0
-    d_keep = int(np.prod([dims[i] for i in keep]))
-    d_rest = int(np.prod([dims[i] for i in rest]))
-    total_mean = float(np.trace(model.H).real) / (d_keep * d_rest)
-    h_keep = op.partial_trace(model.H, dims, keep=keep) / d_rest \
-        - total_mean * np.eye(d_keep)
-    h_rest = op.partial_trace(model.H, dims, keep=rest) / d_keep
-    split = op.tensor_interleave(h_keep, keep, np.eye(d_rest, dtype=complex), dims) \
-        + op.tensor_interleave(np.eye(d_keep, dtype=complex), keep, h_rest, dims)
+    h_keep, h_rest = private_hamiltonian(model, keep), private_hamiltonian(model, rest)
+    offset = float(np.trace(model.H).real) / model.dim
+    split = op.tensor_interleave(h_keep, keep, np.eye(len(h_rest)), model.dims) \
+        + op.tensor_interleave(np.eye(len(h_keep)), keep, h_rest, model.dims) \
+        + offset * np.eye(model.dim)
     return float(np.linalg.norm(model.H - split, ord="fro"))
 
 
@@ -408,27 +403,20 @@ def is_separable(model: CompositeModel, partition: SubsystemPartition, block) ->
 def private_hamiltonian(model: CompositeModel, block) -> np.ndarray:
     """H(K) from the normalized partial trace, with the composite trace offset
     assigned to the complement block."""
-    keep = sorted(block)
-    rest = [i for i in range(len(model.constituents)) if i not in keep]
-    dims = model.dims
-    d_keep = int(np.prod([dims[i] for i in keep]))
-    d_rest = int(np.prod([dims[i] for i in rest])) if rest else 1
-    total_mean = float(np.trace(model.H).real) / (d_keep * d_rest)
-    return op.hermitize(op.partial_trace(model.H, dims, keep=keep) / d_rest
-                        - total_mean * np.eye(d_keep))
+    h_keep = op.partial_trace(model.H, model.dims, keep=sorted(block))
+    d_keep = len(h_keep)
+    offset = float(np.trace(model.H).real) / model.dim
+    return op.hermitize(h_keep / (model.dim // d_keep) - offset * np.eye(d_keep))
 
 
 def is_independent_state(rho, model: CompositeModel,
                          partition: SubsystemPartition, block) -> tuple[bool, float]:
     """True when rho factors as rho(K) (x) rho(K') across the split."""
     partition.validate_for(model)
-    keep = sorted(block)
-    rest = [i for i in range(len(model.constituents)) if i not in keep]
-    m = st._as_matrix(rho)
-    rho_k = op.partial_trace(m, model.dims, keep=keep)
-    rho_rest = op.partial_trace(m, model.dims, keep=rest)
-    product = op.tensor_interleave(rho_k, keep, rho_rest, model.dims)
-    dist = float(np.linalg.norm(m - product, ord="fro"))
+    keep, rest = _blocks(model, block)
+    product = op.tensor_interleave(subsystem_state(rho, model, keep).matrix, keep,
+                                   subsystem_state(rho, model, rest).matrix, model.dims)
+    dist = float(np.linalg.norm(st._as_matrix(rho) - product, ord="fro"))
     return dist <= INDEPENDENCE_TOL, dist
 
 

@@ -30,6 +30,7 @@ from .states import StateOperator
 
 MERGE_TOL = 1e-9       # Frobenius distance below which support states merge
 WEIGHT_SUM_TOL = 1e-10
+RANGE_MARGIN = 1e-12   # a target must lie this far inside the open value range
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,7 @@ class StatisticalWeightMeasure:
 def measure(pairs) -> StatisticalWeightMeasure:
     """Canonicalize a list of (weight, state) pairs: positive weights summing
     to one, support states merged when within the Frobenius tolerance."""
-    pairs = [(float(w), s if isinstance(s, StateOperator) else st.validate(s))
-             for w, s in pairs]
+    pairs = [(float(w), st.validate(s)) for w, s in pairs]
     if not pairs:
         raise MeasureWeightError("measure needs at least one support point")
     if any(w <= 0 for w, _ in pairs):
@@ -180,8 +180,8 @@ def _solve_exponential_weights(values: np.ndarray, target: float,
                                tol: float = 1e-10) -> np.ndarray:
     """Weights q_n proportional to exp(-b v_n) matching sum q_n v_n = target."""
     lo, hi = float(values.min()), float(values.max())
-    if not (lo + 1e-12 < target < hi - 1e-12):
-        if abs(hi - lo) < 1e-15 and abs(target - lo) < 1e-12:
+    if not (lo + RANGE_MARGIN < target < hi - RANGE_MARGIN):
+        if abs(hi - lo) < 1e-15 and abs(target - lo) < RANGE_MARGIN:
             return np.full(len(values), 1.0 / len(values))
         raise TargetInfeasibleError(
             f"target {target!r} outside the open range ({lo:g}, {hi:g})")
@@ -189,7 +189,7 @@ def _solve_exponential_weights(values: np.ndarray, target: float,
     # q is the Gibbs state of diag(v - lo) with b as beta: the shift keeps the
     # exponent small, and half the tolerance leaves room for round-off below
     constants = eq.ConstantSet((np.diag(values - lo).astype(complex),))
-    m = eq.solve_multipliers(constants, [target - lo], tol=0.5 * tol, margin=1e-12)
+    m = eq.solve_multipliers(constants, [target - lo], tol=0.5 * tol, margin=RANGE_MARGIN)
     q = eq.gibbs_state(constants, m).matrix.diagonal().real
     if abs(float(q @ values) - target) > tol:
         raise TargetInfeasibleError("constraint not met to tolerance")

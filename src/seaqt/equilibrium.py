@@ -70,11 +70,9 @@ def constant_set(operators, units: UnitSystem | None = None) -> ConstantSet:
     if not ops:
         raise ValueError("constant set needs at least the Hamiltonian")
     h = ops[0]
-    scale = max(1.0, float(np.abs(h).max()))
     for i, c in enumerate(ops[1:], start=1):
-        op.require_same_dim(c, h)
-        defect = float(np.abs(op.commutator(c, h)).max())
-        if defect > sea.COMMUTATION_TOL * scale:
+        commutes, defect = op.commutation_check(c, h)
+        if not commutes:
             raise ValueError(f"constant {i} does not commute with H (defect {defect:.3e})")
     # independence must include the identity: the Gibbs parametrization is
     # gauge-degenerate when some combination of the constants is a multiple
@@ -261,7 +259,7 @@ def classify(rho, constants: ConstantSet, model: sea.SingleConstituentModel,
     Stability means the state attains the constrained entropy maximum: no
     other state with the same mean values of the constants has higher entropy.
     """
-    rho = rho if isinstance(rho, StateOperator) else st.validate(rho)
+    rho = st.validate(rho)
     report = sea.is_equilibrium(rho, model, tol=tol)
     if not report.is_equilibrium:
         return NON_EQUILIBRIUM

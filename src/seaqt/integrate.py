@@ -46,7 +46,6 @@ import numpy as np
 from . import operators as op
 from . import states as st
 from .errors import StateInvalidError, StepUnderflowError
-from .states import StateOperator
 
 METHODS = ("rk45", "rk4")
 PROJECTION_MODES = ("off", "hermitize_only", "full")
@@ -191,8 +190,8 @@ def project(rho_raw: np.ndarray, mode: str) -> np.ndarray:
     onto the state set.
 
     hermitize_only symmetrizes; full additionally clamps eigenvalues at zero
-    (when above the -1e-10 floor) and renormalizes the trace.  Matrices
-    beyond repair raise ``StateInvalidError``.
+    (when above ``states.EIG_CLAMP_FLOOR``) and renormalizes the trace.
+    Matrices beyond repair raise ``StateInvalidError``.
     """
     return _project(rho_raw, mode)[0]
 
@@ -239,7 +238,7 @@ def _project(rho_raw: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
     # an entropy-ascent-unstable manifold; spectral weight off the top
     # eigenvalue below the pure cut is step noise, so strip it before it
     # can seed an escape
-    pure = vals[..., :-1].sum(axis=-1) <= st.PURE_TOL
+    pure = st.is_pure(vals[..., ::-1])
     m = (vecs * vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
     m = op.hermitize(m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None])
     if np.count_nonzero(pure):
@@ -317,7 +316,7 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
     next step starts from.
     """
     obs = observables or Observables()
-    m = rho0.matrix.copy() if isinstance(rho0, StateOperator) else op.as_complex(rho0).copy()
+    m = st._as_matrix(rho0).copy()
     traj = Trajectory()
     stats = traj.stats
     stats.update(rhs_calls=0, accepted_steps=0, rejected_steps=0, k1_reused=0,

@@ -92,7 +92,7 @@ def energy_drift_sample(model: LindbladModel, h, n: int = 32, seed: int = 0) -> 
 def kl_entropy_production(rho, model: LindbladModel) -> float:
     """k sum_j Tr(A_j+ A_j rho ln rho - A_j rho A_j+ ln rho) on full-rank
     states; equals -k Tr(kl_rhs ln rho), the drift part contributing zero."""
-    rho = rho if isinstance(rho, StateOperator) else st.validate(rho)
+    rho = st.validate(rho)
     if rho.spectral.eigenvalues[-1] < st.LOG_FLOOR:
         raise SingularStateError(
             "entropy production diverges on singular states; "
@@ -246,8 +246,7 @@ def double_commutator_rhs(rho, f, tau: float, h,
     h = op.require_hermitian(h, name="H")
     op.require_same_dim(f, h)
     op.require_same_dim(m, h)
-    scale = max(1.0, float(np.abs(h).max()))
-    if float(np.abs(op.commutator(f, h)).max()) > 1e-10 * scale:
+    if not op.commutation_check(f, h)[0]:
         raise NonCommutingFError("F must commute with H")
     ham = -1j / u.hbar * op.commutator(h, m)
     return ham - tau / (2.0 * u.hbar**2) * op.commutator(f, op.commutator(f, m))

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DimensionMismatchError, NotHermitianError
 
 HERMITICITY_TOL = 1e-12
+COMMUTATION_TOL = 1e-10       # relative, against max(1, ||H||_max)
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,14 @@ def commutator(a, b) -> np.ndarray:
     a, b = as_complex(a), as_complex(b)
     require_same_dim(a, b)
     return a @ b - b @ a
+
+
+def commutation_check(x, h) -> tuple[bool, float]:
+    """The one test of [X, H] = 0: (commutes, defect), with the defect
+    max|[X, H]| held to COMMUTATION_TOL max(1, ||H||_max).  Shapes are
+    checked as by ``commutator``."""
+    defect = float(np.abs(commutator(x, h)).max())
+    return defect <= COMMUTATION_TOL * max(1.0, float(np.abs(h).max())), defect
 
 
 def anticommutator(a, b) -> np.ndarray:
@@ -150,6 +159,19 @@ def kron_all(ops) -> np.ndarray:
     return out
 
 
+def split_factors(a: np.ndarray, dims, keep) -> np.ndarray:
+    """A (D, D) operator on tensor factors ``dims`` as a (r, r, k, k) array:
+    entry [s, t, a, b] is row (a, s), column (b, t), with a, b the indices
+    of the factors in ``keep`` and s, t those of the rest, each in tensor
+    order (leftmost factor slowest).  The one layout of the factors."""
+    n, keep = len(dims), sorted(keep)
+    rest = [i for i in range(n) if i not in keep]
+    k = int(np.prod([dims[i] for i in keep]))
+    r = len(a) // k
+    axes = rest + [n + i for i in rest] + keep + [n + i for i in keep]
+    return np.asarray(a).reshape(list(dims) * 2).transpose(axes).reshape(r, r, k, k)
+
+
 def partial_trace(a, dims, keep) -> np.ndarray:
     """Trace out every tensor factor not listed in ``keep``.
 
@@ -167,23 +189,16 @@ def partial_trace(a, dims, keep) -> np.ndarray:
         raise ValueError("keep must be nonempty")
     if keep[0] < 0 or keep[-1] >= len(dims):
         raise DimensionMismatchError(f"keep indices {keep} out of range for {len(dims)} factors")
-    n = len(dims)
-    tensor = a.reshape(dims + dims)
-    traced = [i for i in range(n) if i not in keep]
-    # repeatedly trace over one (row, column) axis pair; axes shift as we go
-    for count, idx in enumerate(sorted(traced)):
-        row_ax = idx - count
-        col_ax = row_ax + (n - count)
-        tensor = np.trace(tensor, axis1=row_ax, axis2=col_ax)
-    kept_dim = int(np.prod([dims[i] for i in keep]))
-    return tensor.reshape(kept_dim, kept_dim)
+    return np.einsum("ssab->ab", split_factors(a, dims, keep))
 
 
 def eigh(a, tol: float = HERMITICITY_TOL):
     """Eigendecomposition of a Hermitian matrix.
 
-    Returns (eigenvalues ascending, unitary eigenvector columns).  This is
-    the single primitive behind all matrix functions used here (log, exp).
+    Returns (eigenvalues ascending, unitary eigenvector columns), after
+    ``require_hermitian`` rejects a non-Hermitian input.  A public helper:
+    the library's own paths call ``np.linalg.eigh`` on matrices they hold
+    Hermitian already.
     """
     a = require_hermitian(a, tol)
     vals, vecs = np.linalg.eigh(a)
@@ -206,21 +221,9 @@ def tensor_interleave(op_a: np.ndarray, positions_a, op_b: np.ndarray, dims) -> 
     ``op_a`` acts on the factors listed in ``positions_a`` (in ascending
     order); ``op_b`` acts on the remaining factors (also in ascending order).
     """
-    dims = list(dims)
-    n = len(dims)
-    pos_a = sorted(positions_a)
-    pos_b = [i for i in range(n) if i not in pos_a]
-    order = pos_a + pos_b
-    block = np.kron(as_complex(op_a), as_complex(op_b))
-    if order == list(range(n)):
-        return block
-    dims_perm = [dims[i] for i in order]
-    tensor = block.reshape(dims_perm + dims_perm)
-    # axis k of the permuted tensor carries original factor order[k];
-    # invert that placement to restore ascending factor order
-    inv = [0] * n
-    for axis, orig in enumerate(order):
-        inv[orig] = axis
-    perm = inv + [axis + n for axis in inv]
-    total = int(np.prod(dims))
-    return tensor.transpose(perm).reshape(total, total)
+    total = int(np.prod(list(dims)))
+    index = split_factors(np.arange(total * total).reshape(total, total), dims, positions_a)
+    out = np.empty(total * total, dtype=complex)
+    # entries op_a[a, b] op_b[s, t], multiplied in np.kron's operand order
+    out[index] = np.multiply.outer(as_complex(op_a), as_complex(op_b)).transpose(2, 3, 0, 1)
+    return out.reshape(total, total)

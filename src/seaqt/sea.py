@@ -38,9 +38,7 @@ from . import states as st
 from .errors import (DimensionMismatchError, NonCommutingGeneratorError,
                      NonPositiveTauError)
 from .operators import UnitSystem
-from .states import StateOperator
 
-COMMUTATION_TOL = 1e-10       # relative, against ||H||_max
 GRAM_CONDITION_WARN = 1e8
 SPAN_RESIDUAL_TOL = 1e-9
 
@@ -75,21 +73,20 @@ class SingleConstituentModel:
 def validate_model(model: SingleConstituentModel) -> SingleConstituentModel:
     """Check Hermiticity, commutation and tau; warn on near-degenerate Gram.
 
-    Returns the model with symmetrized operators.  The Gram condition number
-    of the generators is probed at rho = I/dim and a warning is issued above
-    1e8 (duplicate generators degrade gracefully to a round-off-level
-    dissipator, but silence would hide the degeneracy).
+    Returns the model with symmetrized operators.  Commutation is judged by
+    ``operators.commutation_check``.  The Gram condition number of the
+    generators is probed at rho = I/dim and a warning is issued above
+    GRAM_CONDITION_WARN (duplicate generators degrade gracefully to a
+    round-off-level dissipator, but silence would hide the degeneracy).
     """
     if model.tau <= 0:
         raise NonPositiveTauError(f"tau must be positive, got {model.tau}")
     h = op.require_hermitian(model.H, name="H")
-    scale = max(1.0, float(np.abs(h).max()))
     gens = []
     for i, x in enumerate(model.generators):
         x = op.require_hermitian(x, name=f"generator {i}")
-        op.require_same_dim(x, h)
-        defect = float(np.abs(op.commutator(x, h)).max())
-        if defect > COMMUTATION_TOL * scale:
+        commutes, defect = op.commutation_check(x, h)
+        if not commutes:
             raise NonCommutingGeneratorError(
                 f"generator {i} does not commute with H (defect {defect:.3e})")
         gens.append(x)
@@ -163,7 +160,7 @@ def dissipator_kernel(p: np.ndarray, u: np.ndarray, ops, log_column=None):
     return op.hermitize(u @ acomm @ uh), det * log_var - np.vecdot(pairs, det_beta)
 
 
-def _projection_form(rho: StateOperator, model: SingleConstituentModel):
+def _projection_form(rho: st.StateOperator, model: SingleConstituentModel):
     """The kernel at rho, with the regular p ln p pieces as the log column.
     It runs at p / sum p and scales {D, rho} back by sum p, so the result is
     traceless even where a trial state's negative eigenvalue clipped to 0.
@@ -187,7 +184,7 @@ def dissipator_anticommutator(rho, model: SingleConstituentModel) -> np.ndarray:
     # round-off from seeding the entropy-ascent instability of that manifold.
     # Judged on the clipped spectrum so that trial steps overshooting purity
     # still branch.
-    pure = rho.spectral.eigenvalues[..., 1:].sum(axis=-1) <= st.PURE_TOL
+    pure = st.is_pure(rho.spectral.eigenvalues)
     n_pure = np.count_nonzero(pure)
     if n_pure == pure.size:
         return np.zeros_like(rho.matrix)
@@ -246,9 +243,7 @@ def span_check(c, h, generators, tol: float = SPAN_RESIDUAL_TOL) -> ConstantRepo
     """[C, H] = 0, and the residual of C against span{I, H, generators} under
     the trace inner product (relative to ||C|| for the in-span verdict)."""
     c = op.require_hermitian(c, name="C")
-    op.require_same_dim(c, h)
-    scale = max(1.0, float(np.abs(h).max()))
-    commutes = float(np.abs(op.commutator(c, h)).max()) <= COMMUTATION_TOL * scale
+    commutes = op.commutation_check(c, h)[0]
     span_ops = [np.eye(h.shape[0], dtype=complex), h, *generators]
     basis = np.column_stack([s.ravel() for s in span_ops])
     coeffs = op.least_squares(basis, c.ravel())
@@ -285,7 +280,7 @@ def is_equilibrium(rho, model: SingleConstituentModel,
     coherences fail the commutation check.  The rhs norm is attached as a
     numerical cross-check: every equilibrium state is a fixed point.
     """
-    rho = rho if isinstance(rho, StateOperator) else st.validate(rho)
+    rho = st.validate(rho)
     h = model.H
     scale = max(1.0, float(np.linalg.norm(h, ord="fro")))
     commutes = op.frobenius_norm(op.commutator(rho.matrix, h)) <= tol * scale

@@ -290,7 +290,7 @@ def decode_state(obj, model=None, seed_override: int | None = None) -> st.StateO
             raise ConfigError("required field missing; give it here or pass --seed",
                               "random.seed")
         return st.random_full_rank(int(dim), seed=int(seed),
-                                   min_eig=float(spec.get("min_eig", 1e-4)))
+                                   min_eig=float(spec.get("min_eig", st.RANDOM_MIN_EIG)))
     # kind == "mix"
     with field_path("mix.state"):
         inner = decode_state(spec["state"], model=model, seed_override=seed_override)

@@ -29,9 +29,10 @@ LOG_FLOOR = 1e-12          # eigenvalues below this make ln(rho) singular; they
                            # count as off the support, and log_operator clamps
                            # them here
 PURE_TOL = 1e-10           # spectral weight off the top eigenvalue below this
-                           # counts as pure: the exact pure-state branches and
-                           # the integrator's purity snap; kept well under the
-                           # documented 1e-8 mixing floor
+                           # counts as pure (``is_pure``): the exact pure-state
+                           # branches and the integrator's purity snap; kept
+                           # well under the documented 1e-8 mixing floor
+RANDOM_MIN_EIG = 1e-4      # default eigenvalue floor of ``random_full_rank``
 
 
 def _as_matrix(rho) -> np.ndarray:
@@ -46,16 +47,18 @@ def as_state(rho) -> StateOperator:
     return StateOperator(op.hermitize(rho))
 
 
+def is_pure(p: np.ndarray) -> np.ndarray:
+    """The purity cut: whether a descending spectrum, or each of a (..., d)
+    stack, has at most PURE_TOL of its weight off the top eigenvalue."""
+    return p[..., 1:].sum(axis=-1) <= PURE_TOL
+
+
 @dataclass(frozen=True)
 class SpectralForm:
     """Eigenvalues (descending, clamped to [0, 1]) and eigenvector columns."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -86,12 +89,15 @@ class StateOperator:
 
 
 def validate(matrix, herm_tol: float = op.HERMITICITY_TOL) -> StateOperator:
-    """Symmetrize, clamp round-off negativity, renormalize, or reject.
+    """Symmetrize, clamp round-off negativity, renormalize, or reject; a
+    ``StateOperator`` is valid already and comes back as it is.
 
-    Eigenvalues in [-1e-10, 0) clamp to 0; anything more negative is genuine
-    invalidity and raises ``NotPositiveError``.  |Tr - 1| beyond 1e-6 raises
-    ``TraceError``.
+    Eigenvalues in [EIG_CLAMP_FLOOR, 0) clamp to 0; anything more negative
+    is genuine invalidity and raises ``NotPositiveError``.  |Tr - 1| beyond
+    TRACE_TOL raises ``TraceError``.
     """
+    if isinstance(matrix, StateOperator):
+        return matrix
     m = op.as_complex(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitianError(f"state operator must be square, got shape {m.shape}")
@@ -265,7 +271,7 @@ def gibbs_seed(beta: float, h) -> StateOperator:
     return StateOperator((vecs * w) @ vecs.conj().T)
 
 
-def random_full_rank(dim: int, seed: int, min_eig: float = 1e-4) -> StateOperator:
+def random_full_rank(dim: int, seed: int, min_eig: float = RANDOM_MIN_EIG) -> StateOperator:
     """Deterministic full-rank random state with min eigenvalue >= min_eig."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

@@ -681,6 +681,25 @@ class TestCompositeScenarios:
         code = cli.main(["validate", "--config", config_path, "--out", str(tmp_path)])
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["validate", "ensemble"])
+    def test_composite_singular_start_exits_3_before_integrating(self, command,
+                                                                  tmp_path, capsys):
+        # every state a subcommand integrates meets simulate's pre-flight;
+        # in the measure the Bell state is the second support point
+        config = self.composite_config()
+        bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
+        bell_state = {"dim": 4, "pure": [[v, 0.0] for v in bell]}
+        if command == "validate":
+            config["initial"] = bell_state
+        else:
+            config["measure"] = {"support": [{"w": 0.5, "state": config.pop("initial")},
+                                             {"w": 0.5, "state": bell_state}]}
+        config_path = write_config(tmp_path, config)
+        code = cli.main([command, "--config", config_path, "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "SingularCompositeState" in err and "mix" in err
+
 
 class TestGibbsInitialWithGenerators:
     def test_multiplier_count_matches_generators(self, tmp_path, capsys):

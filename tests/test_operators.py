@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
+from seaqt import composite as cp
+from seaqt import equilibrium as eq
+from seaqt import lindblad as lb
 from seaqt import operators as op
-from seaqt.errors import DimensionMismatchError, NotHermitianError
+from seaqt import sea
+from seaqt.errors import (DimensionMismatchError, NonCommutingFError,
+                          NonCommutingGeneratorError, NotHermitianError)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -50,6 +57,46 @@ class TestCommutators:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             op.commutator(SX, np.eye(3))
+
+
+def _accepts(call, error) -> bool:
+    try:
+        call()
+    except error as exc:
+        assert "commute" in str(exc)
+        return False
+    return True
+
+
+# every entry point that requires [X, H] = 0, as (H, X) -> accepted
+COMMUTATION_ENTRY_POINTS = {
+    "sea.validate_model": lambda h, x: _accepts(
+        lambda: sea.validate_model(sea.SingleConstituentModel(h, (x,))),
+        NonCommutingGeneratorError),
+    "sea.span_check": lambda h, x: sea.span_check(x, h, [x]).commutes_with_H,
+    "composite.validate_model": lambda h, x: _accepts(
+        lambda: cp.validate_model(cp.CompositeModel(
+            (cp.Constituent(3, (x,)), cp.Constituent(2)), op.kron(h, I2))),
+        NonCommutingGeneratorError),
+    "equilibrium.constant_set": lambda h, x: _accepts(
+        lambda: eq.constant_set([h, x]), ValueError),
+    "lindblad.double_commutator_rhs": lambda h, x: _accepts(
+        lambda: lb.double_commutator_rhs(np.eye(3) / 3, x, 1.0, h), NonCommutingFError),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COMMUTATION_ENTRY_POINTS))
+@pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
+def test_commutation_threshold(entry, factor, accepted):
+    # ||H||_max = 3 sets the threshold COMMUTATION_TOL max(1, 3); the
+    # coupling P of levels 1 and 2 has max|[P, H]| = 3 - 1
+    h = np.diag([0.0, 1.0, 3.0]).astype(complex)
+    p = np.zeros((3, 3), dtype=complex)
+    p[1, 2] = p[2, 1] = 1.0
+    threshold = op.COMMUTATION_TOL * 3.0
+    x = np.diag([1.0, 0.0, 0.0]) + factor * threshold / 2.0 * p
+    assert op.commutation_check(x, h)[1] == pytest.approx(factor * threshold, rel=1e-12)
+    assert COMMUTATION_ENTRY_POINTS[entry](h, x) is accepted
 
 
 class TestTraceInnerProduct:
@@ -193,6 +240,20 @@ class TestEigh:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             op.eigh(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(seed=hs.integers(0, 2**31 - 1),
+       dims=hs.lists(hs.integers(1, 3), min_size=2, max_size=4), data=hs.data())
+def test_partial_trace_inverts_tensor_interleave(seed, dims, data):
+    keep = sorted(data.draw(hs.sets(hs.integers(0, len(dims) - 1), min_size=1)))
+    rng = np.random.default_rng(seed)
+    k = int(np.prod([dims[i] for i in keep]))
+    r = int(np.prod(dims)) // k
+    a = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    b = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+    got = op.partial_trace(op.tensor_interleave(a, keep, b, dims), dims, keep)
+    assert np.abs(got - np.trace(b) * a).max() <= 1e-12
 
 
 class TestTensorInterleave:

@@ -34,6 +34,10 @@ class TestValidate:
         rho = st.validate(np.diag([0.5, 0.5]) * (1 + 1e-8))
         assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-14)
 
+    def test_validated_state_comes_back_as_it_is(self):
+        rho = st.random_full_rank(3, seed=1)
+        assert st.validate(rho) is rho
+
 
 class TestMeanVariance:
     def test_mean_identity(self):
