@@ -156,10 +156,7 @@ def build_dynamics(kind: str, model, name: str, block: dict, units):
     # double_commutator, the one block the schema admits beyond these
     with sz.field_path("dynamics.double_commutator.F"):
         f = sz.decode_matrix(block["F"])
-    tau = float(block["tau"])
-
-    def rhs(m):
-        return lb.double_commutator_rhs(m, f, tau, h, units=units)
+    rhs = lb.double_commutator(f, float(block["tau"]), h, units=units)
 
     def g_rate(m):
         rho = st.as_state(m)
@@ -452,8 +449,7 @@ def cmd_ensemble(config: dict, out_dir: Path, seed: int | None) -> int:
             s.t, i_mu, weights @ s.entropy, weights @ s.energy)))
     series_path = out_dir / outputs.get("series_csv", "ensemble_series.csv")
     series_path.write_text("\n".join(lines) + "\n")
-    evolved = en.measure([(w, st.validate(rho))
-                          for w, rho in zip(weights, traj.final.rho)])
+    evolved = en.measure(zip(weights, traj.final.rho))
     measure_path = out_dir / outputs.get("measure_json", "measure_evolved.json")
     measure_path.write_text(json.dumps(sz.encode_measure(evolved), indent=2) + "\n")
     summary = {

@@ -367,13 +367,6 @@ def _blocks(model: CompositeModel, block) -> tuple[list, list]:
     return keep, [i for i in range(len(model.constituents)) if i not in keep]
 
 
-def bipartite_split(model: CompositeModel, block) -> tuple[list, list, list]:
-    keep, rest = _blocks(model, block)
-    if not keep or not rest:
-        raise ValueError("split needs a proper nonempty subsystem")
-    return keep, rest, model.dims
-
-
 def separability_residual(model: CompositeModel, block) -> float:
     """Frobenius distance from H to its best additive split H(K) + H(K').
 

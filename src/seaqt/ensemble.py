@@ -132,7 +132,7 @@ def evolve_measure(mu: StatisticalWeightMeasure, rhs, t_max: float,
     """
     cfg = replace(config or ig.IntegratorConfig(), t_max=t_max)
     final = integrate_support(mu, rhs, cfg).final.rho
-    return measure([(w, st.validate(rho)) for w, rho in zip(mu.weights, final)])
+    return measure(zip(mu.weights, final))
 
 
 def _raises(fn, x) -> bool:

@@ -6,6 +6,10 @@ The default method is an adaptive Dormand-Prince RK45; fixed-step RK4 is
 retained for convergence-order checks.  With full projection every recorded
 sample is a valid state operator, and the pre-projection trace/Hermiticity
 residuals are logged so projection never silently masks integrator failure.
+The validity rule itself, its tolerances and its repair, lives in
+``states`` alone: full projection applies it to every step and sample, and
+with projection off the same rule checks each step's raw state and raises
+``StateInvalidError`` instead of repairing.
 
 Dormand-Prince is FSAL (first same as last): its 7th stage is evaluated at
 the 5th-order solution.  When the projection neither clamped an eigenvalue
@@ -189,9 +193,11 @@ def project(rho_raw: np.ndarray, mode: str) -> np.ndarray:
     """Pull a near-valid matrix, or each member of a (..., d, d) stack, back
     onto the state set.
 
-    hermitize_only symmetrizes; full additionally clamps eigenvalues at zero
-    (when above ``states.EIG_CLAMP_FLOOR``) and renormalizes the trace.
-    Matrices beyond repair raise ``StateInvalidError``.
+    hermitize_only symmetrizes; full additionally applies the state-validity
+    rule of ``states.validate`` (clamp eigenvalues above
+    ``states.EIG_CLAMP_FLOOR`` at zero, renormalize the trace) and snaps
+    near-pure members to purity.  Matrices beyond repair raise
+    ``StateInvalidError``.
     """
     return _project(rho_raw, mode)[0]
 
@@ -203,20 +209,6 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag))
 
 
-def _raise_for(bad: np.ndarray, values, cls, message: str) -> None:
-    """Raise ``cls`` for the first member that the mask ``bad`` flags, if
-    any.  ``message`` is formatted with that member's entry of ``values``.
-    In a stack the error names the member by its flat index over the
-    leading axes, in the message and as its ``member`` attribute."""
-    if not np.count_nonzero(bad):
-        return
-    k = int(np.flatnonzero(bad)[0])
-    err = cls(message.format(float(np.ravel(values)[k]))
-              + (f" (member {k})" if bad.ndim else ""))
-    err.member = k if bad.ndim else None
-    raise err
-
-
 def _project(rho_raw: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """``project``, plus a mask of the members that it clamped or snapped
     to purity (however little either moved them)."""
@@ -226,31 +218,17 @@ def _project(rho_raw: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
     m = op.hermitize(rho_raw)
     if mode == "hermitize_only":
         return m, untouched
-    vals, vecs = np.linalg.eigh(m)
-    _raise_for(vals[..., 0] < st.EIG_CLAMP_FLOOR, vals[..., 0], StateInvalidError,
-               "eigenvalue {:.3e} below clamp floor during integration")
-    tr = np.trace(m, axis1=-2, axis2=-1).real
-    _raise_for(np.abs(tr - 1.0) > st.TRACE_TOL, tr, StateInvalidError,
-               "trace {!r} drifted beyond repair")
-    clamped = vals[..., 0] < 0.0
-    vals = np.clip(vals, 0.0, None)
+    m, vals, vecs = st._check_and_repair(m, StateInvalidError, StateInvalidError,
+                                         " during integration")
     # pure states are exact fixed points of the dissipative flow but sit on
     # an entropy-ascent-unstable manifold; spectral weight off the top
     # eigenvalue below the pure cut is step noise, so strip it before it
     # can seed an escape
-    pure = st.is_pure(vals[..., ::-1])
-    m = (vecs * vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    m = op.hermitize(m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None])
+    pure = st.is_pure(np.clip(vals[..., ::-1], 0.0, None))
     if np.count_nonzero(pure):
         top = vecs[..., :, -1][pure]
         m[pure] = top[:, :, None] * top[:, None, :].conj()
-    return m, clamped | pure
-
-
-def detect_equilibrium(rho: np.ndarray, rhs_val: np.ndarray, tol: float,
-                       scale: float = 1.0) -> bool:
-    """True when ||rhs||_F <= tol * max(1, scale)."""
-    return float(np.linalg.norm(rhs_val, ord="fro")) <= tol * max(1.0, scale)
+    return m, (vals[..., 0] < 0.0) | pure
 
 
 def _expectation(rho: np.ndarray, a: np.ndarray):
@@ -383,9 +361,9 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
                     dt_next = min(config.dt_max, dt * factor)
                     break
                 if dt <= config.dt_min * DT_MIN_SLACK:
-                    _raise_for(ratios == ratio, ratios, StepUnderflowError,
-                               f"dt_min {config.dt_min:g} reached at t = {t:g} with "
-                               "scaled error {:.3e}")
+                    st._raise_for(ratios == ratio, ratios, StepUnderflowError,
+                                  f"dt_min {config.dt_min:g} reached at t = {t:g} with "
+                                  "scaled error {:.3e}")
                 stats["rejected_steps"] += 1
                 dt = max(config.dt_min, dt * max(0.2, 0.9 * ratio ** -0.2))
             # boundaries inside the step, from its continuous extension
@@ -398,11 +376,9 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
 
         m_proj, repaired = _project(m_new, config.projection)
         if config.projection == "off":
-            vals = np.linalg.eigvalsh(op.hermitize(m_proj))
-            tr = np.trace(m_proj, axis1=-2, axis2=-1).real
-            _raise_for((vals[..., 0] < st.EIG_CLAMP_FLOOR) | (np.abs(tr - 1) > st.TRACE_TOL),
-                       tr, StateInvalidError,
-                       f"state left the valid set at t = {t_new:g} with projection off")
+            # the same rule checks the raw state, and its repair is discarded
+            st._check_and_repair(op.hermitize(m_new), StateInvalidError, StateInvalidError,
+                                 f" at t = {t_new:g} with projection off")
         t, m_raw, m = t_new, m_new, m_proj
         stats["accepted_steps"] += 1
         steps_since_sample += 1

@@ -233,20 +233,31 @@ def symmetric_limit_rhs(rho, w: float, h) -> np.ndarray:
     return vecs @ (phase + decay) @ vecs.conj().T
 
 
-def double_commutator_rhs(rho, f, tau: float, h,
-                          units: UnitSystem | None = None) -> np.ndarray:
-    """-(i/hbar)[H, rho] - (tau/2 hbar^2) [F, [F, rho]] for [F, H] = 0.
+def double_commutator(f, tau: float, h, units: UnitSystem | None = None):
+    """The rhs rho -> -(i/hbar)[H, rho] - (tau/2 hbar^2) [F, [F, rho]], with
+    F and H validated here once: Hermitian, of one dimension, and [F, H] = 0
+    (else ``NonCommutingFError``).
 
-    Conserves the trace and the means of H and F by construction.  A
-    (..., d, d) stack of states broadcasts.
+    Conserves the trace and the means of H and F by construction.  The rhs
+    takes a state or a (..., d, d) stack of states.
     """
     u = units or UnitSystem()
-    m = st._as_matrix(rho)
     f = op.require_hermitian(f, name="F")
     h = op.require_hermitian(h, name="H")
     op.require_same_dim(f, h)
-    op.require_same_dim(m, h)
     if not op.commutation_check(f, h)[0]:
         raise NonCommutingFError("F must commute with H")
-    ham = -1j / u.hbar * op.commutator(h, m)
-    return ham - tau / (2.0 * u.hbar**2) * op.commutator(f, op.commutator(f, m))
+
+    def rhs(rho) -> np.ndarray:
+        m = st._as_matrix(rho)
+        op.require_same_dim(m, h)
+        ham = -1j / u.hbar * op.commutator(h, m)
+        return ham - tau / (2.0 * u.hbar**2) * op.commutator(f, op.commutator(f, m))
+    return rhs
+
+
+def double_commutator_rhs(rho, f, tau: float, h,
+                          units: UnitSystem | None = None) -> np.ndarray:
+    """``double_commutator(f, tau, h, units)`` at rho, validating F and H on
+    every call; an integration builds the rhs once instead."""
+    return double_commutator(f, tau, h, units)(rho)

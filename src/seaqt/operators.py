@@ -192,19 +192,6 @@ def partial_trace(a, dims, keep) -> np.ndarray:
     return np.einsum("ssab->ab", split_factors(a, dims, keep))
 
 
-def eigh(a, tol: float = HERMITICITY_TOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, unitary eigenvector columns), after
-    ``require_hermitian`` rejects a non-Hermitian input.  A public helper:
-    the library's own paths call ``np.linalg.eigh`` on matrices they hold
-    Hermitian already.
-    """
-    a = require_hermitian(a, tol)
-    vals, vecs = np.linalg.eigh(a)
-    return vals, vecs
-
-
 def embed_factors(ops_by_position: dict[int, np.ndarray], dims) -> np.ndarray:
     """Operator acting as ops_by_position[j] on factor j and identity elsewhere."""
     factors = []

@@ -1,6 +1,10 @@
 """State operators: validity rules, entropy, deviations, covariance products.
 
 A state operator is a Hermitian, nonnegative-definite, unit-trace matrix.
+The rule that checks and repairs one has a single body here,
+``_check_and_repair``, stacked over (..., d, d): ``validate`` runs it on
+user input (``NotPositiveError``, ``TraceError``) and the integrator's
+projection on every step (``StateInvalidError`` naming the member).
 Log-dependent quantities of the equation of motion route through the
 regular p ln p forms (``rho_log_rho``, ``log_variance``), so singular
 states never require ln(rho) on its own.  Where ln(rho) itself is needed
@@ -88,13 +92,48 @@ class StateOperator:
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
 
+def _raise_for(bad: np.ndarray, values, cls, message: str) -> None:
+    """Raise ``cls`` for the first member that the mask ``bad`` flags, if
+    any.  ``message`` is formatted with that member's entry of ``values``.
+    In a stack the error names the member by its flat index over the
+    leading axes, in the message and as its ``member`` attribute."""
+    if not np.count_nonzero(bad):
+        return
+    k = int(np.flatnonzero(bad)[0])
+    err = cls(message.format(float(np.ravel(values)[k]))
+              + (f" (member {k})" if bad.ndim else ""))
+    err.member = k if bad.ndim else None
+    raise err
+
+
+def _check_and_repair(m: np.ndarray, not_positive, bad_trace, where: str = ""):
+    """The validity rule on a Hermitian matrix or on each member of a
+    (..., d, d) stack: an eigenvalue below EIG_CLAMP_FLOOR raises
+    ``not_positive`` and |Tr - 1| beyond TRACE_TOL raises ``bad_trace``,
+    naming the member (``where`` ends the message); otherwise eigenvalues
+    in [EIG_CLAMP_FLOOR, 0) clamp to 0 and the trace renormalizes.
+
+    Returns the repaired matrix and the eigendecomposition (ascending
+    eigenvalues, as yet unclamped, and eigenvector columns) of ``m``.
+    """
+    vals, vecs = np.linalg.eigh(m)
+    _raise_for(vals[..., 0] < EIG_CLAMP_FLOOR, vals[..., 0], not_positive,
+               "eigenvalue {:.3e} below clamp floor" + where)
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    _raise_for(np.abs(tr - 1.0) > TRACE_TOL, tr, bad_trace,
+               "trace {!r} too far from 1 to renormalize" + where)
+    r = (vecs * np.clip(vals, 0.0, None)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return op.hermitize(r / np.trace(r, axis1=-2, axis2=-1).real[..., None, None]), vals, vecs
+
+
 def validate(matrix, herm_tol: float = op.HERMITICITY_TOL) -> StateOperator:
     """Symmetrize, clamp round-off negativity, renormalize, or reject; a
     ``StateOperator`` is valid already and comes back as it is.
 
-    Eigenvalues in [EIG_CLAMP_FLOOR, 0) clamp to 0; anything more negative
-    is genuine invalidity and raises ``NotPositiveError``.  |Tr - 1| beyond
-    TRACE_TOL raises ``TraceError``.
+    Square shape and Hermiticity are checked here; the rest of the rule is
+    ``_check_and_repair``, which the integrator's projection shares.  An
+    eigenvalue below EIG_CLAMP_FLOOR raises ``NotPositiveError`` and
+    |Tr - 1| beyond TRACE_TOL raises ``TraceError``.
     """
     if isinstance(matrix, StateOperator):
         return matrix
@@ -103,17 +142,7 @@ def validate(matrix, herm_tol: float = op.HERMITICITY_TOL) -> StateOperator:
         raise NotHermitianError(f"state operator must be square, got shape {m.shape}")
     if op.herm_defect(m) > herm_tol:
         raise NotHermitianError("state operator is not Hermitian within tolerance")
-    m = op.hermitize(m)
-    vals, vecs = np.linalg.eigh(m)
-    if vals[0] < EIG_CLAMP_FLOOR:
-        raise NotPositiveError(f"smallest eigenvalue {vals[0]:.3e} below clamp floor")
-    tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise TraceError(f"trace {tr!r} too far from 1 to renormalize")
-    vals = np.clip(vals, 0.0, None)
-    m = (vecs * vals) @ vecs.conj().T
-    m = m / float(np.trace(m).real)
-    return StateOperator(op.hermitize(m))
+    return StateOperator(_check_and_repair(op.hermitize(m), NotPositiveError, TraceError)[0])
 
 
 def mean(g, rho) -> float:

@@ -49,20 +49,58 @@ class TestProject:
 
 
 class TestDetectEquilibrium:
+    """Detection by the default norm, the rhs Frobenius norm per member."""
+
+    CONFIG = ig.IntegratorConfig(t_max=0.1, equilibrium_norm_tol=1e-9)
+
     def test_gibbs_state_detected(self, qubit_model):
         rho = st.gibbs_seed(1.0, qubit_model.H)
-        rhs = sea.sea_rhs(rho, qubit_model)
-        assert ig.detect_equilibrium(rho.matrix, rhs, 1e-9)
+        traj = ig.integrate(rho, sea_rhs_fn(qubit_model), self.CONFIG)
+        assert traj.termination == "equilibrium"
+        assert traj.stats["accepted_steps"] == 0
 
     def test_random_state_not_detected(self, qubit_model):
         rho = st.StateOperator(np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex))
-        rhs = sea.sea_rhs(rho, qubit_model)
-        assert not ig.detect_equilibrium(rho.matrix, rhs, 1e-9)
+        traj = ig.integrate(rho, sea_rhs_fn(qubit_model), self.CONFIG)
+        assert traj.termination == "t_max"
 
     def test_rotating_pure_state_not_detected(self, qubit_model):
-        rho = st.pure_state([1, 1j]) if False else st.pure_state(np.array([1.0, 1.0]) / np.sqrt(2))
-        rhs = sea.sea_rhs(rho, qubit_model)
-        assert not ig.detect_equilibrium(rho.matrix, rhs, 1e-9)
+        rho = st.pure_state(np.array([1.0, 1.0]) / np.sqrt(2))
+        traj = ig.integrate(rho, sea_rhs_fn(qubit_model), self.CONFIG)
+        assert traj.termination == "t_max"
+
+
+class TestProjectionOff:
+    def test_valid_run_records_the_raw_states(self):
+        # a trace drift well inside TRACE_TOL: full projection would
+        # renormalize it away, projection off keeps it in every sample
+        rho0 = st.random_full_rank(2, seed=5).matrix
+        drift = 1e-8 * np.eye(2, dtype=complex)
+        config = ig.IntegratorConfig(t_max=1.0, projection="off")
+        traj = ig.integrate(rho0, lambda m: drift, config)
+        assert traj.termination == "t_max"
+        assert np.abs(traj.final.rho - (rho0 + drift)).max() <= 1e-15
+        for s in traj.samples:
+            assert s.trace_err == abs(np.trace(s.rho).real - 1.0)
+        assert traj.final.trace_err == pytest.approx(2e-8, rel=1e-6)
+
+    def test_leaving_the_state_set_raises_naming_t_and_member(self):
+        kick = np.diag([-10.0, 10.0]).astype(complex)
+        config = ig.IntegratorConfig(t_max=1.0, dt_init=0.1, projection="off")
+        rho = st.random_full_rank(2, seed=0).matrix
+        with pytest.raises(StateInvalidError, match=r"at t = 0\.1 with projection off$"):
+            ig.integrate(rho, lambda m: kick, config)
+
+        def rhs(m):
+            out = np.zeros_like(m)
+            out[1] = kick
+            return out
+
+        stack = np.stack([st.random_full_rank(2, seed=s).matrix for s in range(3)])
+        with pytest.raises(StateInvalidError,
+                           match=r"at t = 0\.1 with projection off \(member 1\)") as info:
+            ig.integrate(stack, rhs, config)
+        assert info.value.member == 1
 
 
 class TestIntegrate:

@@ -3,6 +3,7 @@ import pytest
 
 from seaqt import integrate as ig
 from seaqt import lindblad as lb
+from seaqt import operators as op
 from seaqt import sea
 from seaqt import states as st
 from seaqt.errors import NonCommutingFError, SingularStateError
@@ -260,6 +261,28 @@ class TestDoubleCommutator:
     def test_non_commuting_f_rejected(self):
         with pytest.raises(NonCommutingFError):
             lb.double_commutator_rhs(st.validate(I2 / 2), SX, 1.0, np.diag([0.0, 1.0]))
+
+    def test_operators_validated_once_when_built(self, monkeypatch):
+        with pytest.raises(NonCommutingFError):
+            lb.double_commutator(SX, 1.0, np.diag([0.0, 1.0]))
+        calls = []
+
+        def counting(name):
+            fn = getattr(op, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("require_hermitian", "commutation_check"):
+            monkeypatch.setattr(op, name, counting(name))
+        f, h = np.diag([1.0, 2.0, -1.0]), np.diag([0.0, 1.0, 2.0])
+        rhs = lb.double_commutator(f, 0.8, h)
+        traj = ig.integrate(st.random_full_rank(3, seed=75), rhs,
+                            ig.IntegratorConfig(t_max=2.0))
+        assert traj.stats["rhs_calls"] > 100
+        assert sorted(calls) == ["commutation_check"] + ["require_hermitian"] * 2
 
     def test_entropy_nondecreasing_along_trajectory(self):
         h = np.diag([0.0, 1.0])

@@ -219,27 +219,10 @@ class TestPartialTrace:
             op.partial_trace(np.eye(4), [2, 3], keep=[0])
 
 
-class TestEigh:
-    def test_sorted_diagonal(self):
-        vals, _ = op.eigh(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(vals, [1, 2, 3])
-
-    def test_pauli_x_spectrum(self):
-        vals, _ = op.eigh(SX)
-        assert np.allclose(vals, [-1, 1])
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(29)
-        a = random_hermitian(6, rng)
-        vals, vecs = op.eigh(a)
-        recon = (vecs * vals) @ vecs.conj().T
-        scale = np.abs(a).max()
-        assert np.abs(recon - a).max() <= 1e-10 * max(1, scale)
-        assert np.abs(vecs.conj().T @ vecs - np.eye(6)).max() <= 1e-10
-
+class TestRequireHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
-            op.eigh(np.array([[0, 1], [0, 0]], dtype=complex))
+            op.require_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
