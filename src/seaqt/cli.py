@@ -4,11 +4,15 @@ machine-readable reports.
 
 Subcommands: simulate, equilibrium, compare, validate, ensemble.  Every
 config is first checked against ``serialize.CONFIG_SCHEMA``, which
-``--print-schema`` prints.  Exit codes: 0 success; 2 no subcommand, a usage
-error, or a config that is not valid JSON or not a JSON object; 3 every
-ConfigError (a missing config file; a field the schema rejects, named by
-its dotted path; a failed semantic check) and every other validation
-error; 4 integration or multiplier-solve failure; 5 infeasible target.
+``--print-schema`` prints.  ``load_scenario`` then decodes the units, the
+system, every dynamics block and the integrator before any integration or
+output, so a config error leaves no partial output.
+
+Exit codes: 0 success; 2 no subcommand, a usage error, or a config that
+is not valid JSON or not a JSON object; 3 every ConfigError (a missing
+config file; a field the schema rejects, named by its dotted path; a
+failed semantic check) and every other validation error; 4 integration
+or multiplier-solve failure; 5 infeasible target.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ import json
 import sys
 import time
 from dataclasses import asdict, replace
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,26 +66,45 @@ def load_config(path: str) -> dict:
     return config
 
 
-def build_system(config: dict, units):
+class Scenario(NamedTuple):
+    """A decoded scenario: every block a subcommand may use, checked."""
+
+    kind: str            # "single" or "composite"
+    model: object
+    dynamics: dict       # block name -> build_dynamics' (rhs, observables, eq_norm)
+    integrator: ig.IntegratorConfig
+    seed: int | None
+
+
+def load_scenario(config: dict, seed: int | None) -> Scenario:
+    """Decode the units, the system, every dynamics block and the integrator,
+    in that order, so that a config error exits before any work or output."""
+    units = sz.decode_units(config.get("units"))
     if "system" not in config:
         raise ConfigError("scenario needs a 'system' object")
     (kind, spec), = config["system"].items()
     decode = sz.decode_single_model if kind == "single" else sz.decode_composite_model
     with sz.field_path(f"system.{kind}"):
-        return kind, decode(spec, units)
+        model = decode(spec, units)
+    dynamics = {name: build_dynamics(kind, model, name, block, units)
+                for name, block in config.get("dynamics", {}).items()}
+    return Scenario(kind, model, dynamics, build_integrator(config), seed)
 
 
-def build_initial(config: dict, model, seed: int | None) -> st.StateOperator:
+def build_initial(config: dict, scenario: Scenario) -> st.StateOperator:
     with sz.field_path("initial"):
-        return sz.decode_state(config.get("initial", {}), model=model, seed_override=seed)
+        rho0 = sz.decode_state(config.get("initial", {}), model=scenario.model,
+                               seed_override=scenario.seed)
+    preflight(scenario, [rho0])
+    return rho0
 
 
-def preflight(kind: str, model, states) -> None:
+def preflight(scenario: Scenario, states) -> None:
     """Hold each state a subcommand integrates on a composite system to the
     documented domain: ``composite_rhs`` on a ``StateOperator`` is strict."""
-    if kind == "composite":
+    if scenario.kind == "composite":
         for rho in states:
-            cp.composite_rhs(rho, model)
+            cp.composite_rhs(rho, scenario.model)
 
 
 def build_integrator(config: dict) -> ig.IntegratorConfig:
@@ -91,7 +116,8 @@ def build_integrator(config: dict) -> ig.IntegratorConfig:
 
 def build_dynamics(kind: str, model, name: str, block: dict, units):
     """Return (rhs, observables, eq_norm) for one dynamics block.  The rhs
-    and eq_norm (one norm per member) take a (..., d, d) stack."""
+    and eq_norm (one norm per member) take a (..., d, d) stack.  A linear
+    block's g_rate is -k Tr(rhs ln rho), nan on singular states."""
     k_B = units.k_B
     if name == "sea":
         if kind == "single":
@@ -125,38 +151,24 @@ def build_dynamics(kind: str, model, name: str, block: dict, units):
         return rhs, obs, eq_norm
     if kind != "single":
         raise ConfigError(f"dynamics '{name}' requires a single system")
-    h = model.H
-    if name in ("lindblad", "pauli"):
-        if name == "lindblad":
-            with sz.field_path("dynamics.lindblad"):
-                lmodel = sz.decode_lindblad(block, units)
-            energy_op = h
-
-            def rhs(m):
-                return lb.kl_rhs(m, lmodel)
-        else:
-            rates = sz.decode_pauli(block, units)
-            lmodel = lb.as_lindblad(rates)
-            energy_op = np.diag(rates.energies).astype(complex)
-
-            def rhs(m):
-                return lb.pauli_rhs(m, rates)
-        if lmodel.dim != h.shape[0]:
-            raise ConfigError(f"{name} operators do not match the system dimension")
-
-        def g_rate(m):
-            try:
-                return lb.kl_entropy_production(m, lmodel)
-            except SeaqtError:
-                return float("nan")
-
-        obs = ig.Observables(energy_op=energy_op, generator_ops=model.generators,
-                             g_rate=g_rate, k_B=k_B)
-        return rhs, obs, None
-    # double_commutator, the one block the schema admits beyond these
-    with sz.field_path("dynamics.double_commutator.F"):
-        f = sz.decode_matrix(block["F"])
-    rhs = lb.double_commutator(f, float(block["tau"]), h, units=units)
+    energy_op, gen_ops = model.H, model.generators
+    if name == "lindblad":
+        with sz.field_path("dynamics.lindblad"):
+            lmodel = sz.decode_lindblad(block, units)
+        dim = lmodel.dim
+        rhs = partial(lb.kl_rhs, model=lmodel)
+    elif name == "pauli":
+        rates = sz.decode_pauli(block, units)
+        dim, energy_op = rates.dim, np.diag(rates.energies).astype(complex)
+        rhs = partial(lb.pauli_rhs, rates=rates)
+    else:   # double_commutator, the one block the schema admits beyond these
+        with sz.field_path("dynamics.double_commutator.F"):
+            f = sz.decode_matrix(block["F"])
+        dim, gen_ops = len(f), (f,)
+    if dim != len(model.H):
+        raise ConfigError(f"{name} operators do not match the system dimension")
+    if name == "double_commutator":   # validates [F, H] = 0 once, after the dim check
+        rhs = lb.double_commutator(f, float(block["tau"]), model.H, units=units)
 
     def g_rate(m):
         rho = st.as_state(m)
@@ -164,20 +176,18 @@ def build_dynamics(kind: str, model, name: str, block: dict, units):
             return float("nan")
         return -k_B * float(np.trace(rhs(m) @ st.log_operator(rho)).real)
 
-    obs = ig.Observables(energy_op=h, generator_ops=(f,), g_rate=g_rate, k_B=k_B)
+    obs = ig.Observables(energy_op=energy_op, generator_ops=gen_ops, g_rate=g_rate, k_B=k_B)
     return rhs, obs, None
 
 
-def parse_dynamics_block(config: dict) -> dict:
-    if "dynamics" not in config:
-        raise ConfigError("scenario needs a 'dynamics' object")
-    return config["dynamics"]
-
-
-def write_states_jsonl(path: Path, traj: ig.Trajectory) -> None:
-    with open(path, "w") as fh:
-        for s in traj.samples:
-            fh.write(json.dumps({"t": s.t, "state": sz.encode_matrix(s.rho)}) + "\n")
+def write_result(config: dict, out_dir: Path, result: dict) -> int:
+    """Print a result and write it to ``outputs.result_json`` if named."""
+    text = json.dumps(result, indent=2) + "\n"
+    name = config.get("outputs", {}).get("result_json")
+    if name:
+        (out_dir / name).write_text(text)
+    print(text, end="")
+    return EXIT_OK
 
 
 def summarize(traj: ig.Trajectory, wall: float) -> dict:
@@ -196,24 +206,21 @@ def summarize(traj: ig.Trajectory, wall: float) -> dict:
 
 
 def cmd_simulate(config: dict, out_dir: Path, seed: int | None) -> int:
-    units = sz.decode_units(config.get("units"))
-    kind, model = build_system(config, units)
-    dyn = parse_dynamics_block(config)
-    if len(dyn) != 1:
+    scenario = load_scenario(config, seed)
+    if len(scenario.dynamics) != 1:
         raise ConfigError("simulate needs exactly one dynamics block")
-    (name, block), = dyn.items()
-    rhs, obs, eq_norm = build_dynamics(kind, model, name, block, units)
-    rho0 = build_initial(config, model, seed)
-    preflight(kind, model, [rho0])
-    int_config = build_integrator(config)
+    (rhs, obs, eq_norm), = scenario.dynamics.values()
+    rho0 = build_initial(config, scenario)
     outputs = config.get("outputs", {})
     start = time.perf_counter()
-    traj = ig.integrate(rho0, rhs, int_config, observables=obs, eq_norm=eq_norm)
+    traj = ig.integrate(rho0, rhs, scenario.integrator, observables=obs, eq_norm=eq_norm)
     wall = time.perf_counter() - start
     csv_path = out_dir / outputs.get("trajectory_csv", "trajectory.csv")
     csv_path.write_text(traj.to_csv())
     if outputs.get("states_jsonl"):
-        write_states_jsonl(out_dir / outputs["states_jsonl"], traj)
+        with open(out_dir / outputs["states_jsonl"], "w") as fh:
+            for s in traj.samples:
+                fh.write(json.dumps({"t": s.t, "state": sz.encode_matrix(s.rho)}) + "\n")
     summary_path = out_dir / outputs.get("summary_json", "summary.json")
     summary_path.write_text(json.dumps(summarize(traj, wall), indent=2) + "\n")
     print(f"wrote {csv_path} ({len(traj.samples)} samples, "
@@ -241,73 +248,52 @@ def cmd_equilibrium(config: dict, out_dir: Path, seed: int | None) -> int:
     else:
         raise ConfigError("equilibrium config needs 'targets' or 'multipliers'")
     rho = eq.gibbs_state(constants, m)
-    result = {
+    return write_result(config, out_dir, {
         "multipliers": list(m.as_array()),
         "log_z": eq.log_partition_function(constants, m),
         "entropy": st.entropy(rho, k=units.k_B),
         "means": [st.mean(c, rho) for c in constants.operators],
         "identity_residual": eq.gibbs_identity_residual(constants, m),
         "state": sz.encode_state(rho),
-    }
-    text = json.dumps(result, indent=2) + "\n"
-    outputs = config.get("outputs", {})
-    if outputs.get("result_json"):
-        (out_dir / outputs["result_json"]).write_text(text)
-    print(text, end="")
-    return EXIT_OK
+    })
 
 
-def _divergence_probe(kind: str, model, linear_g, units) -> dict | None:
-    if kind != "single":
-        return None
-    dim = model.H.shape[0]
+def _divergence_probe(model, linear_g) -> dict:
     occupations = [1e-4, 1e-6, 1e-8]
-    linear_rates = []
-    sea_rates = []
-    for p_min in occupations:
-        diag = np.full(dim, p_min / max(dim - 1, 1))
-        diag[-1] = 1.0 - p_min
-        rho = st.StateOperator(np.diag(diag).astype(complex))
-        linear_rates.append(float(linear_g(rho.matrix)))
-        sea_rates.append(sea.entropy_production_rate(rho, model))
+    probes = lb.divergence_probes(model.dim, occupations)
+    linear_rates = [float(linear_g(rho.matrix)) for rho in probes]
     _, slope, residual = lb.log_divergence_fit(occupations, linear_rates)
     return {
         "p_min": occupations,
         "linear_rates": linear_rates,
-        "sea_rates": sea_rates,
+        "sea_rates": [sea.entropy_production_rate(rho, model) for rho in probes],
         "linear_log_slope": slope,
         "linear_log_fit_residual": residual,
     }
 
 
 def cmd_compare(config: dict, out_dir: Path, seed: int | None) -> int:
-    units = sz.decode_units(config.get("units"))
-    kind, model = build_system(config, units)
-    dyn = parse_dynamics_block(config)
+    scenario = load_scenario(config, seed)
+    dyn = scenario.dynamics
     if "sea" not in dyn or len(dyn) != 2:
         raise ConfigError("compare needs a 'sea' block plus one linear dynamics block")
-    rho0 = build_initial(config, model, seed)
-    int_config = build_integrator(config)
+    rho0 = build_initial(config, scenario)
+    int_config = scenario.integrator
     if int_config.sample_dt is None and int_config.method != "rk4":
         # pointwise diffs need shared sample times; rk45 interpolates them
         # and keeps its own steps (the report records the settings that ran)
         int_config = replace(int_config, sample_dt=int_config.t_max / 256.0)
-    trajectories = {}
-    observables = {}
-    for name in dyn:
-        rhs, obs, eq_norm = build_dynamics(kind, model, name, dyn[name], units)
-        traj = ig.integrate(rho0, rhs, int_config, observables=obs, eq_norm=eq_norm)
-        trajectories[name] = traj
-        observables[name] = obs
-        csv_path = out_dir / f"{name}_trajectory.csv"
-        csv_path.write_text(traj.to_csv())
+    trajectories = {name: ig.integrate(rho0, rhs, int_config, observables=obs,
+                                       eq_norm=eq_norm)
+                    for name, (rhs, obs, eq_norm) in dyn.items()}
+    for name, traj in trajectories.items():
+        (out_dir / f"{name}_trajectory.csv").write_text(traj.to_csv())
     (linear_name,) = [n for n in dyn if n != "sea"]
     t_sea = trajectories["sea"]
     t_lin = trajectories[linear_name]
-    n = min(len(t_sea.samples), len(t_lin.samples))
-    distances = [float(np.linalg.norm(t_sea.samples[i].rho - t_lin.samples[i].rho,
-                                      ord="fro")) for i in range(n)]
-    linear_g = observables[linear_name].g_rate
+    distances = [float(np.linalg.norm(a.rho - b.rho, ord="fro"))
+                 for a, b in zip(t_sea.samples, t_lin.samples)]
+    linear_g = dyn[linear_name][1].g_rate
     def finite_max(values):
         finite = values[np.isfinite(values)]
         return float(finite.max()) if finite.size else None
@@ -318,7 +304,7 @@ def cmd_compare(config: dict, out_dir: Path, seed: int | None) -> int:
         "final_state_distance": distances[-1],
         "sea_entropy_production_max": finite_max(t_sea.column("g_rate")),
         "linear_entropy_production_max": finite_max(t_lin.column("g_rate")),
-        "singular_divergence": _divergence_probe(kind, model, linear_g, units),
+        "singular_divergence": _divergence_probe(scenario.model, linear_g),
         "integrator": asdict(int_config),
         "stats": {name: traj.stats for name, traj in trajectories.items()},
     }
@@ -335,18 +321,13 @@ def _check(name: str, tolerance: float, measured: float) -> dict:
 
 
 def cmd_validate(config: dict, out_dir: Path, seed: int | None) -> int:
-    units = sz.decode_units(config.get("units"))
-    kind, model = build_system(config, units)
-    dyn = parse_dynamics_block(config)
-    if len(dyn) == 1:
-        (name, block), = dyn.items()
-    elif "sea" in dyn:
-        name, block = "sea", dyn["sea"]
-    else:
+    scenario = load_scenario(config, seed)
+    kind, model, dyn = scenario.kind, scenario.model, scenario.dynamics
+    if len(dyn) != 1 and "sea" not in dyn:
         raise ConfigError("validate needs one dynamics block (or a 'sea' block)")
-    rhs, obs, _ = build_dynamics(kind, model, name, block, units)
-    rho0 = build_initial(config, model, seed)
-    preflight(kind, model, [rho0])
+    name = "sea" if "sea" in dyn else next(iter(dyn))
+    rhs, obs, _ = dyn[name]
+    rho0 = build_initial(config, scenario)
     checks = []
     rhs0 = rhs(rho0.matrix)
     h = obs.energy_op
@@ -369,12 +350,11 @@ def cmd_validate(config: dict, out_dir: Path, seed: int | None) -> int:
             if report.is_equilibrium:
                 checks.append(_check("fixed_point_rhs_norm", 1e-9,
                                      float(np.linalg.norm(rhs0, ord="fro"))))
-    s0 = st.entropy(rho0, k=units.k_B)
-    bound = units.k_B * np.log(rho0.dim)
+    s0 = st.entropy(rho0, k=model.units.k_B)
+    bound = model.units.k_B * np.log(rho0.dim)
     checks.append(_check("entropy_lower_bound", 1e-12, max(0.0, -s0)))
     checks.append(_check("entropy_upper_bound", 1e-12, max(0.0, s0 - bound)))
-    int_config = build_integrator(config)
-    traj = ig.integrate(rho0, rhs, int_config, observables=obs)
+    traj = ig.integrate(rho0, rhs, scenario.integrator, observables=obs)
     entropy_drop = float(np.max(np.maximum(-np.diff(traj.column("entropy")), 0.0),
                                 initial=0.0))
     if name == "sea":
@@ -402,9 +382,8 @@ def cmd_validate(config: dict, out_dir: Path, seed: int | None) -> int:
 
 
 def cmd_ensemble(config: dict, out_dir: Path, seed: int | None) -> int:
-    units = sz.decode_units(config.get("units"))
-    kind, model = build_system(config, units)
-    outputs = config.get("outputs", {})
+    scenario = load_scenario(config, seed)
+    model = scenario.model
     if "maxent" in config and "measure" in config:
         raise ConfigError("ensemble takes 'maxent' or 'measure', not both")
     if "maxent" in config:
@@ -414,35 +393,28 @@ def cmd_ensemble(config: dict, out_dir: Path, seed: int | None) -> int:
             with sz.field_path(f"maxent.states[{i}]"):
                 states.append(sz.decode_state(s, model=model, seed_override=seed))
         mu = en.maxent_known_spectrum(states, float(spec["target_energy"]), model.H)
-        result = {
+        return write_result(config, out_dir, {
             "weights": [float(w) for w in mu.weights],
-            "statistical_uncertainty": en.statistical_uncertainty(mu, c=units.c_stat),
-            "expected_entropy": en.expected_entropy(mu, k=units.k_B),
+            "statistical_uncertainty": en.statistical_uncertainty(mu, c=model.units.c_stat),
+            "expected_entropy": en.expected_entropy(mu, k=model.units.k_B),
             "expected_energy": en.mean_observable(mu, model.H),
             "measure": sz.encode_measure(mu),
-        }
-        text = json.dumps(result, indent=2) + "\n"
-        if outputs.get("result_json"):
-            (out_dir / outputs["result_json"]).write_text(text)
-        print(text, end="")
-        return EXIT_OK
+        })
     if "measure" not in config:
         raise ConfigError("ensemble config needs 'measure' or 'maxent'")
     with sz.field_path("measure"):
         mu = sz.decode_measure(config["measure"], model=model, seed_override=seed)
-    dyn = parse_dynamics_block(config)
-    if len(dyn) != 1:
+    if len(scenario.dynamics) != 1:
         raise ConfigError("ensemble needs exactly one dynamics block")
-    (name, block), = dyn.items()
-    rhs, obs, eq_norm = build_dynamics(kind, model, name, block, units)
-    preflight(kind, model, mu.states)
-    int_config = build_integrator(config)
+    (rhs, obs, eq_norm), = scenario.dynamics.values()
+    preflight(scenario, mu.states)
+    outputs = config.get("outputs", {})
     # the support states advance as one stack on the user's settings; the
     # series needs no entropy production rate
-    traj = en.integrate_support(mu, rhs, int_config, replace(obs, g_rate=None),
+    traj = en.integrate_support(mu, rhs, scenario.integrator, replace(obs, g_rate=None),
                                 eq_norm)
     weights = mu.weights
-    i_mu = en.statistical_uncertainty(mu, c=units.c_stat)
+    i_mu = en.statistical_uncertainty(mu, c=model.units.c_stat)
     lines = ["t,statistical_uncertainty,expected_entropy,expected_energy"]
     for s in traj.samples:
         lines.append(",".join(repr(float(v)) for v in (
@@ -454,13 +426,13 @@ def cmd_ensemble(config: dict, out_dir: Path, seed: int | None) -> int:
     measure_path.write_text(json.dumps(sz.encode_measure(evolved), indent=2) + "\n")
     summary = {
         "statistical_uncertainty": i_mu,
-        "expected_entropy_initial": en.expected_entropy(mu, k=units.k_B),
-        "expected_entropy_final": en.expected_entropy(evolved, k=units.k_B),
+        "expected_entropy_initial": en.expected_entropy(mu, k=model.units.k_B),
+        "expected_entropy_final": en.expected_entropy(evolved, k=model.units.k_B),
         "expected_energy_initial": en.mean_observable(mu, obs.energy_op),
         "expected_energy_final": en.mean_observable(evolved, obs.energy_op),
         "support_size": len(evolved),
         "termination": traj.termination,
-        "integrator": asdict(int_config),
+        "integrator": asdict(scenario.integrator),
         "stats": traj.stats,
     }
     summary_path = out_dir / outputs.get("summary_json", "ensemble_summary.json")

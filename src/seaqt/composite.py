@@ -115,10 +115,10 @@ class _Kind(NamedTuple):
 
 
 @lru_cache(maxsize=32)   # a process meets a handful of layouts
-def _index_maps(kinds: tuple) -> tuple[tuple[_Kind, ...], tuple[np.ndarray, ...]]:
+def _index_maps(kinds: tuple) -> tuple[_Kind, ...]:
     """The index maps of constituents with (factor dim, generator count)
     pairs ``kinds``: one ``_Kind`` per distinct pair, in order of first
-    appearance, and each constituent's own (r, r, d_J, d_J) gather map.
+    appearance.
 
     Constituent J's gather map is the array of flat indices split by
     ``operators.split_factors`` with J kept.  A pure function of the tuple,
@@ -128,9 +128,7 @@ def _index_maps(kinds: tuple) -> tuple[tuple[_Kind, ...], tuple[np.ndarray, ...]
     dims = [d for d, _ in kinds]
     size = int(np.prod(dims))
     index = np.arange(size * size).reshape(size, size)
-    split = tuple(op.split_factors(index, dims, [j]) for j in range(len(dims)))
-    for a in split:
-        a.flags.writeable = False
+    split = [op.split_factors(index, dims, [j]) for j in range(len(dims))]
     out = []
     for kind in dict.fromkeys(kinds):
         members = np.array([j for j, other in enumerate(kinds) if other == kind])
@@ -141,7 +139,7 @@ def _index_maps(kinds: tuple) -> tuple[tuple[_Kind, ...], tuple[np.ndarray, ...]
         for a in (members, gather, scatter):
             a.flags.writeable = False
         out.append(_Kind(kind[1], members, gather, scatter))
-    return tuple(out), split
+    return tuple(out)
 
 
 def _maps(model: CompositeModel):
@@ -149,15 +147,15 @@ def _maps(model: CompositeModel):
 
 
 def _marginals(m: np.ndarray, gather: np.ndarray):
-    """rho(J) and rho(J') of the state matrix m, for the constituent of a
-    (r, r, d_J, d_J) gather map or for each of a (k, ...) stack of them."""
+    """rho(J) and rho(J') of the state matrix m, for each constituent of a
+    kind's (k, r, r, d_J, d_J) gather map."""
     t = m.reshape(-1)[gather]
     return np.einsum("...ssab->...ab", t), np.einsum("...staa->...st", t)
 
 
 def _reduce(rest: np.ndarray, a: np.ndarray, gather: np.ndarray) -> np.ndarray:
-    """Tr_{J'}((I(J) (x) rho(J')) a) for the constituent(s) of a gather map,
-    as (..., d_J, d_J): the split a contracted with rho(J') by one
+    """Tr_{J'}((I(J) (x) rho(J')) a) for each constituent of a kind's gather
+    map, as (k, d_J, d_J): the split a contracted with rho(J') by one
     matrix-vector product, without forming the embedding."""
     *lead, r, _, d, _ = gather.shape
     t = a.reshape(-1)[gather].reshape(*lead, r * r, d * d)
@@ -168,8 +166,8 @@ def _reduced(rho: StateOperator, model: CompositeModel, j: int,
              a: np.ndarray) -> np.ndarray:
     """Tr_{j'}((I(j) (x) rho(j')) a) for the one constituent j."""
     _check_index(model, j)
-    split = _maps(model)[1][j]
-    return op.hermitize(_reduce(_marginals(rho.matrix, split)[1], a, split))
+    rest = np.einsum("staa->st", op.split_factors(rho.matrix, model.dims, [j]))
+    return op.hermitize(np.einsum("st,tsab->ab", rest, op.split_factors(a, model.dims, [j])))
 
 
 def _check_index(model: CompositeModel, j: int) -> None:
@@ -189,7 +187,7 @@ def _require_full_rank(rho: StateOperator) -> None:
 def reduced_state(rho, model: CompositeModel, j: int) -> StateOperator:
     """Reduced state operator of constituent j (partial trace over the rest)."""
     _check_index(model, j)
-    return st.as_state(_marginals(st.as_state(rho).matrix, _maps(model)[1][j])[0])
+    return subsystem_state(rho, model, [j])
 
 
 def subsystem_state(rho, model: CompositeModel, indices) -> StateOperator:
@@ -226,7 +224,7 @@ def is_pure_product(rho, model: CompositeModel, reduced=None) -> bool:
         return False
     if reduced is None:
         reduced = [st.as_state(_marginals(rho.matrix, kind.gather)[0])
-                   for kind in _maps(model)[0]]
+                   for kind in _maps(model)]
     return all(bool(st.is_pure(sub.spectral.eigenvalues).all()) for sub in reduced)
 
 
@@ -247,7 +245,7 @@ def _factor_terms(rho, model: CompositeModel):
     """
     strict = isinstance(rho, StateOperator)
     rho = st.as_state(rho)
-    kinds = _maps(model)[0]
+    kinds = _maps(model)
     marginals = [_marginals(rho.matrix, kind.gather) for kind in kinds]
     reduced = [st.as_state(rho_j) for rho_j, _ in marginals]
     if is_pure_product(rho, model, reduced):
@@ -354,11 +352,6 @@ class SubsystemPartition:
             raise ValueError(
                 f"partition {self.blocks} does not cover constituents "
                 f"0..{len(model.constituents) - 1}")
-
-    def complement(self, block) -> list:
-        inside = set(block)
-        all_idx = sorted(i for b in self.blocks for i in b)
-        return [i for i in all_idx if i not in inside]
 
 
 def _blocks(model: CompositeModel, block) -> tuple[list, list]:

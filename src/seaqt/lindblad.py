@@ -106,24 +106,27 @@ def kl_entropy_production(rho, model: LindbladModel) -> float:
     return model.units.k_B * total
 
 
-def singular_divergence_demo(model: LindbladModel, occupations,
-                             fill_state=None) -> list[float]:
-    """Entropy production at states whose smallest eigenvalue runs through
-    ``occupations``: the linear channel's rate grows like -ln(p_min).
-
-    The probe states put weight 1 - p on ``fill_state`` (default: the last
-    basis level) and p on the remaining levels equally, so a jump operator
-    moving weight into a near-empty level sees the divergence.
-    """
-    dim = model.dim
-    rates = []
+def divergence_probes(dim: int, occupations, fill_state=None) -> list[StateOperator]:
+    """One diagonal state per p in ``occupations``, with weight 1 - p on
+    ``fill_state`` (default: the last basis level) and p on the remaining
+    levels equally, so a jump operator moving weight into a near-empty
+    level sees the divergence."""
+    fill = dim - 1 if fill_state is None else fill_state
+    probes = []
     for p_min in occupations:
         diag = np.full(dim, p_min / max(dim - 1, 1))
-        fill = dim - 1 if fill_state is None else fill_state
         diag[fill] = 1.0 - p_min
-        rho = StateOperator(np.diag(diag).astype(complex))
-        rates.append(kl_entropy_production(rho, model))
-    return rates
+        probes.append(StateOperator(np.diag(diag).astype(complex)))
+    return probes
+
+
+def singular_divergence_demo(model: LindbladModel, occupations,
+                             fill_state=None) -> list[float]:
+    """Entropy production at the ``divergence_probes`` states, whose smallest
+    eigenvalue runs through ``occupations``: the linear channel's rate
+    grows like -ln(p_min)."""
+    return [kl_entropy_production(rho, model)
+            for rho in divergence_probes(model.dim, occupations, fill_state)]
 
 
 def log_divergence_fit(occupations, rates) -> tuple[float, float, float]:

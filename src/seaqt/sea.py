@@ -52,8 +52,9 @@ class SingleConstituentModel:
     """Hamiltonian, non-Hamiltonian generators, and relaxation time tau.
 
     The generators are dimensionless Hermitian operators, each commuting
-    with H.  No default exists for tau: its physical value is an open
-    problem, so it is always a user input.
+    with H.  The scenario schema requires tau, though the field defaults
+    to 1.0: its physical value is an open problem, so a scenario always
+    states it.
     """
 
     H: np.ndarray

@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 from seaqt import cli
+from seaqt import lindblad as lb
 from seaqt import sea
 from seaqt import serialize as sz
 from seaqt import states as st
 from seaqt.errors import ConfigError
 from seaqt.integrate import IntegratorConfig
+from seaqt.operators import UnitSystem
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -260,6 +262,87 @@ class TestCompare:
                 6 * attempts + run["accepted_steps"] - run["k1_reused"]
             # the comparison grid of 256 samples is read off the steps
             assert run["interpolated_samples"] > 0
+
+
+    # a config error in either block exits before the first integration
+    def test_noncommuting_double_commutator_writes_nothing(self, tmp_path, capsys):
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+        config = qubit_sea_scenario(
+            dynamics={"sea": {}, "double_commutator": {"F": matrix_obj(sx), "tau": 0.5}},
+            integrator={"t_max": 1.0})
+        out = tmp_path / "out"
+        code = cli.main(["compare", "--config", write_config(tmp_path, config),
+                         "--out", str(out)])
+        assert code == 3
+        assert "NonCommutingF" in capsys.readouterr().err
+        assert not (out / "sea_trajectory.csv").exists()
+
+    def test_linear_block_on_a_composite_system_writes_nothing(self, tmp_path, capsys):
+        config = TestCompositeScenarios.composite_config()
+        config["dynamics"] = {"sea": {}, "lindblad": {"B": matrix_obj(np.eye(4))}}
+        out = tmp_path / "out"
+        code = cli.main(["compare", "--config", write_config(tmp_path, config),
+                         "--out", str(out)])
+        assert code == 3
+        assert "requires a single system" in capsys.readouterr().err
+        assert not (out / "sea_trajectory.csv").exists()
+
+
+class TestLinearBlocks:
+    """g_rate of a linear block against the Lindblad form of its dynamics."""
+
+    UNITS = UnitSystem(hbar=0.8, k_B=1.5)
+    H = np.diag([0.0, 1.0, 2.5])
+
+    def run(self, tmp_path, block):
+        config = {
+            "units": {"hbar": self.UNITS.hbar, "k_B": self.UNITS.k_B},
+            "system": {"single": {"H": matrix_obj(self.H), "tau": 1.0}},
+            "initial": {"random": {"dim": 3, "seed": 11}},
+            "dynamics": block,
+            "integrator": {"t_max": 2.0, "dt_max": 0.25},
+            "outputs": {"trajectory_csv": "run.csv", "states_jsonl": "states.jsonl"},
+        }
+        assert cli.main(["simulate", "--config", write_config(tmp_path, config),
+                         "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "run.csv").read_text().strip().split("\n")[1:]
+        states = (tmp_path / "states.jsonl").read_text().strip().split("\n")
+        assert len(rows) == len(states) > 2
+        return [(float(row.split(",")[3]), sz.decode_matrix(json.loads(line)["state"]))
+                for row, line in zip(rows, states)]
+
+    def test_pauli_g_rate_is_the_jump_sum(self, tmp_path):
+        w = np.array([[0.0, 0.4, 0.1], [0.3, 0.0, 0.6], [0.05, 0.2, 0.0]])
+        energies = np.diag(self.H)
+        lmodel = lb.as_lindblad(lb.pauli_rates(w, energies, units=self.UNITS))
+        recorded = self.run(tmp_path, {"pauli": {"w": w.tolist(),
+                                                 "energies": energies.tolist()}})
+        for g, rho in recorded:
+            assert abs(g - lb.kl_entropy_production(rho, lmodel)) <= 1e-12
+
+    def test_double_commutator_g_rate_is_its_lindblad_form(self, tmp_path):
+        # -(tau/2 hbar^2)[F, [F, rho]] is the dissipator of the one jump
+        # sqrt(tau) F / hbar
+        f, tau, hbar = np.diag([1.0, -1.0, 0.5]), 0.7, self.UNITS.hbar
+        lmodel = lb.lindblad_model(-self.H / hbar, (np.sqrt(tau) * f / hbar,),
+                                   units=self.UNITS)
+        recorded = self.run(tmp_path, {"double_commutator": {"F": matrix_obj(f),
+                                                             "tau": tau}})
+        assert max(g for g, _ in recorded) > 0.01
+        for g, rho in recorded:
+            assert abs(g - lb.kl_entropy_production(rho, lmodel)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["lindblad", "pauli", "double_commutator"])
+    def test_block_of_another_dimension_exits_3(self, tmp_path, capsys, name):
+        block = {"lindblad": {"B": matrix_obj(-self.H)},
+                 "pauli": {"w": np.ones((3, 3)).tolist(), "energies": [0.0, 1.0, 2.5]},
+                 "double_commutator": {"F": matrix_obj(self.H), "tau": 1.0}}[name]
+        config = qubit_sea_scenario(dynamics={name: block})
+        code = cli.main(["simulate", "--config", write_config(tmp_path, config),
+                         "--out", str(tmp_path)])
+        assert code == 3
+        assert f"ERROR Config: {name} operators do not match the system dimension" in \
+            capsys.readouterr().err
 
 
 class TestValidate:
@@ -512,6 +595,34 @@ def test_reports_record_the_integrator_settings_that_ran(tmp_path):
     ran = json.loads((tmp_path / "ensemble_summary.json").read_text())["integrator"]
     assert ran == asdict(IntegratorConfig(t_max=0.5, dt_init=0.05, dt_max=0.1,
                                           equilibrium_norm_tol=1e-9))
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "validate", "ensemble"])
+def test_rerun_writes_identical_files(tmp_path, command):
+    # the ROADMAP's byte-identical rerun rule, for every file a subcommand
+    # writes; only simulate's summary carries a wall time
+    random = {"random": {"dim": 2, "seed": 7}}
+    config = qubit_sea_scenario(initial=random, outputs={"states_jsonl": "states.jsonl"})
+    if command == "compare":
+        decay = np.array([[0.0, 0.6], [0.0, 0.0]])
+        config["dynamics"]["lindblad"] = {"B": matrix_obj(-np.diag([0.0, 1.0])),
+                                          "jumps": [matrix_obj(decay)]}
+    if command == "ensemble":
+        del config["initial"]
+        config["measure"] = {"support": [{"w": 0.4, "state": random},
+                                         {"w": 0.6, "state": {"random": {"seed": 8}}}]}
+    config_path = write_config(tmp_path, config)
+    runs = []
+    for name in ("a", "b"):
+        assert cli.main([command, "--config", config_path,
+                         "--out", str(tmp_path / name)]) == 0
+        files = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+        if command == "simulate":
+            summary = json.loads(files.pop("summary.json"))
+            assert summary.pop("wall_time_s") > 0
+            files["summary.json"] = json.dumps(summary).encode()
+        runs.append(files)
+    assert runs[0] and runs[0] == runs[1]
 
 
 class TestSchema:

@@ -620,10 +620,10 @@ class TestStackedPass:
         assert cp.composite_entropy_production(rho, model) == (0.0, [0.0, 0.0, 0.0])
 
     def test_index_maps_are_shared_and_read_only(self):
-        kinds, split = cp._maps(self.model("qubit-qutrit-qubit"))
-        assert cp._maps(self.model("qubit-qutrit-qubit"))[0] is kinds
+        kinds = cp._maps(self.model("qubit-qutrit-qubit"))
+        assert cp._maps(self.model("qubit-qutrit-qubit")) is kinds
         assert [k.members.tolist() for k in kinds] == [[0, 2], [1]]
-        assert not any(a.flags.writeable for a in (*split, kinds[0].gather, kinds[0].scatter))
+        assert not any(a.flags.writeable for a in (kinds[0].gather, kinds[0].scatter))
         # each member's scatter row inverts its gather map
         for kind in kinds:
             for i, gather in enumerate(kind.gather):
