@@ -6,9 +6,12 @@ Three experiments on the composite equation of motion:
   1. Noninteracting qubits prepared in independent full-rank states stay
      independent: the product distance stays at integrator noise and the
      total entropy production equals the sum of the private rates.
+     Separability and independence are judged for a block K (here qubit
+     0) against the rest K', its complement.
 
   2. The reduced equation of motion is consistent: partial-tracing the
-     composite right-hand side reproduces the subsystem right-hand side.
+     composite right-hand side reproduces the subsystem right-hand side
+     of each block K.
 
   3. With an interacting Hamiltonian, a product of pure states evolves
      purely unitarily at first (the dissipator is exactly off), but the
@@ -39,8 +42,7 @@ def run():
     free = cp.validate_model(cp.CompositeModel(
         constituents=(cp.Constituent(2, tau=1.0), cp.Constituent(2, tau=0.6)),
         H=h_free))
-    partition = cp.SubsystemPartition(blocks=((0,), (1,)))
-    separable, residual = cp.is_separable(free, partition, (0,))
+    separable, residual = cp.is_separable(free, (0,))
     print(f"noninteracting H separable: {separable} (residual {residual:.2e})")
 
     rho1 = st.random_full_rank(2, seed=11)
@@ -54,7 +56,7 @@ def run():
     worst_dist = 0.0
     worst_add = 0.0
     for s in traj.samples:
-        _, dist = cp.is_independent_state(s.rho, free, partition, (0,))
+        _, dist = cp.is_independent_state(s.rho, free, (0,))
         worst_dist = max(worst_dist, dist)
         total, _ = cp.composite_entropy_production(st.validate(s.rho), free)
         r1 = st.validate(op.partial_trace(s.rho, [2, 2], keep=[0]))
@@ -75,10 +77,10 @@ def run():
     full = cp.composite_rhs(rho, interacting)
     worst_reduce = 0.0
     for block in ((0,), (1,)):
-        got = cp.reduced_rhs(rho, interacting, partition, block)
+        got = cp.reduced_rhs(rho, interacting, block)
         want = op.partial_trace(full, [2, 2], keep=list(block))
         worst_reduce = max(worst_reduce, float(np.abs(got - want).max()))
-    print(f"interacting H separable: {cp.is_separable(interacting, partition, (0,))[0]}")
+    print(f"interacting H separable: {cp.is_separable(interacting, (0,))[0]}")
     print(f"reduced-vs-partial-traced rhs gap = {worst_reduce:.3e}")
     print("")
 

@@ -242,7 +242,7 @@ def cmd_equilibrium(config: dict, out_dir: Path, seed: int | None) -> int:
         if len(values) != len(constants):
             raise ConfigError(f"expected {len(constants)} (one per constant), "
                               f"got {len(values)}", "multipliers")
-        m = eq.MultiplierVector(beta=values[0], gammas=tuple(values[1:]))
+        m = eq.MultiplierVector.from_array(values)
     elif "targets" in config:
         m = eq.solve_multipliers(constants, [float(v) for v in config["targets"]])
     else:

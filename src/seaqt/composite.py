@@ -329,33 +329,12 @@ def entropy_rate_pairing(rho, model: CompositeModel) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Partitions, separability, independence
+# Subsystems: a block K of constituents against the rest K', its complement.
+# An empty K raises ValueError, an index out of range DimensionMismatchError.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SubsystemPartition:
-    """Disjoint index blocks covering all constituents."""
-
-    blocks: tuple
-
-    def __post_init__(self):
-        seen = set()
-        for block in self.blocks:
-            for idx in block:
-                if idx in seen:
-                    raise ValueError(f"constituent {idx} appears in two blocks")
-                seen.add(idx)
-
-    def validate_for(self, model: CompositeModel) -> None:
-        covered = sorted(i for block in self.blocks for i in block)
-        if covered != list(range(len(model.constituents))):
-            raise ValueError(
-                f"partition {self.blocks} does not cover constituents "
-                f"0..{len(model.constituents) - 1}")
-
-
 def _blocks(model: CompositeModel, block) -> tuple[list, list]:
-    """The constituents of ``block`` and those of the rest, each ascending."""
+    """The constituents of ``block`` K and those of the rest K', each ascending."""
     keep = sorted(block)
     return keep, [i for i in range(len(model.constituents)) if i not in keep]
 
@@ -379,8 +358,9 @@ def separability_residual(model: CompositeModel, block) -> float:
     return float(np.linalg.norm(model.H - split, ord="fro"))
 
 
-def is_separable(model: CompositeModel, partition: SubsystemPartition, block) -> tuple[bool, float]:
-    partition.validate_for(model)
+def is_separable(model: CompositeModel, block) -> tuple[bool, float]:
+    """Whether H splits additively as H(K) + H(K') across the cut between
+    ``block`` K and the rest, with the residual of the best split."""
     residual = separability_residual(model, block)
     scale = max(1.0, float(np.linalg.norm(model.H, ord="fro")))
     return residual <= SEPARABILITY_TOL * scale, residual
@@ -395,10 +375,9 @@ def private_hamiltonian(model: CompositeModel, block) -> np.ndarray:
     return op.hermitize(h_keep / (model.dim // d_keep) - offset * np.eye(d_keep))
 
 
-def is_independent_state(rho, model: CompositeModel,
-                         partition: SubsystemPartition, block) -> tuple[bool, float]:
-    """True when rho factors as rho(K) (x) rho(K') across the split."""
-    partition.validate_for(model)
+def is_independent_state(rho, model: CompositeModel, block) -> tuple[bool, float]:
+    """True when rho factors as rho(K) (x) rho(K') across the cut between
+    ``block`` K and the rest, with the Frobenius distance to that product."""
     keep, rest = _blocks(model, block)
     product = op.tensor_interleave(subsystem_state(rho, model, keep).matrix, keep,
                                    subsystem_state(rho, model, rest).matrix, model.dims)
@@ -406,13 +385,11 @@ def is_independent_state(rho, model: CompositeModel,
     return dist <= INDEPENDENCE_TOL, dist
 
 
-def reduced_rhs(rho, model: CompositeModel, partition: SubsystemPartition,
-                block) -> np.ndarray:
-    """Reduced equation of motion for subsystem K: the partial trace over K'
-    of the Hamiltonian term and of the dissipative terms of K's own
-    constituents, which leaves each {D(J), rho(J)} of K embedded against
-    the reduced state of the rest of K."""
-    partition.validate_for(model)
+def reduced_rhs(rho, model: CompositeModel, block) -> np.ndarray:
+    """Reduced equation of motion for subsystem ``block`` K: the partial
+    trace over the rest K' of the Hamiltonian term and of the dissipative
+    terms of K's own constituents, which leaves each {D(J), rho(J)} of K
+    embedded against the reduced state of the rest of K."""
     keep = sorted(block)
     hbar = model.units.hbar
     out = -1j / hbar * op.commutator(model.H, st._as_matrix(rho))
@@ -422,11 +399,10 @@ def reduced_rhs(rho, model: CompositeModel, partition: SubsystemPartition,
     return op.partial_trace(out, model.dims, keep=keep)
 
 
-def composite_constant_check(c, model: CompositeModel,
-                             tol: float = sea.SPAN_RESIDUAL_TOL) -> sea.ConstantReport:
+def composite_constant_check(c, model: CompositeModel) -> sea.ConstantReport:
     """C is a constant of the motion iff [C, H] = 0 and C lies in the span of
     {I, H, lifted generators} under the trace inner product."""
     lifted = [model.lifted_generator(j, x)
               for j, constituent in enumerate(model.constituents)
               for x in constituent.generators]
-    return sea.span_check(c, model.H, lifted, tol)
+    return sea.span_check(c, model.H, lifted)

@@ -25,6 +25,7 @@ from .states import StateOperator
 FEASIBILITY_MARGIN = 1e-9
 MEAN_RESIDUAL_TOL = 1e-10
 MAX_NEWTON_ITERATIONS = 200
+STABLE_ENTROPY_TOL = 1e-8   # entropy shortfall under which an equilibrium is stable
 PHI_ROUNDOFF = 4 * np.finfo(float).eps    # relative round-off of the dual value
 
 
@@ -96,9 +97,7 @@ def _exponent(constants: ConstantSet, m: MultiplierVector) -> np.ndarray:
 
 def _gibbs_spectrum(constants: ConstantSet, m: MultiplierVector):
     """ln Z, the Gibbs weights and their eigenvectors from one eigh of the exponent."""
-    vals, vecs = np.linalg.eigh(_exponent(constants, m))
-    w = np.exp(vals - vals[-1])
-    return float(vals[-1] + np.log1p(np.sum(w[:-1]))), w / np.sum(w), vecs
+    return st.gibbs_spectrum(_exponent(constants, m))
 
 
 def gibbs_state(constants: ConstantSet, m: MultiplierVector) -> StateOperator:
@@ -110,12 +109,6 @@ def gibbs_state(constants: ConstantSet, m: MultiplierVector) -> StateOperator:
 def log_partition_function(constants: ConstantSet, m: MultiplierVector) -> float:
     """ln Z, a logsumexp of the exponent spectrum shifted by its largest value."""
     return _gibbs_spectrum(constants, m)[0]
-
-
-def partition_function(constants: ConstantSet, m: MultiplierVector) -> float:
-    """Z = Tr exp(-beta H + sum gamma_k C_k) > 0 (may overflow for huge |m|;
-    prefer log_partition_function for bookkeeping)."""
-    return float(np.exp(log_partition_function(constants, m)))
 
 
 def means_at(constants: ConstantSet, m: MultiplierVector) -> np.ndarray:
@@ -141,10 +134,10 @@ def check_feasible(constants: ConstantSet, targets,
 
 def solve_multipliers(constants: ConstantSet, target_means,
                       tol: float = MEAN_RESIDUAL_TOL,
-                      max_iter: int = MAX_NEWTON_ITERATIONS,
                       margin: float = FEASIBILITY_MARGIN) -> MultiplierVector:
     """Newton iteration on the convex dual, damped by a halving line search,
-    for targets more than ``margin`` inside their attainable ranges.
+    for targets more than ``margin`` inside their attainable ranges, in at
+    most MAX_NEWTON_ITERATIONS iterates.
 
     Starts from m = 0 (the maximally mixed state, always interior).  Each
     iterate costs one eigendecomposition of the exponent, which gives ln Z,
@@ -166,7 +159,7 @@ def solve_multipliers(constants: ConstantSet, target_means,
 
     m_arr = np.zeros(n)
     phi, p, vecs = dual(m_arr)
-    for _ in range(max_iter):
+    for _ in range(MAX_NEWTON_ITERATIONS):
         means, cov, _ = st.covariance_table(p, vecs.conj().T @ ops @ vecs)
         residual = means - targets
         if float(np.linalg.norm(residual)) <= tol:
@@ -188,8 +181,8 @@ def solve_multipliers(constants: ConstantSet, target_means,
                 trial = dual(m_arr + alpha * step)
         m_arr = m_arr + alpha * step
         phi, p, vecs = trial
-    raise NoConvergenceError(
-        f"multiplier solve did not reach residual {tol:g} in {max_iter} iterations")
+    raise NoConvergenceError(f"multiplier solve did not reach residual {tol:g} "
+                             f"in {MAX_NEWTON_ITERATIONS} iterations")
 
 
 def gibbs_identity_residual(constants: ConstantSet, m: MultiplierVector) -> float:
@@ -252,20 +245,20 @@ def max_entropy_with_means(constants: ConstantSet, targets) -> float:
     return st.entropy(gibbs_state(sub, m), k=constants.units.k_B)
 
 
-def classify(rho, constants: ConstantSet, model: sea.SingleConstituentModel,
-             tol: float = 1e-9, entropy_tol: float = 1e-8) -> str:
+def classify(rho, constants: ConstantSet, model: sea.SingleConstituentModel) -> str:
     """NonEquilibrium, Equilibrium, or StableEquilibrium.
 
-    Stability means the state attains the constrained entropy maximum: no
-    other state with the same mean values of the constants has higher entropy.
+    Stability means the state attains the constrained entropy maximum, to
+    within STABLE_ENTROPY_TOL: no other state with the same mean values of
+    the constants has higher entropy.
     """
     rho = st.validate(rho)
-    report = sea.is_equilibrium(rho, model, tol=tol)
+    report = sea.is_equilibrium(rho, model)
     if not report.is_equilibrium:
         return NON_EQUILIBRIUM
     targets = [st.mean(c, rho) for c in constants.operators]
     s_max = max_entropy_with_means(constants, targets)
     s_rho = st.entropy(rho, k=constants.units.k_B)
-    if s_rho >= s_max - entropy_tol:
+    if s_rho >= s_max - STABLE_ENTROPY_TOL:
         return STABLE_EQUILIBRIUM
     return EQUILIBRIUM

@@ -257,10 +257,3 @@ def double_commutator(f, tau: float, h, units: UnitSystem | None = None):
         ham = -1j / u.hbar * op.commutator(h, m)
         return ham - tau / (2.0 * u.hbar**2) * op.commutator(f, op.commutator(f, m))
     return rhs
-
-
-def double_commutator_rhs(rho, f, tau: float, h,
-                          units: UnitSystem | None = None) -> np.ndarray:
-    """``double_commutator(f, tau, h, units)`` at rho, validating F and H on
-    every call; an integration builds the rhs once instead."""
-    return double_commutator(f, tau, h, units)(rho)

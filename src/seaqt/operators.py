@@ -52,13 +52,15 @@ def herm_defect(a: np.ndarray) -> float:
     return float(np.abs(a - a.conj().T).max(initial=0.0)) / scale
 
 
-def require_hermitian(a, tol: float = HERMITICITY_TOL, name: str = "operator") -> np.ndarray:
-    """Return the symmetrized matrix, rejecting genuinely non-Hermitian input."""
+def require_hermitian(a, name: str = "operator") -> np.ndarray:
+    """Return the symmetrized matrix, rejecting input whose ``herm_defect``
+    exceeds HERMITICITY_TOL."""
     a = as_complex(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotHermitianError(f"{name} must be a square matrix, got shape {a.shape}")
-    if herm_defect(a) > tol:
-        raise NotHermitianError(f"{name} is not Hermitian within tolerance {tol:g}")
+    if herm_defect(a) > HERMITICITY_TOL:
+        raise NotHermitianError(
+            f"{name} is not Hermitian within tolerance {HERMITICITY_TOL:g}")
     return hermitize(a)
 
 

@@ -41,6 +41,7 @@ from .operators import UnitSystem
 
 GRAM_CONDITION_WARN = 1e8
 SPAN_RESIDUAL_TOL = 1e-9
+EQUILIBRIUM_TOL = 1e-9
 
 
 class GramConditionWarning(UserWarning):
@@ -240,9 +241,10 @@ class ConstantReport:
         return self.commutes_with_H and self.in_span
 
 
-def span_check(c, h, generators, tol: float = SPAN_RESIDUAL_TOL) -> ConstantReport:
+def span_check(c, h, generators) -> ConstantReport:
     """[C, H] = 0, and the residual of C against span{I, H, generators} under
-    the trace inner product (relative to ||C|| for the in-span verdict)."""
+    the trace inner product (SPAN_RESIDUAL_TOL relative to ||C|| for the
+    in-span verdict)."""
     c = op.require_hermitian(c, name="C")
     commutes = op.commutation_check(c, h)[0]
     span_ops = [np.eye(h.shape[0], dtype=complex), h, *generators]
@@ -250,14 +252,13 @@ def span_check(c, h, generators, tol: float = SPAN_RESIDUAL_TOL) -> ConstantRepo
     coeffs = op.least_squares(basis, c.ravel())
     residual = float(np.linalg.norm(basis @ coeffs - c.ravel()))
     c_norm = max(np.linalg.norm(c.ravel()), 1e-300)
-    return ConstantReport(commutes, residual <= tol * c_norm, residual)
+    return ConstantReport(commutes, residual <= SPAN_RESIDUAL_TOL * c_norm, residual)
 
 
-def is_constant_of_motion(c, model: SingleConstituentModel,
-                          tol: float = SPAN_RESIDUAL_TOL) -> ConstantReport:
+def is_constant_of_motion(c, model: SingleConstituentModel) -> ConstantReport:
     """C is a constant of the motion iff [C, H] = 0 and C lies in
     span{I, H, X, ..., Y} under the trace inner product."""
-    return span_check(c, model.H, model.generators, tol)
+    return span_check(c, model.H, model.generators)
 
 
 @dataclass(frozen=True)
@@ -272,19 +273,19 @@ class EquilibriumReport:
         return self.commutes and self.spectral_match
 
 
-def is_equilibrium(rho, model: SingleConstituentModel,
-                   tol: float = 1e-9) -> EquilibriumReport:
+def is_equilibrium(rho, model: SingleConstituentModel) -> EquilibriumReport:
     """Equilibrium test: [rho, H] = 0 and p_i = exp(R_i)/z on the support,
     for some R = -beta H + chi X + ... fitted by least squares.
 
     Projectors onto H-eigenvectors pass (single support point fits exactly);
     coherences fail the commutation check.  The rhs norm is attached as a
     numerical cross-check: every equilibrium state is a fixed point.
+    The commutation and fit tests scale from EQUILIBRIUM_TOL.
     """
     rho = st.validate(rho)
     h = model.H
     scale = max(1.0, float(np.linalg.norm(h, ord="fro")))
-    commutes = op.frobenius_norm(op.commutator(rho.matrix, h)) <= tol * scale
+    commutes = op.frobenius_norm(op.commutator(rho.matrix, h)) <= EQUILIBRIUM_TOL * scale
     rhs_norm = op.frobenius_norm(sea_rhs(rho, model))
     if not commutes:
         return EquilibriumReport(False, False, rhs_norm)
@@ -305,8 +306,9 @@ def is_equilibrium(rho, model: SingleConstituentModel,
     for coef, f in zip(coeffs[1:], ops):
         r_fit = r_fit + coef * f
     r_scale = max(1.0, float(np.linalg.norm(r_fit, ord="fro")))
-    shares_basis = op.frobenius_norm(op.commutator(rho.matrix, r_fit)) <= tol * r_scale
-    spectral_match = fit_residual <= max(tol, 1e3 * tol * np.abs(y).max(initial=1.0)) \
+    shares_basis = op.frobenius_norm(op.commutator(rho.matrix, r_fit)) \
+        <= EQUILIBRIUM_TOL * r_scale
+    spectral_match = fit_residual <= 1e3 * EQUILIBRIUM_TOL * np.abs(y).max(initial=1.0) \
         and shares_basis
     return EquilibriumReport(commutes, bool(spectral_match), rhs_norm,
                              multipliers=coeffs[1:])

@@ -276,9 +276,7 @@ def decode_state(obj, model=None, seed_override: int | None = None) -> st.StateO
             raise ConfigError(f"expected {len(ops)} (H plus generators), "
                               f"got {len(multipliers)}", "gibbs.multipliers")
         constants = eq.constant_set(ops, units=model.units)
-        m = eq.MultiplierVector(beta=float(multipliers[0]),
-                                gammas=tuple(float(v) for v in multipliers[1:]))
-        return eq.gibbs_state(constants, m)
+        return eq.gibbs_state(constants, eq.MultiplierVector.from_array(multipliers))
     if kind == "random":
         dim = spec.get("dim")
         if dim is None:

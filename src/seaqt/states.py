@@ -9,7 +9,8 @@ Log-dependent quantities of the equation of motion route through the
 regular p ln p forms (``rho_log_rho``, ``log_variance``), so singular
 states never require ln(rho) on its own.  Where ln(rho) itself is needed
 (entropy-rate pairings, the composite reduced log), ``log_operator`` gives
-it with eigenvalues floored at ``LOG_FLOOR``.
+it with eigenvalues floored at ``LOG_FLOOR``.  ``gibbs_spectrum`` gives the
+weights of a Gibbs state exp(K)/Z and ln Z from one ``eigh`` of K.
 
 Covariance products are evaluated in the eigenbasis of rho by
 ``covariance_table``: with rho = diag(p) every trace is a weighted sum over
@@ -126,21 +127,21 @@ def _check_and_repair(m: np.ndarray, not_positive, bad_trace, where: str = ""):
     return op.hermitize(r / np.trace(r, axis1=-2, axis2=-1).real[..., None, None]), vals, vecs
 
 
-def validate(matrix, herm_tol: float = op.HERMITICITY_TOL) -> StateOperator:
+def validate(matrix) -> StateOperator:
     """Symmetrize, clamp round-off negativity, renormalize, or reject; a
     ``StateOperator`` is valid already and comes back as it is.
 
-    Square shape and Hermiticity are checked here; the rest of the rule is
-    ``_check_and_repair``, which the integrator's projection shares.  An
-    eigenvalue below EIG_CLAMP_FLOOR raises ``NotPositiveError`` and
-    |Tr - 1| beyond TRACE_TOL raises ``TraceError``.
+    Square shape and Hermiticity (to ``operators.HERMITICITY_TOL``) are
+    checked here; the rest of the rule is ``_check_and_repair``, which the
+    integrator's projection shares.  An eigenvalue below EIG_CLAMP_FLOOR
+    raises ``NotPositiveError`` and |Tr - 1| beyond TRACE_TOL ``TraceError``.
     """
     if isinstance(matrix, StateOperator):
         return matrix
     m = op.as_complex(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitianError(f"state operator must be square, got shape {m.shape}")
-    if op.herm_defect(m) > herm_tol:
+    if op.herm_defect(m) > op.HERMITICITY_TOL:
         raise NotHermitianError("state operator is not Hermitian within tolerance")
     return StateOperator(_check_and_repair(op.hermitize(m), NotPositiveError, TraceError)[0])
 
@@ -240,17 +241,6 @@ def in_eigenbasis(rho, ops) -> tuple[np.ndarray, np.ndarray]:
     return spec.eigenvalues, u.conj().T @ np.asarray(ops) @ u
 
 
-def covariance_product(f, g, rho) -> float:
-    """(F, G) = Tr(rho {Delta F, Delta G}): symmetric, positive semidefinite.
-
-    Relates to the variance by (G, G) = 2 var(G).
-    """
-    f, g = op.as_complex(f), op.as_complex(g)
-    op.require_same_dim(f, _as_matrix(rho))
-    op.require_same_dim(g, _as_matrix(rho))
-    return float(covariance_table(*in_eigenbasis(rho, [f, g]))[1][0, 1])
-
-
 def covariance_with_log(f, rho) -> float:
     """(F, ln rho) = Tr(F {Delta ln rho, rho}) in the entropy-regular form.
 
@@ -275,6 +265,14 @@ def distance(rho_a, rho_b) -> float:
     return float(np.linalg.norm(a - b, ord="fro"))
 
 
+def gibbs_spectrum(exponent: np.ndarray):
+    """ln Z, the weights and their eigenvectors of exp(K)/Z, from one eigh of
+    the Hermitian exponent K, max-shifted against overflow."""
+    vals, vecs = np.linalg.eigh(exponent)
+    w = np.exp(vals - vals[-1])
+    return float(vals[-1] + np.log1p(np.sum(w[:-1]))), w / np.sum(w), vecs
+
+
 # ---------------------------------------------------------------------------
 # Constructors for test and scenario states
 # ---------------------------------------------------------------------------
@@ -290,13 +288,8 @@ def pure_state(vec) -> StateOperator:
 
 
 def gibbs_seed(beta: float, h) -> StateOperator:
-    """exp(-beta H)/Z via eigendecomposition, max-shifted against overflow."""
-    h = op.require_hermitian(h, name="H")
-    vals, vecs = np.linalg.eigh(h)
-    expo = -beta * vals
-    expo -= expo.max()
-    w = np.exp(expo)
-    w /= w.sum()
+    """exp(-beta H)/Z, by ``gibbs_spectrum``."""
+    _, w, vecs = gibbs_spectrum(-beta * op.require_hermitian(h, name="H"))
     return StateOperator((vecs * w) @ vecs.conj().T)
 
 

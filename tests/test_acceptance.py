@@ -234,13 +234,12 @@ def test_08_composite_theorems():
     ok &= th14
     # reduced equation: partial trace of the composite rhs
     model_int = _two_qubit(coupling=0.4)
-    partition = cp.SubsystemPartition(blocks=((0,), (1,)))
     th13 = True
     for seed in range(5):
         rho_r = st.random_full_rank(4, seed=100 + seed)
         full = cp.composite_rhs(rho_r, model_int)
         for block in ((0,), (1,)):
-            got = cp.reduced_rhs(rho_r, model_int, partition, block)
+            got = cp.reduced_rhs(rho_r, model_int, block)
             want_r = op.partial_trace(full, [2, 2], keep=list(block))
             th13 &= float(np.abs(got - want_r).max()) <= 1e-9
     ok &= th13
@@ -250,7 +249,7 @@ def test_08_composite_theorems():
     traj = ig.integrate(rho, lambda m: cp.composite_rhs(m, model0), cfg)
     th15 = True
     for s in traj.samples:
-        _, dist = cp.is_independent_state(s.rho, model0, partition, (0,))
+        _, dist = cp.is_independent_state(s.rho, model0, (0,))
         th15 &= dist <= 1e-6
         total, _ = cp.composite_entropy_production(st.validate(s.rho), model0)
         r1 = st.validate(op.partial_trace(s.rho, [2, 2], keep=[0]))

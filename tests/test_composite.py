@@ -7,7 +7,7 @@ from seaqt import integrate as ig
 from seaqt import operators as op
 from seaqt import sea
 from seaqt import states as st
-from seaqt.errors import (NonCommutingGeneratorError,
+from seaqt.errors import (DimensionMismatchError, NonCommutingGeneratorError,
                           SingularCompositeStateError)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -255,14 +255,12 @@ class TestEntropyProduction:
 class TestSeparability:
     def test_additive_hamiltonian_separable(self):
         model = two_qubit_model(coupling=0.0)
-        partition = cp.SubsystemPartition(blocks=((0,), (1,)))
-        ok, residual = cp.is_separable(model, partition, (0,))
+        ok, residual = cp.is_separable(model, (0,))
         assert ok and residual <= 1e-10
 
     def test_coupled_hamiltonian_not_separable(self):
         model = two_qubit_model(coupling=0.5)
-        partition = cp.SubsystemPartition(blocks=((0,), (1,)))
-        ok, residual = cp.is_separable(model, partition, (0,))
+        ok, residual = cp.is_separable(model, (0,))
         assert not ok
         # the extraction leaves exactly the coupling term
         assert residual == pytest.approx(0.5 * np.linalg.norm(op.kron(SZ, SZ)), abs=1e-10)
@@ -270,34 +268,40 @@ class TestSeparability:
     def test_trivial_partition_separable(self):
         model = cp.validate_model(cp.CompositeModel(
             constituents=(cp.Constituent(2, tau=1.0),), H=SZ))
-        partition = cp.SubsystemPartition(blocks=((0,),))
-        ok, residual = cp.is_separable(model, partition, (0,))
+        ok, residual = cp.is_separable(model, (0,))
         assert ok
 
-    def test_partition_must_cover(self):
-        model = two_qubit_model()
-        with pytest.raises(ValueError):
-            cp.SubsystemPartition(blocks=((0,),)).validate_for(model)
 
-    def test_partition_blocks_disjoint(self):
-        with pytest.raises(ValueError):
-            cp.SubsystemPartition(blocks=((0, 1), (1,)))
+# each subsystem function takes the block K alone; K' is its complement
+SUBSYSTEM_CALLS = {
+    "is_separable": lambda model, block: cp.is_separable(model, block),
+    "is_independent_state": lambda model, block: cp.is_independent_state(
+        st.random_full_rank(4, seed=72), model, block),
+    "reduced_rhs": lambda model, block: cp.reduced_rhs(
+        st.random_full_rank(4, seed=72), model, block),
+}
+
+
+@pytest.mark.parametrize("call", SUBSYSTEM_CALLS.values(), ids=SUBSYSTEM_CALLS.keys())
+@pytest.mark.parametrize("block, error", [((2,), DimensionMismatchError), ((), ValueError)],
+                         ids=["out-of-range", "empty"])
+def test_block_out_of_range_or_empty_raises(call, block, error):
+    with pytest.raises(error):
+        call(two_qubit_model(), block)
 
 
 class TestIndependence:
     def test_product_state_independent(self):
         model = two_qubit_model()
-        partition = cp.SubsystemPartition(blocks=((0,), (1,)))
         rho = product_state(st.random_full_rank(2, seed=70),
                             st.random_full_rank(2, seed=71))
-        ok, dist = cp.is_independent_state(rho, model, partition, (0,))
+        ok, dist = cp.is_independent_state(rho, model, (0,))
         assert ok and dist <= 1e-12
 
     def test_bell_state_not_independent(self):
         model = two_qubit_model()
-        partition = cp.SubsystemPartition(blocks=((0,), (1,)))
         bell = st.pure_state(np.array([1, 0, 0, 1]) / np.sqrt(2))
-        ok, dist = cp.is_independent_state(bell, model, partition, (0,))
+        ok, dist = cp.is_independent_state(bell, model, (0,))
         assert not ok
         product = op.kron(I2 / 2, I2 / 2)
         assert dist == pytest.approx(np.linalg.norm(bell.matrix - product), abs=1e-12)
@@ -322,30 +326,27 @@ class TestIndependence:
 class TestReducedRhs:
     def test_partial_trace_consistency(self):
         model = two_qubit_model(coupling=0.3)
-        partition = cp.SubsystemPartition(blocks=((0,), (1,)))
         for seed in range(5):
             rho = st.random_full_rank(4, seed=90 + seed)
             full = cp.composite_rhs(rho, model)
             for block in ((0,), (1,)):
-                got = cp.reduced_rhs(rho, model, partition, block)
+                got = cp.reduced_rhs(rho, model, block)
                 want = op.partial_trace(full, [2, 2], keep=list(block))
                 assert np.abs(got - want).max() <= 1e-9
 
     def test_noninteracting_independent_equals_single(self):
         model = two_qubit_model(coupling=0.0)
-        partition = cp.SubsystemPartition(blocks=((0,), (1,)))
         rho1 = st.random_full_rank(2, seed=95)
         rho2 = st.random_full_rank(2, seed=96)
         rho = product_state(rho1, rho2)
-        got = cp.reduced_rhs(rho, model, partition, (0,))
+        got = cp.reduced_rhs(rho, model, (0,))
         single = sea.validate_model(sea.SingleConstituentModel(H=SZ, tau=1.0))
         assert np.abs(got - sea.sea_rhs(rho1, single)).max() <= 1e-9
 
     def test_trace_zero(self):
         model = two_qubit_model(coupling=0.4)
-        partition = cp.SubsystemPartition(blocks=((0,), (1,)))
         rho = st.random_full_rank(4, seed=97)
-        got = cp.reduced_rhs(rho, model, partition, (1,))
+        got = cp.reduced_rhs(rho, model, (1,))
         assert abs(np.trace(got)) <= 1e-10
 
 
@@ -373,14 +374,13 @@ class TestCompositeConstants:
 class TestIndependencePersistence:
     def test_separable_independent_stay_product(self):
         model = two_qubit_model(coupling=0.0)
-        partition = cp.SubsystemPartition(blocks=((0,), (1,)))
         rho0 = product_state(st.random_full_rank(2, seed=201),
                              st.random_full_rank(2, seed=202))
         cfg = ig.IntegratorConfig(t_max=10.0, dt_max=0.5, rel_tol=1e-9,
                                   abs_tol=1e-11, sample_every=5)
         traj = ig.integrate(rho0, lambda m: cp.composite_rhs(m, model), cfg)
         for s in traj.samples:
-            _, dist = cp.is_independent_state(s.rho, model, partition, (0,))
+            _, dist = cp.is_independent_state(s.rho, model, (0,))
             assert dist <= 1e-6
 
     def test_entropy_rate_additivity(self):
@@ -451,28 +451,25 @@ class TestThreeConstituents:
         # block {0, 2} skips the middle factor: partial-trace consistency
         # exercises the interleaved embedding inside the subsystem
         model = self.three_qubit_model()
-        partition = cp.SubsystemPartition(blocks=((0, 2), (1,)))
         for seed in range(3):
             rho = st.random_full_rank(8, seed=320 + seed)
             full = cp.composite_rhs(rho, model)
-            got = cp.reduced_rhs(rho, model, partition, (0, 2))
+            got = cp.reduced_rhs(rho, model, (0, 2))
             want = op.partial_trace(full, [2, 2, 2], keep=[0, 2])
             assert np.abs(got - want).max() <= 1e-9
 
     def test_reduced_rhs_middle_factor(self):
         model = self.three_qubit_model()
-        partition = cp.SubsystemPartition(blocks=((1,), (0, 2)))
         rho = st.random_full_rank(8, seed=330)
         full = cp.composite_rhs(rho, model)
-        got = cp.reduced_rhs(rho, model, partition, (1,))
+        got = cp.reduced_rhs(rho, model, (1,))
         want = op.partial_trace(full, [2, 2, 2], keep=[1])
         assert np.abs(got - want).max() <= 1e-9
 
     def test_pairwise_separability_verdicts(self):
         model = self.three_qubit_model()
-        partition = cp.SubsystemPartition(blocks=((0, 1), (2,)))
         # constituents 1 and 2 interact across the {0,1}|{2} cut
-        ok, residual = cp.is_separable(model, partition, (0, 1))
+        ok, residual = cp.is_separable(model, (0, 1))
         assert not ok and residual == pytest.approx(
             0.15 * np.linalg.norm(op.kron_all([I2, SX, SX])), abs=1e-10)
 
@@ -602,11 +599,10 @@ class TestStackedPass:
 
     def test_reduced_rhs_is_the_partial_trace_of_the_rhs(self):
         model = self.model("qubit-qutrit-qubit")
-        partition = cp.SubsystemPartition(blocks=((0, 2), (1,)))
         rho = st.random_full_rank(12, seed=610)
         full = cp.composite_rhs(rho, model)
         for block in ((0, 2), (1,)):
-            got = cp.reduced_rhs(rho, model, partition, block)
+            got = cp.reduced_rhs(rho, model, block)
             want = op.partial_trace(full, model.dims, keep=block)
             assert np.abs(got - want).max() <= 1e-12
 

@@ -36,16 +36,16 @@ class TestGibbsState:
 
 class TestPartitionFunction:
     def test_beta_zero_gives_dim(self, two_level):
-        assert eq.partition_function(two_level, eq.MultiplierVector(0.0)) == \
-            pytest.approx(2.0)
+        assert np.exp(eq.log_partition_function(two_level, eq.MultiplierVector(0.0))) \
+            == pytest.approx(2.0)
 
     def test_two_level_value(self, two_level):
-        z = eq.partition_function(two_level, eq.MultiplierVector(np.log(3)))
+        z = np.exp(eq.log_partition_function(two_level, eq.MultiplierVector(np.log(3))))
         assert z == pytest.approx(4.0 / 3.0, abs=1e-12)
 
     def test_positive_and_log_consistent(self, two_level):
         for beta in (-3.0, 0.5, 7.0):
-            z = eq.partition_function(two_level, eq.MultiplierVector(beta))
+            z = np.exp(eq.log_partition_function(two_level, eq.MultiplierVector(beta)))
             lz = eq.log_partition_function(two_level, eq.MultiplierVector(beta))
             assert z > 0
             assert np.log(z) == pytest.approx(lz, abs=1e-12)

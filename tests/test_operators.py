@@ -80,8 +80,8 @@ COMMUTATION_ENTRY_POINTS = {
         NonCommutingGeneratorError),
     "equilibrium.constant_set": lambda h, x: _accepts(
         lambda: eq.constant_set([h, x]), ValueError),
-    "lindblad.double_commutator_rhs": lambda h, x: _accepts(
-        lambda: lb.double_commutator_rhs(np.eye(3) / 3, x, 1.0, h), NonCommutingFError),
+    "lindblad.double_commutator": lambda h, x: _accepts(
+        lambda: lb.double_commutator(x, 1.0, h), NonCommutingFError),
 }
 
 

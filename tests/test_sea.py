@@ -65,7 +65,8 @@ class TestModelValidation:
         assert model.tau == 1.0
 
     def test_h_as_generator_accepted(self):
-        sea.validate_model(sea.SingleConstituentModel(H=SZ, generators=(SZ,), tau=1.0))
+        with pytest.warns(sea.GramConditionWarning):
+            sea.validate_model(sea.SingleConstituentModel(H=SZ, generators=(SZ,), tau=1.0))
 
     def test_non_commuting_generator_rejected(self):
         with pytest.raises(NonCommutingGeneratorError):
@@ -261,23 +262,23 @@ class TestConstantsOfMotion:
 class TestEquilibriumDetection:
     def test_gibbs_is_equilibrium(self, qubit_model):
         rho = st.gibbs_seed(0.9, qubit_model.H)
-        report = sea.is_equilibrium(rho, qubit_model, tol=1e-9)
+        report = sea.is_equilibrium(rho, qubit_model)
         assert report.is_equilibrium
         assert report.rhs_norm <= 1e-9
 
     def test_eigenprojector_is_equilibrium(self, qubit_model):
         rho = st.pure_state([0, 1])
-        report = sea.is_equilibrium(rho, qubit_model, tol=1e-9)
+        report = sea.is_equilibrium(rho, qubit_model)
         assert report.is_equilibrium
         assert report.rhs_norm <= 1e-9
 
     def test_partial_support_gibbs_form(self, qubit_model):
         rho = st.validate(np.diag([0.7, 0.3]))
-        assert sea.is_equilibrium(rho, qubit_model, tol=1e-9).is_equilibrium
+        assert sea.is_equilibrium(rho, qubit_model).is_equilibrium
 
     def test_coherence_breaks_equilibrium(self, qubit_model):
         m = np.array([[0.7, 0.1], [0.1, 0.3]], dtype=complex)
-        report = sea.is_equilibrium(st.validate(m), qubit_model, tol=1e-9)
+        report = sea.is_equilibrium(st.validate(m), qubit_model)
         assert not report.commutes
         assert not report.is_equilibrium
 
@@ -287,7 +288,7 @@ class TestEquilibriumDetection:
         h = np.diag([0.0, 1.0, 1.0])
         model = sea.validate_model(sea.SingleConstituentModel(H=h, tau=1.0))
         rho = st.validate(np.diag([0.5, 0.4, 0.1]))
-        report = sea.is_equilibrium(rho, model, tol=1e-9)
+        report = sea.is_equilibrium(rho, model)
         assert report.commutes and not report.spectral_match
 
 

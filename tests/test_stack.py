@@ -106,7 +106,7 @@ def test_linear_and_composite_rhs_accept_a_stack():
     f = np.diag([1.0, -1.0, 0.3]).astype(complex)
     stack = np.stack([st.random_full_rank(3, seed=s).matrix for s in range(4)])
     for rhs in (lambda m: lb.kl_rhs(m, lmodel), lambda m: lb.pauli_rhs(m, rates),
-                lambda m: lb.double_commutator_rhs(m, f, 0.5, h)):
+                lb.double_commutator(f, 0.5, h)):
         want = np.stack([rhs(m) for m in stack])
         assert np.abs(rhs(stack) - want).max() <= 1e-14
     model = cp.validate_model(cp.CompositeModel(
