@@ -4,9 +4,10 @@ machine-readable reports.
 
 Subcommands: simulate, equilibrium, compare, validate, ensemble.  Every
 config is first checked against ``serialize.CONFIG_SCHEMA``, which
-``--print-schema`` prints.  ``load_scenario`` then decodes the units, the
-system, every dynamics block and the integrator before any integration or
-output, so a config error leaves no partial output.
+``--print-schema`` prints, and then decoded by a walk of the same schema
+(``serialize.decode_config``).  ``load_scenario`` then builds the units,
+the system, every dynamics block and the integrator before any integration
+or output, so a config error leaves no partial output.
 
 Exit codes: 0 success; 2 no subcommand, a usage error, or a config that
 is not valid JSON or not a JSON object; 3 every ConfigError (a missing
@@ -62,8 +63,7 @@ def load_config(path: str) -> dict:
                                    exc.doc, exc.pos) from exc
     if not isinstance(config, dict):
         raise json.JSONDecodeError("config top level must be an object", "", 0)
-    sz.check_config(config)
-    return config
+    return sz.decode_config(config)
 
 
 class Scenario(NamedTuple):
@@ -77,15 +77,15 @@ class Scenario(NamedTuple):
 
 
 def load_scenario(config: dict, seed: int | None) -> Scenario:
-    """Decode the units, the system, every dynamics block and the integrator,
-    in that order, so that a config error exits before any work or output."""
-    units = sz.decode_units(config.get("units"))
+    """Build the units, the system, every dynamics block and the integrator
+    from a decoded config, in that order, so that a config error exits
+    before any work or output."""
+    units = sz.decode_units(config.get("units", {}))
     if "system" not in config:
         raise ConfigError("scenario needs a 'system' object")
     (kind, spec), = config["system"].items()
     decode = sz.decode_single_model if kind == "single" else sz.decode_composite_model
-    with sz.field_path(f"system.{kind}"):
-        model = decode(spec, units)
+    model = decode(spec, units)
     dynamics = {name: build_dynamics(kind, model, name, block, units)
                 for name, block in config.get("dynamics", {}).items()}
     return Scenario(kind, model, dynamics, build_integrator(config), seed)
@@ -153,8 +153,7 @@ def build_dynamics(kind: str, model, name: str, block: dict, units):
         raise ConfigError(f"dynamics '{name}' requires a single system")
     energy_op, gen_ops = model.H, model.generators
     if name == "lindblad":
-        with sz.field_path("dynamics.lindblad"):
-            lmodel = sz.decode_lindblad(block, units)
+        lmodel = sz.decode_lindblad(block, units)
         dim = lmodel.dim
         rhs = partial(lb.kl_rhs, model=lmodel)
     elif name == "pauli":
@@ -162,13 +161,12 @@ def build_dynamics(kind: str, model, name: str, block: dict, units):
         dim, energy_op = rates.dim, np.diag(rates.energies).astype(complex)
         rhs = partial(lb.pauli_rhs, rates=rates)
     else:   # double_commutator, the one block the schema admits beyond these
-        with sz.field_path("dynamics.double_commutator.F"):
-            f = sz.decode_matrix(block["F"])
+        f = block["F"]
         dim, gen_ops = len(f), (f,)
     if dim != len(model.H):
         raise ConfigError(f"{name} operators do not match the system dimension")
     if name == "double_commutator":   # validates [F, H] = 0 once, after the dim check
-        rhs = lb.double_commutator(f, float(block["tau"]), model.H, units=units)
+        rhs = lb.double_commutator(f, block["tau"], model.H, units=units)
 
     def g_rate(m):
         rho = st.as_state(m)
@@ -229,22 +227,20 @@ def cmd_simulate(config: dict, out_dir: Path, seed: int | None) -> int:
 
 
 def cmd_equilibrium(config: dict, out_dir: Path, seed: int | None) -> int:
-    units = sz.decode_units(config.get("units"))
-    raw_constants = config.get("constants")
-    if not raw_constants:
+    units = sz.decode_units(config.get("units", {}))
+    if not config.get("constants"):
         raise ConfigError("equilibrium config needs 'constants'")
     if "targets" in config and "multipliers" in config:
         raise ConfigError("equilibrium takes 'targets' or 'multipliers', not both")
-    constants = eq.constant_set(sz.decode_matrices(raw_constants, "constants"),
-                                units=units)
+    constants = eq.constant_set(config["constants"], units=units)
     if "multipliers" in config:
-        values = [float(v) for v in config["multipliers"]]
+        values = config["multipliers"]
         if len(values) != len(constants):
             raise ConfigError(f"expected {len(constants)} (one per constant), "
                               f"got {len(values)}", "multipliers")
         m = eq.MultiplierVector.from_array(values)
     elif "targets" in config:
-        m = eq.solve_multipliers(constants, [float(v) for v in config["targets"]])
+        m = eq.solve_multipliers(constants, config["targets"])
     else:
         raise ConfigError("equilibrium config needs 'targets' or 'multipliers'")
     rho = eq.gibbs_state(constants, m)
@@ -392,7 +388,7 @@ def cmd_ensemble(config: dict, out_dir: Path, seed: int | None) -> int:
         for i, s in enumerate(spec["states"]):
             with sz.field_path(f"maxent.states[{i}]"):
                 states.append(sz.decode_state(s, model=model, seed_override=seed))
-        mu = en.maxent_known_spectrum(states, float(spec["target_energy"]), model.H)
+        mu = en.maxent_known_spectrum(states, spec["target_energy"], model.H)
         return write_result(config, out_dir, {
             "weights": [float(w) for w in mu.weights],
             "statistical_uncertainty": en.statistical_uncertainty(mu, c=model.units.c_stat),

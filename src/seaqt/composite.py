@@ -334,8 +334,9 @@ def entropy_rate_pairing(rho, model: CompositeModel) -> float:
 # ---------------------------------------------------------------------------
 
 def _blocks(model: CompositeModel, block) -> tuple[list, list]:
-    """The constituents of ``block`` K and those of the rest K', each ascending."""
-    keep = sorted(block)
+    """The constituents of ``block`` K and those of the rest K', each
+    ascending; K is checked as ``operators.partial_trace`` checks ``keep``."""
+    keep = op._kept_factors(block, len(model.constituents))
     return keep, [i for i in range(len(model.constituents)) if i not in keep]
 
 
@@ -345,8 +346,6 @@ def separability_residual(model: CompositeModel, block) -> float:
     Each private part, from ``private_hamiltonian``, has the offset
     Tr(H)/dim taken out; the split adds it back once.
     """
-    if not block:
-        raise ValueError("block must be nonempty")
     keep, rest = _blocks(model, block)
     if not rest:
         return 0.0
@@ -390,7 +389,7 @@ def reduced_rhs(rho, model: CompositeModel, block) -> np.ndarray:
     trace over the rest K' of the Hamiltonian term and of the dissipative
     terms of K's own constituents, which leaves each {D(J), rho(J)} of K
     embedded against the reduced state of the rest of K."""
-    keep = sorted(block)
+    keep, _ = _blocks(model, block)
     hbar = model.units.hbar
     out = -1j / hbar * op.commutator(model.H, st._as_matrix(rho))
     weights = np.array([c.tau if j in keep else 0.0

@@ -31,6 +31,7 @@ from .states import StateOperator
 MERGE_TOL = 1e-9       # Frobenius distance below which support states merge
 WEIGHT_SUM_TOL = 1e-10
 RANGE_MARGIN = 1e-12   # a target must lie this far inside the open value range
+TARGET_TOL = 1e-10     # |sum q v - target| the maximum-entropy weights must meet
 
 
 @dataclass(frozen=True)
@@ -176,22 +177,24 @@ def integrate_support(mu: StatisticalWeightMeasure, rhs, config,
         raise
 
 
-def _solve_exponential_weights(values: np.ndarray, target: float,
-                               tol: float = 1e-10) -> np.ndarray:
-    """Weights q_n proportional to exp(-b v_n) matching sum q_n v_n = target."""
+def _solve_exponential_weights(values: np.ndarray, target: float) -> np.ndarray:
+    """Weights q_n proportional to exp(-b v_n) matching sum q_n v_n = target;
+    equal values take only their own target.  The range test is the one of
+    ``solve_multipliers``, its error restated in the caller's values."""
     lo, hi = float(values.min()), float(values.max())
-    if not (lo + RANGE_MARGIN < target < hi - RANGE_MARGIN):
-        if abs(hi - lo) < 1e-15 and abs(target - lo) < RANGE_MARGIN:
-            return np.full(len(values), 1.0 / len(values))
-        raise TargetInfeasibleError(
-            f"target {target!r} outside the open range ({lo:g}, {hi:g})")
-
+    if hi - lo < 1e-15 and abs(target - lo) < RANGE_MARGIN:
+        return np.full(len(values), 1.0 / len(values))
     # q is the Gibbs state of diag(v - lo) with b as beta: the shift keeps the
     # exponent small, and half the tolerance leaves room for round-off below
     constants = eq.ConstantSet((np.diag(values - lo).astype(complex),))
-    m = eq.solve_multipliers(constants, [target - lo], tol=0.5 * tol, margin=RANGE_MARGIN)
+    try:
+        m = eq.solve_multipliers(constants, [target - lo], tol=0.5 * TARGET_TOL,
+                                 margin=RANGE_MARGIN)
+    except TargetInfeasibleError:
+        raise TargetInfeasibleError(
+            f"target {target!r} outside the open range ({lo:g}, {hi:g})") from None
     q = eq.gibbs_state(constants, m).matrix.diagonal().real
-    if abs(float(q @ values) - target) > tol:
+    if abs(float(q @ values) - target) > TARGET_TOL:
         raise TargetInfeasibleError("constraint not met to tolerance")
     return q
 

@@ -186,12 +186,18 @@ def partial_trace(a, dims, keep) -> np.ndarray:
     if a.shape != (total, total):
         raise DimensionMismatchError(
             f"matrix of shape {a.shape} inconsistent with factor dims {dims}")
+    keep = _kept_factors(keep, len(dims))
+    return np.einsum("ssab->ab", split_factors(a, dims, keep))
+
+
+def _kept_factors(keep, n_factors: int) -> list[int]:
+    """``keep`` ascending without repeats; empty or out of range raises."""
     keep = sorted(set(keep))
     if not keep:
         raise ValueError("keep must be nonempty")
-    if keep[0] < 0 or keep[-1] >= len(dims):
-        raise DimensionMismatchError(f"keep indices {keep} out of range for {len(dims)} factors")
-    return np.einsum("ssab->ab", split_factors(a, dims, keep))
+    if keep[0] < 0 or keep[-1] >= n_factors:
+        raise DimensionMismatchError(f"keep indices {keep} out of range for {n_factors} factors")
+    return keep
 
 
 def embed_factors(ops_by_position: dict[int, np.ndarray], dims) -> np.ndarray:

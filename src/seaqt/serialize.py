@@ -4,8 +4,10 @@ scenario config schema.
 A complex matrix serializes as {"dim": n, "matrix": [[re, im], ...]} with
 n*n entries in row-major order; a pure state as {"dim": n, "pure": [[re,
 im], ...]} with n entries.  Real matrices (Pauli rates) are plain nested
-lists.  ``check_config`` enforces ``CONFIG_SCHEMA``, so the decoders keep
-only the checks a schema cannot state.
+lists.  ``CONFIG_SCHEMA`` both checks and parses a scenario: ``decode_config``
+checks it, then decodes its matrices and integers by a walk of the schema.
+Each block decoder takes a block so decoded; states and measures need the
+model and a seed, so they are decoded where they are used.
 """
 
 from __future__ import annotations
@@ -192,6 +194,33 @@ def field_path(path: str):
         raise
 
 
+def _decode(value, schema: dict, path: str):
+    """``value``, which ``schema`` admits, with each ``$ref: matrix`` a
+    complex array and each integer an ``int``; all else as JSON gave it."""
+    if schema.get("$ref") == MATRIX["$ref"]:
+        with field_path(path):
+            return decode_matrix(value)
+    if "$ref" in schema:
+        schema = CONFIG_SCHEMA["$defs"][schema["$ref"].removeprefix("#/$defs/")]
+    if schema.get("type") == "integer":
+        return int(value)
+    if isinstance(value, dict):
+        return {name: _decode(item, schema["properties"][name], _field(path, name))
+                for name, item in value.items()}
+    if isinstance(value, list):
+        return [_decode(item, schema["items"], f"{path}[{i}]")
+                for i, item in enumerate(value)]
+    return value
+
+
+def decode_config(config) -> dict:
+    """``check_config``, then the config with its matrices and integers
+    decoded; a malformed matrix in any block raises ``ConfigError`` naming
+    its dotted path, such as ``constants[0].matrix``."""
+    check_config(config)
+    return _decode(config, CONFIG_SCHEMA, "")
+
+
 def encode_matrix(m) -> dict:
     m = np.asarray(m, dtype=complex)
     return {"dim": m.shape[0],
@@ -208,15 +237,6 @@ def decode_matrix(obj) -> np.ndarray:
     return flat.reshape(dim, dim)
 
 
-def decode_matrices(objs, path: str) -> tuple:
-    """``decode_matrix`` over a list; an error names the entry ``path[i]``."""
-    out = []
-    for i, obj in enumerate(objs):
-        with field_path(f"{path}[{i}]"):
-            out.append(decode_matrix(obj))
-    return tuple(out)
-
-
 def decode_vector(obj) -> np.ndarray:
     dim = int(obj["dim"])
     entries = obj["pure"]
@@ -230,28 +250,16 @@ def encode_state(rho: st.StateOperator) -> dict:
 
 
 def decode_units(obj) -> UnitSystem:
-    return UnitSystem(**{name: float(v) for name, v in (obj or {}).items()})
+    return UnitSystem(**obj)
 
 
 def decode_single_model(obj, units: UnitSystem) -> sea.SingleConstituentModel:
-    with field_path("H"):
-        h = decode_matrix(obj["H"])
-    gens = decode_matrices(obj.get("generators", []), "generators")
-    model = sea.SingleConstituentModel(H=h, generators=gens,
-                                       tau=float(obj["tau"]), units=units)
-    return sea.validate_model(model)
+    return sea.validate_model(sea.SingleConstituentModel(**obj, units=units))
 
 
 def decode_composite_model(obj, units: UnitSystem) -> cp.CompositeModel:
-    constituents = []
-    for j, c in enumerate(obj["constituents"]):
-        gens = decode_matrices(c.get("generators", []), f"constituents[{j}].generators")
-        constituents.append(cp.Constituent(dim=int(c["dim"]), generators=gens,
-                                           tau=float(c["tau"])))
-    with field_path("H"):
-        h = decode_matrix(obj["H"])
-    model = cp.CompositeModel(constituents=tuple(constituents), H=h, units=units)
-    return cp.validate_model(model)
+    constituents = tuple(cp.Constituent(**c) for c in obj["constituents"])
+    return cp.validate_model(cp.CompositeModel(constituents, obj["H"], units))
 
 
 def decode_state(obj, model=None, seed_override: int | None = None) -> st.StateOperator:
@@ -287,24 +295,20 @@ def decode_state(obj, model=None, seed_override: int | None = None) -> st.StateO
         if seed is None:
             raise ConfigError("required field missing; give it here or pass --seed",
                               "random.seed")
-        return st.random_full_rank(int(dim), seed=int(seed),
-                                   min_eig=float(spec.get("min_eig", st.RANDOM_MIN_EIG)))
+        return st.random_full_rank(dim, seed=seed,
+                                   min_eig=spec.get("min_eig", st.RANDOM_MIN_EIG))
     # kind == "mix"
     with field_path("mix.state"):
         inner = decode_state(spec["state"], model=model, seed_override=seed_override)
-    return st.mix_with_identity(inner, float(spec["epsilon"]))
+    return st.mix_with_identity(inner, spec["epsilon"])
 
 
 def decode_lindblad(obj, units: UnitSystem) -> lb.LindbladModel:
-    with field_path("B"):
-        b = decode_matrix(obj["B"])
-    return lb.lindblad_model(b, jump_ops=decode_matrices(obj.get("jumps", []), "jumps"),
-                             units=units)
+    return lb.lindblad_model(obj["B"], obj.get("jumps", ()), units)
 
 
 def decode_pauli(obj, units: UnitSystem) -> lb.PauliRates:
-    return lb.pauli_rates(np.asarray(obj["w"], dtype=float),
-                          np.asarray(obj["energies"], dtype=float), units=units)
+    return lb.pauli_rates(obj["w"], obj["energies"], units)
 
 
 def decode_measure(obj, model=None,
@@ -312,7 +316,7 @@ def decode_measure(obj, model=None,
     pairs = []
     for i, point in enumerate(obj["support"]):
         with field_path(f"support[{i}].state"):
-            pairs.append((float(point["w"]), decode_state(
+            pairs.append((point["w"], decode_state(
                 point["state"], model=model, seed_override=seed_override)))
     return en.measure(pairs)
 

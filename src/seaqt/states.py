@@ -86,8 +86,8 @@ class StateOperator:
     def eigenvalues(self) -> np.ndarray:
         return self.spectral.eigenvalues
 
-    def purity(self) -> float:
-        return float(np.sum(self.eigenvalues ** 2))
+    def purity(self) -> float | np.ndarray:
+        return _per_member(np.sum(self.eigenvalues ** 2, axis=-1))
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix)[0])
@@ -167,9 +167,22 @@ def _plogp(p: np.ndarray) -> np.ndarray:
     return p * np.log(np.where(p > LOG_ZERO_CUTOFF, p, 1.0))
 
 
-def entropy(rho, k: float = 1.0) -> float:
-    """Entropy functional -k sum p_i ln p_i (p ln p -> 0 at p = 0)."""
-    return -k * float(np.sum(_plogp(as_state(rho).eigenvalues)))
+def _per_member(values: np.ndarray):
+    """A float for a single state, the (...) array for a stack."""
+    return float(values) if values.ndim == 0 else values
+
+
+def _spectral_function(rho, f) -> np.ndarray:
+    """sum_i f(p_i) |i><i| over the spectrum of rho, per member of a stack."""
+    spec = as_state(rho).spectral
+    u = spec.eigenvectors
+    return (u * f(spec.eigenvalues)[..., None, :]) @ u.conj().swapaxes(-1, -2)
+
+
+def entropy(rho, k: float = 1.0) -> float | np.ndarray:
+    """Entropy functional -k sum p_i ln p_i (p ln p -> 0 at p = 0): a float,
+    or one value per member of a stack."""
+    return _per_member(-k * np.sum(_plogp(as_state(rho).eigenvalues), axis=-1))
 
 
 def rho_log_rho(rho) -> np.ndarray:
@@ -177,9 +190,7 @@ def rho_log_rho(rho) -> np.ndarray:
 
     Finite for every valid state; the null operator on pure states.
     """
-    spec = as_state(rho).spectral
-    u = spec.eigenvectors
-    return (u * _plogp(spec.eigenvalues)) @ u.conj().T
+    return _spectral_function(rho, _plogp)
 
 
 def regular_log_column(p: np.ndarray):
@@ -202,9 +213,7 @@ def log_operator(rho) -> np.ndarray:
     Callers that need a full-rank state check the smallest eigenvalue
     against LOG_FLOOR first.
     """
-    spec = as_state(rho).spectral
-    u = spec.eigenvectors
-    return (u * np.log(np.maximum(spec.eigenvalues, LOG_FLOOR))) @ u.conj().T
+    return _spectral_function(rho, lambda p: np.log(np.maximum(p, LOG_FLOOR)))
 
 
 def deviation(f, rho) -> np.ndarray:
@@ -235,10 +244,11 @@ def covariance_table(p, ops):
 
 
 def in_eigenbasis(rho, ops) -> tuple[np.ndarray, np.ndarray]:
-    """Spectrum p of rho and the operators rotated into its eigenbasis."""
+    """Spectrum p of rho and the operators (n, d, d) rotated into its
+    eigenbasis; a stack of states gives (..., d) and (..., n, d, d)."""
     spec = as_state(rho).spectral
-    u = spec.eigenvectors
-    return spec.eigenvalues, u.conj().T @ np.asarray(ops) @ u
+    u = spec.eigenvectors[..., None, :, :]
+    return spec.eigenvalues, u.conj().swapaxes(-1, -2) @ np.asarray(ops) @ u
 
 
 def covariance_with_log(f, rho) -> float:

@@ -1,6 +1,8 @@
 import copy
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from seaqt import cli
+from seaqt import composite as cp
 from seaqt import lindblad as lb
 from seaqt import sea
 from seaqt import serialize as sz
@@ -577,6 +580,14 @@ class TestSemanticErrorsNameTheirField:
         assert cli.main(["ensemble", "--config", str(tmp_path / "scenario.json"),
                          "--out", str(tmp_path), "--seed", "4"]) == 0
 
+    def test_malformed_matrix_in_a_block_the_subcommand_does_not_use(self, tmp_path,
+                                                                     capsys):
+        config = qubit_sea_scenario(constants=[
+            {"dim": 2, "matrix": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}])
+        err = self.run(tmp_path, capsys, config)
+        assert "ERROR Config: constants[0].matrix: dim 2 needs 4 entries, got 3" in err
+        assert not list(tmp_path.glob("*.csv"))
+
 
 def test_reports_record_the_integrator_settings_that_ran(tmp_path):
     compare = qubit_sea_scenario(
@@ -667,6 +678,46 @@ class TestSchema:
                 assert accepted == validator.is_valid(mutated), mutated
                 checked += 1
         assert checked > 1000
+
+    @pytest.mark.parametrize("path, constructor", [
+        (("system", "single"), sea.SingleConstituentModel),
+        (("system", "composite", "constituents", "items"), cp.Constituent),
+        (("units",), UnitSystem),
+        (("dynamics", "pauli"), lb.pauli_rates)],
+        ids=["single", "constituent", "units", "pauli"])
+    def test_block_fields_are_parameters_of_their_constructor(self, path, constructor):
+        # the decoded block is passed as keyword arguments
+        schema = sz.CONFIG_SCHEMA
+        for key in path:
+            schema = schema[key] if key == "items" else schema["properties"][key]
+        assert set(schema["properties"]) <= set(inspect.signature(constructor).parameters)
+
+    def test_decode_makes_every_matrix_an_array_and_keeps_the_integrator(self):
+        # an object with a "matrix" field at these paths is a state, which
+        # is decoded where it is used
+        state_path = re.compile(r"(^initial|\.state|^maxent\.states\[\d+\])$")
+
+        def pairs(raw, out, path):
+            yield path, raw, out
+            if isinstance(out, dict):
+                for name in raw:
+                    yield from pairs(raw[name], out[name], f"{path}.{name}".lstrip("."))
+            elif isinstance(out, list):
+                for i, (r, o) in enumerate(zip(raw, out)):
+                    yield from pairs(r, o, f"{path}[{i}]")
+
+        arrays = 0
+        for scenario in suite_scenarios():
+            decoded = sz.decode_config(scenario)
+            for path, raw, out in pairs(scenario, decoded, ""):
+                if isinstance(raw, dict) and "matrix" in raw and not state_path.search(path):
+                    assert isinstance(out, np.ndarray), path
+                    assert np.array_equal(out, sz.decode_matrix(raw)), path
+                    arrays += 1
+            for name, value in scenario.get("integrator", {}).items():
+                ran = decoded["integrator"][name]
+                assert type(ran) is type(value) and ran == value, name
+        assert arrays >= 10
 
     def test_readme_scenario_validates_and_runs(self, tmp_path):
         scenario = readme_scenario()

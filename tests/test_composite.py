@@ -279,6 +279,9 @@ SUBSYSTEM_CALLS = {
         st.random_full_rank(4, seed=72), model, block),
     "reduced_rhs": lambda model, block: cp.reduced_rhs(
         st.random_full_rank(4, seed=72), model, block),
+    # a singular entangled state: the block is checked before the dissipator
+    "reduced_rhs_of_bell": lambda model, block: cp.reduced_rhs(
+        st.pure_state(np.array([1, 0, 0, 1]) / np.sqrt(2)), model, block),
 }
 
 

@@ -101,6 +101,11 @@ def test_targets_outside_the_open_range_are_infeasible(target):
         en._solve_exponential_weights(np.array([0.0, 0.25, 1.0, 1.0]), target)
 
 
+def test_infeasible_target_is_named_in_the_callers_values():
+    with pytest.raises(TargetInfeasibleError, match=r"target 4\.0 outside the open range \(5, 7\)"):
+        en._solve_exponential_weights(np.array([5.0, 6.0, 7.0]), 4.0)
+
+
 def test_equal_values_take_only_their_own_target():
     values = np.full(5, 0.3)
     assert np.array_equal(en._solve_exponential_weights(values, 0.3), np.full(5, 0.2))

@@ -13,7 +13,6 @@ from seaqt import integrate as ig
 from seaqt import lindblad as lb
 from seaqt import operators as op
 from seaqt import sea
-from seaqt import serialize as sz
 from seaqt import states as st
 from seaqt.errors import StateInvalidError, StepUnderflowError
 
@@ -121,7 +120,7 @@ def test_linear_and_composite_rhs_accept_a_stack():
 
 @pytest.mark.parametrize("kind", ["single", "composite"])
 def test_the_dissipative_equilibrium_norm_is_per_member(kind):
-    units = sz.decode_units(None)
+    units = op.UnitSystem()
     if kind == "single":
         model = sea.SingleConstituentModel(H=np.diag([0.0, 0.7, 1.9]).astype(complex))
         dim = 3

@@ -111,6 +111,44 @@ class TestRhoLogRho:
         assert np.trace(st.rho_log_rho(rho)).real == pytest.approx(-st.entropy(rho))
 
 
+@pytest.mark.parametrize("n", [4, 3], ids=["N=d", "N!=d"])
+class TestStackedSpectralFunctions:
+    """Each spectral function on a (N, d, d) stack, d = 4, against the loop
+    over its members."""
+
+    @staticmethod
+    def members(n):
+        return [st.random_full_rank(4, seed=s) for s in range(n)]
+
+    @pytest.mark.parametrize("fn", [st.log_operator, st.rho_log_rho],
+                             ids=["log_operator", "rho_log_rho"])
+    def test_operator_valued(self, n, fn):
+        members = self.members(n)
+        stack = st.StateOperator(np.stack([m.matrix for m in members]))
+        want = np.stack([fn(m) for m in members])
+        assert np.abs(fn(stack) - want).max() <= 1e-13
+
+    def test_in_eigenbasis(self, n):
+        members = self.members(n)
+        stack = st.StateOperator(np.stack([m.matrix for m in members]))
+        ops = [np.kron(SX, SZ), np.kron(SZ, np.eye(2)), np.kron(SX, SX)]
+        p, rotated = st.in_eigenbasis(stack, ops)
+        for i, m in enumerate(members):
+            p_i, rotated_i = st.in_eigenbasis(m, ops)
+            assert np.array_equal(p[i], p_i)
+            assert np.abs(rotated[i] - rotated_i).max() <= 1e-13
+
+    def test_entropy_and_purity_per_member(self, n):
+        members = self.members(n)
+        stack = st.StateOperator(np.stack([m.matrix for m in members]))
+        assert isinstance(st.entropy(members[0], k=2.0), float)
+        assert isinstance(members[0].purity(), float)
+        assert np.allclose(st.entropy(stack, k=2.0),
+                           [st.entropy(m, k=2.0) for m in members], rtol=0, atol=1e-14)
+        assert np.allclose(stack.purity(), [m.purity() for m in members],
+                           rtol=0, atol=1e-14)
+
+
 class TestDeviation:
     def test_identity_gives_zero(self):
         rho = st.random_full_rank(3, seed=2)
