@@ -95,16 +95,15 @@ def build_initial(config: dict, scenario: Scenario) -> st.StateOperator:
     with sz.field_path("initial"):
         rho0 = sz.decode_state(config.get("initial", {}), model=scenario.model,
                                seed_override=scenario.seed)
-    preflight(scenario, [rho0])
+    preflight(scenario, rho0)
     return rho0
 
 
-def preflight(scenario: Scenario, states) -> None:
-    """Hold each state a subcommand integrates on a composite system to the
-    documented domain: ``composite_rhs`` on a ``StateOperator`` is strict."""
+def preflight(scenario: Scenario, rho: st.StateOperator) -> None:
+    """Hold the state or stack a subcommand integrates on a composite system
+    to the documented domain: ``composite_rhs`` on a StateOperator is strict."""
     if scenario.kind == "composite":
-        for rho in states:
-            cp.composite_rhs(rho, scenario.model)
+        cp.composite_rhs(rho, scenario.model)
 
 
 def build_integrator(config: dict) -> ig.IntegratorConfig:
@@ -115,9 +114,9 @@ def build_integrator(config: dict) -> ig.IntegratorConfig:
 
 
 def build_dynamics(kind: str, model, name: str, block: dict, units):
-    """Return (rhs, observables, eq_norm) for one dynamics block.  The rhs
-    and eq_norm (one norm per member) take a (..., d, d) stack.  A linear
-    block's g_rate is -k Tr(rhs ln rho), nan on singular states."""
+    """Return (rhs, observables, eq_norm) for one dynamics block.  The rhs,
+    g_rate and eq_norm (one value per member) take a (..., d, d) stack.  A
+    linear block's g_rate is -k Tr(rhs ln rho), nan on singular states."""
     k_B = units.k_B
     if name == "sea":
         if kind == "single":
@@ -170,9 +169,8 @@ def build_dynamics(kind: str, model, name: str, block: dict, units):
 
     def g_rate(m):
         rho = st.as_state(m)
-        if rho.spectral.eigenvalues[-1] < st.LOG_FLOOR:
-            return float("nan")
-        return -k_B * float(np.trace(rhs(m) @ st.log_operator(rho)).real)
+        rate = -k_B * np.trace(rhs(m) @ st.log_operator(rho), axis1=-2, axis2=-1).real
+        return np.where(rho.spectral.eigenvalues[..., -1] < st.LOG_FLOOR, np.nan, rate)[()]
 
     obs = ig.Observables(energy_op=energy_op, generator_ops=gen_ops, g_rate=g_rate, k_B=k_B)
     return rhs, obs, None
@@ -334,11 +332,8 @@ def cmd_validate(config: dict, out_dir: Path, seed: int | None) -> int:
         checks.append(_check(f"generator_{i}_conservation", 1e-8,
                              abs(float(np.trace(x @ rhs0).real))))
     if name == "sea":
-        probes = [st.random_full_rank(rho0.dim, seed=s).matrix for s in range(100)]
-        if kind == "single":    # one stacked call over the probes
-            g_probes = obs.g_rate(np.stack(probes))
-        else:
-            g_probes = [obs.g_rate(p) for p in probes]
+        probes = np.stack([st.random_full_rank(rho0.dim, seed=s).matrix for s in range(100)])
+        g_probes = obs.g_rate(probes)
         worst_g = max(0.0, -float(np.min(g_probes)), -float(obs.g_rate(rho0.matrix)))
         checks.append(_check("entropy_production_nonnegative", 1e-12, worst_g))
         if kind == "single":
@@ -403,7 +398,7 @@ def cmd_ensemble(config: dict, out_dir: Path, seed: int | None) -> int:
     if len(scenario.dynamics) != 1:
         raise ConfigError("ensemble needs exactly one dynamics block")
     (rhs, obs, eq_norm), = scenario.dynamics.values()
-    preflight(scenario, mu.states)
+    preflight(scenario, st.StateOperator(np.stack([s.matrix for s in mu.states])))
     outputs = config.get("outputs", {})
     # the support states advance as one stack on the user's settings; the
     # series needs no entropy production rate

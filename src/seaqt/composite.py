@@ -9,22 +9,23 @@ with H.  The full dissipative term is the sum over constituents of
 (tau(J)/hbar^2) {D(J), rho(J)} (x) rho(J').
 
 The constituents are evaluated in one stacked pass per kind, a kind being
-a (factor dim, generator count) pair; a model of identical constituents is
-one kind.  A gather map, cached per tuple of kinds, splits any dim x dim
-operator into (k, r, r, d_J, d_J) tensors for the kind's k constituents
-(the rest's indices, then J's) with one fancy index.  Contractions of the
-split rho give every rho(J) and rho(J'), and of the split ln rho and H
-every W(J) and V(J), so the dim x dim embedding I(J) (x) rho(J') is never
-formed.  One stacked eigh decomposes the reduced states, one kernel call
-takes the per-member operators (k, n, d_J, d_J), and the inverse gather
-puts every {D(J), rho(J)} (x) rho(J') back in the full space.
+a (factor dim, generator count) pair (a model of identical constituents is
+one kind), over every member of a (..., dim, dim) state stack at once.  A
+gather map, cached per tuple of kinds, splits any operator into (..., k, r,
+r, d_J, d_J) tensors for the kind's k constituents (the rest's indices,
+then J's) with one fancy index.  Contractions of the split rho give every
+rho(J) and rho(J'), and of the split ln rho and H every W(J) and V(J), so
+the dim x dim embedding I(J) (x) rho(J') is never formed.  One stacked eigh
+decomposes the reduced states, one kernel call takes the operators (..., k,
+n, d_J, d_J), and the inverse gather puts every {D(J), rho(J)} (x) rho(J')
+back in the full space.
 
 W(J) needs ln(rho) of the full composite state, which exists only for
-full-rank rho.  Exact products of pure states branch to Hamiltonian-only
-evolution; any other state with an eigenvalue below the log floor
-``states.LOG_FLOOR`` raises ``SingularCompositeStateError`` (the documented
-workflow is to mix with epsilon >= 1e-8 of the identity before
-integrating).
+full-rank rho.  Exact products of pure states get an exact-zero
+dissipator, member by member; any other StateOperator with an eigenvalue
+below the log floor ``states.LOG_FLOOR`` raises ``SingularCompositeStateError``
+naming the member (the documented workflow is to mix with epsilon >= 1e-8
+of the identity before integrating).
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def validate_model(model: CompositeModel) -> CompositeModel:
             f"H has dim {h.shape[0]} but factors give {int(np.prod(dims))}")
     new_constituents = []
     for j, c in enumerate(model.constituents):
-        if c.tau <= 0:
+        if not c.tau > 0:
             raise NonPositiveTauError(f"constituent {j}: tau must be positive")
         gens = []
         for i, x in enumerate(c.generators):
@@ -147,46 +148,43 @@ def _maps(model: CompositeModel):
 
 
 def _marginals(m: np.ndarray, gather: np.ndarray):
-    """rho(J) and rho(J') of the state matrix m, for each constituent of a
-    kind's (k, r, r, d_J, d_J) gather map."""
-    t = m.reshape(-1)[gather]
+    """rho(J) and rho(J') of the state matrix m, or of each member of a
+    stack, for each constituent of a kind's (k, r, r, d_J, d_J) gather map."""
+    t = m.reshape(*m.shape[:-2], -1).take(gather, axis=-1)
     return np.einsum("...ssab->...ab", t), np.einsum("...staa->...st", t)
 
 
 def _reduce(rest: np.ndarray, a: np.ndarray, gather: np.ndarray) -> np.ndarray:
     """Tr_{J'}((I(J) (x) rho(J')) a) for each constituent of a kind's gather
-    map, as (k, d_J, d_J): the split a contracted with rho(J') by one
-    matrix-vector product, without forming the embedding."""
-    *lead, r, _, d, _ = gather.shape
-    t = a.reshape(-1)[gather].reshape(*lead, r * r, d * d)
+    map, as (..., k, d_J, d_J): the split a, shared or one per member of a
+    stack, contracted with rho(J') by one matmul, without the embedding."""
+    *lead, r, _ = rest.shape
+    d = gather.shape[-1]
+    t = a.reshape(*a.shape[:-2], -1).take(gather.reshape(-1, r * r, d * d), axis=-1)
     return (rest.swapaxes(-1, -2).reshape(*lead, 1, r * r) @ t).reshape(*lead, d, d)
 
 
 def _reduced(rho: StateOperator, model: CompositeModel, j: int,
              a: np.ndarray) -> np.ndarray:
     """Tr_{j'}((I(j) (x) rho(j')) a) for the one constituent j."""
-    _check_index(model, j)
-    rest = np.einsum("staa->st", op.split_factors(rho.matrix, model.dims, [j]))
-    return op.hermitize(np.einsum("st,tsab->ab", rest, op.split_factors(a, model.dims, [j])))
+    _blocks(model, [j])
+    kind = next(kind for kind in _maps(model) if j in kind.members)
+    gather = kind.gather[kind.members == j]
+    return op.hermitize(_reduce(_marginals(rho.matrix, gather)[1], a, gather)[0])
 
 
-def _check_index(model: CompositeModel, j: int) -> None:
-    if not 0 <= j < len(model.constituents):
-        raise IndexError(f"constituent index {j} out of range")
-
-
-def _require_full_rank(rho: StateOperator) -> None:
-    """The documented domain of W(J): no eigenvalue below the log floor."""
-    p_min = rho.spectral.eigenvalues[-1]
-    if p_min < st.LOG_FLOOR:
-        raise SingularCompositeStateError(
-            f"composite state has eigenvalue {p_min:.3e} below the log floor "
-            f"{st.LOG_FLOOR:g}; mix with identity (epsilon >= 1e-8) before use")
+def _require_full_rank(rho: StateOperator, exempt=False) -> None:
+    """The documented domain of W(J): no eigenvalue below the log floor, in
+    each member of a stack that the mask ``exempt`` does not flag."""
+    p_min = rho.spectral.eigenvalues[..., -1]
+    st._raise_for((p_min < st.LOG_FLOOR) & np.logical_not(exempt), p_min,
+                  SingularCompositeStateError,
+                  "composite state has eigenvalue {:.3e} below the log floor "
+                  f"{st.LOG_FLOOR:g}; mix with identity (epsilon >= 1e-8) before use")
 
 
 def reduced_state(rho, model: CompositeModel, j: int) -> StateOperator:
     """Reduced state operator of constituent j (partial trace over the rest)."""
-    _check_index(model, j)
     return subsystem_state(rho, model, [j])
 
 
@@ -214,94 +212,96 @@ def reduced_log(rho, model: CompositeModel, j: int) -> np.ndarray:
     return _reduced(rho, model, j, st.log_operator(rho))
 
 
-def is_pure_product(rho, model: CompositeModel, reduced=None) -> bool:
-    """True when the state is (numerically exactly) a product of pure factor
+def is_pure_product(rho, model: CompositeModel, reduced=None):
+    """Whether the state is (numerically exactly) a product of pure factor
     states: all spectral weight on one global eigenvector and every reduced
-    state pure.  ``reduced`` passes reduced states already at hand, single
-    or stacked."""
+    state pure.  A bool, or a mask over the members of a stack.  ``reduced``
+    passes the reduced states already at hand, one per kind."""
     rho = st.as_state(rho)
-    if not st.is_pure(rho.spectral.eigenvalues):
-        return False
-    if reduced is None:
-        reduced = [st.as_state(_marginals(rho.matrix, kind.gather)[0])
-                   for kind in _maps(model)]
-    return all(bool(st.is_pure(sub.spectral.eigenvalues).all()) for sub in reduced)
+    pure = st.is_pure(rho.spectral.eigenvalues)
+    if np.count_nonzero(pure):
+        if reduced is None:
+            reduced = [st.as_state(_marginals(rho.matrix, kind.gather)[0])
+                       for kind in _maps(model)]
+        for sub in reduced:
+            pure = pure & st.is_pure(sub.spectral.eigenvalues).all(axis=-1)
+    return bool(pure) if pure.ndim == 0 else pure
 
 
 def _factor_terms(rho, model: CompositeModel):
     """[(kind, {D(J), rho(J)}, g(J), rho(J'))] per kind, each stacked over
-    the kind's k members; empty on pure products.
+    the members of a state stack and the kind's k members; exact zeros for
+    a member that is a pure product, and empty when every member is one.
 
     One pass per kind: the kind's gather map splits rho, ln rho and H for
     all k members at once, contractions reduce them to every rho(J),
     rho(J'), W(J) and V(J), one stacked eigh gives the reduced spectra and
-    one kernel call the k dissipators, from per-member operators
-    (k, n, d_J, d_J).
+    one kernel call the dissipators, from per-member operators
+    (..., k, n, d_J, d_J).
 
-    A StateOperator is held to the documented full-rank domain.  A raw
-    matrix is an integrator trial point, whose tiny eigenvalues step
-    negative by O(dt^2): ln rho is then clamped at the log floor, a
-    continuous extension off the state manifold.
+    A StateOperator is held to the documented full-rank domain, member by
+    member.  A raw matrix is an integrator trial point, whose tiny
+    eigenvalues step negative by O(dt^2): ln rho is then clamped at the log
+    floor, a continuous extension off the state manifold.
     """
     strict = isinstance(rho, StateOperator)
     rho = st.as_state(rho)
     kinds = _maps(model)
     marginals = [_marginals(rho.matrix, kind.gather) for kind in kinds]
     reduced = [st.as_state(rho_j) for rho_j, _ in marginals]
-    if is_pure_product(rho, model, reduced):
+    pure = is_pure_product(rho, model, reduced)
+    if np.count_nonzero(pure) == np.size(pure):
         return []
     if strict:
-        _require_full_rank(rho)
+        _require_full_rank(rho, pure)
     log_full = st.log_operator(rho)
     terms = []
     for kind, rho_j, (_, rest) in zip(kinds, reduced, marginals):
         k, d = len(kind.members), kind.gather.shape[-1]
-        ops = np.empty((k, 2 + kind.n_gen, d, d), dtype=complex)
-        ops[:, 0] = _reduce(rest, log_full, kind.gather)
-        ops[:, 1] = _reduce(rest, model.H, kind.gather)
-        ops[:, 2:] = np.reshape([model.constituents[j].generators for j in kind.members],
-                                (k, kind.n_gen, d, d))
+        ops = np.empty((*rest.shape[:-2], 2 + kind.n_gen, d, d), dtype=complex)
+        ops[..., 0, :, :] = _reduce(rest, log_full, kind.gather)
+        ops[..., 1, :, :] = _reduce(rest, model.H, kind.gather)
+        ops[..., 2:, :, :] = np.reshape([model.constituents[j].generators
+                                         for j in kind.members], (k, kind.n_gen, d, d))
         # normalized reduced spectra, scaled back: see sea._projection_form
         spec = rho_j.spectral
         total = spec.eigenvalues.sum(axis=-1)
-        acomm, g = sea.dissipator_kernel(spec.eigenvalues / total[:, None],
+        acomm, g = sea.dissipator_kernel(spec.eigenvalues / total[..., None],
                                          spec.eigenvectors, op.hermitize(ops))
-        terms.append((kind, total[:, None, None] * acomm, g, rest))
+        acomm[pure], g[pure] = 0.0, 0.0
+        terms.append((kind, total[..., None, None] * acomm, g, rest))
     return terms
 
 
-def _embed(terms, model: CompositeModel, weights: np.ndarray) -> np.ndarray:
-    """sum_J weights[J] {D(J), rho(J)} (x) rho(J') on the full space: per
-    kind, one broadcast product forms the split tensors and the inverse
-    gather puts them back."""
-    out = np.zeros(model.dim * model.dim, dtype=complex)
+def _embed(terms, weights: np.ndarray, shape) -> np.ndarray:
+    """sum_J weights[J] {D(J), rho(J)} (x) rho(J') on the full space, for
+    the state or stack of ``shape``: per kind, one broadcast product forms
+    the split tensors and the inverse gather puts them back."""
+    *lead, dim, _ = shape
+    out = np.zeros((*lead, dim * dim), dtype=complex)
     for kind, acomm, _, rest in terms:
-        k, r = rest.shape[:2]
+        k, r = rest.shape[-3:-1]
         scaled = weights[kind.members, None, None] * acomm
-        t = rest.reshape(k, r * r, 1) * scaled.reshape(k, 1, -1)
-        out += t.reshape(-1)[kind.scatter].sum(axis=0)
-    return out.reshape(model.dim, model.dim)
+        t = rest.reshape(*lead, k, r * r, 1) * scaled.reshape(*lead, k, 1, -1)
+        out += t.reshape(*lead, -1).take(kind.scatter, axis=-1).sum(axis=-2)
+    return out.reshape(shape)
 
 
 def dissipative_term(rho, model: CompositeModel) -> np.ndarray:
-    """Sum_J (tau(J)/hbar^2) {D(J), rho(J)} (x) rho(J') on the full space.
-
-    Zero (exactly) on pure products; raises on other singular states.  A
-    (..., d, d) stack is evaluated member by member.
-    """
-    m = st._as_matrix(rho)
-    if m.ndim > 2:
-        return np.stack([dissipative_term(x, model)
-                         for x in m.reshape(-1, *m.shape[-2:])]).reshape(m.shape)
+    """Sum_J (tau(J)/hbar^2) {D(J), rho(J)} (x) rho(J') on the full space,
+    per member of a (..., d, d) stack.  Zero (exactly) on pure products;
+    raises on other singular StateOperators."""
     taus = np.array([c.tau for c in model.constituents])
-    return _embed(_factor_terms(rho, model), model, taus / model.units.hbar**2)
+    return _embed(_factor_terms(rho, model), taus / model.units.hbar**2,
+                  st._as_matrix(rho).shape)
 
 
 def composite_rhs(rho, model: CompositeModel) -> np.ndarray:
     """d rho/dt = -(i/hbar)[H, rho] - sum_J (tau(J)/hbar^2) {D(J), rho(J)} (x) rho(J').
 
-    A (..., d, d) stack is evaluated member by member, each member as a raw
-    matrix (an integrator trial point).
+    ``rho`` is one state or a (..., d, d) stack of them, evaluated member by
+    member in one pass, each member as a raw matrix (an integrator trial
+    point) or, in a StateOperator, held to the full-rank domain.
     """
     hbar = model.units.hbar
     return -1j / hbar * op.commutator(model.H, st._as_matrix(rho)) \
@@ -309,15 +309,15 @@ def composite_rhs(rho, model: CompositeModel) -> np.ndarray:
 
 
 def composite_entropy_production(rho, model: CompositeModel):
-    """Total rate sum_J k tau(J) g(J) / hbar^2 and the per-constituent g(J) >= 0."""
-    terms = _factor_terms(rho, model)
-    per = np.zeros(len(model.constituents))
-    for kind, _, g, _ in terms:
-        per[kind.members] = g
+    """Total rate sum_J k tau(J) g(J) / hbar^2 and the per-constituent g(J) >= 0;
+    for a (..., d, d) stack, arrays (...) and (..., n) instead of a float and a list."""
+    per = np.zeros((*st._as_matrix(rho).shape[:-2], len(model.constituents)))
+    for kind, _, g, _ in _factor_terms(rho, model):
+        per[..., kind.members] = g
     u = model.units
-    total = sum(u.k_B * c.tau * g / u.hbar**2
-                for c, g in zip(model.constituents, per))
-    return total, list(per)
+    total = sum(u.k_B * c.tau * per[..., j] / u.hbar**2
+                for j, c in enumerate(model.constituents))
+    return (total, per) if per.ndim > 1 else (total, list(per))
 
 
 def entropy_rate_pairing(rho, model: CompositeModel) -> float:
@@ -394,7 +394,7 @@ def reduced_rhs(rho, model: CompositeModel, block) -> np.ndarray:
     out = -1j / hbar * op.commutator(model.H, st._as_matrix(rho))
     weights = np.array([c.tau if j in keep else 0.0
                         for j, c in enumerate(model.constituents)])
-    out = out - _embed(_factor_terms(rho, model), model, weights / hbar**2)
+    out = out - _embed(_factor_terms(rho, model), weights / hbar**2, out.shape)
     return op.partial_trace(out, model.dims, keep=keep)
 
 

@@ -62,7 +62,7 @@ def measure(pairs) -> StatisticalWeightMeasure:
     pairs = [(float(w), st.validate(s)) for w, s in pairs]
     if not pairs:
         raise MeasureWeightError("measure needs at least one support point")
-    if any(w <= 0 for w, _ in pairs):
+    if any(not w > 0 for w, _ in pairs):
         raise MeasureWeightError("weights must be strictly positive")
     total = sum(w for w, _ in pairs)
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
@@ -98,7 +98,7 @@ def combine(measures: Sequence[StatisticalWeightMeasure],
     weights = [float(w) for w in weights]
     if len(weights) != len(measures):
         raise MeasureWeightError("one weight per measure required")
-    if any(w <= 0 for w in weights):
+    if any(not w > 0 for w in weights):
         raise MeasureWeightError("combination weights must be positive")
     if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
         raise MeasureWeightError(f"combination weights sum to {sum(weights)!r}")
@@ -127,9 +127,9 @@ def evolve_measure(mu: StatisticalWeightMeasure, rhs, t_max: float,
 
     The support states advance as one (N, d, d) stack with a common dt
     (``integrate_support``), so ``rhs`` must accept a stack of shape
-    (..., d, d), as ``sea.sea_rhs`` and the linear rhs do.  An integration
-    failure propagates with its own type and traceback and a note naming
-    the support index.
+    (..., d, d), as the single and composite laws and the linear rhs do.
+    An integration failure propagates with its own type and traceback and
+    a note naming the support index.
     """
     cfg = replace(config or ig.IntegratorConfig(), t_max=t_max)
     final = integrate_support(mu, rhs, cfg).final.rho
@@ -150,7 +150,7 @@ def integrate_support(mu: StatisticalWeightMeasure, rhs, config,
     """The trajectory of the support states of ``mu`` integrated as one
     (N, d, d) stack: one common dt, each member's own error norm, samples
     at shared times with one value per member (``integrate.integrate``).
-    ``eq_norm``, if given, takes the stack and returns one norm per member.
+    ``eq_norm`` and ``g_rate``, if given, take the stack and give one value per member.
 
     A failure propagates with its own type and traceback and a note naming
     the support index.  The integrator names the member for its own errors;

@@ -121,19 +121,22 @@ class IntegratorConfig:
             raise ValueError(f"unknown projection mode {self.projection!r}")
         if not (0 < self.dt_min <= self.dt_init <= self.dt_max):
             raise ValueError("require 0 < dt_min <= dt_init <= dt_max")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
+        if not self.rel_tol > 0 or not self.abs_tol > 0:
             raise ValueError("tolerances must be positive")
+        if not np.isfinite(self.t_max):
+            raise ValueError("t_max must be finite")
         if self.sample_dt is not None and not self.sample_dt > 0:
             raise ValueError("sample_dt must be positive (or null for none)")
 
 
 @dataclass(frozen=True)
 class Observables:
-    """Derived quantities recorded at each sample."""
+    """Derived quantities recorded at each sample.  ``g_rate`` takes a
+    sample's state or (..., d, d) stack and returns one value per member."""
 
     energy_op: np.ndarray | None = None
     generator_ops: tuple = ()
-    g_rate: Callable[[np.ndarray], float] | None = None
+    g_rate: Callable[[np.ndarray], float | np.ndarray] | None = None
     k_B: float = 1.0
 
 
@@ -239,15 +242,12 @@ def _expectation(rho: np.ndarray, a: np.ndarray):
 def _record(traj: Trajectory, t: float, raw: np.ndarray, projected: np.ndarray,
             obs: Observables) -> None:
     """One sample; over a stack every column holds one value per member.
-    ``obs.g_rate`` is called once per member."""
-    d = raw.shape[-1]
+    ``obs.g_rate`` is called once, on the state or the whole stack."""
     vals = np.linalg.eigvalsh(op.hermitize(projected))
     p = np.clip(vals, 0.0, None)
     nan = float("nan")
     energy = _expectation(projected, obs.energy_op) if obs.energy_op is not None else nan
-    g_rate = nan if obs.g_rate is None else np.array(
-        [obs.g_rate(x) for x in projected.reshape(-1, d, d)],
-        dtype=float).reshape(raw.shape[:-2])[()]
+    g_rate = nan if obs.g_rate is None else obs.g_rate(projected)
     traj.samples.append(Sample(
         t=t, rho=projected.copy(), entropy=-obs.k_B * st._plogp(p).sum(axis=-1),
         energy=energy, g_rate=g_rate,

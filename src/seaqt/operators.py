@@ -31,7 +31,7 @@ class UnitSystem:
     c_stat: float = 1.0
 
     def __post_init__(self):
-        if self.hbar <= 0 or self.k_B <= 0 or self.c_stat <= 0:
+        if not (self.hbar > 0 and self.k_B > 0 and self.c_stat > 0):
             raise ValueError("unit constants must be strictly positive")
 
 

@@ -81,7 +81,7 @@ def validate_model(model: SingleConstituentModel) -> SingleConstituentModel:
     GRAM_CONDITION_WARN (duplicate generators degrade gracefully to a
     round-off-level dissipator, but silence would hide the degeneracy).
     """
-    if model.tau <= 0:
+    if not model.tau > 0:
         raise NonPositiveTauError(f"tau must be positive, got {model.tau}")
     h = op.require_hermitian(model.H, name="H")
     gens = []

@@ -140,6 +140,8 @@ def _check(value, schema: dict, path: str) -> None:
     if "$ref" in schema:
         schema = CONFIG_SCHEMA["$defs"][schema["$ref"].removeprefix("#/$defs/")]
     where = path or "config"
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     if "type" in schema:
         types = schema["type"] if isinstance(schema["type"], list) else [schema["type"]]
         if not any(_has_type(value, t) for t in types):
@@ -177,7 +179,9 @@ def _check(value, schema: dict, path: str) -> None:
 def check_config(config) -> None:
     """Check a decoded scenario against ``CONFIG_SCHEMA``, covering exactly
     the keywords it uses; raise ``ConfigError`` naming the dotted path of the
-    first offending field, such as ``system.single.generators[0].dim``."""
+    first offending field, such as ``system.single.generators[0].dim``.
+    Stricter than jsonschema in one place: it rejects NaN and +-Infinity,
+    which ``json.load`` parses though JSON has no such tokens."""
     _check(config, CONFIG_SCHEMA, "")
 
 

@@ -719,6 +719,18 @@ class TestSchema:
                 assert type(ran) is type(value) and ran == value, name
         assert arrays >= 10
 
+    @pytest.mark.parametrize("block, path", [
+        ({"system": {"single": {"H": {"dim": 1, "matrix": [[0.0, 0.0]]},
+                                "tau": float("nan")}}}, "system.single.tau"),
+        ({"integrator": {"t_max": float("inf")}}, "integrator.t_max"),
+        ({"targets": [1.0, -float("inf")]}, "targets[1]")],
+        ids=["nan-tau", "infinite-t_max", "infinite-target"])
+    def test_a_non_finite_number_is_rejected_by_path(self, block, path):
+        # json.load parses the non-standard NaN and Infinity tokens
+        config = json.loads(json.dumps(block))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: expected a finite"):
+            sz.check_config(config)
+
     def test_readme_scenario_validates_and_runs(self, tmp_path):
         scenario = readme_scenario()
         sz.check_config(scenario)
@@ -861,6 +873,18 @@ class TestCompositeScenarios:
         assert code == 3
         err = capsys.readouterr().err
         assert "SingularCompositeState" in err and "mix" in err
+
+    def test_support_states_of_the_wrong_dimension_exit_3(self, tmp_path, capsys):
+        # the pre-flight stacks the support states; their dimension is
+        # checked against the model's, not left to the stacking
+        config = self.composite_config()
+        config["measure"] = {"support": [
+            {"w": 0.5, "state": {"random": {"dim": 2, "seed": s}}} for s in (1, 2)]}
+        config_path = write_config(tmp_path, config)
+        code = cli.main(["ensemble", "--config", config_path, "--out", str(tmp_path)])
+        assert code == 3
+        assert "DimensionMismatch" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestGibbsInitialWithGenerators:

@@ -293,6 +293,15 @@ def test_block_out_of_range_or_empty_raises(call, block, error):
         call(two_qubit_model(), block)
 
 
+# a constituent index is held to the block rule: it has no empty case
+@pytest.mark.parametrize("call", [cp.reduced_state, cp.reduced_hamiltonian, cp.reduced_log],
+                         ids=["reduced_state", "reduced_hamiltonian", "reduced_log"])
+@pytest.mark.parametrize("j", [2, -1])
+def test_constituent_index_out_of_range_raises(call, j):
+    with pytest.raises(DimensionMismatchError):
+        call(st.random_full_rank(4, seed=72), two_qubit_model(), j)
+
+
 class TestIndependence:
     def test_product_state_independent(self):
         model = two_qubit_model()

@@ -478,3 +478,11 @@ class TestSampledGrid:
     def test_a_grid_needs_a_positive_spacing(self, sample_dt):
         with pytest.raises(ValueError, match="sample_dt"):
             ig.IntegratorConfig(sample_dt=sample_dt)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("t_max", np.inf, "t_max must be finite"), ("t_max", np.nan, "t_max must be finite"),
+    ("rel_tol", np.nan, "tolerances"), ("abs_tol", np.nan, "tolerances")])
+def test_non_finite_settings_are_rejected(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        ig.IntegratorConfig(**{field: value})

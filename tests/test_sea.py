@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from seaqt import composite as cp
 from seaqt import equilibrium as eq
+from seaqt import operators as op
 from seaqt import sea
 from seaqt import states as st
 from seaqt.errors import NonCommutingGeneratorError, NonPositiveTauError
@@ -75,6 +77,14 @@ class TestModelValidation:
     def test_non_positive_tau_rejected(self):
         with pytest.raises(NonPositiveTauError):
             sea.validate_model(sea.SingleConstituentModel(H=SZ, tau=0.0))
+
+    def test_nan_tau_and_units_rejected(self):
+        with pytest.raises(NonPositiveTauError):
+            sea.validate_model(sea.SingleConstituentModel(H=SZ, tau=np.nan))
+        with pytest.raises(NonPositiveTauError):
+            cp.validate_model(cp.CompositeModel((cp.Constituent(2, (), np.nan),), SZ))
+        with pytest.raises(ValueError, match="strictly positive"):
+            op.UnitSystem(k_B=np.nan)
 
     def test_degenerate_generators_warn(self):
         model = sea.SingleConstituentModel(H=SZ, generators=(SZ, SZ), tau=1.0)

@@ -14,7 +14,8 @@ from seaqt import lindblad as lb
 from seaqt import operators as op
 from seaqt import sea
 from seaqt import states as st
-from seaqt.errors import StateInvalidError, StepUnderflowError
+from seaqt.errors import (SingularCompositeStateError, StateInvalidError,
+                          StepUnderflowError)
 
 
 def random_unitary(dim, rng):
@@ -113,9 +114,66 @@ def test_linear_and_composite_rhs_accept_a_stack():
         np.kron(np.diag([0.0, 1.0]), np.eye(2)) + np.kron(np.eye(2), np.diag([0.0, 1.3]))))
     stack = np.stack([st.random_full_rank(4, seed=s).matrix for s in range(3)])
     want = np.stack([cp.composite_rhs(m, model) for m in stack])
-    assert np.array_equal(cp.composite_rhs(stack, model), want)
+    assert np.abs(cp.composite_rhs(stack, model) - want).max() <= 1e-14
     want = np.stack([cp.dissipative_term(m, model) for m in stack])
-    assert np.array_equal(cp.dissipative_term(stack, model), want)
+    assert np.abs(cp.dissipative_term(stack, model) - want).max() <= 1e-14
+
+
+def qubit_qutrit_model():
+    """Two kinds of constituent, a plain qubit and a qutrit with one
+    generator, under an entangling coupling that the generator commutes with."""
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    h3, x3 = np.diag([0.0, 1.0, 2.3]), np.diag([1.0, 0.0, -1.0])
+    h = np.kron(sz, np.eye(3)) + np.kron(np.eye(2), h3) + 0.4 * np.kron(sx, x3)
+    return cp.validate_model(cp.CompositeModel(
+        (cp.Constituent(2, (), 0.8), cp.Constituent(3, (np.diag([0.0, 1.0, 0.0]),), 1.3)),
+        h, units=op.UnitSystem(hbar=0.9)))
+
+
+def composite_mixed_stack(rng):
+    """Three full-rank members, an exact pure product, and a trial point
+    with an eigenvalue of -1e-12."""
+    members = [st.random_full_rank(6, seed=int(rng.integers(2**31))).matrix
+               for _ in range(3)]
+    members.append(np.kron(st.pure_state([0.6, 0.8j]).matrix,
+                           st.pure_state([1.0, 0.0, 1.0j]).matrix))
+    p = rng.uniform(0.5, 1.5, 6)
+    p = p / p.sum()
+    p[-1], p[0] = -1e-12, p[0] + p[-1] + 1e-12
+    u = random_unitary(6, rng)
+    members.append(op.hermitize((u * p) @ u.conj().T))
+    return np.stack(members)
+
+
+def test_stacked_composite_pass_matches_the_member_loop():
+    model = qubit_qutrit_model()
+    assert len(cp._maps(model)) == 2
+    stack = composite_mixed_stack(np.random.default_rng(21))
+    for f in (cp.composite_rhs, cp.dissipative_term):
+        got = f(stack, model)
+        assert got.shape == stack.shape
+        assert np.abs(got - np.stack([f(m, model) for m in stack])).max() <= 1e-14
+    total, per = cp.composite_entropy_production(stack, model)
+    assert total.shape == (5,) and per.shape == (5, 2)
+    loop = [cp.composite_entropy_production(m, model) for m in stack]
+    assert np.abs(total - [t for t, _ in loop]).max() <= 1e-14
+    assert np.abs(per - [g for _, g in loop]).max() <= 1e-14
+    # the pure product's terms are exact zeros, inside the stack too
+    assert cp.is_pure_product(stack, model).tolist() == [False, False, False, True, False]
+    assert not cp.dissipative_term(stack, model)[3].any()
+    assert not per[3].any()
+
+
+def test_a_singular_state_stack_names_the_member():
+    model = cp.validate_model(cp.CompositeModel(
+        (cp.Constituent(2, (), 1.0), cp.Constituent(2, (), 0.5)),
+        np.kron(np.diag([0.0, 1.0]), np.eye(2)) + np.kron(np.eye(2), np.diag([0.0, 1.3]))))
+    bell = st.pure_state(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)).matrix
+    stack = st.StateOperator(np.stack([st.random_full_rank(4, seed=1).matrix, bell]))
+    with pytest.raises(SingularCompositeStateError, match=r"\(member 1\)") as info:
+        cp.composite_rhs(stack, model)
+    assert info.value.member == 1
 
 
 @pytest.mark.parametrize("kind", ["single", "composite"])
@@ -157,6 +215,23 @@ def test_stacked_integration_matches_member_by_member():
         assert np.abs(traj.final.rho[i] - alone.final.rho).max() <= 1e-7
         for name in ("entropy", "energy", "g_rate", "purity", "min_eig"):
             assert np.abs(traj.column(name)[:, i] - alone.column(name)).max() <= 1e-7
+
+
+def test_g_rate_is_called_once_per_sample_on_the_stack():
+    rng = np.random.default_rng(6)
+    model = commuting_model(3, 1, rng)
+    stack = np.stack([st.random_full_rank(3, seed=s).matrix for s in range(4)])
+    calls = []
+
+    def g_rate(m):
+        calls.append(m.shape)
+        return sea.gram_determinant_g(m, model)
+
+    traj = ig.integrate(stack, lambda m: sea.sea_rhs(m, model),
+                        ig.IntegratorConfig(t_max=1.0, sample_dt=0.25),
+                        observables=ig.Observables(g_rate=g_rate))
+    assert calls == [stack.shape] * len(traj.samples)
+    assert traj.column("g_rate").shape == (len(traj.samples), 4)
 
 
 def test_a_stack_of_one_is_the_single_state_run():
