@@ -34,11 +34,12 @@ from . import ensemble as en
 from . import equilibrium as eq
 from . import integrate as ig
 from . import lindblad as lb
+from . import operators as op
 from . import sea
 from . import serialize as sz
 from . import states as st
-from .errors import (ConfigError, NoConvergenceError, SeaqtError,
-                     StateInvalidError, StepUnderflowError,
+from .errors import (ConfigError, DimensionMismatchError, NoConvergenceError,
+                     SeaqtError, StateInvalidError, StepUnderflowError,
                      TargetInfeasibleError)
 
 EXIT_OK = 0
@@ -99,9 +100,13 @@ def build_initial(config: dict, scenario: Scenario) -> st.StateOperator:
     return rho0
 
 
-def preflight(scenario: Scenario, rho: st.StateOperator) -> None:
-    """Hold the state or stack a subcommand integrates on a composite system
-    to the documented domain: ``composite_rhs`` on a StateOperator is strict."""
+def preflight(scenario: Scenario, rho: st.StateOperator, where: str = "initial") -> None:
+    """Hold the state or stack a subcommand integrates, named ``where``, to the
+    system's dimension and, on a composite system, to the documented domain:
+    ``composite_rhs`` on a StateOperator is strict."""
+    if rho.dim != scenario.model.dim:
+        raise DimensionMismatchError(f"{where} has dim {rho.dim}, but the system "
+                                     f"has dim {scenario.model.dim}")
     if scenario.kind == "composite":
         cp.composite_rhs(rho, scenario.model)
 
@@ -169,8 +174,8 @@ def build_dynamics(kind: str, model, name: str, block: dict, units):
 
     def g_rate(m):
         rho = st.as_state(m)
-        rate = -k_B * np.trace(rhs(m) @ st.log_operator(rho), axis1=-2, axis2=-1).real
-        return np.where(rho.spectral.eigenvalues[..., -1] < st.LOG_FLOOR, np.nan, rate)[()]
+        rate = st.entropy_rate(rho, rhs(m), k_B)
+        return np.where(st.is_singular(rho.eigenvalues), np.nan, rate)[()]
 
     obs = ig.Observables(energy_op=energy_op, generator_ops=gen_ops, g_rate=g_rate, k_B=k_B)
     return rhs, obs, None
@@ -231,16 +236,15 @@ def cmd_equilibrium(config: dict, out_dir: Path, seed: int | None) -> int:
     if "targets" in config and "multipliers" in config:
         raise ConfigError("equilibrium takes 'targets' or 'multipliers', not both")
     constants = eq.constant_set(config["constants"], units=units)
-    if "multipliers" in config:
-        values = config["multipliers"]
-        if len(values) != len(constants):
-            raise ConfigError(f"expected {len(constants)} (one per constant), "
-                              f"got {len(values)}", "multipliers")
-        m = eq.MultiplierVector.from_array(values)
-    elif "targets" in config:
-        m = eq.solve_multipliers(constants, config["targets"])
-    else:
+    name = "multipliers" if "multipliers" in config else "targets"
+    if name not in config:
         raise ConfigError("equilibrium config needs 'targets' or 'multipliers'")
+    values = config[name]
+    if len(values) != len(constants):
+        raise ConfigError(f"expected {len(constants)} (one per constant), "
+                          f"got {len(values)}", name)
+    m = (eq.MultiplierVector.from_array(values) if name == "multipliers"
+         else eq.solve_multipliers(constants, values))
     rho = eq.gibbs_state(constants, m)
     return write_result(config, out_dir, {
         "multipliers": list(m.as_array()),
@@ -355,7 +359,7 @@ def cmd_validate(config: dict, out_dir: Path, seed: int | None) -> int:
                          float(np.abs(e - e[0]).max())))
     checks.append(_check("trace_error_along_trajectory", 1e-9,
                          float(np.abs(traj.column("trace_err")).max())))
-    checks.append(_check("min_eigenvalue_along_trajectory", 1e-10,
+    checks.append(_check("min_eigenvalue_along_trajectory", -op.EIG_CLAMP_FLOOR,
                          max(0.0, -float(traj.column("min_eig").min()))))
     all_passed = all(c["passed"] for c in checks)
     report = {"checks": checks, "all_passed": all_passed, "stats": traj.stats}
@@ -398,7 +402,8 @@ def cmd_ensemble(config: dict, out_dir: Path, seed: int | None) -> int:
     if len(scenario.dynamics) != 1:
         raise ConfigError("ensemble needs exactly one dynamics block")
     (rhs, obs, eq_norm), = scenario.dynamics.values()
-    preflight(scenario, st.StateOperator(np.stack([s.matrix for s in mu.states])))
+    preflight(scenario, st.StateOperator(np.stack([s.matrix for s in mu.states])),
+              "measure.support")
     outputs = config.get("outputs", {})
     # the support states advance as one stack on the user's settings; the
     # series needs no entropy production rate

@@ -22,10 +22,10 @@ back in the full space.
 
 W(J) needs ln(rho) of the full composite state, which exists only for
 full-rank rho.  Exact products of pure states get an exact-zero
-dissipator, member by member; any other StateOperator with an eigenvalue
-below the log floor ``states.LOG_FLOOR`` raises ``SingularCompositeStateError``
-naming the member (the documented workflow is to mix with epsilon >= 1e-8
-of the identity before integrating).
+dissipator, member by member; any other StateOperator that
+``states.is_singular`` flags raises ``SingularCompositeStateError`` naming
+the member (the documented workflow is to mix with epsilon >=
+``operators.MIX_FLOOR`` of the identity before integrating).
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ from .errors import (DimensionMismatchError, NonCommutingGeneratorError,
                      NonPositiveTauError, SingularCompositeStateError)
 from .operators import UnitSystem
 from .states import StateOperator
-
-SEPARABILITY_TOL = 1e-10
-INDEPENDENCE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -174,13 +171,13 @@ def _reduced(rho: StateOperator, model: CompositeModel, j: int,
 
 
 def _require_full_rank(rho: StateOperator, exempt=False) -> None:
-    """The documented domain of W(J): no eigenvalue below the log floor, in
-    each member of a stack that the mask ``exempt`` does not flag."""
-    p_min = rho.spectral.eigenvalues[..., -1]
-    st._raise_for((p_min < st.LOG_FLOOR) & np.logical_not(exempt), p_min,
+    """The documented domain of W(J): no member of a stack that the mask
+    ``exempt`` does not flag is ``states.is_singular``."""
+    p = rho.eigenvalues
+    st._raise_for(st.is_singular(p) & np.logical_not(exempt), p[..., -1],
                   SingularCompositeStateError,
-                  "composite state has eigenvalue {:.3e} below the log floor "
-                  f"{st.LOG_FLOOR:g}; mix with identity (epsilon >= 1e-8) before use")
+                  "composite state has eigenvalue {:.3e} below the log floor; mix "
+                  f"with identity (epsilon >= {op.MIX_FLOOR:g}) before use")
 
 
 def reduced_state(rho, model: CompositeModel, j: int) -> StateOperator:
@@ -321,11 +318,10 @@ def composite_entropy_production(rho, model: CompositeModel):
 
 
 def entropy_rate_pairing(rho, model: CompositeModel) -> float:
-    """-k Tr(composite_rhs ln rho) on full-rank states."""
+    """-k Tr(composite_rhs ln rho) on full-rank states (``states.entropy_rate``)."""
     rho = st.as_state(rho)
     _require_full_rank(rho)
-    rhs = composite_rhs(rho, model)
-    return -model.units.k_B * float(np.trace(rhs @ st.log_operator(rho)).real)
+    return st.entropy_rate(rho, composite_rhs(rho, model), model.units.k_B)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +358,7 @@ def is_separable(model: CompositeModel, block) -> tuple[bool, float]:
     ``block`` K and the rest, with the residual of the best split."""
     residual = separability_residual(model, block)
     scale = max(1.0, float(np.linalg.norm(model.H, ord="fro")))
-    return residual <= SEPARABILITY_TOL * scale, residual
+    return residual <= op.SEPARABILITY_TOL * scale, residual
 
 
 def private_hamiltonian(model: CompositeModel, block) -> np.ndarray:
@@ -381,7 +377,7 @@ def is_independent_state(rho, model: CompositeModel, block) -> tuple[bool, float
     product = op.tensor_interleave(subsystem_state(rho, model, keep).matrix, keep,
                                    subsystem_state(rho, model, rest).matrix, model.dims)
     dist = float(np.linalg.norm(st._as_matrix(rho) - product, ord="fro"))
-    return dist <= INDEPENDENCE_TOL, dist
+    return dist <= op.INDEPENDENCE_TOL, dist
 
 
 def reduced_rhs(rho, model: CompositeModel, block) -> np.ndarray:

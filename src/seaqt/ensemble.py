@@ -23,15 +23,11 @@ import numpy as np
 
 from . import equilibrium as eq
 from . import integrate as ig
+from . import operators as op
 from . import states as st
 from .errors import (MeasureWeightError, TargetInfeasibleError,
                      UncoveredSupportError)
 from .states import StateOperator
-
-MERGE_TOL = 1e-9       # Frobenius distance below which support states merge
-WEIGHT_SUM_TOL = 1e-10
-RANGE_MARGIN = 1e-12   # a target must lie this far inside the open value range
-TARGET_TOL = 1e-10     # |sum q v - target| the maximum-entropy weights must meet
 
 
 @dataclass(frozen=True)
@@ -65,12 +61,12 @@ def measure(pairs) -> StatisticalWeightMeasure:
     if any(not w > 0 for w, _ in pairs):
         raise MeasureWeightError("weights must be strictly positive")
     total = sum(w for w, _ in pairs)
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+    if not abs(total - 1.0) <= op.WEIGHT_SUM_TOL:
         raise MeasureWeightError(f"weights sum to {total!r}, not 1")
     merged: list[list] = []
     for w, s in pairs:
         for entry in merged:
-            if st.distance(entry[1], s) <= MERGE_TOL:
+            if st.distance(entry[1], s) <= op.MERGE_TOL:
                 entry[0] += w
                 break
         else:
@@ -94,14 +90,11 @@ def mean_observable(mu: StatisticalWeightMeasure, operator) -> float:
 
 def combine(measures: Sequence[StatisticalWeightMeasure],
             weights) -> StatisticalWeightMeasure:
-    """Statistical composition sum_n w_n mu_n, canonicalized afterwards."""
+    """Statistical composition sum_n w_n mu_n, canonicalized afterwards; the
+    weights of the products are checked by ``measure``."""
     weights = [float(w) for w in weights]
     if len(weights) != len(measures):
         raise MeasureWeightError("one weight per measure required")
-    if any(not w > 0 for w in weights):
-        raise MeasureWeightError("combination weights must be positive")
-    if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
-        raise MeasureWeightError(f"combination weights sum to {sum(weights)!r}")
     pairs = []
     for w, mu in zip(weights, measures):
         for wn, s in mu.support:
@@ -182,19 +175,19 @@ def _solve_exponential_weights(values: np.ndarray, target: float) -> np.ndarray:
     equal values take only their own target.  The range test is the one of
     ``solve_multipliers``, its error restated in the caller's values."""
     lo, hi = float(values.min()), float(values.max())
-    if hi - lo < 1e-15 and abs(target - lo) < RANGE_MARGIN:
+    if hi - lo < op.EQUAL_VALUES_TOL and abs(target - lo) < op.RANGE_MARGIN:
         return np.full(len(values), 1.0 / len(values))
     # q is the Gibbs state of diag(v - lo) with b as beta: the shift keeps the
     # exponent small, and half the tolerance leaves room for round-off below
     constants = eq.ConstantSet((np.diag(values - lo).astype(complex),))
     try:
-        m = eq.solve_multipliers(constants, [target - lo], tol=0.5 * TARGET_TOL,
-                                 margin=RANGE_MARGIN)
+        m = eq.solve_multipliers(constants, [target - lo], tol=0.5 * op.TARGET_TOL,
+                                 margin=op.RANGE_MARGIN)
     except TargetInfeasibleError:
         raise TargetInfeasibleError(
             f"target {target!r} outside the open range ({lo:g}, {hi:g})") from None
     q = eq.gibbs_state(constants, m).matrix.diagonal().real
-    if abs(float(q @ values) - target) > TARGET_TOL:
+    if not abs(float(q @ values) - target) <= op.TARGET_TOL:
         raise TargetInfeasibleError("constraint not met to tolerance")
     return q
 

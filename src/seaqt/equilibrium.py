@@ -22,12 +22,6 @@ from .errors import NoConvergenceError, TargetInfeasibleError
 from .operators import UnitSystem
 from .states import StateOperator
 
-FEASIBILITY_MARGIN = 1e-9
-MEAN_RESIDUAL_TOL = 1e-10
-MAX_NEWTON_ITERATIONS = 200
-STABLE_ENTROPY_TOL = 1e-8   # entropy shortfall under which an equilibrium is stable
-PHI_ROUNDOFF = 4 * np.finfo(float).eps    # relative round-off of the dual value
-
 
 @dataclass(frozen=True)
 class MultiplierVector:
@@ -80,7 +74,7 @@ def constant_set(operators, units: UnitSystem | None = None) -> ConstantSet:
     # of I, and the multiplier problem is then ill-posed
     eye = np.eye(h.shape[0], dtype=complex)
     stacked = np.column_stack([eye.ravel()] + [o.ravel() for o in ops])
-    if np.linalg.matrix_rank(stacked, tol=1e-10) < len(ops) + 1:
+    if np.linalg.matrix_rank(stacked, tol=op.RANK_TOL) < len(ops) + 1:
         raise ValueError(
             "constants (with the identity) are linearly dependent under the "
             "trace inner product")
@@ -117,7 +111,7 @@ def means_at(constants: ConstantSet, m: MultiplierVector) -> np.ndarray:
 
 
 def check_feasible(constants: ConstantSet, targets,
-                   margin: float = FEASIBILITY_MARGIN) -> np.ndarray:
+                   margin: float = op.FEASIBILITY_MARGIN) -> np.ndarray:
     """Each target must lie strictly between the extreme eigenvalues of its
     constant; boundary targets are rejected (they need infinite multipliers)."""
     targets = np.asarray(targets, dtype=float)
@@ -133,8 +127,8 @@ def check_feasible(constants: ConstantSet, targets,
 
 
 def solve_multipliers(constants: ConstantSet, target_means,
-                      tol: float = MEAN_RESIDUAL_TOL,
-                      margin: float = FEASIBILITY_MARGIN) -> MultiplierVector:
+                      tol: float = op.MEAN_RESIDUAL_TOL,
+                      margin: float = op.FEASIBILITY_MARGIN) -> MultiplierVector:
     """Newton iteration on the convex dual, damped by a halving line search,
     for targets more than ``margin`` inside their attainable ranges, in at
     most MAX_NEWTON_ITERATIONS iterates.
@@ -159,7 +153,7 @@ def solve_multipliers(constants: ConstantSet, target_means,
 
     m_arr = np.zeros(n)
     phi, p, vecs = dual(m_arr)
-    for _ in range(MAX_NEWTON_ITERATIONS):
+    for _ in range(op.MAX_NEWTON_ITERATIONS):
         means, cov, _ = st.covariance_table(p, vecs.conj().T @ ops @ vecs)
         residual = means - targets
         if float(np.linalg.norm(residual)) <= tol:
@@ -168,13 +162,13 @@ def solve_multipliers(constants: ConstantSet, target_means,
         hess = 0.5 * (sign[:, None] * cov) * sign[None, :]
         # regularize the PSD Hessian slightly, relative to its own scale (near
         # a range edge the covariance is tiny; an absolute shift would stall)
-        reg = 1e-12 * float(np.trace(hess))
+        reg = op.HESSIAN_REG * float(np.trace(hess))
         step = np.linalg.solve(hess + reg * np.eye(n), -grad)
         slope = float(np.dot(grad, step))
         alpha = 1.0
         trial = dual(m_arr + step)
-        if -slope > PHI_ROUNDOFF * max(1.0, abs(phi)):
-            for _ in range(60):
+        if -slope > op.PHI_ROUNDOFF * max(1.0, abs(phi)):
+            for _ in range(op.MAX_LINE_SEARCH_HALVINGS):
                 if trial[0] <= phi + 1e-4 * alpha * slope:
                     break
                 alpha *= 0.5
@@ -182,7 +176,7 @@ def solve_multipliers(constants: ConstantSet, target_means,
         m_arr = m_arr + alpha * step
         phi, p, vecs = trial
     raise NoConvergenceError(f"multiplier solve did not reach residual {tol:g} "
-                             f"in {MAX_NEWTON_ITERATIONS} iterations")
+                             f"in {op.MAX_NEWTON_ITERATIONS} iterations")
 
 
 def gibbs_identity_residual(constants: ConstantSet, m: MultiplierVector) -> float:
@@ -224,8 +218,8 @@ def max_entropy_with_means(constants: ConstantSet, targets) -> float:
             vals, vecs = np.linalg.eigh(c)
             lo, hi = float(vals[0]), float(vals[-1])
             for edge in (lo, hi):
-                if abs(t - edge) <= FEASIBILITY_MARGIN:
-                    keep = np.abs(vals - edge) <= 1e-9 * max(1.0, abs(edge))
+                if abs(t - edge) <= op.FEASIBILITY_MARGIN:
+                    keep = np.abs(vals - edge) <= op.EIGENSPACE_TOL * max(1.0, abs(edge))
                     proj = vecs[:, keep]
                     basis = basis @ proj
                     ops = [proj.conj().T @ o @ proj for o in ops]
@@ -259,6 +253,6 @@ def classify(rho, constants: ConstantSet, model: sea.SingleConstituentModel) -> 
     targets = [st.mean(c, rho) for c in constants.operators]
     s_max = max_entropy_with_means(constants, targets)
     s_rho = st.entropy(rho, k=constants.units.k_B)
-    if s_rho >= s_max - STABLE_ENTROPY_TOL:
+    if s_rho >= s_max - op.STABLE_ENTROPY_TOL:
         return STABLE_EQUILIBRIUM
     return EQUILIBRIUM

@@ -54,15 +54,6 @@ from .errors import StateInvalidError, StepUnderflowError
 METHODS = ("rk45", "rk4")
 PROJECTION_MODES = ("off", "hermitize_only", "full")
 
-# Integrator tolerances
-TIME_SLOP = 1e-15          # a time this close to t_max or to a sample_dt
-                           # boundary counts as having reached it
-DT_MIN_SLACK = 1 + 1e-12   # a rejected step at dt <= dt_min * slack underflows
-FSAL_MOVE_TOL = 1e-12      # a projection move up to this (Frobenius, relative
-                           # to ||rho||) is round-off, and the last stage is
-                           # reused as the next step's k1 unless the move
-                           # clamped or snapped; those get a fresh k1
-
 # Dormand-Prince 5(4) tableau (the rhs is autonomous, so the nodes c_i are
 # not needed).  The last row of A is the 5th-order weight row B5, so the 7th
 # stage is evaluated at the 5th-order solution (FSAL).  E = B5 - B4 weights
@@ -198,7 +189,7 @@ def project(rho_raw: np.ndarray, mode: str) -> np.ndarray:
 
     hermitize_only symmetrizes; full additionally applies the state-validity
     rule of ``states.validate`` (clamp eigenvalues above
-    ``states.EIG_CLAMP_FLOOR`` at zero, renormalize the trace) and snaps
+    ``operators.EIG_CLAMP_FLOOR`` at zero, renormalize the trace) and snaps
     near-pure members to purity.  Matrices beyond repair raise
     ``StateInvalidError``.
     """
@@ -331,10 +322,10 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
     steps_since_sample = 0
     next_boundary = config.sample_dt
     dense = next_boundary is not None and config.method == "rk45"
-    while t < config.t_max - TIME_SLOP:
+    while t < config.t_max - op.TIME_SLOP:
         dt = min(dt, config.t_max - t)
         if next_boundary is not None:
-            if next_boundary <= t + TIME_SLOP:
+            if next_boundary <= t + op.TIME_SLOP:
                 next_boundary += config.sample_dt
             if not dense:
                 dt = min(dt, next_boundary - t)
@@ -360,14 +351,14 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
                     factor = 5.0 if ratio == 0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
                     dt_next = min(config.dt_max, dt * factor)
                     break
-                if dt <= config.dt_min * DT_MIN_SLACK:
+                if dt <= config.dt_min * op.DT_MIN_SLACK:
                     st._raise_for(ratios == ratio, ratios, StepUnderflowError,
                                   f"dt_min {config.dt_min:g} reached at t = {t:g} with "
                                   "scaled error {:.3e}")
                 stats["rejected_steps"] += 1
                 dt = max(config.dt_min, dt * max(0.2, 0.9 * ratio ** -0.2))
             # boundaries inside the step, from its continuous extension
-            while dense and next_boundary < t_new - TIME_SLOP:
+            while dense and next_boundary < t_new - op.TIME_SLOP:
                 theta = (next_boundary - t) / dt
                 mid = m + dt * (_DP_P @ theta ** np.arange(1, 5) @ flat).reshape(m.shape)
                 _record(traj, next_boundary, mid, _project(mid, config.projection)[0], obs)
@@ -382,17 +373,17 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
         t, m_raw, m = t_new, m_new, m_proj
         stats["accepted_steps"] += 1
         steps_since_sample += 1
-        at_end = t >= config.t_max - TIME_SLOP
+        at_end = t >= config.t_max - op.TIME_SLOP
         # FSAL: the last stage is the rhs at m_raw, and serves as the next k1
         # when the projection neither clamped nor snapped any member and
         # moved each by round-off only
         fsal = config.method == "rk45" and not np.count_nonzero(repaired) and (
-            m is m_raw or bool((_norms(m - m_raw) <= FSAL_MOVE_TOL * _norms(m_raw)).all()))
+            m is m_raw or bool((_norms(m - m_raw) <= op.FSAL_MOVE_TOL * _norms(m_raw)).all()))
         reached_eq, k1 = at_equilibrium(m, stages[6] if fsal else None)
         if fsal and (norm_from_k1 or not (at_end or reached_eq)):
             stats["k1_reused"] += 1
         if next_boundary is not None:
-            due = t >= next_boundary - TIME_SLOP
+            due = t >= next_boundary - op.TIME_SLOP
         else:
             due = steps_since_sample >= config.sample_every
         if due or at_end or reached_eq:

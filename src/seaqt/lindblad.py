@@ -17,7 +17,7 @@ import numpy as np
 from . import operators as op
 from . import states as st
 from .errors import (DimensionMismatchError, NonCommutingFError,
-                     SingularStateError)
+                     NonPositiveTauError, SingularStateError)
 from .operators import UnitSystem
 from .states import StateOperator
 
@@ -93,7 +93,7 @@ def kl_entropy_production(rho, model: LindbladModel) -> float:
     """k sum_j Tr(A_j+ A_j rho ln rho - A_j rho A_j+ ln rho) on full-rank
     states; equals -k Tr(kl_rhs ln rho), the drift part contributing zero."""
     rho = st.validate(rho)
-    if rho.spectral.eigenvalues[-1] < st.LOG_FLOOR:
+    if st.is_singular(rho.eigenvalues):
         raise SingularStateError(
             "entropy production diverges on singular states; "
             "see singular_divergence_demo")
@@ -166,8 +166,10 @@ def pauli_rates(w, energies, units: UnitSystem | None = None) -> PauliRates:
     if w.shape != (len(energies), len(energies)):
         raise DimensionMismatchError(f"rate matrix shape {w.shape} does not "
                                      f"match {len(energies)} levels")
-    if (w < 0).any():
+    if not (w >= 0).all():
         raise ValueError("transition rates must be nonnegative")
+    if not np.isfinite(energies).all():
+        raise ValueError("level energies must be finite")
     return PauliRates(w, energies, units or UnitSystem())
 
 
@@ -224,7 +226,7 @@ def energy_balance_residual(rates: PauliRates) -> float:
 def symmetric_limit_rhs(rho, w: float, h) -> np.ndarray:
     """D(rho)/Dt = w (diag(rho) - rho) in the H eigenbasis: diagonal sector
     frozen, coherences decay at rate w on top of the phase rotation."""
-    if w < 0:
+    if not w >= 0:
         raise ValueError("decay rate w must be nonnegative")
     m = st._as_matrix(rho)
     h = op.require_hermitian(h, name="H")
@@ -239,12 +241,14 @@ def symmetric_limit_rhs(rho, w: float, h) -> np.ndarray:
 def double_commutator(f, tau: float, h, units: UnitSystem | None = None):
     """The rhs rho -> -(i/hbar)[H, rho] - (tau/2 hbar^2) [F, [F, rho]], with
     F and H validated here once: Hermitian, of one dimension, and [F, H] = 0
-    (else ``NonCommutingFError``).
+    (else ``NonCommutingFError``), and tau > 0 (else ``NonPositiveTauError``).
 
     Conserves the trace and the means of H and F by construction.  The rhs
     takes a state or a (..., d, d) stack of states.
     """
     u = units or UnitSystem()
+    if not tau > 0:
+        raise NonPositiveTauError(f"tau must be positive, got {tau}")
     f = op.require_hermitian(f, name="F")
     h = op.require_hermitian(h, name="H")
     op.require_same_dim(f, h)

@@ -4,6 +4,10 @@ Everything here operates on plain complex numpy arrays.  Matrices are
 dense; the target scale is a handful of qubits (total dimension <= 64),
 where determinant-based dissipators dominate the cost and sparsity buys
 nothing.
+
+This bottom layer also holds the tolerance table: each threshold, floor,
+margin and iteration cap that decides an outcome, with the one rule that
+reads it and its scale.  A rejecting test is written so that NaN fails it.
 """
 
 from __future__ import annotations
@@ -15,8 +19,39 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NotHermitianError
 
-HERMITICITY_TOL = 1e-12
-COMMUTATION_TOL = 1e-10       # relative, against max(1, ||H||_max)
+# The tolerance table.  Scales: "abs." absolute, "rel." relative to what follows.
+HERMITICITY_TOL = 1e-12        # require_hermitian: rejects above; |A - A+|max rel. max(1,|A|max)
+COMMUTATION_TOL = 1e-10        # commutation_check: max|[X, H]| above fails; rel. max(1, |H|max)
+EIG_CLAMP_FLOOR = -1e-10       # states: eigenvalues in [floor, 0) clamp to 0, below reject; abs.
+TRACE_TOL = 1e-6               # states: |Tr - 1| beyond it rejects, within renormalizes; abs.
+LOG_ZERO_CUTOFF = 1e-15        # states: p <= cutoff sets p ln p and p (ln p)^2 to 0; abs.
+LOG_FLOOR = 1e-12              # states.is_singular: p_min below; log_operator clamps here; abs.
+PURE_TOL = 1e-10               # states.is_pure: weight off the top eigenvalue; abs., < MIX_FLOOR
+MIX_FLOOR = 1e-8               # least eps of mix_with_identity: then neither pure nor singular
+RANDOM_MIN_EIG = 1e-4          # states.random_full_rank: default smallest eigenvalue; abs.
+GRAM_CONDITION_WARN = 1e8      # sea.validate_model: Gram condition number at I/d above it warns
+SPAN_RESIDUAL_TOL = 1e-9       # sea.span_check: in the span up to it; rel. ||C||_F
+EQUILIBRIUM_TOL = 1e-9         # sea.is_equilibrium: ||[rho, A]||_F; rel. max(1, ||A||_F)
+EQUILIBRIUM_FIT_FACTOR = 1e3   # sea.is_equilibrium: ln p fit residual up to it x EQUILIBRIUM_TOL
+SEPARABILITY_TOL = 1e-10       # composite.is_separable: split residual; rel. max(1, ||H||_F)
+INDEPENDENCE_TOL = 1e-8        # composite.is_independent_state: distance to the product; abs.
+RANK_TOL = 1e-10               # equilibrium.constant_set: singular values up to it are 0; abs.
+FEASIBILITY_MARGIN = 1e-9      # equilibrium: a target this near a range edge is on it; abs.
+EIGENSPACE_TOL = 1e-9          # equilibrium: eigenvalues near a pinned edge e; rel. max(1, |e|)
+MEAN_RESIDUAL_TOL = 1e-10      # equilibrium.solve_multipliers: ||means - targets|| met; abs.
+MAX_NEWTON_ITERATIONS = 200    # equilibrium.solve_multipliers: iterates, then NoConvergenceError
+HESSIAN_REG = 1e-12            # equilibrium.solve_multipliers: Hessian ridge; rel. Tr(Hessian)
+MAX_LINE_SEARCH_HALVINGS = 60  # equilibrium.solve_multipliers: step halvings per iterate
+PHI_ROUNDOFF = 4 * np.finfo(float).eps  # solve_multipliers: dual round-off; rel. max(1, |phi|)
+STABLE_ENTROPY_TOL = 1e-8      # equilibrium.classify: entropy shortfall of a stable one; abs.
+MERGE_TOL = 1e-9               # ensemble.measure: support states this near merge; abs. Frobenius
+WEIGHT_SUM_TOL = 1e-10         # ensemble.measure: |sum w - 1| beyond it rejects; abs.
+RANGE_MARGIN = 1e-12           # ensemble maxent: a target lies this far inside its range; abs.
+TARGET_TOL = 1e-10             # ensemble maxent: |sum q v - target| beyond it rejects; abs.
+EQUAL_VALUES_TOL = 1e-15       # ensemble maxent: values spread less than it are equal; abs.
+TIME_SLOP = 1e-15              # integrate: a time this near t_max or a grid time is at it; abs.
+DT_MIN_SLACK = 1 + 1e-12       # integrate: a rejected step at dt <= dt_min x slack underflows
+FSAL_MOVE_TOL = 1e-12          # integrate: a projection move up to it keeps FSAL; rel. ||rho||_F
 
 
 @dataclass(frozen=True)
@@ -54,11 +89,11 @@ def herm_defect(a: np.ndarray) -> float:
 
 def require_hermitian(a, name: str = "operator") -> np.ndarray:
     """Return the symmetrized matrix, rejecting input whose ``herm_defect``
-    exceeds HERMITICITY_TOL."""
+    is not within HERMITICITY_TOL (a NaN entry is not)."""
     a = as_complex(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotHermitianError(f"{name} must be a square matrix, got shape {a.shape}")
-    if herm_defect(a) > HERMITICITY_TOL:
+    if not herm_defect(a) <= HERMITICITY_TOL:
         raise NotHermitianError(
             f"{name} is not Hermitian within tolerance {HERMITICITY_TOL:g}")
     return hermitize(a)

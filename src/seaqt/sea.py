@@ -39,10 +39,6 @@ from .errors import (DimensionMismatchError, NonCommutingGeneratorError,
                      NonPositiveTauError)
 from .operators import UnitSystem
 
-GRAM_CONDITION_WARN = 1e8
-SPAN_RESIDUAL_TOL = 1e-9
-EQUILIBRIUM_TOL = 1e-9
-
 
 class GramConditionWarning(UserWarning):
     """Generator Gram matrix is near-degenerate at the probed state."""
@@ -87,6 +83,9 @@ def validate_model(model: SingleConstituentModel) -> SingleConstituentModel:
     gens = []
     for i, x in enumerate(model.generators):
         x = op.require_hermitian(x, name=f"generator {i}")
+        if x.shape != h.shape:
+            raise DimensionMismatchError(
+                f"generator {i} has dim {x.shape[0]}, expected {h.shape[0]}")
         commutes, defect = op.commutation_check(x, h)
         if not commutes:
             raise NonCommutingGeneratorError(
@@ -95,7 +94,7 @@ def validate_model(model: SingleConstituentModel) -> SingleConstituentModel:
     validated = replace(model, H=h, generators=tuple(gens))
     cond = gram_condition_number(st.StateOperator(np.eye(h.shape[0]) / h.shape[0]),
                                  validated)
-    if cond > GRAM_CONDITION_WARN:
+    if cond > op.GRAM_CONDITION_WARN:
         warnings.warn(
             f"generator Gram matrix at I/dim has condition number {cond:.3e}",
             GramConditionWarning, stacklevel=2)
@@ -224,10 +223,9 @@ def entropy_production_rate(rho, model: SingleConstituentModel) -> float:
 
 
 def entropy_rate_pairing(rho, model: SingleConstituentModel) -> float:
-    """-k Tr(sea_rhs(rho) ln rho), evaluated spectrally (full-rank rho)."""
+    """-k Tr(sea_rhs(rho) ln rho) by ``states.entropy_rate`` (full-rank rho)."""
     rho = st.as_state(rho)
-    rhs = sea_rhs(rho, model)
-    return -model.units.k_B * float(np.trace(rhs @ st.log_operator(rho)).real)
+    return st.entropy_rate(rho, sea_rhs(rho, model), model.units.k_B)
 
 
 @dataclass(frozen=True)
@@ -252,7 +250,7 @@ def span_check(c, h, generators) -> ConstantReport:
     coeffs = op.least_squares(basis, c.ravel())
     residual = float(np.linalg.norm(basis @ coeffs - c.ravel()))
     c_norm = max(np.linalg.norm(c.ravel()), 1e-300)
-    return ConstantReport(commutes, residual <= SPAN_RESIDUAL_TOL * c_norm, residual)
+    return ConstantReport(commutes, residual <= op.SPAN_RESIDUAL_TOL * c_norm, residual)
 
 
 def is_constant_of_motion(c, model: SingleConstituentModel) -> ConstantReport:
@@ -285,7 +283,7 @@ def is_equilibrium(rho, model: SingleConstituentModel) -> EquilibriumReport:
     rho = st.validate(rho)
     h = model.H
     scale = max(1.0, float(np.linalg.norm(h, ord="fro")))
-    commutes = op.frobenius_norm(op.commutator(rho.matrix, h)) <= EQUILIBRIUM_TOL * scale
+    commutes = op.frobenius_norm(op.commutator(rho.matrix, h)) <= op.EQUILIBRIUM_TOL * scale
     rhs_norm = op.frobenius_norm(sea_rhs(rho, model))
     if not commutes:
         return EquilibriumReport(False, False, rhs_norm)
@@ -293,7 +291,7 @@ def is_equilibrium(rho, model: SingleConstituentModel) -> EquilibriumReport:
     # the diagonal entries of the generators
     spec = rho.spectral
     p, u = spec.eigenvalues, spec.eigenvectors
-    support = p > st.LOG_FLOOR
+    support = p > op.LOG_FLOOR
     ops = model.operator_list()
     diag_cols = [np.real(np.einsum("ij,jk,ki->i", u.conj().T, f, u)) for f in ops]
     a = np.column_stack([np.ones(int(support.sum())),
@@ -307,8 +305,8 @@ def is_equilibrium(rho, model: SingleConstituentModel) -> EquilibriumReport:
         r_fit = r_fit + coef * f
     r_scale = max(1.0, float(np.linalg.norm(r_fit, ord="fro")))
     shares_basis = op.frobenius_norm(op.commutator(rho.matrix, r_fit)) \
-        <= EQUILIBRIUM_TOL * r_scale
-    spectral_match = fit_residual <= 1e3 * EQUILIBRIUM_TOL * np.abs(y).max(initial=1.0) \
-        and shares_basis
+        <= op.EQUILIBRIUM_TOL * r_scale
+    spectral_match = fit_residual <= op.EQUILIBRIUM_FIT_FACTOR * op.EQUILIBRIUM_TOL \
+        * np.abs(y).max(initial=1.0) and shares_basis
     return EquilibriumReport(commutes, bool(spectral_match), rhs_norm,
                              multipliers=coeffs[1:])

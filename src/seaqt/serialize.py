@@ -22,6 +22,7 @@ from . import ensemble as en
 from . import equilibrium as eq
 from . import integrate as ig
 from . import lindblad as lb
+from . import operators as op
 from . import sea
 from . import states as st
 from .errors import ConfigError
@@ -300,7 +301,7 @@ def decode_state(obj, model=None, seed_override: int | None = None) -> st.StateO
             raise ConfigError("required field missing; give it here or pass --seed",
                               "random.seed")
         return st.random_full_rank(dim, seed=seed,
-                                   min_eig=spec.get("min_eig", st.RANDOM_MIN_EIG))
+                                   min_eig=spec.get("min_eig", op.RANDOM_MIN_EIG))
     # kind == "mix"
     with field_path("mix.state"):
         inner = decode_state(spec["state"], model=model, seed_override=seed_override)

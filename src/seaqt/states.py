@@ -25,19 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import operators as op
-from .errors import NotHermitianError, NotPositiveError, TraceError
-
-EIG_CLAMP_FLOOR = -1e-10   # eigenvalues in [floor, 0) clamp to 0; below rejects
-TRACE_TOL = 1e-6           # |Tr - 1| beyond this rejects instead of renormalizing
-LOG_ZERO_CUTOFF = 1e-15    # p <= cutoff short-circuits p ln p and p (ln p)^2 to 0
-LOG_FLOOR = 1e-12          # eigenvalues below this make ln(rho) singular; they
-                           # count as off the support, and log_operator clamps
-                           # them here
-PURE_TOL = 1e-10           # spectral weight off the top eigenvalue below this
-                           # counts as pure (``is_pure``): the exact pure-state
-                           # branches and the integrator's purity snap; kept
-                           # well under the documented 1e-8 mixing floor
-RANDOM_MIN_EIG = 1e-4      # default eigenvalue floor of ``random_full_rank``
+from .errors import NotPositiveError, TraceError
 
 
 def _as_matrix(rho) -> np.ndarray:
@@ -54,8 +42,16 @@ def as_state(rho) -> StateOperator:
 
 def is_pure(p: np.ndarray) -> np.ndarray:
     """The purity cut: whether a descending spectrum, or each of a (..., d)
-    stack, has at most PURE_TOL of its weight off the top eigenvalue."""
-    return p[..., 1:].sum(axis=-1) <= PURE_TOL
+    stack, has at most PURE_TOL of its weight off the top eigenvalue; the
+    exact pure-state branches and the integrator's purity snap read it."""
+    return p[..., 1:].sum(axis=-1) <= op.PURE_TOL
+
+
+def is_singular(p: np.ndarray) -> np.ndarray:
+    """The singular cut: whether a descending spectrum, or each of a (..., d)
+    stack, has its smallest eigenvalue below LOG_FLOOR, where ln(rho) is
+    undefined (a NaN eigenvalue counts as singular)."""
+    return ~(p[..., -1] >= op.LOG_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -118,10 +114,10 @@ def _check_and_repair(m: np.ndarray, not_positive, bad_trace, where: str = ""):
     eigenvalues, as yet unclamped, and eigenvector columns) of ``m``.
     """
     vals, vecs = np.linalg.eigh(m)
-    _raise_for(vals[..., 0] < EIG_CLAMP_FLOOR, vals[..., 0], not_positive,
+    _raise_for(~(vals[..., 0] >= op.EIG_CLAMP_FLOOR), vals[..., 0], not_positive,
                "eigenvalue {:.3e} below clamp floor" + where)
     tr = np.trace(m, axis1=-2, axis2=-1).real
-    _raise_for(np.abs(tr - 1.0) > TRACE_TOL, tr, bad_trace,
+    _raise_for(~(np.abs(tr - 1.0) <= op.TRACE_TOL), tr, bad_trace,
                "trace {!r} too far from 1 to renormalize" + where)
     r = (vecs * np.clip(vals, 0.0, None)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
     return op.hermitize(r / np.trace(r, axis1=-2, axis2=-1).real[..., None, None]), vals, vecs
@@ -131,19 +127,15 @@ def validate(matrix) -> StateOperator:
     """Symmetrize, clamp round-off negativity, renormalize, or reject; a
     ``StateOperator`` is valid already and comes back as it is.
 
-    Square shape and Hermiticity (to ``operators.HERMITICITY_TOL``) are
-    checked here; the rest of the rule is ``_check_and_repair``, which the
-    integrator's projection shares.  An eigenvalue below EIG_CLAMP_FLOOR
-    raises ``NotPositiveError`` and |Tr - 1| beyond TRACE_TOL ``TraceError``.
+    Square shape and Hermiticity are checked by ``operators.require_hermitian``;
+    the rest of the rule is ``_check_and_repair``, which the integrator's
+    projection shares.  An eigenvalue below EIG_CLAMP_FLOOR raises
+    ``NotPositiveError`` and |Tr - 1| beyond TRACE_TOL ``TraceError``.
     """
     if isinstance(matrix, StateOperator):
         return matrix
-    m = op.as_complex(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotHermitianError(f"state operator must be square, got shape {m.shape}")
-    if op.herm_defect(m) > op.HERMITICITY_TOL:
-        raise NotHermitianError("state operator is not Hermitian within tolerance")
-    return StateOperator(_check_and_repair(op.hermitize(m), NotPositiveError, TraceError)[0])
+    m = op.require_hermitian(matrix, name="state operator")
+    return StateOperator(_check_and_repair(m, NotPositiveError, TraceError)[0])
 
 
 def mean(g, rho) -> float:
@@ -164,7 +156,7 @@ def variance(g, rho) -> float:
 
 def _plogp(p: np.ndarray) -> np.ndarray:
     """p ln p, short-circuited to 0 at p <= LOG_ZERO_CUTOFF."""
-    return p * np.log(np.where(p > LOG_ZERO_CUTOFF, p, 1.0))
+    return p * np.log(np.where(p > op.LOG_ZERO_CUTOFF, p, 1.0))
 
 
 def _per_member(values: np.ndarray):
@@ -198,7 +190,7 @@ def regular_log_column(p: np.ndarray):
     diag(p), from the regular forms: {Delta ln rho, rho} = 2 (B - Tr(B) rho)
     and (ln rho, ln rho) = 2 [sum p (ln p)^2 - (sum p ln p)^2].  A stack of
     spectra p (..., d) gives (..., d, d) and (...)."""
-    log_p = np.log(np.where(p > LOG_ZERO_CUTOFF, p, 1.0))
+    log_p = np.log(np.where(p > op.LOG_ZERO_CUTOFF, p, 1.0))
     plogp = p * log_p
     tr_b = plogp.sum(axis=-1)
     d = p.shape[-1]
@@ -210,10 +202,17 @@ def regular_log_column(p: np.ndarray):
 def log_operator(rho) -> np.ndarray:
     """ln rho by the spectral form, eigenvalues floored at LOG_FLOOR.
 
-    Callers that need a full-rank state check the smallest eigenvalue
-    against LOG_FLOOR first.
+    Callers that need a full-rank state check ``is_singular`` first.
     """
-    return _spectral_function(rho, lambda p: np.log(np.maximum(p, LOG_FLOOR)))
+    return _spectral_function(rho, lambda p: np.log(np.maximum(p, op.LOG_FLOOR)))
+
+
+def entropy_rate(rho, rhs, k: float = 1.0) -> float | np.ndarray:
+    """-k Tr(rhs ln rho), the entropy rate of a velocity ``rhs`` at rho, with
+    ln rho from ``log_operator``; a float, or one value per member of a
+    stack.  Exact on full-rank states."""
+    rho = as_state(rho)
+    return _per_member(-k * np.trace(rhs @ log_operator(rho), axis1=-2, axis2=-1).real)
 
 
 def deviation(f, rho) -> np.ndarray:
@@ -303,7 +302,7 @@ def gibbs_seed(beta: float, h) -> StateOperator:
     return StateOperator((vecs * w) @ vecs.conj().T)
 
 
-def random_full_rank(dim: int, seed: int, min_eig: float = RANDOM_MIN_EIG) -> StateOperator:
+def random_full_rank(dim: int, seed: int, min_eig: float = op.RANDOM_MIN_EIG) -> StateOperator:
     """Deterministic full-rank random state with min eigenvalue >= min_eig."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

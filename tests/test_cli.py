@@ -580,6 +580,25 @@ class TestSemanticErrorsNameTheirField:
         assert cli.main(["ensemble", "--config", str(tmp_path / "scenario.json"),
                          "--out", str(tmp_path), "--seed", "4"]) == 0
 
+    @pytest.mark.parametrize("command", ["simulate", "compare", "validate"])
+    def test_initial_of_another_dimension(self, tmp_path, capsys, command):
+        config = qubit_sea_scenario(initial={"random": {"dim": 3, "seed": 1}})
+        if command == "compare":
+            config["dynamics"]["lindblad"] = {"B": matrix_obj(-np.diag([0.0, 1.0]))}
+        err = self.run(tmp_path, capsys, config, command=command)
+        assert "ERROR DimensionMismatch: initial has dim 3, but the system has dim 2" in err
+
+    def test_generator_of_another_dimension(self, tmp_path, capsys):
+        config = qubit_sea_scenario()
+        config["system"]["single"]["generators"] = [matrix_obj(np.diag([1.0, 0.0, 0.0]))]
+        err = self.run(tmp_path, capsys, config)
+        assert "ERROR DimensionMismatch: generator 0 has dim 3, expected 2" in err
+
+    def test_target_count(self, tmp_path, capsys):
+        config = {"constants": [matrix_obj(np.diag([0.0, 1.0]))], "targets": [0.5, 0.5]}
+        err = self.run(tmp_path, capsys, config, command="equilibrium")
+        assert "ERROR Config: targets: expected 1 (one per constant), got 2" in err
+
     def test_malformed_matrix_in_a_block_the_subcommand_does_not_use(self, tmp_path,
                                                                      capsys):
         config = qubit_sea_scenario(constants=[

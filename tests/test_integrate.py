@@ -47,6 +47,10 @@ class TestProject:
         with pytest.raises(StateInvalidError):
             ig.project(np.diag([1.2, -0.2]), "full")
 
+    def test_rejects_nan(self):
+        with pytest.raises(StateInvalidError):
+            ig.project(np.diag([np.nan, 1.0]), "full")
+
 
 class TestDetectEquilibrium:
     """Detection by the default norm, the rhs Frobenius norm per member."""
@@ -247,10 +251,10 @@ class TestIntegrate:
             assert np.linalg.eigvalsh(raw)[0] <= -5e-12
         elif case == "small_clamp":
             assert np.linalg.eigvalsh(raw)[0] <= -5e-15
-            assert 0 < move <= ig.FSAL_MOVE_TOL
+            assert 0 < move <= op.FSAL_MOVE_TOL
         else:
             assert np.array_equal(final, np.diag([1.0, 0.0, 0.0]))
-            assert 0 < move <= ig.FSAL_MOVE_TOL
+            assert 0 < move <= op.FSAL_MOVE_TOL
         assert np.linalg.eigvalsh(final)[0] >= 0.0
         assert traj.stats["k1_reused"] == 0
         assert len(calls) == 8

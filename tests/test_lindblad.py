@@ -6,7 +6,7 @@ from seaqt import lindblad as lb
 from seaqt import operators as op
 from seaqt import sea
 from seaqt import states as st
-from seaqt.errors import NonCommutingFError, SingularStateError
+from seaqt.errors import NonCommutingFError, NonPositiveTauError, SingularStateError
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -184,6 +184,13 @@ class TestPauliMasterEquation:
         with pytest.raises(ValueError):
             lb.pauli_rates(np.array([[0.0, -0.1], [0.0, 0.0]]), [0.0, 1.0])
 
+    @pytest.mark.parametrize("w, energies", [([[0.0, np.nan], [1.0, 0.0]], [0.0, 1.0]),
+                                             ([[0.0, 1.0], [1.0, 0.0]], [0.0, np.nan])],
+                             ids=["rate", "energy"])
+    def test_nan_rate_or_energy_rejected(self, w, energies):
+        with pytest.raises(ValueError):
+            lb.pauli_rates(w, energies)
+
     def test_symmetric_rates_entropy_production_nonnegative(self):
         e = np.array([0.0, 1.0, 2.0])
         rng = np.random.default_rng(13)
@@ -197,6 +204,11 @@ class TestPauliMasterEquation:
 
 
 class TestSymmetricLimit:
+    @pytest.mark.parametrize("w", [-0.5, np.nan])
+    def test_negative_or_nan_rate_rejected(self, w):
+        with pytest.raises(ValueError):
+            lb.symmetric_limit_rhs(st.validate(I2 / 2), w, np.diag([0.0, 1.0]))
+
     def test_diagonal_invariant(self):
         h = np.diag([0.0, 1.0])
         rho = st.random_full_rank(2, seed=60)
@@ -262,9 +274,15 @@ class TestDoubleCommutator:
         with pytest.raises(NonCommutingFError):
             lb.double_commutator(SX, 1.0, np.diag([0.0, 1.0]))(st.validate(I2 / 2))
 
+    @pytest.mark.parametrize("tau", [np.nan, -1.0, 0.0])
+    def test_nonpositive_or_nan_tau_rejected(self, tau):
+        with pytest.raises(NonPositiveTauError):
+            lb.double_commutator(SZ, tau, np.diag([0.0, 1.0]))
+
     def test_operators_validated_once_when_built(self, monkeypatch):
         with pytest.raises(NonCommutingFError):
             lb.double_commutator(SX, 1.0, np.diag([0.0, 1.0]))
+        rho0 = st.random_full_rank(3, seed=75)   # validated before counting
         calls = []
 
         def counting(name):
@@ -279,8 +297,7 @@ class TestDoubleCommutator:
             monkeypatch.setattr(op, name, counting(name))
         f, h = np.diag([1.0, 2.0, -1.0]), np.diag([0.0, 1.0, 2.0])
         rhs = lb.double_commutator(f, 0.8, h)
-        traj = ig.integrate(st.random_full_rank(3, seed=75), rhs,
-                            ig.IntegratorConfig(t_max=2.0))
+        traj = ig.integrate(rho0, rhs, ig.IntegratorConfig(t_max=2.0))
         assert traj.stats["rhs_calls"] > 100
         assert sorted(calls) == ["commutation_check"] + ["require_hermitian"] * 2
 

@@ -1,3 +1,8 @@
+import ast
+import io
+import tokenize
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +13,7 @@ from seaqt import equilibrium as eq
 from seaqt import lindblad as lb
 from seaqt import operators as op
 from seaqt import sea
+from seaqt import states as st
 from seaqt.errors import (DimensionMismatchError, NonCommutingFError,
                           NonCommutingGeneratorError, NotHermitianError)
 
@@ -223,6 +229,49 @@ class TestRequireHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             op.require_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_rejects_nan(self):
+        with pytest.raises(NotHermitianError):
+            op.require_hermitian([[0, np.nan], [0, 1]])
+
+
+# The sites allowed a literal in [1e-19, 1e-8] outside the tolerance table:
+# user settings (the integrator defaults), the output specification of the
+# validate report, and the occupations of the divergence probe.
+UNTABLED = {("integrate.py", "IntegratorConfig"), ("cli.py", "cmd_validate"),
+            ("cli.py", "_divergence_probe")}
+
+
+def small_literals():
+    """(file, enclosing top-level statement, line) of every numeric literal
+    in [1e-19, 1e-8] in the package source."""
+    for path in sorted(Path(op.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        statements = ast.parse(text).body
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type != tokenize.NUMBER \
+                    or not 1e-19 <= abs(ast.literal_eval(tok.string)) <= 1e-8:
+                continue
+            line = tok.start[0]
+            yield path.name, next(s for s in statements
+                                  if s.lineno <= line <= s.end_lineno), line
+
+
+class TestToleranceTable:
+    def test_every_small_literal_is_a_table_entry(self):
+        stray = [f"{name}:{line}" for name, statement, line in small_literals()
+                 if not (name == "operators.py" and isinstance(statement, ast.Assign))
+                 and (name, getattr(statement, "name", None)) not in UNTABLED]
+        assert stray == []
+
+    @pytest.mark.parametrize("dim", [2, 64])
+    def test_a_pure_state_mixed_at_the_floor_is_neither_pure_nor_singular(self, dim):
+        rho = st.mix_with_identity(st.pure_state(np.eye(dim)[0]), op.MIX_FLOOR)
+        assert not st.is_pure(rho.eigenvalues)
+        assert not st.is_singular(rho.eigenvalues)
+
+    def test_log_zero_cutoff_below_log_floor(self):
+        assert op.LOG_ZERO_CUTOFF < op.LOG_FLOOR
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)

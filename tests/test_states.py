@@ -26,6 +26,10 @@ class TestValidate:
         with pytest.raises(NotHermitianError):
             st.validate(np.array([[0.5, 0.3], [0.0, 0.5]]))
 
+    def test_nan_rejected(self):
+        with pytest.raises(NotHermitianError):
+            st.validate(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
     def test_far_trace_rejected(self):
         with pytest.raises(TraceError):
             st.validate(np.diag([1.0, 0.5]))
