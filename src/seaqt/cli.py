@@ -38,9 +38,8 @@ from . import operators as op
 from . import sea
 from . import serialize as sz
 from . import states as st
-from .errors import (ConfigError, DimensionMismatchError, NoConvergenceError,
-                     SeaqtError, StateInvalidError, StepUnderflowError,
-                     TargetInfeasibleError)
+from .errors import (ConfigError, NoConvergenceError, SeaqtError, StateInvalidError,
+                     StepUnderflowError, TargetInfeasibleError)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -104,9 +103,7 @@ def preflight(scenario: Scenario, rho: st.StateOperator, where: str = "initial")
     """Hold the state or stack a subcommand integrates, named ``where``, to the
     system's dimension and, on a composite system, to the documented domain:
     ``composite_rhs`` on a StateOperator is strict."""
-    if rho.dim != scenario.model.dim:
-        raise DimensionMismatchError(f"{where} has dim {rho.dim}, but the system "
-                                     f"has dim {scenario.model.dim}")
+    sz.require_state_dim(rho, scenario.model, where)
     if scenario.kind == "composite":
         cp.composite_rhs(rho, scenario.model)
 
@@ -387,6 +384,7 @@ def cmd_ensemble(config: dict, out_dir: Path, seed: int | None) -> int:
         for i, s in enumerate(spec["states"]):
             with sz.field_path(f"maxent.states[{i}]"):
                 states.append(sz.decode_state(s, model=model, seed_override=seed))
+            sz.require_state_dim(states[-1], model, f"maxent.states[{i}]")
         mu = en.maxent_known_spectrum(states, spec["target_energy"], model.H)
         return write_result(config, out_dir, {
             "weights": [float(w) for w in mu.weights],

@@ -260,13 +260,14 @@ def _factor_terms(rho, model: CompositeModel):
         ops[..., 1, :, :] = _reduce(rest, model.H, kind.gather)
         ops[..., 2:, :, :] = np.reshape([model.constituents[j].generators
                                          for j in kind.members], (k, kind.n_gen, d, d))
-        # normalized reduced spectra, scaled back: see sea._projection_form
+        # normalized reduced states, scaled back: see sea._projection_form
         spec = rho_j.spectral
         total = spec.eigenvalues.sum(axis=-1)
-        acomm, g = sea.dissipator_kernel(spec.eigenvalues / total[..., None],
-                                         spec.eigenvectors, op.hermitize(ops))
+        rho_q, = st.spectral_matrices(spec.eigenvectors, spec.eigenvalues / total[..., None])
+        half, g = sea.dissipator_kernel(rho_q, op.hermitize(ops))
+        acomm = total[..., None, None] * op.plus_adjoint(half)
         acomm[pure], g[pure] = 0.0, 0.0
-        terms.append((kind, total[..., None, None] * acomm, g, rest))
+        terms.append((kind, acomm, g, rest))
     return terms
 
 

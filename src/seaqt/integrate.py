@@ -9,7 +9,10 @@ residuals are logged so projection never silently masks integrator failure.
 The validity rule itself, its tolerances and its repair, lives in
 ``states`` alone: full projection applies it to every step and sample, and
 with projection off the same rule checks each step's raw state and raises
-``StateInvalidError`` instead of repairing.
+``StateInvalidError`` instead of repairing.  The rule first tries a
+certificate (a Cholesky factorization and a norm test) that proves a
+member valid with no eigendecomposition; ``eigh`` runs only where that
+fails, and ``stats["projection_repairs"]`` counts those member-steps.
 
 Dormand-Prince is FSAL (first same as last): its 7th stage is evaluated at
 the 5th-order solution.  When the projection neither clamped an eigenvalue
@@ -26,11 +29,16 @@ has no rejections and no reuse) the counts obey exactly
                 + accepted_steps + e - k1_reused,
 
 where e = 1 when detection uses the default rhs norm (it needs a k1 at the
-initial state too) and 0 otherwise.
+initial state too) and 0 otherwise.  ``projection_repairs`` counts, over
+the accepted steps, the members that the validity certificate did not
+prove valid (with projection off, of the raw state that the rule checks;
+with hermitize_only, none), so it is at most accepted_steps times the
+number of members.
 
 The state may be a stack of shape (..., d, d), a single state being the
 empty leading shape.  The stack advances with one common dt, every step
-is one stacked rhs call per stage, and the counts above are stacked calls.
+is one stacked rhs call per stage, and the counts above, all but
+``projection_repairs``, are stacked calls.
 
 ``sample_dt`` sets where samples fall, never the steps of rk45: a grid
 time inside an accepted step is read off the Dormand-Prince continuous
@@ -150,7 +158,7 @@ class Trajectory:
     samples: list = field(default_factory=list)
     termination: str = ""
     # integrator counts: rhs_calls, accepted_steps, rejected_steps, k1_reused,
-    # interpolated_samples
+    # interpolated_samples, projection_repairs
     stats: dict = field(default_factory=dict)
 
     @property
@@ -188,32 +196,34 @@ def project(rho_raw: np.ndarray, mode: str) -> np.ndarray:
     onto the state set.
 
     hermitize_only symmetrizes; full additionally applies the state-validity
-    rule of ``states.validate`` (clamp eigenvalues above
-    ``operators.EIG_CLAMP_FLOOR`` at zero, renormalize the trace) and snaps
-    near-pure members to purity.  Matrices beyond repair raise
+    rule of ``states.validate`` and snaps near-pure members to purity.  A
+    member that the rule's certificate proves valid (Cholesky factorization,
+    trace within ``operators.TRACE_TOL`` of 1, and Tr - ||rho||_F above
+    ``operators.PURE_TOL``, which rules out a snap) only renormalizes its
+    trace.  When any member fails it, ``eigh`` runs on the stack: eigenvalues
+    above ``operators.EIG_CLAMP_FLOOR`` clamp at zero, the trace
+    renormalizes, and a member within the purity cut becomes the projector
+    onto its top eigenvector.  Matrices beyond repair raise
     ``StateInvalidError``.
     """
     return _project(rho_raw, mode)[0]
 
 
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each member of a (..., d, d) stack, bit for bit
-    ``np.linalg.norm`` of that member."""
-    f = x.reshape(*x.shape[:-2], -1)
-    return np.sqrt(np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag))
-
-
-def _project(rho_raw: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """``project``, plus a mask of the members that it clamped or snapped
-    to purity (however little either moved them)."""
+def _project(rho_raw: np.ndarray, mode: str):
+    """``project``, plus two masks over the members: those that it clamped
+    or snapped to purity (however little either moved them), and those that
+    failed the certificate, so that the eigh rule ran."""
     untouched = np.zeros(rho_raw.shape[:-2], dtype=bool)
     if mode == "off":
-        return rho_raw, untouched
+        return rho_raw, untouched, untouched
     m = op.hermitize(rho_raw)
     if mode == "hermitize_only":
-        return m, untouched
-    m, vals, vecs = st._check_and_repair(m, StateInvalidError, StateInvalidError,
-                                         " during integration")
+        return m, untouched, untouched
+    m, uncertified, spectral = st._check_and_repair(m, StateInvalidError, StateInvalidError,
+                                                    " during integration")
+    if spectral is None:
+        return m, untouched, uncertified
+    vals, vecs = spectral
     # pure states are exact fixed points of the dissipative flow but sit on
     # an entropy-ascent-unstable manifold; spectral weight off the top
     # eigenvalue below the pure cut is step noise, so strip it before it
@@ -222,7 +232,7 @@ def _project(rho_raw: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
     if np.count_nonzero(pure):
         top = vecs[..., :, -1][pure]
         m[pure] = top[:, :, None] * top[:, None, :].conj()
-    return m, (vals[..., 0] < 0.0) | pure
+    return m, (vals[..., 0] < 0.0) | pure, uncertified
 
 
 def _expectation(rho: np.ndarray, a: np.ndarray):
@@ -289,7 +299,7 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
     traj = Trajectory()
     stats = traj.stats
     stats.update(rhs_calls=0, accepted_steps=0, rejected_steps=0, k1_reused=0,
-                 interpolated_samples=0)
+                 interpolated_samples=0, projection_repairs=0)
     t = 0.0
     _record(traj, t, m, project(m, config.projection) if config.projection != "off" else m, obs)
 
@@ -309,7 +319,7 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
             return bool(np.all(eq_norm(mat) <= tol)), k1
         if k1 is None:
             k1 = f(mat)
-        return bool((_norms(k1) <= tol).all()), k1
+        return bool((op.frobenius_norms(k1) <= tol).all()), k1
 
     reached_eq, k1 = at_equilibrium(m, None)
     if reached_eq:
@@ -339,12 +349,12 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
             # Dormand-Prince embedded pair with standard step control, on the
             # largest scaled error over the members
             stages[0] = k1
-            scale = config.abs_tol + config.rel_tol * _norms(m)
+            scale = config.abs_tol + config.rel_tol * op.frobenius_norms(m)
             while True:
                 for i in range(1, 7):
                     y = m + dt * (_DP_A[i, :i] @ flat[:i]).reshape(m.shape)
                     stages[i] = f(y)
-                ratios = dt * _norms((_DP_E @ flat).reshape(m.shape)) / scale
+                ratios = dt * op.frobenius_norms((_DP_E @ flat).reshape(m.shape)) / scale
                 ratio = float(ratios.max())
                 if ratio <= 1.0:
                     m_new, t_new = y, t + dt    # y = m + dt B5 k, stage 7's point
@@ -365,11 +375,13 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
                 stats["interpolated_samples"] += 1
                 next_boundary += config.sample_dt
 
-        m_proj, repaired = _project(m_new, config.projection)
+        m_proj, repaired, uncertified = _project(m_new, config.projection)
         if config.projection == "off":
             # the same rule checks the raw state, and its repair is discarded
-            st._check_and_repair(op.hermitize(m_new), StateInvalidError, StateInvalidError,
-                                 f" at t = {t_new:g} with projection off")
+            uncertified = st._check_and_repair(
+                op.hermitize(m_new), StateInvalidError, StateInvalidError,
+                f" at t = {t_new:g} with projection off")[1]
+        stats["projection_repairs"] += int(np.count_nonzero(uncertified))
         t, m_raw, m = t_new, m_new, m_proj
         stats["accepted_steps"] += 1
         steps_since_sample += 1
@@ -378,7 +390,8 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
         # when the projection neither clamped nor snapped any member and
         # moved each by round-off only
         fsal = config.method == "rk45" and not np.count_nonzero(repaired) and (
-            m is m_raw or bool((_norms(m - m_raw) <= op.FSAL_MOVE_TOL * _norms(m_raw)).all()))
+            m is m_raw or bool((op.frobenius_norms(m - m_raw)
+                                <= op.FSAL_MOVE_TOL * op.frobenius_norms(m_raw)).all()))
         reached_eq, k1 = at_equilibrium(m, stages[6] if fsal else None)
         if fsal and (norm_from_k1 or not (at_end or reached_eq)):
             stats["k1_reused"] += 1

@@ -80,6 +80,11 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
+def plus_adjoint(a: np.ndarray) -> np.ndarray:
+    """A + A^dagger, per member of a (..., d, d) stack."""
+    return a + a.conj().swapaxes(-1, -2)
+
+
 def herm_defect(a: np.ndarray) -> float:
     """Relative max-norm deviation ||A - A†||_max / max(1, ||A||_max)."""
     a = as_complex(a)
@@ -88,11 +93,14 @@ def herm_defect(a: np.ndarray) -> float:
 
 
 def require_hermitian(a, name: str = "operator") -> np.ndarray:
-    """Return the symmetrized matrix, rejecting input whose ``herm_defect``
-    is not within HERMITICITY_TOL (a NaN entry is not)."""
+    """Return the symmetrized matrix, rejecting input that is not square,
+    has a non-finite entry, or whose ``herm_defect`` is not within
+    HERMITICITY_TOL."""
     a = as_complex(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotHermitianError(f"{name} must be a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NotHermitianError(f"{name} has a non-finite entry")
     if not herm_defect(a) <= HERMITICITY_TOL:
         raise NotHermitianError(
             f"{name} is not Hermitian within tolerance {HERMITICITY_TOL:g}")
@@ -138,6 +146,13 @@ def trace_inner_product(f, g) -> float:
 
 def frobenius_norm(a) -> float:
     return float(np.linalg.norm(as_complex(a), ord="fro"))
+
+
+def frobenius_norms(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each member of a (..., d, d) stack, bit for bit
+    ``np.linalg.norm`` of that member."""
+    f = x.reshape(*x.shape[:-2], -1)
+    return np.sqrt(np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag))
 
 
 def least_squares(a, b):

@@ -11,25 +11,33 @@ is the projection form
     G beta = (F, ln rho),
 
 and the entropy-production determinant is g = det G [(ln rho, ln rho) -
-(F, ln rho)^T beta] >= 0.  ``dissipator_kernel`` evaluates both in the
-eigenbasis of rho, where every trace is a weighted sum over the spectrum;
-the composite module calls the same kernel on its stacked reduced states.
-Only det G and det G beta enter, and Cramer's rule gives them from one stacked
-determinant, det G beta_a = det(G with column a replaced by (F, ln rho)):
-the adjugate of G times the pairs, which is exactly the cofactor expansion
-of the operator-valued determinant.  It is a polynomial in the Gram
-entries, so a singular G (a generator affine in the others) needs no
-least-squares solve and gives a round-off-level term.
+(F, ln rho)^T beta] >= 0.  Only det G and det G beta enter, and Cramer's
+rule gives them from one stacked determinant, det G beta_a = det(G with
+column a replaced by (F, ln rho)): the adjugate of G times the pairs,
+which is exactly the cofactor expansion of the operator-valued
+determinant.  It is a polynomial in the Gram entries, so a singular G (a
+generator affine in the others) needs no least-squares solve and gives a
+round-off-level term.
 
-The log column enters through the entropy-regular p ln p forms, so singular
-states need no eigenvalue flooring: {Delta ln rho, rho} = 2 (B - Tr(B) rho)
-with B = rho ln rho = diag(p ln p) in the eigenbasis.
+``dissipator_kernel`` evaluates the form in the original basis.  Every
+deviation anticommutator is a half-product plus its adjoint, {Delta F,
+rho} = K_F + K_F^dagger with K_F = F rho - fbar rho, so one stacked
+product F_a rho gives the means fbar_a = Re Tr(F_a rho), the Gram table
+(F_a, F_b) = 2 Re <F_a rho, F_b>_F - 2 fbar_a fbar_b and the operator part
+of the kernel's half-product K, with {D, rho} = K + K^dagger.  The
+composite module calls the same kernel on its stacked reduced states.
+``sea_rhs`` folds -(i/hbar) H rho into K and adds the adjoint once, so the
+rhs is Hermitian by construction.  The one eigendecomposition per call
+gives the clipped spectrum that the entropy-regular log column needs: with
+B = rho ln rho = U diag(p ln p) U^dagger, {Delta ln rho, rho} = 2 (B -
+Tr(B) rho), so singular states need no eigenvalue flooring.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +74,12 @@ class SingleConstituentModel:
     def operator_list(self) -> list[np.ndarray]:
         """The scalar-row operators of the dissipative determinant: H, X, ..., Y."""
         return [self.H, *self.generators]
+
+    @cached_property
+    def operator_stack(self) -> np.ndarray:
+        """``operator_list`` as one complex (n, d, d) array, the operands of
+        ``dissipator_kernel``; built once per model."""
+        return np.array(self.operator_list(), dtype=complex)
 
 
 def validate_model(model: SingleConstituentModel) -> SingleConstituentModel:
@@ -107,14 +121,23 @@ def gram_condition_number(rho, model: SingleConstituentModel) -> float:
     return float(np.linalg.cond(table))
 
 
-def dissipator_kernel(p: np.ndarray, u: np.ndarray, ops, log_column=None):
-    """({D, rho}, g) of the operator-valued Gram determinant, in projection form.
+def _real_rows(a: np.ndarray) -> np.ndarray:
+    """The (..., d, d) complex blocks of ``a`` as real rows of length 2 d^2:
+    the dot product of two rows is Re <X, Y>_F = Re Tr(X^dagger Y)."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    return a.view(np.float64).reshape(*a.shape[:-2], -1)
 
-    ``p, u`` is the spectrum of rho (or of the reduced state rho(J)), ``ops``
-    the generator operators F_a, and ``log_column`` the pair
-    ({Delta L, rho} in the eigenbasis, (L, L)) of the log column L.  With
-    ``log_column=None`` the first operator is L and enters like the others.
-    With G the Gram matrix of the generators and G beta = (F, L):
+
+def dissipator_kernel(rho: np.ndarray, ops, log_column=None):
+    """(K, g) of the operator-valued Gram determinant in projection form,
+    with {D, rho} = K + K^dagger.
+
+    ``rho`` is a unit-trace Hermitian matrix (the state, or the reduced state
+    rho(J)), ``ops`` the generator operators F_a and ``log_column`` the
+    triple (B, Tr B, (L, L)) of the log column L = ln rho, with B = rho ln rho
+    in the entropy-regular form.  With ``log_column=None`` the first
+    operator is L and enters like the others.  With G the Gram matrix of
+    the generators and G beta = (F, L):
 
         {D, rho} = det G [{Delta L, rho} - sum_a beta_a {Delta F_a, rho}]
         g        = det G [(L, L) - (F, L)^T beta]
@@ -127,56 +150,72 @@ def dissipator_kernel(p: np.ndarray, u: np.ndarray, ops, log_column=None):
     through singular G: a degenerate generator set gives a round-off-level
     term, with no least-squares solve and no error.
 
-    The rotated operators are laid out as rows of length d^2, so that in
-    the eigenbasis {Delta F_a, rho} = (p_i + p_j) F_a - 2 fbar_a diag(p),
-    and the means, the Gram table (``states.covariance_table``) and the
-    pairs are a few matrix products.  A stack of states adds leading axes:
-    p (..., d), u (..., d, d) and the log column ((..., d, d), (...)); the
-    operators (n, d, d) are shared, or per member with shape (..., n, d, d)
-    (the composite law's reduced operators), and g has the stack's shape.
+    Everything is a Frobenius product in the original basis, taken as a
+    real dot product of the matrices' real views: fbar_a = Re <F_a, rho>,
+    (F_a, F_b) = 2 Re <F_a rho, F_b> - 2 fbar_a fbar_b and (F_a, ln rho) =
+    2 (Re <F_a, B> - Tr(B) fbar_a).  With w = det G beta the half-product is
+
+        K = det G B + (w . fbar - det G Tr B) rho - sum_a w_a F_a rho,
+
+    and with L as the first operator K = sum_a c_a F_a rho - (c . fbar) rho,
+    c = (det G, -w).  A stack of states adds leading axes: rho (..., d, d)
+    and the log column ((..., d, d), (...), (...)); the operators (n, d, d)
+    are shared, or per member with shape (..., n, d, d) (the composite
+    law's reduced operators), and g has the stack's shape.
     """
-    d = p.shape[-1]
-    batch = p.shape[:-1]
-    uh = u.conj().swapaxes(-1, -2)
-    f = uh[..., None, :, :] @ np.asarray(ops) @ u[..., None, :, :]
-    f = f.reshape(*f.shape[:-2], d * d)
-    means, table, w = st.covariance_table(p, f)
+    d = rho.shape[-1]
+    batch = rho.shape[:-2]
+    ops = np.ascontiguousarray(ops, dtype=complex)
+    f_rows = _real_rows(ops)
+    # every F_a rho from one (n d, d) by (d, d) product
+    f_rho = ops.reshape(*ops.shape[:-3], -1, d) @ rho
+    f_rho_rows = f_rho.view(np.float64).reshape(*batch, -1, 2 * d * d)
+    means = (f_rows @ _real_rows(rho)[..., None])[..., 0]
+    table = 2.0 * (f_rho_rows @ f_rows.swapaxes(-1, -2)
+                   - means[..., :, None] * means[..., None, :])
     if log_column is None:
         log_var, pairs, gram = table[..., 0, 0], table[..., 1:, 0], table[..., 1:, 1:]
-        log_f, log_mean, f, means = f[..., 0, :], means[..., 0], f[..., 1:, :], means[..., 1:]
-        log_acomm = w * log_f
-        log_acomm[..., ::d + 1] -= 2.0 * log_mean[..., None] * p
     else:
-        log_acomm, log_var = log_column[0].reshape(*batch, d * d), log_column[1]
-        pairs, gram = (f.conj() @ log_acomm[..., None])[..., 0].real, table
+        b, tr_b, log_var = log_column
+        pairs = 2.0 * ((f_rows @ _real_rows(b)[..., None])[..., 0] - tr_b[..., None] * means)
+        gram = table
     n = pairs.shape[-1]
     stack = np.empty((*batch, n + 1, n, n))
     stack[...] = gram[..., None, :, :]
     stack[..., np.arange(1, n + 1), :, np.arange(n)] = pairs
     dets = np.linalg.det(stack)
     det, det_beta = dets[..., 0], dets[..., 1:]
-    acomm = det[..., None] * log_acomm - w * (det_beta[..., None, :] @ f)[..., 0, :]
-    acomm[..., ::d + 1] += 2.0 * np.vecdot(det_beta, means)[..., None] * p
-    acomm = acomm.reshape(*batch, d, d)
-    return op.hermitize(u @ acomm @ uh), det * log_var - np.vecdot(pairs, det_beta)
+    if log_column is None:
+        coef = np.concatenate([det[..., None], -det_beta], axis=-1)
+        rho_coef = np.vecdot(coef, means)
+    else:
+        coef = -det_beta
+        rho_coef = np.vecdot(coef, means) + det * tr_b
+    k = (coef[..., None, :] @ f_rho_rows)[..., 0, :].view(complex).reshape(*batch, d, d)
+    k -= rho_coef[..., None, None] * rho
+    if log_column is not None:
+        k += det[..., None, None] * b
+    return k, det * log_var - np.vecdot(pairs, det_beta)
 
 
 def _projection_form(rho: st.StateOperator, model: SingleConstituentModel):
-    """The kernel at rho, with the regular p ln p pieces as the log column.
-    It runs at p / sum p and scales {D, rho} back by sum p, so the result is
-    traceless even where a trial state's negative eigenvalue clipped to 0.
-    Per member of a (..., d, d) stack."""
-    p, u = rho.spectral.eigenvalues, rho.spectral.eigenvectors
-    total = p.sum(axis=-1)
-    q = p / total[..., None]
-    acomm, g = dissipator_kernel(q, u, model.operator_list(), st.regular_log_column(q))
-    return total[..., None, None] * acomm, g
+    """The half-product K and g at rho, with the regular p ln p pieces as the
+    log column.  It runs at q = p / sum p and scales K back by sum p, so the
+    result is traceless even where a trial state's negative eigenvalue
+    clipped to 0.  Per member of a (..., d, d) stack."""
+    spec = rho.spectral
+    total = spec.eigenvalues.sum(axis=-1)
+    q = spec.eigenvalues / total[..., None]
+    plogp, tr_b, log_var = st.regular_log_spectrum(q)
+    rho_q, b = st.spectral_matrices(spec.eigenvectors, q, plogp)
+    k, g = dissipator_kernel(rho_q, model.operator_stack, (b, tr_b, log_var))
+    k *= total[..., None, None]
+    return k, g
 
 
-def dissipator_anticommutator(rho, model: SingleConstituentModel) -> np.ndarray:
-    """{D, rho} with D the operator-valued determinant of the dissipative
-    term; per member of a (..., d, d) stack."""
-    rho = st.as_state(rho)
+def _dissipator_half(rho: st.StateOperator, model: SingleConstituentModel):
+    """K with {D, rho} = K + K^dagger per member of a stack, or None when
+    every member is pure."""
     if model.H.shape != rho.matrix.shape[-2:]:
         raise DimensionMismatchError(
             f"state dim {rho.matrix.shape} vs model dim {model.H.shape}")
@@ -188,11 +227,19 @@ def dissipator_anticommutator(rho, model: SingleConstituentModel) -> np.ndarray:
     pure = st.is_pure(rho.spectral.eigenvalues)
     n_pure = np.count_nonzero(pure)
     if n_pure == pure.size:
-        return np.zeros_like(rho.matrix)
-    acomm = _projection_form(rho, model)[0]
+        return None
+    k = _projection_form(rho, model)[0]
     if n_pure:
-        acomm[pure] = 0.0
-    return acomm
+        k[pure] = 0.0
+    return k
+
+
+def dissipator_anticommutator(rho, model: SingleConstituentModel) -> np.ndarray:
+    """{D, rho} with D the operator-valued determinant of the dissipative
+    term; per member of a (..., d, d) stack."""
+    rho = st.as_state(rho)
+    k = _dissipator_half(rho, model)
+    return np.zeros_like(rho.matrix) if k is None else op.plus_adjoint(k)
 
 
 def sea_rhs(rho, model: SingleConstituentModel) -> np.ndarray:
@@ -201,13 +248,19 @@ def sea_rhs(rho, model: SingleConstituentModel) -> np.ndarray:
     ``rho`` is one state or a (..., d, d) stack of them, evaluated member by
     member in one pass: the eigendecompositions, Gram tables and
     determinants run stacked, and a pure member gets an exact-zero
-    dissipator.
+    dissipator.  With m the Hermitian part of rho and K the kernel's
+    half-product, the rhs is x + x^dagger for x = -(i/hbar) H m -
+    (tau/hbar^2) K, so it is Hermitian by construction.
     """
-    m = st._as_matrix(rho)
+    rho = st.as_state(rho)
+    k = _dissipator_half(rho, model)
     hbar = model.units.hbar
-    ham = -1j / hbar * op.commutator(model.H, m)
-    diss = model.tau / hbar**2 * dissipator_anticommutator(rho, model)
-    return ham - diss
+    x = model.H @ rho.matrix
+    x *= -1j / hbar
+    if k is not None:
+        k *= model.tau / hbar**2
+        x -= k
+    return op.plus_adjoint(x)
 
 
 def gram_determinant_g(rho, model: SingleConstituentModel):

@@ -25,7 +25,7 @@ from . import lindblad as lb
 from . import operators as op
 from . import sea
 from . import states as st
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatchError
 from .operators import UnitSystem
 
 
@@ -316,13 +316,25 @@ def decode_pauli(obj, units: UnitSystem) -> lb.PauliRates:
     return lb.pauli_rates(obj["w"], obj["energies"], units)
 
 
+def require_state_dim(rho: st.StateOperator, model, where: str) -> None:
+    """Hold the state or stack named ``where`` (its dotted config path) to
+    the system's dimension."""
+    if rho.dim != model.dim:
+        raise DimensionMismatchError(f"{where} has dim {rho.dim}, but the system "
+                                     f"has dim {model.dim}")
+
+
 def decode_measure(obj, model=None,
                    seed_override: int | None = None) -> en.StatisticalWeightMeasure:
+    """The ``measure`` block; with ``model``, each support state is held to
+    the system's dimension."""
     pairs = []
     for i, point in enumerate(obj["support"]):
         with field_path(f"support[{i}].state"):
-            pairs.append((point["w"], decode_state(
-                point["state"], model=model, seed_override=seed_override)))
+            state = decode_state(point["state"], model=model, seed_override=seed_override)
+        if model is not None:
+            require_state_dim(state, model, f"measure.support[{i}].state")
+        pairs.append((point["w"], state))
     return en.measure(pairs)
 
 

@@ -4,17 +4,26 @@ A state operator is a Hermitian, nonnegative-definite, unit-trace matrix.
 The rule that checks and repairs one has a single body here,
 ``_check_and_repair``, stacked over (..., d, d): ``validate`` runs it on
 user input (``NotPositiveError``, ``TraceError``) and the integrator's
-projection on every step (``StateInvalidError`` naming the member).
+projection on every step (``StateInvalidError`` naming the member).  It
+first tries a certificate that needs no eigendecomposition: the trace
+within TRACE_TOL of 1, a Cholesky factorization (positive definite), and
+Tr - ||rho||_F above PURE_TOL (weight off the top eigenvalue, so no purity
+snap is due).  A member that passes is repaired by m / Tr m; only when one
+fails does the rule run ``eigh``, clamp and rebuild.
 Log-dependent quantities of the equation of motion route through the
-regular p ln p forms (``rho_log_rho``, ``log_variance``), so singular
-states never require ln(rho) on its own.  Where ln(rho) itself is needed
-(entropy-rate pairings, the composite reduced log), ``log_operator`` gives
-it with eigenvalues floored at ``LOG_FLOOR``.  ``gibbs_spectrum`` gives the
-weights of a Gibbs state exp(K)/Z and ln Z from one ``eigh`` of K.
+regular p ln p forms (``rho_log_rho``, ``regular_log_spectrum``), so
+singular states never require ln(rho) on its own.  Where ln(rho) itself is
+needed (entropy-rate pairings, the composite reduced log),
+``log_operator`` gives it with eigenvalues floored at ``LOG_FLOOR``.
+``spectral_matrices`` rebuilds U diag(w) U^dagger for several weight
+vectors from one product.  ``gibbs_spectrum`` gives the weights of a Gibbs
+state exp(K)/Z and ln Z from one ``eigh`` of K.
 
-Covariance products are evaluated in the eigenbasis of rho by
-``covariance_table``: with rho = diag(p) every trace is a weighted sum over
-the spectrum.
+Covariance products (F, G) = Tr(rho {Delta F, Delta G}) are evaluated in
+the eigenbasis of rho by ``covariance_table`` for the Gram conditioning
+and equilibrium probes: with rho = diag(p) every trace is a weighted sum
+over the spectrum.  The equation of motion takes them in the original
+basis instead (``sea.dissipator_kernel``).
 """
 
 from __future__ import annotations
@@ -103,6 +112,31 @@ def _raise_for(bad: np.ndarray, values, cls, message: str) -> None:
     raise err
 
 
+def _certified(m: np.ndarray, tr: np.ndarray) -> np.ndarray:
+    """Whether a Hermitian matrix, or each member of a (..., d, d) stack, is
+    provably a valid state up to the trace renormalization: |Tr - 1| within
+    TRACE_TOL, a Cholesky factorization (so m is positive definite) and
+    Tr - ||m||_F > PURE_TOL.  As p_max <= ||m||_F, the last bounds the weight
+    off the top eigenvalue, Tr - p_max, above the purity cut."""
+    ok = np.array((np.abs(tr - 1.0) <= op.TRACE_TOL)
+                  & (tr - op.frobenius_norms(m) > op.PURE_TOL))
+    if not ok.any():
+        return ok
+    try:
+        np.linalg.cholesky(m if ok.all() else m[ok])
+        return ok
+    except np.linalg.LinAlgError:
+        if ok.ndim == 0:
+            return ~ok
+    # a stacked factorization fails as a whole: find the members one by one
+    for i in map(tuple, np.argwhere(ok)):
+        try:
+            np.linalg.cholesky(m[i])
+        except np.linalg.LinAlgError:
+            ok[i] = False
+    return ok
+
+
 def _check_and_repair(m: np.ndarray, not_positive, bad_trace, where: str = ""):
     """The validity rule on a Hermitian matrix or on each member of a
     (..., d, d) stack: an eigenvalue below EIG_CLAMP_FLOOR raises
@@ -110,17 +144,28 @@ def _check_and_repair(m: np.ndarray, not_positive, bad_trace, where: str = ""):
     naming the member (``where`` ends the message); otherwise eigenvalues
     in [EIG_CLAMP_FLOOR, 0) clamp to 0 and the trace renormalizes.
 
-    Returns the repaired matrix and the eigendecomposition (ascending
-    eigenvalues, as yet unclamped, and eigenvector columns) of ``m``.
+    The certificate ``_certified`` proves most matrices valid without an
+    eigendecomposition, and their repair is m / Tr m.  Only when a member
+    fails it does the rule run ``eigh``, on the whole stack, and rebuild
+    every member from its clamped spectrum.
+
+    Returns the repaired matrix, the mask of the members that failed the
+    certificate, and the eigendecomposition of ``m`` (ascending eigenvalues,
+    as yet unclamped, and eigenvector columns), or None when every member
+    passed.
     """
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    uncertified = ~_certified(m, tr)
+    if not uncertified.any():
+        return m / tr[..., None, None], uncertified, None
     vals, vecs = np.linalg.eigh(m)
     _raise_for(~(vals[..., 0] >= op.EIG_CLAMP_FLOOR), vals[..., 0], not_positive,
                "eigenvalue {:.3e} below clamp floor" + where)
-    tr = np.trace(m, axis1=-2, axis2=-1).real
     _raise_for(~(np.abs(tr - 1.0) <= op.TRACE_TOL), tr, bad_trace,
                "trace {!r} too far from 1 to renormalize" + where)
     r = (vecs * np.clip(vals, 0.0, None)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    return op.hermitize(r / np.trace(r, axis1=-2, axis2=-1).real[..., None, None]), vals, vecs
+    r = op.hermitize(r / np.trace(r, axis1=-2, axis2=-1).real[..., None, None])
+    return r, uncertified, (vals, vecs)
 
 
 def validate(matrix) -> StateOperator:
@@ -164,11 +209,19 @@ def _per_member(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
+def spectral_matrices(u: np.ndarray, *weights: np.ndarray) -> list[np.ndarray]:
+    """U diag(w) U^dagger for each weight vector w, from one product; per
+    member of a stack, with u (..., d, d) and each w (..., d)."""
+    d = u.shape[-1]
+    out = np.concatenate([u * w[..., None, :] for w in weights], axis=-2) \
+        @ u.conj().swapaxes(-1, -2)
+    return [out[..., i * d:(i + 1) * d, :] for i in range(len(weights))]
+
+
 def _spectral_function(rho, f) -> np.ndarray:
     """sum_i f(p_i) |i><i| over the spectrum of rho, per member of a stack."""
     spec = as_state(rho).spectral
-    u = spec.eigenvectors
-    return (u * f(spec.eigenvalues)[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    return spectral_matrices(spec.eigenvectors, f(spec.eigenvalues))[0]
 
 
 def entropy(rho, k: float = 1.0) -> float | np.ndarray:
@@ -185,18 +238,14 @@ def rho_log_rho(rho) -> np.ndarray:
     return _spectral_function(rho, _plogp)
 
 
-def regular_log_column(p: np.ndarray):
-    """({Delta ln rho, rho}, (ln rho, ln rho)) in the eigenbasis of rho =
-    diag(p), from the regular forms: {Delta ln rho, rho} = 2 (B - Tr(B) rho)
-    and (ln rho, ln rho) = 2 [sum p (ln p)^2 - (sum p ln p)^2].  A stack of
-    spectra p (..., d) gives (..., d, d) and (...)."""
+def regular_log_spectrum(p: np.ndarray):
+    """(p ln p, Tr B, (ln rho, ln rho)) of a spectrum p, or of each of a
+    (..., d) stack, from the regular forms: B = rho ln rho has the spectrum
+    p ln p, and (ln rho, ln rho) = 2 [sum p (ln p)^2 - (sum p ln p)^2]."""
     log_p = np.log(np.where(p > op.LOG_ZERO_CUTOFF, p, 1.0))
     plogp = p * log_p
     tr_b = plogp.sum(axis=-1)
-    d = p.shape[-1]
-    acomm = np.zeros(p.shape + (d,))
-    acomm.reshape(*p.shape[:-1], d * d)[..., ::d + 1] = 2.0 * (plogp - tr_b[..., None] * p)
-    return acomm, 2.0 * (np.vecdot(plogp, log_p) - tr_b ** 2)
+    return plogp, tr_b, 2.0 * (np.vecdot(plogp, log_p) - tr_b ** 2)
 
 
 def log_operator(rho) -> np.ndarray:
@@ -258,13 +307,13 @@ def covariance_with_log(f, rho) -> float:
     """
     f = op.as_complex(f)
     op.require_same_dim(f, _as_matrix(rho))
-    p, (f_eig,) = in_eigenbasis(rho, [f])
-    return float(np.einsum("ij,ij->", regular_log_column(p)[0], f_eig.conj()).real)
+    b = rho_log_rho(rho)
+    return 2.0 * (float(np.vdot(f, b).real) - float(np.trace(b).real) * mean(f, rho))
 
 
 def log_variance(rho) -> float:
     """(ln rho, ln rho) = 2 [sum p (ln p)^2 - (sum p ln p)^2], always finite."""
-    return regular_log_column(as_state(rho).eigenvalues)[1]
+    return regular_log_spectrum(as_state(rho).eigenvalues)[2]
 
 
 def distance(rho_a, rho_b) -> float:

@@ -66,7 +66,7 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", config_path, "--out", str(tmp_path)]) == 0
         stats = json.loads((tmp_path / "run_summary.json").read_text())["stats"]
         assert set(stats) == {"rhs_calls", "accepted_steps", "rejected_steps", "k1_reused",
-                              "interpolated_samples"}
+                              "interpolated_samples", "projection_repairs"}
         attempts = stats["accepted_steps"] + stats["rejected_steps"]
         assert stats["rhs_calls"] == 6 * attempts + stats["accepted_steps"] - stats["k1_reused"]
 
@@ -259,7 +259,7 @@ class TestCompare:
         assert set(stats) == {"sea", "lindblad"}
         for run in stats.values():
             assert set(run) == {"rhs_calls", "accepted_steps", "rejected_steps",
-                                "k1_reused", "interpolated_samples"}
+                                "k1_reused", "interpolated_samples", "projection_repairs"}
             attempts = run["accepted_steps"] + run["rejected_steps"]
             assert run["rhs_calls"] == \
                 6 * attempts + run["accepted_steps"] - run["k1_reused"]
@@ -366,7 +366,7 @@ class TestValidate:
         assert cli.main(["validate", "--config", config_path, "--out", str(tmp_path)]) == 0
         stats = json.loads((tmp_path / "validate_report.json").read_text())["stats"]
         assert set(stats) == {"rhs_calls", "accepted_steps", "rejected_steps", "k1_reused",
-                              "interpolated_samples"}
+                              "interpolated_samples", "projection_repairs"}
         attempts = stats["accepted_steps"] + stats["rejected_steps"]
         assert stats["rhs_calls"] == 6 * attempts + stats["accepted_steps"] - stats["k1_reused"]
 
@@ -587,6 +587,23 @@ class TestSemanticErrorsNameTheirField:
             config["dynamics"]["lindblad"] = {"B": matrix_obj(-np.diag([0.0, 1.0]))}
         err = self.run(tmp_path, capsys, config, command=command)
         assert "ERROR DimensionMismatch: initial has dim 3, but the system has dim 2" in err
+
+    def test_maxent_state_of_another_dimension(self, tmp_path, capsys):
+        config = qubit_sea_scenario(maxent={
+            "states": [{"dim": 2, "pure": [[1.0, 0.0], [0.0, 0.0]]},
+                       {"random": {"dim": 3, "seed": 1}}],
+            "target_energy": 0.25}, outputs={})
+        err = self.run(tmp_path, capsys, config, command="ensemble")
+        assert "ERROR DimensionMismatch: maxent.states[1] has dim 3, but the system " \
+               "has dim 2" in err
+
+    def test_measure_support_state_of_another_dimension(self, tmp_path, capsys):
+        config = qubit_sea_scenario(measure={"support": [
+            {"w": 0.5, "state": {"dim": 2, "pure": [[1.0, 0.0], [0.0, 0.0]]}},
+            {"w": 0.5, "state": {"random": {"dim": 3, "seed": 1}}}]}, outputs={})
+        err = self.run(tmp_path, capsys, config, command="ensemble")
+        assert "ERROR DimensionMismatch: measure.support[1].state has dim 3, but the " \
+               "system has dim 2" in err
 
     def test_generator_of_another_dimension(self, tmp_path, capsys):
         config = qubit_sea_scenario()

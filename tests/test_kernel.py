@@ -2,7 +2,7 @@
 
 The reference (``cofactor_reference``) expands the operator-valued Gram
 determinant along its operator row in the original basis; the library
-evaluates the Schur-complement form in the eigenbasis of rho.  Both are
+evaluates the Schur-complement form from Frobenius products.  Both are
 exact, so they must agree to round-off on every state, including
 degenerate generator Grams, near-pure and rank-deficient states, where the
 terms themselves are round-off sized.
@@ -123,9 +123,82 @@ def test_kernel_with_ordinary_log_column_matches_regular_form():
     h, x = (op.hermitize(rng.normal(size=(4, 4))) for _ in range(2))
     p, u = rho.spectral.eigenvalues, rho.spectral.eigenvectors
     log_rho = (u * np.log(p)) @ u.conj().T
-    got = sea.dissipator_kernel(p, u, [log_rho, h, x])
-    plogp = p * np.log(p)
-    log_column = (np.diag(2 * (plogp - plogp.sum() * p)), st.log_variance(rho))
-    want = sea.dissipator_kernel(p, u, [h, x], log_column)
+    got = sea.dissipator_kernel(rho.matrix, [log_rho, h, x])
+    b = st.rho_log_rho(rho)
+    log_column = (b, np.trace(b).real, st.log_variance(rho))
+    want = sea.dissipator_kernel(rho.matrix, [h, x], log_column)
     assert np.abs(got[0] - want[0]).max() <= 1e-12
     assert got[1] == pytest.approx(want[1], rel=1e-10)
+
+
+def spectrum_state(kind, dim, rng):
+    """A random eigenbasis with a spectrum of the given kind: full rank, its
+    smallest eigenvalue at 1e-12, or a trial point whose smallest eigenvalue
+    -1e-11 the spectral form clips to 0 (returned as a raw matrix)."""
+    u = random_unitary(dim, rng)
+    p = rng.uniform(0.5, 1.5, dim)
+    p /= p.sum()
+    if kind != "full":
+        shift = 1e-12 if kind == "near_singular" else -1e-11
+        p[0] += p[-1] - shift
+        p[-1] = shift
+    m = op.hermitize((u * p) @ u.conj().T)
+    return m if kind == "clipped" else st.validate(m)
+
+
+@settings(SETTINGS, max_examples=48)
+@given(seed=hs.integers(0, 2**31 - 1), dim=hs.sampled_from([2, 3, 4, 8]),
+       n_gen=hs.integers(0, 2),
+       kind=hs.sampled_from(["full", "near_singular", "clipped"]))
+def test_original_basis_kernel_matches_cofactor_expansion(seed, dim, n_gen, kind):
+    # the reference runs at the state the kernel sees: the clipped spectrum
+    # at unit trace, the result scaled back by its sum
+    rng = np.random.default_rng(seed)
+    u = random_unitary(dim, rng)
+    h, *gens = [op.hermitize((u * rng.normal(size=dim)) @ u.conj().T)
+                for _ in range(n_gen + 1)]
+    model = sea.SingleConstituentModel(H=h, generators=tuple(gens))
+    rho = spectrum_state(kind, dim, rng)
+    spec = st.as_state(rho).spectral
+    total = spec.eigenvalues.sum()
+    rho_q = st.StateOperator(st.spectral_matrices(spec.eigenvectors,
+                                                  spec.eigenvalues / total)[0])
+    with np.errstate(all="raise"):
+        want_acomm, want_g = ref.single(rho_q, h, model.generators)
+        ops = model.operator_list()
+        gram = np.empty((len(ops) + 1,) * 2)
+        gram[0, 0] = st.log_variance(rho_q)
+        gram[1:, 1:] = ref.pair_table(rho_q.matrix, ops)
+        gram[0, 1:] = gram[1:, 0] = [st.covariance_with_log(f, rho_q) for f in ops]
+        bound = expansion_bound(gram)
+        got_acomm = sea.dissipator_anticommutator(rho, model)
+        got_g = sea.gram_determinant_g(rho, model)
+    assert np.abs(got_acomm - total * want_acomm).max() <= TOL * bound
+    assert abs(got_g - want_g) <= TOL * bound
+    rhs = sea.sea_rhs(rho, model)
+    assert np.array_equal(rhs, rhs.conj().T)
+    assert abs(np.trace(rhs)) <= 1e-14 * max(1.0, np.abs(rhs).max())
+
+
+@settings(SETTINGS, max_examples=24)
+@given(seed=hs.integers(0, 2**31 - 1), dim=hs.sampled_from([2, 3, 4, 8]),
+       n_gen=hs.integers(0, 2))
+def test_kernel_with_the_log_column_first_matches_per_member_expansions(seed, dim, n_gen):
+    # the composite layout: a stack of states, each with its own operators
+    # (L, F_1, ...), L entering the Gram determinant as its first column
+    rng = np.random.default_rng(seed)
+    states = [spectrum_state(kind, dim, rng)
+              for kind in ("full", "near_singular", "full", "near_singular")]
+    rho = np.stack([s.matrix for s in states])
+    ops = np.stack([[st.log_operator(s), *(st.random_hermitian(dim, rng)
+                                          for _ in range(n_gen + 1))] for s in states])
+    half, g = sea.dissipator_kernel(rho, ops)
+    assert half.shape == rho.shape and g.shape == (len(states),)
+    for i, s in enumerate(states):
+        gram = ref.pair_table(s.matrix, list(ops[i]))
+        acomms = [f @ s.matrix + s.matrix @ f - 2.0 * np.trace(s.matrix @ f).real * s.matrix
+                  for f in ops[i]]
+        bound = expansion_bound(gram)
+        assert np.abs(op.plus_adjoint(half[i]) - ref.cofactor_expand(gram[1:], acomms)).max() \
+            <= TOL * bound
+        assert abs(g[i] - np.linalg.det(gram)) <= TOL * bound

@@ -231,7 +231,7 @@ class TestRequireHermitian:
             op.require_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
     def test_rejects_nan(self):
-        with pytest.raises(NotHermitianError):
+        with pytest.raises(NotHermitianError, match="^operator has a non-finite entry$"):
             op.require_hermitian([[0, np.nan], [0, 1]])
 
 

@@ -27,7 +27,7 @@ class TestValidate:
             st.validate(np.array([[0.5, 0.3], [0.0, 0.5]]))
 
     def test_nan_rejected(self):
-        with pytest.raises(NotHermitianError):
+        with pytest.raises(NotHermitianError, match="^state operator has a non-finite entry$"):
             st.validate(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_far_trace_rejected(self):
