@@ -277,6 +277,9 @@ def cmd_compare(config: dict, out_dir: Path, seed: int | None) -> int:
     if int_config.sample_dt is None and int_config.method != "rk4":
         # pointwise diffs need shared sample times; rk45 interpolates them
         # and keeps its own steps (the report records the settings that ran)
+        if int_config.sample_every != 1:
+            raise ConfigError("sample_every must be 1: compare samples rk45 "
+                              "runs at sample_dt", "integrator")
         int_config = replace(int_config, sample_dt=int_config.t_max / 256.0)
     trajectories = {name: ig.integrate(rho0, rhs, int_config, observables=obs,
                                        eq_norm=eq_norm)
@@ -286,8 +289,12 @@ def cmd_compare(config: dict, out_dir: Path, seed: int | None) -> int:
     (linear_name,) = [n for n in dyn if n != "sea"]
     t_sea = trajectories["sea"]
     t_lin = trajectories[linear_name]
-    distances = [float(np.linalg.norm(a.rho - b.rho, ord="fro"))
-                 for a, b in zip(t_sea.samples, t_lin.samples)]
+    # a run that stopped at equilibrium stays at its last state: compare it
+    # with every later sample of the other run
+    runs = [[s.rho for s in traj.samples] for traj in (t_sea, t_lin)]
+    n = max(map(len, runs))
+    a, b = (rhos + rhos[-1:] * (n - len(rhos)) for rhos in runs)
+    distances = [float(np.linalg.norm(x - y, ord="fro")) for x, y in zip(a, b)]
     linear_g = dyn[linear_name][1].g_rate
     def finite_max(values):
         finite = values[np.isfinite(values)]

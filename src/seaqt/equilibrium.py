@@ -134,16 +134,16 @@ def solve_multipliers(constants: ConstantSet, target_means,
     most MAX_NEWTON_ITERATIONS iterates.
 
     Starts from m = 0 (the maximally mixed state, always interior).  Each
-    iterate costs one eigendecomposition of the exponent, which gives ln Z,
-    the Gibbs spectrum and the eigenbasis in which the means and the
-    Jacobian of the mean map (the covariance matrix of the constants,
-    positive semidefinite) are evaluated.  Near the optimum the predicted
+    iterate costs one eigendecomposition of the exponent, which gives ln Z
+    and the Gibbs state; ``states.covariance_table`` at that state gives
+    the means and the Jacobian of the mean map (the covariance matrix of
+    the constants, positive semidefinite).  Near the optimum the predicted
     decrease of phi falls below its round-off, where the sufficient-decrease
     test can no longer judge a step; the full Newton step is then taken.
     """
     targets = check_feasible(constants, target_means, margin)
     n = len(constants)
-    ops = np.asarray(constants.operators)
+    ops = np.asarray(constants.operators, dtype=complex)
     # gradient sign convention: d(lnZ)/d(beta) = -h_mean, d(lnZ)/d(gamma_k) = +c_mean
     sign = np.concatenate([[-1.0], np.ones(n - 1)])
 
@@ -154,7 +154,7 @@ def solve_multipliers(constants: ConstantSet, target_means,
     m_arr = np.zeros(n)
     phi, p, vecs = dual(m_arr)
     for _ in range(op.MAX_NEWTON_ITERATIONS):
-        means, cov, _ = st.covariance_table(p, vecs.conj().T @ ops @ vecs)
+        means, cov, _ = st.covariance_table((vecs * p) @ vecs.conj().T, ops)
         residual = means - targets
         if float(np.linalg.norm(residual)) <= tol:
             return MultiplierVector.from_array(m_arr)

@@ -126,6 +126,8 @@ class IntegratorConfig:
             raise ValueError("t_max must be finite")
         if self.sample_dt is not None and not self.sample_dt > 0:
             raise ValueError("sample_dt must be positive (or null for none)")
+        if self.sample_dt is not None and self.sample_every != 1:
+            raise ValueError("sample_every must be 1 when sample_dt is set")
 
 
 @dataclass(frozen=True)

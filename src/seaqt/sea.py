@@ -22,10 +22,11 @@ round-off-level term.
 ``dissipator_kernel`` evaluates the form in the original basis.  Every
 deviation anticommutator is a half-product plus its adjoint, {Delta F,
 rho} = K_F + K_F^dagger with K_F = F rho - fbar rho, so one stacked
-product F_a rho gives the means fbar_a = Re Tr(F_a rho), the Gram table
-(F_a, F_b) = 2 Re <F_a rho, F_b>_F - 2 fbar_a fbar_b and the operator part
-of the kernel's half-product K, with {D, rho} = K + K^dagger.  The
-composite module calls the same kernel on its stacked reduced states.
+product F_a rho (``states.covariance_table``) gives the means, the Gram
+table (F_a, F_b) = 2 Re <F_a rho, F_b>_F - 2 fbar_a fbar_b and the
+operator part of the kernel's half-product K, with {D, rho} = K +
+K^dagger.  The log column enters as B = L rho; the composite module calls
+the same kernel on its stacked reduced states with B(J) = W(J) rho(J).
 ``sea_rhs`` folds -(i/hbar) H rho into K and adds the adjoint once, so the
 rhs is Hermitian by construction.  The one eigendecomposition per call
 gives the clipped spectrum that the entropy-regular log column needs: with
@@ -117,26 +118,27 @@ def validate_model(model: SingleConstituentModel) -> SingleConstituentModel:
 
 def gram_condition_number(rho, model: SingleConstituentModel) -> float:
     """Condition number of the generator Gram block [(F_a, F_b)] at rho."""
-    _, table, _ = st.covariance_table(*st.in_eigenbasis(rho, model.operator_list()))
-    return float(np.linalg.cond(table))
+    return float(np.linalg.cond(st.covariance_table(rho, model.operator_stack)[1]))
 
 
-def _real_rows(a: np.ndarray) -> np.ndarray:
-    """The (..., d, d) complex blocks of ``a`` as real rows of length 2 d^2:
-    the dot product of two rows is Re <X, Y>_F = Re Tr(X^dagger Y)."""
-    a = np.ascontiguousarray(a, dtype=complex)
-    return a.view(np.float64).reshape(*a.shape[:-2], -1)
+def operator_log_column(rho: np.ndarray, w: np.ndarray):
+    """The kernel's log column (B, Tr B, (W, W)) of a Hermitian log operator
+    W given as such, B = W rho: (W, W) = 2 (Re <B, W> - (Tr B)^2).  Per
+    member of a stack, with rho and W both (..., d, d)."""
+    b = w @ rho
+    tr_b = np.trace(b, axis1=-2, axis2=-1).real
+    return b, tr_b, 2.0 * (np.vecdot(st._real_rows(b), st._real_rows(w)) - tr_b ** 2)
 
 
-def dissipator_kernel(rho: np.ndarray, ops, log_column=None):
+def dissipator_kernel(rho: np.ndarray, ops, log_column):
     """(K, g) of the operator-valued Gram determinant in projection form,
     with {D, rho} = K + K^dagger.
 
     ``rho`` is a unit-trace Hermitian matrix (the state, or the reduced state
     rho(J)), ``ops`` the generator operators F_a and ``log_column`` the
-    triple (B, Tr B, (L, L)) of the log column L = ln rho, with B = rho ln rho
-    in the entropy-regular form.  With ``log_column=None`` the first
-    operator is L and enters like the others.  With G the Gram matrix of
+    triple (B, Tr B, (L, L)) of the log column L, with B = L rho: a single
+    system passes the entropy-regular B = rho ln rho, a composite factor
+    B(J) = W(J) rho(J) (``operator_log_column``).  With G the Gram matrix of
     the generators and G beta = (F, L):
 
         {D, rho} = det G [{Delta L, rho} - sum_a beta_a {Delta F_a, rho}]
@@ -150,51 +152,33 @@ def dissipator_kernel(rho: np.ndarray, ops, log_column=None):
     through singular G: a degenerate generator set gives a round-off-level
     term, with no least-squares solve and no error.
 
-    Everything is a Frobenius product in the original basis, taken as a
-    real dot product of the matrices' real views: fbar_a = Re <F_a, rho>,
-    (F_a, F_b) = 2 Re <F_a rho, F_b> - 2 fbar_a fbar_b and (F_a, ln rho) =
-    2 (Re <F_a, B> - Tr(B) fbar_a).  With w = det G beta the half-product is
+    The means fbar_a, G and the rows F_a rho come from
+    ``states.covariance_table``, and (F_a, L) = 2 (Re <F_a, B> - Tr(B)
+    fbar_a).  As {Delta L, rho} = B + B^dagger - 2 Tr(B) rho, with w = det
+    G beta the half-product is
 
-        K = det G B + (w . fbar - det G Tr B) rho - sum_a w_a F_a rho,
+        K = det G B + (w . fbar - det G Tr B) rho - sum_a w_a F_a rho.
 
-    and with L as the first operator K = sum_a c_a F_a rho - (c . fbar) rho,
-    c = (det G, -w).  A stack of states adds leading axes: rho (..., d, d)
-    and the log column ((..., d, d), (...), (...)); the operators (n, d, d)
-    are shared, or per member with shape (..., n, d, d) (the composite
-    law's reduced operators), and g has the stack's shape.
+    A stack of states adds leading axes to rho and the log column, the
+    operators are shared or per member as in ``covariance_table``, and g
+    has the stack's shape.
     """
     d = rho.shape[-1]
     batch = rho.shape[:-2]
-    ops = np.ascontiguousarray(ops, dtype=complex)
-    f_rows = _real_rows(ops)
-    # every F_a rho from one (n d, d) by (d, d) product
-    f_rho = ops.reshape(*ops.shape[:-3], -1, d) @ rho
-    f_rho_rows = f_rho.view(np.float64).reshape(*batch, -1, 2 * d * d)
-    means = (f_rows @ _real_rows(rho)[..., None])[..., 0]
-    table = 2.0 * (f_rho_rows @ f_rows.swapaxes(-1, -2)
-                   - means[..., :, None] * means[..., None, :])
-    if log_column is None:
-        log_var, pairs, gram = table[..., 0, 0], table[..., 1:, 0], table[..., 1:, 1:]
-    else:
-        b, tr_b, log_var = log_column
-        pairs = 2.0 * ((f_rows @ _real_rows(b)[..., None])[..., 0] - tr_b[..., None] * means)
-        gram = table
+    b, tr_b, log_var = log_column
+    means, gram, f_rho_rows = st.covariance_table(rho, ops)
+    pairs = 2.0 * ((st._real_rows(ops) @ st._real_rows(b)[..., None])[..., 0]
+                   - tr_b[..., None] * means)
     n = pairs.shape[-1]
     stack = np.empty((*batch, n + 1, n, n))
     stack[...] = gram[..., None, :, :]
     stack[..., np.arange(1, n + 1), :, np.arange(n)] = pairs
     dets = np.linalg.det(stack)
     det, det_beta = dets[..., 0], dets[..., 1:]
-    if log_column is None:
-        coef = np.concatenate([det[..., None], -det_beta], axis=-1)
-        rho_coef = np.vecdot(coef, means)
-    else:
-        coef = -det_beta
-        rho_coef = np.vecdot(coef, means) + det * tr_b
+    coef = -det_beta
     k = (coef[..., None, :] @ f_rho_rows)[..., 0, :].view(complex).reshape(*batch, d, d)
-    k -= rho_coef[..., None, None] * rho
-    if log_column is not None:
-        k += det[..., None, None] * b
+    k -= (np.vecdot(coef, means) + det * tr_b)[..., None, None] * rho
+    k += det[..., None, None] * b
     return k, det * log_var - np.vecdot(pairs, det_beta)
 
 

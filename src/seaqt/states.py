@@ -19,11 +19,11 @@ needed (entropy-rate pairings, the composite reduced log),
 vectors from one product.  ``gibbs_spectrum`` gives the weights of a Gibbs
 state exp(K)/Z and ln Z from one ``eigh`` of K.
 
-Covariance products (F, G) = Tr(rho {Delta F, Delta G}) are evaluated in
-the eigenbasis of rho by ``covariance_table`` for the Gram conditioning
-and equilibrium probes: with rho = diag(p) every trace is a weighted sum
-over the spectrum.  The equation of motion takes them in the original
-basis instead (``sea.dissipator_kernel``).
+Covariance products (F, G) = Tr(rho {Delta F, Delta G}) have one body,
+``covariance_table``, in the original basis: one stacked product F_a rho
+gives the means and the table.  The SEA kernel (single systems and
+composite factors alike), the Gram conditioning probe and the Newton
+Hessian of the maxent dual all read it.
 """
 
 from __future__ import annotations
@@ -272,31 +272,30 @@ def deviation(f, rho) -> np.ndarray:
     return f - np.eye(f.shape[0], dtype=complex) * np.trace(m @ f).real
 
 
-def covariance_table(p, ops):
-    """Means and covariance products of operators given in the eigenbasis of
-    rho = diag(p), stacked as (n, d, d) or flattened to rows (n, d^2).  A
-    stack of states adds leading axes: p (..., d), ops (..., n, d^2).
-
-    Returns (fbar_a, (F_a, F_b), w) with w_ij = p_i + p_j flattened to
-    length d^2.  In the eigenbasis {Delta F, rho} = w F - 2 fbar diag(p),
-    so (F_a, F_b) = Tr(F_b {Delta F_a, rho}) = sum_ij w_ij F_a,ij
-    conj(F_b,ij) - 2 fbar_a fbar_b.
-    """
-    d = p.shape[-1]
-    f = np.asarray(ops).reshape(*p.shape[:-1], -1, d * d)
-    w = (p[..., :, None] + p[..., None, :]).reshape(*p.shape[:-1], 1, d * d)
-    means = (f[..., ::d + 1].real @ p[..., None])[..., 0]
-    table = ((f * w) @ f.conj().swapaxes(-1, -2)).real \
-        - 2.0 * means[..., :, None] * means[..., None, :]
-    return means, table, w[..., 0, :]
+def _real_rows(a: np.ndarray) -> np.ndarray:
+    """The (..., d, d) complex blocks of ``a`` as real rows of length 2 d^2:
+    the dot product of two rows is Re <X, Y>_F = Re Tr(X^dagger Y)."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    return a.view(np.float64).reshape(*a.shape[:-2], -1)
 
 
-def in_eigenbasis(rho, ops) -> tuple[np.ndarray, np.ndarray]:
-    """Spectrum p of rho and the operators (n, d, d) rotated into its
-    eigenbasis; a stack of states gives (..., d) and (..., n, d, d)."""
-    spec = as_state(rho).spectral
-    u = spec.eigenvectors[..., None, :, :]
-    return spec.eigenvalues, u.conj().swapaxes(-1, -2) @ np.asarray(ops) @ u
+def covariance_table(rho, ops):
+    """The means fbar_a = Re <F_a, rho> of the Hermitian ``ops``, their table
+    (F_a, F_b) = Tr(rho {Delta F_a, Delta F_b}) = 2 Re <F_a rho, F_b> -
+    2 fbar_a fbar_b and the F_a rho as real rows of length 2 d^2, all in the
+    original basis from one (n d, d) by (d, d) product.  ``rho`` is a state,
+    a matrix or a (..., d, d) stack, and ``ops`` (n, d, d) are shared by its
+    members or (..., n, d, d) per member."""
+    rho = _as_matrix(rho)
+    d = rho.shape[-1]
+    ops = np.ascontiguousarray(ops, dtype=complex)
+    f_rows = _real_rows(ops)
+    f_rho_rows = (ops.reshape(*ops.shape[:-3], -1, d) @ rho) \
+        .view(np.float64).reshape(*rho.shape[:-2], -1, 2 * d * d)
+    means = (f_rows @ _real_rows(rho)[..., None])[..., 0]
+    table = 2.0 * (f_rho_rows @ f_rows.swapaxes(-1, -2)
+                   - means[..., :, None] * means[..., None, :])
+    return means, table, f_rho_rows
 
 
 def covariance_with_log(f, rho) -> float:

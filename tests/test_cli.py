@@ -13,6 +13,7 @@ import pytest
 
 from seaqt import cli
 from seaqt import composite as cp
+from seaqt import integrate as ig
 from seaqt import lindblad as lb
 from seaqt import sea
 from seaqt import serialize as sz
@@ -82,6 +83,16 @@ class TestSimulate:
         assert 0 < stats["interpolated_samples"] <= 19
         attempts = stats["accepted_steps"] + stats["rejected_steps"]
         assert stats["rhs_calls"] == 6 * attempts + stats["accepted_steps"] - stats["k1_reused"]
+
+    def test_sample_dt_with_sample_every_exits_3_naming_integrator(self, tmp_path,
+                                                                   capsys):
+        config = qubit_sea_scenario(integrator={"t_max": 2.0, "sample_dt": 0.25,
+                                                "sample_every": 7})
+        assert cli.main(["simulate", "--config", write_config(tmp_path, config),
+                         "--out", str(tmp_path)]) == 3
+        assert "ERROR Config: integrator: sample_every must be 1 when sample_dt is set" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "run.csv").exists()
 
     def test_missing_tau_exits_3_and_names_tau(self, tmp_path, capsys):
         config = qubit_sea_scenario()
@@ -266,6 +277,43 @@ class TestCompare:
             # the comparison grid of 256 samples is read off the steps
             assert run["interpolated_samples"] > 0
 
+
+    def test_a_run_stopped_at_equilibrium_is_compared_to_the_end(self, tmp_path):
+        # sea stops at equilibrium long before the Lindblad run reaches
+        # t_max; its last state stands for every later sample
+        h = np.diag([0.0, 1.0, 2.5])
+        decay = np.zeros((3, 3))
+        decay[0, 1] = 0.3
+        config = qubit_sea_scenario(
+            system={"single": {"H": matrix_obj(h), "tau": 1.0}},
+            initial={"random": {"dim": 3, "seed": 4}},
+            dynamics={"sea": {"equilibrium_detection": "dissipative"},
+                      "lindblad": {"B": matrix_obj(-h), "jumps": [matrix_obj(decay)]}},
+            integrator={"t_max": 20.0, "equilibrium_norm_tol": 1e-6})
+        path = write_config(tmp_path, config)
+        assert cli.main(["compare", "--config", path, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "compare_report.json").read_text())
+        config = cli.load_config(path)
+        scenario = cli.load_scenario(config, None)
+        rho0 = cli.build_initial(config, scenario)
+        ran = IntegratorConfig(**report["integrator"])
+        trajs = {name: ig.integrate(rho0, rhs, ran, eq_norm=eq_norm)
+                 for name, (rhs, _, eq_norm) in scenario.dynamics.items()}
+        assert trajs["sea"].termination == "equilibrium"
+        assert trajs["sea"].final.t < 5.0 and trajs["lindblad"].final.t == 20.0
+        final = np.linalg.norm(trajs["sea"].final.rho - trajs["lindblad"].final.rho)
+        assert report["final_state_distance"] == pytest.approx(final, rel=1e-12)
+
+    def test_sample_every_is_rejected_where_compare_sets_sample_dt(self, tmp_path,
+                                                                  capsys):
+        config = qubit_sea_scenario(
+            dynamics={"sea": {}, "lindblad": {"B": matrix_obj(-np.diag([0.0, 1.0]))}},
+            integrator={"t_max": 1.0, "sample_every": 7})
+        out = tmp_path / "out"
+        assert cli.main(["compare", "--config", write_config(tmp_path, config),
+                         "--out", str(out)]) == 3
+        assert "ERROR Config: integrator: sample_every must be 1" in capsys.readouterr().err
+        assert not (out / "sea_trajectory.csv").exists()
 
     # a config error in either block exits before the first integration
     def test_noncommuting_double_commutator_writes_nothing(self, tmp_path, capsys):

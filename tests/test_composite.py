@@ -586,7 +586,8 @@ class TestStackedPass:
             embed = op.tensor_interleave(np.eye(dims[j]), [j], rho_rest, dims)
             v = op.hermitize(op.partial_trace(embed @ model.H, dims, keep=[j]))
             w = op.hermitize(op.partial_trace(embed @ log_full, dims, keep=[j]))
-            half, g = sea.dissipator_kernel(rho_j, [w, v, *c.generators])
+            half, g = sea.dissipator_kernel(rho_j, [v, *c.generators],
+                                            sea.operator_log_column(rho_j, w))
             acomm = op.plus_adjoint(half)
             per.append((rho_j, v, w, acomm, g))
             diss += c.tau / model.units.hbar**2 * op.tensor_interleave(

@@ -71,6 +71,21 @@ class TestSolveMultipliers:
             m_rec = eq.solve_multipliers(constants, targets)
             assert np.abs(m_rec.as_array() - m_true.as_array()).max() <= 1e-8
 
+    def test_round_trip_on_constants_in_a_random_frame(self):
+        # commuting constants that are not diagonal: the Hessian comes from
+        # the covariance table in the original basis of the Gibbs state
+        rng = np.random.default_rng(102)
+        x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        u = np.linalg.qr(x)[0]
+        h, c = ((u * rng.uniform(-1, 1, 4)) @ u.conj().T for _ in range(2))
+        constants = eq.constant_set([h, c])
+        for _ in range(4):
+            m_true = eq.MultiplierVector(beta=float(rng.uniform(-1.5, 1.5)),
+                                         gammas=(float(rng.uniform(-1, 1)),))
+            targets = eq.means_at(constants, m_true)
+            m_rec = eq.solve_multipliers(constants, targets)
+            assert np.abs(m_rec.as_array() - m_true.as_array()).max() <= 1e-8
+
     def test_converges_where_line_search_reaches_round_off(self):
         # near the optimum the predicted decrease of the dual (about 1e-19)
         # is below its round-off; the line search must not halve the step

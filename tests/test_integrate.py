@@ -483,6 +483,13 @@ class TestSampledGrid:
         with pytest.raises(ValueError, match="sample_dt"):
             ig.IntegratorConfig(sample_dt=sample_dt)
 
+    def test_a_grid_takes_no_sample_every(self):
+        # sample_dt alone decides where samples fall, so a sample_every
+        # beside it would be silently ignored
+        with pytest.raises(ValueError, match="sample_every must be 1 when sample_dt is set"):
+            ig.IntegratorConfig(sample_dt=0.25, sample_every=7)
+        assert ig.IntegratorConfig(sample_dt=0.25, sample_every=1).sample_every == 1
+
 
 @pytest.mark.parametrize("field, value, message", [
     ("t_max", np.inf, "t_max must be finite"), ("t_max", np.nan, "t_max must be finite"),

@@ -116,19 +116,24 @@ def test_degenerate_qubit_gram_gives_round_off_term():
 
 
 def test_kernel_with_ordinary_log_column_matches_regular_form():
-    # the composite calling convention (log column as the first operator)
-    # agrees with the regular p ln p log column on a full-rank state
+    # the composite's log column, B = L rho from an ordinary log operator L,
+    # agrees with the regular B = rho ln rho on a full-rank state, and both
+    # with the cofactor expansion
     rng = np.random.default_rng(11)
     rho = st.random_full_rank(4, seed=12)
     h, x = (op.hermitize(rng.normal(size=(4, 4))) for _ in range(2))
     p, u = rho.spectral.eigenvalues, rho.spectral.eigenvectors
     log_rho = (u * np.log(p)) @ u.conj().T
-    got = sea.dissipator_kernel(rho.matrix, [log_rho, h, x])
+    got = sea.dissipator_kernel(rho.matrix, [h, x], sea.operator_log_column(rho.matrix, log_rho))
     b = st.rho_log_rho(rho)
     log_column = (b, np.trace(b).real, st.log_variance(rho))
     want = sea.dissipator_kernel(rho.matrix, [h, x], log_column)
     assert np.abs(got[0] - want[0]).max() <= 1e-12
     assert got[1] == pytest.approx(want[1], rel=1e-10)
+    want_acomm, want_g = ref.single(rho, h, (x,))
+    bound = expansion_bound(ref.pair_table(rho.matrix, [log_rho, h, x]))
+    assert np.abs(op.plus_adjoint(got[0]) - want_acomm).max() <= TOL * bound
+    assert abs(got[1] - want_g) <= TOL * bound
 
 
 def spectrum_state(kind, dim, rng):
@@ -183,16 +188,17 @@ def test_original_basis_kernel_matches_cofactor_expansion(seed, dim, n_gen, kind
 @settings(SETTINGS, max_examples=24)
 @given(seed=hs.integers(0, 2**31 - 1), dim=hs.sampled_from([2, 3, 4, 8]),
        n_gen=hs.integers(0, 2))
-def test_kernel_with_the_log_column_first_matches_per_member_expansions(seed, dim, n_gen):
-    # the composite layout: a stack of states, each with its own operators
-    # (L, F_1, ...), L entering the Gram determinant as its first column
+def test_kernel_with_an_operator_log_column_matches_per_member_expansions(seed, dim, n_gen):
+    # the composite layout: a stack of states, each with its own log
+    # operator L and operators (F_1, ...), L entering as the log column
+    # B = L rho
     rng = np.random.default_rng(seed)
     states = [spectrum_state(kind, dim, rng)
               for kind in ("full", "near_singular", "full", "near_singular")]
     rho = np.stack([s.matrix for s in states])
     ops = np.stack([[st.log_operator(s), *(st.random_hermitian(dim, rng)
                                           for _ in range(n_gen + 1))] for s in states])
-    half, g = sea.dissipator_kernel(rho, ops)
+    half, g = sea.dissipator_kernel(rho, ops[:, 1:], sea.operator_log_column(rho, ops[:, 0]))
     assert half.shape == rho.shape and g.shape == (len(states),)
     for i, s in enumerate(states):
         gram = ref.pair_table(s.matrix, list(ops[i]))

@@ -91,6 +91,15 @@ class TestModelValidation:
         with pytest.warns(sea.GramConditionWarning):
             sea.validate_model(model)
 
+    def test_gram_condition_number_of_a_matrix_and_of_its_state(self):
+        h = np.diag([0.0, 1.0, 2.5]).astype(complex)
+        model = sea.validate_model(sea.SingleConstituentModel(
+            H=h, generators=(np.diag([1.0, -1.0, 0.3]),), tau=1.0))
+        rho = st.random_full_rank(3, seed=5)
+        cond = sea.gram_condition_number(rho, model)
+        assert np.isfinite(cond) and cond >= 1.0
+        assert sea.gram_condition_number(rho.matrix, model) == cond
+
 
 @pytest.fixture
 def qubit_model():

@@ -71,7 +71,7 @@ def test_stacked_sea_rhs_matches_the_member_loop(seed, dim, n_gen):
 @given(seed=hs.integers(0, 2**31 - 1), dim=hs.sampled_from([2, 3, 4]),
        n_gen=hs.integers(0, 2))
 def test_kernel_takes_per_member_operators(seed, dim, n_gen):
-    # the composite law's layout: each member has its own log column and
+    # the composite law's layout: each member has its own log operator and
     # operators (k, n, d, d), as the reduced W(J), V(J) of a constituent kind
     rng = np.random.default_rng(seed)
     stack = mixed_stack(dim, rng)
@@ -79,10 +79,11 @@ def test_kernel_takes_per_member_operators(seed, dim, n_gen):
     rho_q, = st.spectral_matrices(spec.eigenvectors, spec.eigenvalues)
     ops = np.stack([[st.random_hermitian(dim, rng) for _ in range(n_gen + 2)]
                     for _ in stack])
-    half, g = sea.dissipator_kernel(rho_q, ops)
+    half, g = sea.dissipator_kernel(rho_q, ops[:, 1:], sea.operator_log_column(rho_q, ops[:, 0]))
     assert half.shape == stack.shape and g.shape == (len(stack),)
     for i in range(len(stack)):
-        want, g_i = sea.dissipator_kernel(rho_q[i], ops[i])
+        want, g_i = sea.dissipator_kernel(rho_q[i], ops[i, 1:],
+                                          sea.operator_log_column(rho_q[i], ops[i, 0]))
         assert np.abs(half[i] - want).max() <= 1e-14
         assert abs(g[i] - g_i) <= 1e-14
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cofactor_reference as ref
 from seaqt import states as st
 from seaqt.errors import NotHermitianError, NotPositiveError, TraceError
 
@@ -132,16 +133,6 @@ class TestStackedSpectralFunctions:
         want = np.stack([fn(m) for m in members])
         assert np.abs(fn(stack) - want).max() <= 1e-13
 
-    def test_in_eigenbasis(self, n):
-        members = self.members(n)
-        stack = st.StateOperator(np.stack([m.matrix for m in members]))
-        ops = [np.kron(SX, SZ), np.kron(SZ, np.eye(2)), np.kron(SX, SX)]
-        p, rotated = st.in_eigenbasis(stack, ops)
-        for i, m in enumerate(members):
-            p_i, rotated_i = st.in_eigenbasis(m, ops)
-            assert np.array_equal(p[i], p_i)
-            assert np.abs(rotated[i] - rotated_i).max() <= 1e-13
-
     def test_entropy_and_purity_per_member(self, n):
         members = self.members(n)
         stack = st.StateOperator(np.stack([m.matrix for m in members]))
@@ -175,7 +166,46 @@ class TestDeviation:
 
 def covariance_product(f, g, rho) -> float:
     """(F, G) = Tr(rho {Delta F, Delta G}), read off ``covariance_table``."""
-    return float(st.covariance_table(*st.in_eigenbasis(rho, [f, g]))[1][0, 1])
+    return float(st.covariance_table(rho, [f, g])[1][0, 1])
+
+
+class TestCovarianceTable:
+    """The one covariance body against the explicit pair table, on each of
+    its call shapes."""
+
+    @staticmethod
+    def check(rho, ops, got):
+        means, table, rows = got
+        rows = rows.view(complex).reshape(ops.shape)
+        assert np.abs(means - [np.trace(rho @ f).real for f in ops]).max() <= 1e-13
+        assert np.abs(table - ref.pair_table(rho, list(ops))).max() <= 1e-13
+        assert np.abs(rows - ops @ rho).max() <= 1e-14
+
+    def test_one_state(self):
+        rng = np.random.default_rng(40)
+        rho = st.random_full_rank(4, seed=41)
+        ops = np.stack([st.random_hermitian(4, rng) for _ in range(3)])
+        self.check(rho.matrix, ops, st.covariance_table(rho, ops))
+
+    def test_stack_with_shared_operators(self):
+        rng = np.random.default_rng(42)
+        stack = np.stack([st.random_full_rank(3, seed=s).matrix for s in range(5)])
+        ops = np.stack([st.random_hermitian(3, rng) for _ in range(2)])
+        got = st.covariance_table(stack, ops)
+        assert got[1].shape == (5, 2, 2)
+        for i, m in enumerate(stack):
+            self.check(m, ops, [a[i] for a in got])
+
+    def test_stack_with_per_member_operators(self):
+        rng = np.random.default_rng(43)
+        stack = np.stack([st.random_full_rank(3, seed=s).matrix
+                          for s in range(6)]).reshape(2, 3, 3, 3)
+        ops = np.stack([st.random_hermitian(3, rng)
+                        for _ in range(24)]).reshape(2, 3, 4, 3, 3)
+        got = st.covariance_table(stack, ops)
+        assert got[1].shape == (2, 3, 4, 4)
+        for i in np.ndindex(2, 3):
+            self.check(stack[i], ops[i], [a[i] for a in got])
 
 
 class TestCovarianceProduct:
