@@ -162,15 +162,6 @@ def _reduce(rest: np.ndarray, a: np.ndarray, gather: np.ndarray) -> np.ndarray:
     return (rest.swapaxes(-1, -2).reshape(*lead, 1, r * r) @ t).reshape(*lead, d, d)
 
 
-def _reduced(rho: StateOperator, model: CompositeModel, j: int,
-             a: np.ndarray) -> np.ndarray:
-    """Tr_{j'}((I(j) (x) rho(j')) a) for the one constituent j."""
-    _blocks(model, [j])
-    kind = next(kind for kind in _maps(model) if j in kind.members)
-    gather = kind.gather[kind.members == j]
-    return op.hermitize(_reduce(_marginals(rho.matrix, gather)[1], a, gather)[0])
-
-
 def _require_full_rank(rho: StateOperator, exempt=False) -> None:
     """The documented domain of W(J): no member of a stack that the mask
     ``exempt`` does not flag is ``states.is_singular``."""
@@ -189,25 +180,6 @@ def reduced_state(rho, model: CompositeModel, j: int) -> StateOperator:
 def subsystem_state(rho, model: CompositeModel, indices) -> StateOperator:
     sub = op.partial_trace(st._as_matrix(rho), model.dims, keep=sorted(indices))
     return StateOperator(op.hermitize(sub))
-
-
-def reduced_hamiltonian(rho, model: CompositeModel, j: int) -> np.ndarray:
-    """V(j) = Tr_{j'}((I(j) (x) rho(j')) H); for a separable constituent this
-    is its private Hamiltonian shifted by the complement's mean energy."""
-    return _reduced(st.as_state(rho), model, j, model.H)
-
-
-def reduced_log(rho, model: CompositeModel, j: int) -> np.ndarray:
-    """W(j) = Tr_{j'}((I(j) (x) rho(j')) ln rho), defined on full-rank states.
-
-    For an independent constituent this reduces to
-    ln rho(j) - (sbar(j')/k) I.  Exact products of pure states carry no
-    finite W(j); they are handled by the pure-product branch of the equation
-    of motion, and calling this directly on one raises.
-    """
-    rho = st.as_state(rho)
-    _require_full_rank(rho)
-    return _reduced(rho, model, j, st.log_operator(rho))
 
 
 def is_pure_product(rho, model: CompositeModel, reduced=None):
@@ -394,12 +366,3 @@ def reduced_rhs(rho, model: CompositeModel, block) -> np.ndarray:
                         for j, c in enumerate(model.constituents)])
     out = out - _embed(_factor_terms(rho, model), weights / hbar**2, out.shape)
     return op.partial_trace(out, model.dims, keep=keep)
-
-
-def composite_constant_check(c, model: CompositeModel) -> sea.ConstantReport:
-    """C is a constant of the motion iff [C, H] = 0 and C lies in the span of
-    {I, H, lifted generators} under the trace inner product."""
-    lifted = [model.lifted_generator(j, x)
-              for j, constituent in enumerate(model.constituents)
-              for x in constituent.generators]
-    return sea.span_check(c, model.H, lifted)

@@ -25,8 +25,7 @@ from . import equilibrium as eq
 from . import integrate as ig
 from . import operators as op
 from . import states as st
-from .errors import (MeasureWeightError, TargetInfeasibleError,
-                     UncoveredSupportError)
+from .errors import MeasureWeightError, TargetInfeasibleError
 from .states import StateOperator
 
 
@@ -86,20 +85,6 @@ def expected_value(mu: StatisticalWeightMeasure,
 
 def mean_observable(mu: StatisticalWeightMeasure, operator) -> float:
     return expected_value(mu, lambda s: st.mean(operator, s))
-
-
-def combine(measures: Sequence[StatisticalWeightMeasure],
-            weights) -> StatisticalWeightMeasure:
-    """Statistical composition sum_n w_n mu_n, canonicalized afterwards; the
-    weights of the products are checked by ``measure``."""
-    weights = [float(w) for w in weights]
-    if len(weights) != len(measures):
-        raise MeasureWeightError("one weight per measure required")
-    pairs = []
-    for w, mu in zip(weights, measures):
-        for wn, s in mu.support:
-            pairs.append((w * wn, s))
-    return measure(pairs)
 
 
 def statistical_uncertainty(mu: StatisticalWeightMeasure, c: float = 1.0) -> float:
@@ -205,50 +190,6 @@ def maxent_known_spectrum(states: Sequence[StateOperator], target_energy: float,
     energies = np.array([st.mean(h, s) for s in states])
     q = _solve_exponential_weights(energies, target_energy)
     return measure([(w, s) for w, s in zip(q, states) if w > 0])
-
-
-@dataclass(frozen=True)
-class PhasePartition:
-    """Labeled disjoint membership predicates over state operators, with an
-    optional overflow cell for states no predicate claims."""
-
-    cells: tuple  # of (label, predicate)
-    overflow_label: str | None = None
-
-    def classify(self, state: StateOperator) -> str:
-        matches = [label for label, pred in self.cells if pred(state)]
-        if len(matches) > 1:
-            raise ValueError(f"state matched several cells: {matches}")
-        if matches:
-            return matches[0]
-        if self.overflow_label is not None:
-            return self.overflow_label
-        raise UncoveredSupportError("support state matched no partition cell")
-
-
-def cell_masses(mu: StatisticalWeightMeasure,
-                partition: PhasePartition) -> dict[str, float]:
-    masses: dict[str, float] = {}
-    for w, s in mu.support:
-        label = partition.classify(s)
-        masses[label] = masses.get(label, 0.0) + w
-    return masses
-
-
-def partition_uncertainty(mu: StatisticalWeightMeasure,
-                          partition: PhasePartition, c: float = 1.0) -> float:
-    """I relative to a countable partition: -c sum_cells m ln m over cells
-    with nonzero mass.  Refining the partition never decreases it."""
-    masses = np.array([m for m in cell_masses(mu, partition).values() if m > 0])
-    return -c * float(np.sum(masses * np.log(masses)))
-
-
-def maxent_partition(cell_mean_energies, target: float) -> np.ndarray:
-    """Most probable cell masses exp(-b <h(E_n)>) for the target expected
-    energy.  Only the masses are determined: every measure distributing them
-    inside the cells is equally probable."""
-    energies = np.asarray(cell_mean_energies, dtype=float)
-    return _solve_exponential_weights(energies, target)
 
 
 def measure_moments(mu: StatisticalWeightMeasure, n_max: int,

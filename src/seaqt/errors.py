@@ -61,10 +61,6 @@ class MeasureWeightError(SeaqtError):
     """Statistical weights must be positive and sum to one."""
 
 
-class UncoveredSupportError(SeaqtError):
-    """A support state maps to no cell of the partition."""
-
-
 class ConfigError(SeaqtError):
     """Scenario configuration failed to parse or validate.  ``field`` is the
     dotted path of the offending field when it is known; the message then

@@ -1,6 +1,6 @@
-"""Linear comparison dynamics: the Kossakowski-Lindblad superoperator, its
-energy-conservation and entropy-production conditions, the Pauli master
-equation with its symmetric limit, and the double-commutator equation.
+"""Linear comparison dynamics: the Kossakowski-Lindblad superoperator and
+its entropy production, the Pauli master equation with its energy-balance
+condition and symmetric limit, and the double-commutator equation.
 
 This module is the baseline the nonlinear law is contrasted against: the
 generator is linear in the state, and its entropy production diverges
@@ -60,33 +60,6 @@ def kl_rhs(rho, model: LindbladModel) -> np.ndarray:
         ada = a.conj().T @ a
         out = out + a @ m @ a.conj().T - 0.5 * (ada @ m + m @ ada)
     return out
-
-
-def energy_conservation_residual(model: LindbladModel, h) -> float:
-    """||i[H, B] + sum_j [A_j, H A_j+]||_F.
-
-    Vanishes for the Liouvillian drift with jump operators commuting with a
-    nondegenerate H, and for Pauli rates obeying the per-level energy-balance
-    condition; a decay channel across nondegenerate levels leaves a finite
-    residual.
-    """
-    h = op.require_hermitian(h, name="H")
-    op.require_same_dim(h, model.B)
-    total = 1j * op.commutator(h, model.B)
-    for a in model.jump_ops:
-        total = total + op.commutator(a, h @ a.conj().T)
-    return float(np.linalg.norm(total, ord="fro"))
-
-
-def energy_drift_sample(model: LindbladModel, h, n: int = 32, seed: int = 0) -> float:
-    """max |Tr(H kl_rhs(rho))| over seeded random full-rank states: the
-    direct, sampled check that mean energy is conserved."""
-    h = op.as_complex(h)
-    worst = 0.0
-    for i in range(n):
-        rho = st.random_full_rank(model.dim, seed=seed + i)
-        worst = max(worst, abs(float(np.trace(h @ kl_rhs(rho, model)).real)))
-    return worst
 
 
 def kl_entropy_production(rho, model: LindbladModel) -> float:
@@ -209,15 +182,9 @@ def pauli_rhs(rho, rates: PauliRates) -> np.ndarray:
     return phase + gains - losses
 
 
-def population_rhs(populations, rates: PauliRates) -> np.ndarray:
-    """dp_i/dt = sum_r w_ir p_r - p_i sum_r w_ri (diagonal sector)."""
-    p = np.asarray(populations, dtype=float)
-    return rates.w @ p - rates.w.sum(axis=0) * p
-
-
 def energy_balance_residual(rates: PauliRates) -> float:
     """max_n |sum_s (w_ns E_s - w_sn E_n)|: the per-level condition for the
-    dyadic channel to leave the energy-conservation residual at zero."""
+    dyadic channel to conserve the mean energy."""
     w, e = rates.w, rates.energies
     per_level = w @ e - w.sum(axis=0) * e
     return float(np.abs(per_level).max())

@@ -13,7 +13,6 @@ reads it and its scale.  A rejecting test is written so that NaN fails it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 
@@ -30,7 +29,6 @@ PURE_TOL = 1e-10               # states.is_pure: weight off the top eigenvalue; 
 MIX_FLOOR = 1e-8               # least eps of mix_with_identity: then neither pure nor singular
 RANDOM_MIN_EIG = 1e-4          # states.random_full_rank: default smallest eigenvalue; abs.
 GRAM_CONDITION_WARN = 1e8      # sea.validate_model: Gram condition number at I/d above it warns
-SPAN_RESIDUAL_TOL = 1e-9       # sea.span_check: in the span up to it; rel. ||C||_F
 EQUILIBRIUM_TOL = 1e-9         # sea.is_equilibrium: ||[rho, A]||_F; rel. max(1, ||A||_F)
 EQUILIBRIUM_FIT_FACTOR = 1e3   # sea.is_equilibrium: ln p fit residual up to it x EQUILIBRIUM_TOL
 SEPARABILITY_TOL = 1e-10       # composite.is_separable: split residual; rel. max(1, ||H||_F)
@@ -160,43 +158,6 @@ def least_squares(a, b):
     below max(a.shape) eps s_max count as zero, the cutoff of numpy's
     ``lstsq(rcond=None)``."""
     return np.linalg.pinv(a, rcond=max(a.shape) * np.finfo(float).eps) @ b
-
-
-def hermitian_basis(dim: int) -> list[np.ndarray]:
-    """Trace-orthonormal Hermitian basis: I/sqrt(dim) plus the generalized
-    Gell-Mann family (symmetric, antisymmetric, then diagonal members, in a
-    deterministic index order).
-
-    Satisfies Tr(Q_i Q_n) = delta_in; len == dim**2.
-    """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    basis = [np.eye(dim, dtype=complex) / sqrt(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            sym = np.zeros((dim, dim), dtype=complex)
-            sym[i, j] = sym[j, i] = 1.0 / sqrt(2.0)
-            basis.append(sym)
-            asym = np.zeros((dim, dim), dtype=complex)
-            asym[i, j] = -1j / sqrt(2.0)
-            asym[j, i] = 1j / sqrt(2.0)
-            basis.append(asym)
-    for level in range(1, dim):
-        diag = np.zeros(dim, dtype=complex)
-        diag[:level] = 1.0
-        diag[level] = -level
-        basis.append(np.diag(diag) / sqrt(level * (level + 1)))
-    return basis
-
-
-def bloch_coordinates(a, basis: list[np.ndarray]) -> np.ndarray:
-    """Coordinates q_i = Tr(A Q_i) in a trace-orthonormal basis."""
-    a = as_complex(a)
-    dim = a.shape[0]
-    if len(basis) != dim * dim:
-        raise DimensionMismatchError(
-            f"basis has {len(basis)} elements, expected {dim * dim}")
-    return np.array([trace_inner_product(a, q) for q in basis])
 
 
 def kron(a, b) -> np.ndarray:

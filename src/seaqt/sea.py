@@ -152,7 +152,7 @@ def dissipator_kernel(rho: np.ndarray, ops, log_column):
     through singular G: a degenerate generator set gives a round-off-level
     term, with no least-squares solve and no error.
 
-    The means fbar_a, G and the rows F_a rho come from
+    The means fbar_a, G and the rows F_a rho and F_a come from
     ``states.covariance_table``, and (F_a, L) = 2 (Re <F_a, B> - Tr(B)
     fbar_a).  As {Delta L, rho} = B + B^dagger - 2 Tr(B) rho, with w = det
     G beta the half-product is
@@ -166,8 +166,8 @@ def dissipator_kernel(rho: np.ndarray, ops, log_column):
     d = rho.shape[-1]
     batch = rho.shape[:-2]
     b, tr_b, log_var = log_column
-    means, gram, f_rho_rows = st.covariance_table(rho, ops)
-    pairs = 2.0 * ((st._real_rows(ops) @ st._real_rows(b)[..., None])[..., 0]
+    means, gram, f_rho_rows, f_rows = st.covariance_table(rho, ops)
+    pairs = 2.0 * ((f_rows @ st._real_rows(b)[..., None])[..., 0]
                    - tr_b[..., None] * means)
     n = pairs.shape[-1]
     stack = np.empty((*batch, n + 1, n, n))
@@ -263,37 +263,6 @@ def entropy_rate_pairing(rho, model: SingleConstituentModel) -> float:
     """-k Tr(sea_rhs(rho) ln rho) by ``states.entropy_rate`` (full-rank rho)."""
     rho = st.as_state(rho)
     return st.entropy_rate(rho, sea_rhs(rho, model), model.units.k_B)
-
-
-@dataclass(frozen=True)
-class ConstantReport:
-    commutes_with_H: bool
-    in_span: bool
-    residual: float
-
-    @property
-    def is_constant(self) -> bool:
-        return self.commutes_with_H and self.in_span
-
-
-def span_check(c, h, generators) -> ConstantReport:
-    """[C, H] = 0, and the residual of C against span{I, H, generators} under
-    the trace inner product (SPAN_RESIDUAL_TOL relative to ||C|| for the
-    in-span verdict)."""
-    c = op.require_hermitian(c, name="C")
-    commutes = op.commutation_check(c, h)[0]
-    span_ops = [np.eye(h.shape[0], dtype=complex), h, *generators]
-    basis = np.column_stack([s.ravel() for s in span_ops])
-    coeffs = op.least_squares(basis, c.ravel())
-    residual = float(np.linalg.norm(basis @ coeffs - c.ravel()))
-    c_norm = max(np.linalg.norm(c.ravel()), 1e-300)
-    return ConstantReport(commutes, residual <= op.SPAN_RESIDUAL_TOL * c_norm, residual)
-
-
-def is_constant_of_motion(c, model: SingleConstituentModel) -> ConstantReport:
-    """C is a constant of the motion iff [C, H] = 0 and C lies in
-    span{I, H, X, ..., Y} under the trace inner product."""
-    return span_check(c, model.H, model.generators)
 
 
 @dataclass(frozen=True)

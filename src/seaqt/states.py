@@ -191,14 +191,6 @@ def mean(g, rho) -> float:
     return float(np.trace(m @ g).real)
 
 
-def variance(g, rho) -> float:
-    """Tr(rho G^2) - Tr(rho G)^2 >= 0."""
-    m = _as_matrix(rho)
-    g = op.as_complex(g)
-    op.require_same_dim(g, m)
-    return float(np.trace(m @ g @ g).real) - mean(g, rho) ** 2
-
-
 def _plogp(p: np.ndarray) -> np.ndarray:
     """p ln p, short-circuited to 0 at p <= LOG_ZERO_CUTOFF."""
     return p * np.log(np.where(p > op.LOG_ZERO_CUTOFF, p, 1.0))
@@ -282,10 +274,10 @@ def _real_rows(a: np.ndarray) -> np.ndarray:
 def covariance_table(rho, ops):
     """The means fbar_a = Re <F_a, rho> of the Hermitian ``ops``, their table
     (F_a, F_b) = Tr(rho {Delta F_a, Delta F_b}) = 2 Re <F_a rho, F_b> -
-    2 fbar_a fbar_b and the F_a rho as real rows of length 2 d^2, all in the
-    original basis from one (n d, d) by (d, d) product.  ``rho`` is a state,
-    a matrix or a (..., d, d) stack, and ``ops`` (n, d, d) are shared by its
-    members or (..., n, d, d) per member."""
+    2 fbar_a fbar_b, the F_a rho and the F_a as real rows of length 2 d^2,
+    all in the original basis from one (n d, d) by (d, d) product.  ``rho``
+    is a state, a matrix or a (..., d, d) stack, and ``ops`` (n, d, d) are
+    shared by its members or (..., n, d, d) per member."""
     rho = _as_matrix(rho)
     d = rho.shape[-1]
     ops = np.ascontiguousarray(ops, dtype=complex)
@@ -295,24 +287,7 @@ def covariance_table(rho, ops):
     means = (f_rows @ _real_rows(rho)[..., None])[..., 0]
     table = 2.0 * (f_rho_rows @ f_rows.swapaxes(-1, -2)
                    - means[..., :, None] * means[..., None, :])
-    return means, table, f_rho_rows
-
-
-def covariance_with_log(f, rho) -> float:
-    """(F, ln rho) = Tr(F {Delta ln rho, rho}) in the entropy-regular form.
-
-    Finite even when rho is singular; agrees with the direct formula
-    Tr(rho {Delta F, Delta ln rho}) on full-rank states.
-    """
-    f = op.as_complex(f)
-    op.require_same_dim(f, _as_matrix(rho))
-    b = rho_log_rho(rho)
-    return 2.0 * (float(np.vdot(f, b).real) - float(np.trace(b).real) * mean(f, rho))
-
-
-def log_variance(rho) -> float:
-    """(ln rho, ln rho) = 2 [sum p (ln p)^2 - (sum p ln p)^2], always finite."""
-    return regular_log_spectrum(as_state(rho).eigenvalues)[2]
+    return means, table, f_rho_rows, f_rows
 
 
 def distance(rho_a, rho_b) -> float:
@@ -368,10 +343,3 @@ def mix_with_identity(rho, eps: float) -> StateOperator:
     m = _as_matrix(rho)
     dim = m.shape[0]
     return StateOperator(op.hermitize((1.0 - eps) * m + eps * np.eye(dim) / dim))
-
-
-def random_hermitian(dim: int, rng) -> np.ndarray:
-    """Unit-Frobenius-norm random Hermitian matrix (testing utility)."""
-    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h = op.hermitize(x)
-    return h / np.linalg.norm(h, ord="fro")

@@ -13,6 +13,7 @@ import numpy as np
 
 from seaqt import operators as op
 from seaqt import states as st
+from references import log_variance
 
 
 def pair_table(m, ops):
@@ -51,7 +52,7 @@ def single(rho, h, generators=()):
     acomms += [f @ m + m @ f - 2.0 * np.trace(m @ f).real * m for f in ops]
     acomm = cofactor_expand(np.hstack([log_pairs.reshape(n, 1), table]), acomms)
     gram = np.empty((n + 1, n + 1))
-    gram[0, 0] = st.log_variance(rho)
+    gram[0, 0] = log_variance(rho)
     gram[0, 1:] = gram[1:, 0] = log_pairs
     gram[1:, 1:] = table
     return acomm, float(np.linalg.det(gram))

@@ -1,0 +1,114 @@
+"""Reference functions that tests compare the library against.
+
+No CLI path, demo or library call needs these, so they live beside the
+tests that read them: a trace-orthonormal Hermitian basis and Bloch
+coordinates in it, seeded random Hermitian matrices, the variance and the
+log covariances of a state, and the reduced operators V(j) and W(j) of one
+composite constituent.
+"""
+
+from math import sqrt
+
+import numpy as np
+
+from seaqt import composite as cp
+from seaqt import operators as op
+from seaqt import states as st
+from seaqt.errors import DimensionMismatchError
+
+
+def hermitian_basis(dim: int) -> list[np.ndarray]:
+    """Trace-orthonormal Hermitian basis: I/sqrt(dim) plus the generalized
+    Gell-Mann family (symmetric, antisymmetric, then diagonal members, in a
+    deterministic index order).
+
+    Satisfies Tr(Q_i Q_n) = delta_in; len == dim**2.
+    """
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    basis = [np.eye(dim, dtype=complex) / sqrt(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            sym = np.zeros((dim, dim), dtype=complex)
+            sym[i, j] = sym[j, i] = 1.0 / sqrt(2.0)
+            basis.append(sym)
+            asym = np.zeros((dim, dim), dtype=complex)
+            asym[i, j] = -1j / sqrt(2.0)
+            asym[j, i] = 1j / sqrt(2.0)
+            basis.append(asym)
+    for level in range(1, dim):
+        diag = np.zeros(dim, dtype=complex)
+        diag[:level] = 1.0
+        diag[level] = -level
+        basis.append(np.diag(diag) / sqrt(level * (level + 1)))
+    return basis
+
+
+def bloch_coordinates(a, basis: list[np.ndarray]) -> np.ndarray:
+    """Coordinates q_i = Tr(A Q_i) in a trace-orthonormal basis."""
+    a = op.as_complex(a)
+    dim = a.shape[0]
+    if len(basis) != dim * dim:
+        raise DimensionMismatchError(
+            f"basis has {len(basis)} elements, expected {dim * dim}")
+    return np.array([op.trace_inner_product(a, q) for q in basis])
+
+
+def random_hermitian(dim: int, rng) -> np.ndarray:
+    """Unit-Frobenius-norm random Hermitian matrix (testing utility)."""
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = op.hermitize(x)
+    return h / np.linalg.norm(h, ord="fro")
+
+
+def variance(g, rho) -> float:
+    """Tr(rho G^2) - Tr(rho G)^2 >= 0."""
+    m = st._as_matrix(rho)
+    g = op.as_complex(g)
+    op.require_same_dim(g, m)
+    return float(np.trace(m @ g @ g).real) - st.mean(g, rho) ** 2
+
+
+def covariance_with_log(f, rho) -> float:
+    """(F, ln rho) = Tr(F {Delta ln rho, rho}) in the entropy-regular form.
+
+    Finite even when rho is singular; agrees with the direct formula
+    Tr(rho {Delta F, Delta ln rho}) on full-rank states.
+    """
+    f = op.as_complex(f)
+    op.require_same_dim(f, st._as_matrix(rho))
+    b = st.rho_log_rho(rho)
+    return 2.0 * (float(np.vdot(f, b).real) - float(np.trace(b).real) * st.mean(f, rho))
+
+
+def log_variance(rho) -> float:
+    """(ln rho, ln rho) = 2 [sum p (ln p)^2 - (sum p ln p)^2], always finite."""
+    return st.regular_log_spectrum(st.as_state(rho).eigenvalues)[2]
+
+
+def _reduced(rho: st.StateOperator, model: cp.CompositeModel, j: int,
+             a: np.ndarray) -> np.ndarray:
+    """Tr_{j'}((I(j) (x) rho(j')) a) for the one constituent j."""
+    cp._blocks(model, [j])
+    kind = next(kind for kind in cp._maps(model) if j in kind.members)
+    gather = kind.gather[kind.members == j]
+    return op.hermitize(cp._reduce(cp._marginals(rho.matrix, gather)[1], a, gather)[0])
+
+
+def reduced_hamiltonian(rho, model: cp.CompositeModel, j: int) -> np.ndarray:
+    """V(j) = Tr_{j'}((I(j) (x) rho(j')) H); for a separable constituent this
+    is its private Hamiltonian shifted by the complement's mean energy."""
+    return _reduced(st.as_state(rho), model, j, model.H)
+
+
+def reduced_log(rho, model: cp.CompositeModel, j: int) -> np.ndarray:
+    """W(j) = Tr_{j'}((I(j) (x) rho(j')) ln rho), defined on full-rank states.
+
+    For an independent constituent this reduces to
+    ln rho(j) - (sbar(j')/k) I.  Exact products of pure states carry no
+    finite W(j); they are handled by the pure-product branch of the equation
+    of motion, and calling this directly on one raises.
+    """
+    rho = st.as_state(rho)
+    cp._require_full_rank(rho)
+    return _reduced(rho, model, j, st.log_operator(rho))

@@ -4,8 +4,7 @@ import pytest
 from seaqt import ensemble as en
 from seaqt import sea
 from seaqt import states as st
-from seaqt.errors import (MeasureWeightError, TargetInfeasibleError,
-                          UncoveredSupportError)
+from seaqt.errors import MeasureWeightError, TargetInfeasibleError
 
 
 def two_point():
@@ -36,15 +35,14 @@ class TestMeasureConstruction:
         assert np.allclose(again.weights, mu.weights)
 
     def test_combine_of_distinct_diracs_not_dirac(self):
-        d1 = en.dirac(st.pure_state([1, 0]))
-        d2 = en.dirac(st.pure_state([0, 1]))
-        mu = en.combine([d1, d2], [0.3, 0.7])
+        # the composition 0.3 delta_a + 0.7 delta_b of two distinct points
+        mu = en.measure([(0.3, st.pure_state([1, 0])), (0.7, st.pure_state([0, 1]))])
         assert not mu.is_dirac
         assert len(mu) == 2
 
     def test_combine_identical_diracs_is_dirac(self):
-        d = en.dirac(st.pure_state([1, 0]))
-        mu = en.combine([d, en.dirac(st.pure_state([1, 0]))], [0.4, 0.6])
+        # 0.4 delta_a + 0.6 delta_a, with a built twice, is delta_a
+        mu = en.measure([(0.4, st.pure_state([1, 0])), (0.6, st.pure_state([1, 0]))])
         assert mu.is_dirac
 
 
@@ -63,7 +61,7 @@ class TestExpectedValues:
         h = np.diag([0.0, 1.0])
         mu1 = en.dirac(st.validate(np.diag([0.8, 0.2])))
         mu2 = en.dirac(st.validate(np.diag([0.4, 0.6])))
-        mu = en.combine([mu1, mu2], [0.25, 0.75])
+        mu = en.measure([(0.25, mu1.states[0]), (0.75, mu2.states[0])])
         want = 0.25 * en.mean_observable(mu1, h) + 0.75 * en.mean_observable(mu2, h)
         assert en.mean_observable(mu, h) == pytest.approx(want, abs=1e-12)
 
@@ -177,6 +175,13 @@ class TestMaxentKnownSpectrum:
         assert weights[0.0] == pytest.approx(0.75, abs=1e-10)
         assert weights[1.0] == pytest.approx(0.25, abs=1e-10)
 
+    def test_equal_energies_give_uniform(self):
+        # every member at the target energy: the weights are not fitted
+        h = 0.5 * np.eye(2)
+        states = [st.pure_state([1, 0]), st.pure_state([0, 1])]
+        mu = en.maxent_known_spectrum(states, 0.5, h)
+        assert np.allclose(mu.weights, [0.5, 0.5])
+
     def test_infeasible_target(self):
         h = np.diag([0.0, 1.0])
         states = [st.pure_state([1, 0]), st.pure_state([0, 1])]
@@ -220,59 +225,6 @@ class TestMaxentKnownSpectrum:
             i_q = -float(np.sum(q * np.log(q)))
             assert i_q <= i_star + 1e-9
             found += 1
-
-
-class TestPartition:
-    @staticmethod
-    def energy_band_partition(h, split):
-        low = ("low", lambda s: st.mean(h, s) < split)
-        high = ("high", lambda s: st.mean(h, s) >= split)
-        return en.PhasePartition(cells=(low, high))
-
-    def test_single_cell_zero(self):
-        h = np.diag([0.0, 1.0])
-        part = en.PhasePartition(cells=(("all", lambda s: True),))
-        mu = two_point()
-        assert en.partition_uncertainty(mu, part) == 0.0
-
-    def test_two_cell_masses(self):
-        h = np.diag([0.0, 1.0])
-        part = self.energy_band_partition(h, 0.25)
-        mu = en.measure([(0.3, st.pure_state([1, 0])),
-                         (0.7, st.pure_state([0, 1]))])
-        want = -(0.3 * np.log(0.3) + 0.7 * np.log(0.7))
-        assert en.partition_uncertainty(mu, part) == pytest.approx(want)
-
-    def test_refinement_never_decreases(self):
-        h = np.diag([0.0, 1.0])
-        coarse = en.PhasePartition(cells=(("all", lambda s: True),))
-        fine = self.energy_band_partition(h, 0.25)
-        rng = np.random.default_rng(23)
-        for _ in range(10):
-            raw = rng.dirichlet(np.ones(3))
-            states = [st.pure_state([1, 0]), st.pure_state([0, 1]),
-                      st.validate(np.eye(2) / 2)]
-            mu = en.measure(list(zip(raw, states)))
-            assert en.partition_uncertainty(mu, fine) >= \
-                en.partition_uncertainty(mu, coarse) - 1e-12
-
-    def test_uncovered_state_raises(self):
-        part = en.PhasePartition(cells=(("none", lambda s: False),))
-        with pytest.raises(UncoveredSupportError):
-            en.partition_uncertainty(two_point(), part)
-
-    def test_overflow_cell_catches(self):
-        part = en.PhasePartition(cells=(("none", lambda s: False),),
-                                 overflow_label="rest")
-        assert en.partition_uncertainty(two_point(), part) == 0.0
-
-    def test_maxent_partition_masses(self):
-        masses = en.maxent_partition([0.0, 1.0], 0.25)
-        assert np.allclose(masses, [0.75, 0.25], atol=1e-10)
-
-    def test_maxent_partition_equal_energies_uniform(self):
-        masses = en.maxent_partition([0.5, 0.5], 0.5)
-        assert np.allclose(masses, [0.5, 0.5])
 
 
 class TestMoments:

@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import cofactor_reference as ref
+from references import (covariance_with_log, log_variance, random_hermitian,
+                        reduced_hamiltonian, reduced_log)
 from seaqt import composite as cp
 from seaqt import operators as op
 from seaqt import sea
@@ -69,9 +71,9 @@ def test_single_kernel_matches_cofactor_expansion(seed, dim, gen_set, kind):
         want_acomm, want_g = ref.single(rho, model.H, model.generators)
         ops = model.operator_list()
         gram = np.empty((len(ops) + 1,) * 2)
-        gram[0, 0] = st.log_variance(rho)
+        gram[0, 0] = log_variance(rho)
         gram[1:, 1:] = ref.pair_table(rho.matrix, ops)
-        gram[0, 1:] = gram[1:, 0] = [st.covariance_with_log(f, rho) for f in ops]
+        gram[0, 1:] = gram[1:, 0] = [covariance_with_log(f, rho) for f in ops]
         bound = expansion_bound(gram)
         got_acomm = sea.dissipator_anticommutator(rho, model)
         got_g = sea.gram_determinant_g(rho, model)
@@ -86,7 +88,7 @@ def test_single_kernel_matches_cofactor_expansion(seed, dim, gen_set, kind):
 def test_composite_factors_match_cofactor_expansion(seed, dims):
     rng = np.random.default_rng(seed)
     dims, dim = list(dims), int(np.prod(dims))
-    h = st.random_hermitian(dim, rng)
+    h = random_hermitian(dim, rng)
     taus = rng.uniform(0.2, 2.0, len(dims))
     model = cp.validate_model(cp.CompositeModel(
         tuple(cp.Constituent(d, tau=float(t)) for d, t in zip(dims, taus)), h))
@@ -95,7 +97,7 @@ def test_composite_factors_match_cofactor_expansion(seed, dims):
     want_term = np.zeros_like(rho.matrix)
     for j, tau in enumerate(taus):
         acomm, g = ref.composite_factor(rho, model.H, dims, j)
-        w, v = cp.reduced_log(rho, model, j), cp.reduced_hamiltonian(rho, model, j)
+        w, v = reduced_log(rho, model, j), reduced_hamiltonian(rho, model, j)
         bound = expansion_bound(ref.pair_table(cp.reduced_state(rho, model, j).matrix, [w, v]))
         assert abs(per[j] - g) <= TOL * bound
         rest = op.partial_trace(rho.matrix, dims, keep=[i for i in range(len(dims)) if i != j])
@@ -126,7 +128,7 @@ def test_kernel_with_ordinary_log_column_matches_regular_form():
     log_rho = (u * np.log(p)) @ u.conj().T
     got = sea.dissipator_kernel(rho.matrix, [h, x], sea.operator_log_column(rho.matrix, log_rho))
     b = st.rho_log_rho(rho)
-    log_column = (b, np.trace(b).real, st.log_variance(rho))
+    log_column = (b, np.trace(b).real, log_variance(rho))
     want = sea.dissipator_kernel(rho.matrix, [h, x], log_column)
     assert np.abs(got[0] - want[0]).max() <= 1e-12
     assert got[1] == pytest.approx(want[1], rel=1e-10)
@@ -172,13 +174,19 @@ def test_original_basis_kernel_matches_cofactor_expansion(seed, dim, n_gen, kind
         want_acomm, want_g = ref.single(rho_q, h, model.generators)
         ops = model.operator_list()
         gram = np.empty((len(ops) + 1,) * 2)
-        gram[0, 0] = st.log_variance(rho_q)
+        gram[0, 0] = log_variance(rho_q)
         gram[1:, 1:] = ref.pair_table(rho_q.matrix, ops)
-        gram[0, 1:] = gram[1:, 0] = [st.covariance_with_log(f, rho_q) for f in ops]
+        gram[0, 1:] = gram[1:, 0] = [covariance_with_log(f, rho_q) for f in ops]
         bound = expansion_bound(gram)
+        got_half = sea._projection_form(st.as_state(rho), model)[0]
         got_acomm = sea.dissipator_anticommutator(rho, model)
         got_g = sea.gram_determinant_g(rho, model)
-    assert np.abs(got_acomm - total * want_acomm).max() <= TOL * bound
+    assert np.abs(op.plus_adjoint(got_half) - total * want_acomm).max() <= TOL * bound
+    if st.is_pure(spec.eigenvalues):
+        # a state on the purity cut gets an exact-zero dissipator by design
+        assert not got_acomm.any()
+    else:
+        assert np.abs(got_acomm - total * want_acomm).max() <= TOL * bound
     assert abs(got_g - want_g) <= TOL * bound
     rhs = sea.sea_rhs(rho, model)
     assert np.array_equal(rhs, rhs.conj().T)
@@ -196,7 +204,7 @@ def test_kernel_with_an_operator_log_column_matches_per_member_expansions(seed, 
     states = [spectrum_state(kind, dim, rng)
               for kind in ("full", "near_singular", "full", "near_singular")]
     rho = np.stack([s.matrix for s in states])
-    ops = np.stack([[st.log_operator(s), *(st.random_hermitian(dim, rng)
+    ops = np.stack([[st.log_operator(s), *(random_hermitian(dim, rng)
                                           for _ in range(n_gen + 1))] for s in states])
     half, g = sea.dissipator_kernel(rho, ops[:, 1:], sea.operator_log_column(rho, ops[:, 0]))
     assert half.shape == rho.shape and g.shape == (len(states),)

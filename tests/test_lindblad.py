@@ -59,16 +59,23 @@ class TestKlRhs:
         assert np.abs(combo - split).max() <= 1e-12
 
 
+def energy_drift(model, h) -> float:
+    """max |Tr(H kl_rhs(rho))| over seeded full-rank states: the rate of the
+    mean energy."""
+    return max(abs(float(np.trace(h @ lb.kl_rhs(st.random_full_rank(model.dim, seed=seed),
+                                                 model)).real))
+               for seed in range(8))
+
+
 class TestEnergyConservation:
     def test_liouvillian_with_commuting_jumps(self):
         h = np.diag([0.0, 1.0])
         model = lb.lindblad_model(-h, jump_ops=(SZ.astype(complex) * 0.4,))
-        assert lb.energy_conservation_residual(model, h) <= 1e-12
-        assert lb.energy_drift_sample(model, h, n=8) <= 1e-12
+        assert energy_drift(model, h) <= 1e-12
 
     def test_decay_channel_violates(self):
         model, h = decay_channel()
-        assert lb.energy_conservation_residual(model, h) > 0.1
+        assert energy_drift(model, h) > 0.1
         rho = st.pure_state([0, 1])
         assert abs(np.trace(h @ lb.kl_rhs(rho, model)).real) > 0.1
 
@@ -81,9 +88,7 @@ class TestEnergyConservation:
         w[0, 0] = 0.3
         rates = lb.pauli_rates(w, e)
         assert lb.energy_balance_residual(rates) <= 1e-12
-        model = lb.as_lindblad(rates)
-        assert lb.energy_conservation_residual(model, np.diag(e)) <= 1e-10
-        assert lb.energy_drift_sample(model, np.diag(e), n=8) <= 1e-12
+        assert energy_drift(lb.as_lindblad(rates), np.diag(e)) <= 1e-12
 
     def test_unbalanced_rates_fail_balance(self):
         e = np.array([0.0, 1.0])
@@ -169,8 +174,10 @@ class TestPauliMasterEquation:
         p = np.array([0.3, 0.7])
         rho = st.validate(np.diag(p))
         rhs = lb.pauli_rhs(rho, rates)
-        assert np.abs(np.diag(rhs).real - lb.population_rhs(p, rates)).max() <= 1e-12
-        assert abs(lb.population_rhs(p, rates).sum()) <= 1e-12
+        # dp_i/dt = sum_r w_ir p_r - p_i sum_r w_ri
+        populations = w @ p - w.sum(axis=0) * p
+        assert np.abs(np.diag(rhs).real - populations).max() <= 1e-12
+        assert abs(np.trace(rhs)) <= 1e-12
 
     def test_zero_rates_reduce_to_hamiltonian(self):
         e = np.array([0.0, 1.0])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from references import random_hermitian
 from seaqt import cli
 from seaqt import composite as cp
 from seaqt import ensemble as en
@@ -77,7 +78,7 @@ def test_kernel_takes_per_member_operators(seed, dim, n_gen):
     stack = mixed_stack(dim, rng)
     spec = st.as_state(stack).spectral
     rho_q, = st.spectral_matrices(spec.eigenvectors, spec.eigenvalues)
-    ops = np.stack([[st.random_hermitian(dim, rng) for _ in range(n_gen + 2)]
+    ops = np.stack([[random_hermitian(dim, rng) for _ in range(n_gen + 2)]
                     for _ in stack])
     half, g = sea.dissipator_kernel(rho_q, ops[:, 1:], sea.operator_log_column(rho_q, ops[:, 0]))
     assert half.shape == stack.shape and g.shape == (len(stack),)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import cofactor_reference as ref
+from references import covariance_with_log, random_hermitian, variance
 from seaqt import states as st
 from seaqt.errors import NotHermitianError, NotPositiveError, TraceError
 
@@ -58,13 +59,13 @@ class TestMeanVariance:
         assert st.mean(np.diag([0.0, 1.0]), rho) == pytest.approx(want, abs=1e-12)
 
     def test_variance_vanishes_on_aligned_pure_state(self):
-        assert st.variance(SZ, st.pure_state([1, 0])) == pytest.approx(0.0, abs=1e-12)
+        assert variance(SZ, st.pure_state([1, 0])) == pytest.approx(0.0, abs=1e-12)
 
     def test_variance_sz_maximally_mixed(self):
-        assert st.variance(SZ, st.validate(np.eye(2) / 2)) == pytest.approx(1.0)
+        assert variance(SZ, st.validate(np.eye(2) / 2)) == pytest.approx(1.0)
 
     def test_variance_sx_on_ground(self):
-        assert st.variance(SX, st.pure_state([1, 0])) == pytest.approx(1.0)
+        assert variance(SX, st.pure_state([1, 0])) == pytest.approx(1.0)
 
 
 class TestEntropy:
@@ -83,7 +84,7 @@ class TestEntropy:
     def test_unitary_invariance(self):
         rng = np.random.default_rng(3)
         rho = st.random_full_rank(4, seed=8)
-        h = st.random_hermitian(4, rng)
+        h = random_hermitian(4, rng)
         vals, u = np.linalg.eigh(h)
         rotated = st.StateOperator(u @ rho.matrix @ u.conj().T)
         assert abs(st.entropy(rotated) - st.entropy(rho)) <= 1e-10
@@ -160,7 +161,7 @@ class TestDeviation:
         rng = np.random.default_rng(9)
         for seed in range(5):
             rho = st.random_full_rank(3, seed=seed)
-            f = st.random_hermitian(3, rng)
+            f = random_hermitian(3, rng)
             assert abs(st.mean(st.deviation(f, rho), rho)) <= 1e-12
 
 
@@ -175,32 +176,33 @@ class TestCovarianceTable:
 
     @staticmethod
     def check(rho, ops, got):
-        means, table, rows = got
+        means, table, rows, f_rows = got
         rows = rows.view(complex).reshape(ops.shape)
         assert np.abs(means - [np.trace(rho @ f).real for f in ops]).max() <= 1e-13
         assert np.abs(table - ref.pair_table(rho, list(ops))).max() <= 1e-13
         assert np.abs(rows - ops @ rho).max() <= 1e-14
+        assert np.array_equal(f_rows.view(complex).reshape(ops.shape), ops)
 
     def test_one_state(self):
         rng = np.random.default_rng(40)
         rho = st.random_full_rank(4, seed=41)
-        ops = np.stack([st.random_hermitian(4, rng) for _ in range(3)])
+        ops = np.stack([random_hermitian(4, rng) for _ in range(3)])
         self.check(rho.matrix, ops, st.covariance_table(rho, ops))
 
     def test_stack_with_shared_operators(self):
         rng = np.random.default_rng(42)
         stack = np.stack([st.random_full_rank(3, seed=s).matrix for s in range(5)])
-        ops = np.stack([st.random_hermitian(3, rng) for _ in range(2)])
+        ops = np.stack([random_hermitian(3, rng) for _ in range(2)])
         got = st.covariance_table(stack, ops)
         assert got[1].shape == (5, 2, 2)
         for i, m in enumerate(stack):
-            self.check(m, ops, [a[i] for a in got])
+            self.check(m, ops, [a[i] for a in got[:3]] + [got[3]])
 
     def test_stack_with_per_member_operators(self):
         rng = np.random.default_rng(43)
         stack = np.stack([st.random_full_rank(3, seed=s).matrix
                           for s in range(6)]).reshape(2, 3, 3, 3)
-        ops = np.stack([st.random_hermitian(3, rng)
+        ops = np.stack([random_hermitian(3, rng)
                         for _ in range(24)]).reshape(2, 3, 4, 3, 3)
         got = st.covariance_table(stack, ops)
         assert got[1].shape == (2, 3, 4, 4)
@@ -212,12 +214,12 @@ class TestCovarianceProduct:
     def test_identity_slot_vanishes(self):
         rng = np.random.default_rng(12)
         rho = st.random_full_rank(3, seed=4)
-        g = st.random_hermitian(3, rng)
+        g = random_hermitian(3, rng)
         assert covariance_product(np.eye(3), g, rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_relates_to_variance(self):
         mixed = st.validate(np.eye(2) / 2)
-        assert covariance_product(SZ, SZ, mixed) == pytest.approx(2 * st.variance(SZ, mixed))
+        assert covariance_product(SZ, SZ, mixed) == pytest.approx(2 * variance(SZ, mixed))
 
     def test_orthogonal_paulis_at_mixed(self):
         mixed = st.validate(np.eye(2) / 2)
@@ -226,7 +228,7 @@ class TestCovarianceProduct:
     def test_gram_positive_semidefinite(self):
         rng = np.random.default_rng(15)
         rho = st.random_full_rank(4, seed=14)
-        ops = [st.random_hermitian(4, rng) for _ in range(6)]
+        ops = [random_hermitian(4, rng) for _ in range(6)]
         gram = np.array([[covariance_product(a, b, rho) for b in ops] for a in ops])
         assert np.linalg.eigvalsh(gram)[0] >= -1e-10
 
@@ -234,12 +236,12 @@ class TestCovarianceProduct:
 class TestCovarianceWithLog:
     def test_pure_state_zero(self):
         rng = np.random.default_rng(18)
-        f = st.random_hermitian(2, rng)
-        assert st.covariance_with_log(f, st.pure_state([1, 0])) == pytest.approx(0.0, abs=1e-12)
+        f = random_hermitian(2, rng)
+        assert covariance_with_log(f, st.pure_state([1, 0])) == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_zero(self):
         rho = st.random_full_rank(3, seed=30)
-        assert st.covariance_with_log(np.eye(3), rho) == pytest.approx(0.0, abs=1e-12)
+        assert covariance_with_log(np.eye(3), rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_agrees_with_direct_formula_full_rank(self):
         # brute-force oracle: Tr(rho {Delta F, Delta ln rho}) with explicit log
@@ -247,13 +249,13 @@ class TestCovarianceWithLog:
         for seed in range(8):
             dim = 2 + seed % 3
             rho = st.random_full_rank(dim, seed=100 + seed)
-            f = st.random_hermitian(dim, rng)
+            f = random_hermitian(dim, rng)
             p, u = np.linalg.eigh(rho.matrix)
             log_rho = (u * np.log(p)) @ u.conj().T
             dlog = log_rho - np.eye(dim) * np.trace(rho.matrix @ log_rho).real
             df = st.deviation(f, rho)
             direct = np.trace(rho.matrix @ (df @ dlog + dlog @ df)).real
-            assert st.covariance_with_log(f, rho) == pytest.approx(direct, abs=1e-10)
+            assert covariance_with_log(f, rho) == pytest.approx(direct, abs=1e-10)
 
     def test_specific_two_level_case(self):
         rho = st.validate(np.diag([0.75, 0.25]))
@@ -262,7 +264,7 @@ class TestCovarianceWithLog:
         dlog = log_rho - np.eye(2) * (p @ np.log(p))
         dz = st.deviation(SZ, rho)
         direct = np.trace(rho.matrix @ (dz @ dlog + dlog @ dz)).real
-        assert st.covariance_with_log(SZ, rho) == pytest.approx(direct, abs=1e-12)
+        assert covariance_with_log(SZ, rho) == pytest.approx(direct, abs=1e-12)
 
 
 class TestDistance:
