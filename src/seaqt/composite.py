@@ -4,7 +4,7 @@ Each elementary constituent J contributes a factor-local dissipator: the
 projection-form kernel of the single-constituent law (``sea.dissipator_kernel``)
 evaluated on the reduced state rho(J), with the reduced Hamiltonian V(J)
 and J's own generators as the operators and the reduced log operator W(J)
-as the log column, B(J) = W(J) rho(J) (``sea.operator_log_column``).
+as the log column, B(J) = rho(J) W(J) (``sea.operator_log_column``).
 W(J) = Tr_J'((I(J) (x) rho(J')) ln rho), and V(J) likewise with H.  The
 full dissipative term is the sum over constituents of (tau(J)/hbar^2)
 {D(J), rho(J)} (x) rho(J').
@@ -17,8 +17,8 @@ r, d_J, d_J) tensors for the kind's k constituents (the rest's indices,
 then J's) with one fancy index.  Contractions of the split rho give every
 rho(J) and rho(J'), and of the split ln rho and H every W(J) and V(J), so
 the dim x dim embedding I(J) (x) rho(J') is never formed.  One stacked eigh
-decomposes the reduced states, one kernel call takes the operators (..., k,
-n, d_J, d_J) and the log columns, and the inverse gather puts every
+decomposes the reduced states, one kernel call takes the operators (n, ...,
+k, d_J, d_J) and the log columns, and the inverse gather puts every
 {D(J), rho(J)} (x) rho(J') back in the full space.
 
 W(J) needs ln(rho) of the full composite state, which exists only for
@@ -207,7 +207,7 @@ def _factor_terms(rho, model: CompositeModel):
     all k members at once, contractions reduce them to every rho(J),
     rho(J'), W(J) and V(J), one stacked eigh gives the reduced spectra and
     one kernel call the dissipators, from per-member operators
-    (..., k, n, d_J, d_J) and log columns B(J) = W(J) rho(J).
+    (n, ..., k, d_J, d_J) and log columns B(J) = rho(J) W(J).
 
     A StateOperator is held to the documented full-rank domain, member by
     member.  A raw matrix is an integrator trial point, whose tiny
@@ -227,18 +227,23 @@ def _factor_terms(rho, model: CompositeModel):
     log_full = st.log_operator(rho)
     terms = []
     for kind, rho_j, (_, rest) in zip(kinds, reduced, marginals):
-        k, d = len(kind.members), kind.gather.shape[-1]
-        ops = np.empty((*rest.shape[:-2], 1 + kind.n_gen, d, d), dtype=complex)
-        ops[..., 0, :, :] = op.hermitize(_reduce(rest, model.H, kind.gather))
-        ops[..., 1:, :, :] = np.reshape([model.constituents[j].generators
-                                         for j in kind.members], (k, kind.n_gen, d, d))
+        k, d, n = len(kind.members), kind.gather.shape[-1], 1 + kind.n_gen
+        ops = np.empty((n, *rest.shape[:-2], d, d), dtype=complex)
+        ops[0] = op.hermitize(_reduce(rest, model.H, kind.gather))
+        # each member's generators, (n - 1, 1, ..., 1, k, d, d) over the stack
+        ops[1:] = np.reshape([model.constituents[j].generators for j in kind.members],
+                             (k, n - 1, d, d)).swapaxes(0, 1).reshape(
+                                 n - 1, *[1] * (rest.ndim - 3), k, d, d)
         # normalized reduced states, scaled back: see sea._projection_form
         spec = rho_j.spectral
         total = spec.eigenvalues.sum(axis=-1)
-        rho_q, = st.spectral_matrices(spec.eigenvectors, spec.eigenvalues / total[..., None])
-        w = op.hermitize(_reduce(rest, log_full, kind.gather))
-        half, g = sea.dissipator_kernel(rho_q, ops, sea.operator_log_column(rho_q, w))
-        acomm = total[..., None, None] * op.plus_adjoint(half)
+        rows = np.empty((n + 2, *rest.shape[:-2], d, d), dtype=complex)
+        rows[n] = st.spectral_matrices(spec.eigenvectors,
+                                       spec.eigenvalues / total[..., None])[0]
+        log_column = sea.operator_log_column(
+            rows, op.hermitize(_reduce(rest, log_full, kind.gather)))
+        half, g = sea.dissipator_kernel(ops, rows, *log_column, total)
+        acomm = op.plus_adjoint(half)
         acomm[pure], g[pure] = 0.0, 0.0
         terms.append((kind, acomm, g, rest))
     return terms

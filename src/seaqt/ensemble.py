@@ -106,10 +106,17 @@ def evolve_measure(mu: StatisticalWeightMeasure, rhs, t_max: float,
     The support states advance as one (N, d, d) stack with a common dt
     (``integrate_support``), so ``rhs`` must accept a stack of shape
     (..., d, d), as the single and composite laws and the linear rhs do.
-    An integration failure propagates with its own type and traceback and
-    a note naming the support index.
+    Only the final states are returned, so the integrator records only at
+    t = 0 and at the end: the config's sampling is replaced by sample_dt =
+    t_max, which moves no rk45 step.  rk4 steps onto a configured sample_dt
+    grid, which it keeps.  The final states are those of
+    ``integrate_support`` with the config as given, bit for bit.  An
+    integration failure propagates with its own type and traceback and a
+    note naming the support index.
     """
-    cfg = replace(config or ig.IntegratorConfig(), t_max=t_max)
+    cfg = config or ig.IntegratorConfig()
+    grid = cfg.sample_dt if cfg.method == "rk4" and cfg.sample_dt is not None else t_max
+    cfg = replace(cfg, t_max=t_max, sample_every=1, sample_dt=grid if t_max > 0 else None)
     final = integrate_support(mu, rhs, cfg).final.rho
     return measure(zip(mu.weights, final))
 

@@ -75,7 +75,9 @@ def as_complex(a) -> np.ndarray:
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Symmetrize (A + A†)/2, suppressing round-off asymmetry."""
     a = as_complex(a)
-    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+    h = a + a.conj().swapaxes(-1, -2)
+    h *= 0.5   # in place: one temporary fewer on the rhs path
+    return h
 
 
 def plus_adjoint(a: np.ndarray) -> np.ndarray:
@@ -132,14 +134,6 @@ def anticommutator(a, b) -> np.ndarray:
     a, b = as_complex(a), as_complex(b)
     require_same_dim(a, b)
     return a @ b + b @ a
-
-
-def trace_inner_product(f, g) -> float:
-    """Tr(FG), real for Hermitian inputs (tiny imaginary part discarded)."""
-    f, g = as_complex(f), as_complex(g)
-    require_same_dim(f, g)
-    val = np.trace(f @ g)
-    return float(val.real)
 
 
 def frobenius_norm(a) -> float:

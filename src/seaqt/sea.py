@@ -19,19 +19,28 @@ determinant.  It is a polynomial in the Gram entries, so a singular G (a
 generator affine in the others) needs no least-squares solve and gives a
 round-off-level term.
 
-``dissipator_kernel`` evaluates the form in the original basis.  Every
-deviation anticommutator is a half-product plus its adjoint, {Delta F,
-rho} = K_F + K_F^dagger with K_F = F rho - fbar rho, so one stacked
-product F_a rho (``states.covariance_table``) gives the means, the Gram
-table (F_a, F_b) = 2 Re <F_a rho, F_b>_F - 2 fbar_a fbar_b and the
-operator part of the kernel's half-product K, with {D, rho} = K +
-K^dagger.  The log column enters as B = L rho; the composite module calls
-the same kernel on its stacked reduced states with B(J) = W(J) rho(J).
-``sea_rhs`` folds -(i/hbar) H rho into K and adds the adjoint once, so the
-rhs is Hermitian by construction.  The one eigendecomposition per call
-gives the clipped spectrum that the entropy-regular log column needs: with
-B = rho ln rho = U diag(p ln p) U^dagger, {Delta ln rho, rho} = 2 (B -
-Tr(B) rho), so singular states need no eigenvalue flooring.
+``dissipator_kernel`` evaluates the form in the original basis, in row
+form.  Every deviation anticommutator is a half-product plus its adjoint,
+{Delta F, rho} = K_F + K_F^dagger with K_F = rho F - fbar rho, so the
+kernel works on one complex row array [rho F_a; rho; B], with B = rho L
+the log column, over a whole stack of states.  One real product of those
+rows against the operators' real rows (``states.covariance_rows``) gives
+the Gram table (F_a, F_b) = 2 Re <rho F_a, F_b>_F - 2 fbar_a fbar_b, the
+means fbar and the pairs <B, F_a>, and one coefficient product over the
+same rows gives the half-product K, with {D, rho} = K + K^dagger.
+Per-member scales (the trace renormalization, and in ``sea_rhs``
+-tau/hbar^2) multiply the coefficients, not the matrices.  A single
+system's operators are centred at their trace means once per model
+(``operator_stack``): the Gram table, the pairs and K do not change under
+F -> F + c I, and the centred products keep the precision that an energy
+offset would cost.  The composite module calls the same kernel on its
+stacked reduced states with B(J) = rho(J) W(J).  ``sea_rhs`` adds
+(i/hbar) rho H to K and takes the Hermitian sum once, so the rhs is
+Hermitian by construction.  Its one eigendecomposition per call gives the
+clipped spectrum that the entropy-regular log column needs, and one
+product rebuilds rho and B = rho ln rho = U diag(p ln p) U^dagger from it:
+{Delta ln rho, rho} = 2 (B - Tr(B) rho), so singular states need no
+eigenvalue flooring.
 """
 
 from __future__ import annotations
@@ -78,9 +87,14 @@ class SingleConstituentModel:
 
     @cached_property
     def operator_stack(self) -> np.ndarray:
-        """``operator_list`` as one complex (n, d, d) array, the operands of
-        ``dissipator_kernel``; built once per model."""
-        return np.array(self.operator_list(), dtype=complex)
+        """``operator_list`` as one complex (n, d, d) array, each operator
+        centred at its trace mean, F_a - (Tr F_a / d) I: the operands of
+        ``dissipator_kernel``, which no such shift changes; built once per
+        model."""
+        ops = np.array(self.operator_list(), dtype=complex)
+        diag = np.arange(ops.shape[-1])
+        ops[:, diag, diag] -= ops[:, diag, diag].real.mean(axis=-1, keepdims=True)
+        return ops
 
 
 def validate_model(model: SingleConstituentModel) -> SingleConstituentModel:
@@ -121,25 +135,43 @@ def gram_condition_number(rho, model: SingleConstituentModel) -> float:
     return float(np.linalg.cond(st.covariance_table(rho, model.operator_stack)[1]))
 
 
-def operator_log_column(rho: np.ndarray, w: np.ndarray):
-    """The kernel's log column (B, Tr B, (W, W)) of a Hermitian log operator
-    W given as such, B = W rho: (W, W) = 2 (Re <B, W> - (Tr B)^2).  Per
-    member of a stack, with rho and W both (..., d, d)."""
-    b = w @ rho
+def operator_log_column(rows: np.ndarray, w: np.ndarray):
+    """The log column of a Hermitian log operator W given as such: writes
+    B = rho W into the last row of a kernel row array whose row before it
+    holds rho, and returns (Tr B, (W, W)), with (W, W) = 2 (Re <B, W>_F -
+    (Tr B)^2).  Per member of a stack, with W (..., d, d)."""
+    b = np.matmul(rows[-2], w, out=rows[-1])
     tr_b = np.trace(b, axis1=-2, axis2=-1).real
-    return b, tr_b, 2.0 * (np.vecdot(st._real_rows(b), st._real_rows(w)) - tr_b ** 2)
+    inner = np.vecdot(b.reshape(*b.shape[:-2], -1), w.reshape(*w.shape[:-2], -1)).real
+    return tr_b, 2.0 * (inner - tr_b ** 2)
 
 
-def dissipator_kernel(rho: np.ndarray, ops, log_column):
-    """(K, g) of the operator-valued Gram determinant in projection form,
-    with {D, rho} = K + K^dagger.
+def _det(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.det`` of each member of a (..., n, n) stack, in closed form
+    for n <= 2 (H alone, or H and one generator: the common case), where
+    the gufunc's LU factorization of each member costs more than the
+    arithmetic (3.3 against 10.9 us on a (24, 3, 2, 2) stack)."""
+    n = a.shape[-1]
+    if n == 1:
+        return a[..., 0, 0]
+    if n == 2:
+        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    return np.linalg.det(a)
 
-    ``rho`` is a unit-trace Hermitian matrix (the state, or the reduced state
-    rho(J)), ``ops`` the generator operators F_a and ``log_column`` the
-    triple (B, Tr B, (L, L)) of the log column L, with B = L rho: a single
-    system passes the entropy-regular B = rho ln rho, a composite factor
-    B(J) = W(J) rho(J) (``operator_log_column``).  With G the Gram matrix of
-    the generators and G beta = (F, L):
+
+def dissipator_kernel(ops, rows: np.ndarray, tr_b, log_var, scale=1.0):
+    """(scale K, g) of the operator-valued Gram determinant in projection
+    form, with {D, rho} = K + K^dagger.
+
+    ``rows`` is a C-contiguous complex (n + 2, ..., d, d) array whose last
+    two rows hold rho, a unit-trace Hermitian matrix (the state, or the
+    reduced state rho(J)), or a stack of them, and B = rho L, the log
+    column of the log operator L, with ``tr_b`` = Tr B and ``log_var`` =
+    (L, L).  A single system passes the entropy-regular B = rho ln rho, a
+    composite factor B(J) = rho(J) W(J) (``operator_log_column``).
+    ``ops`` are the n generator operators F_a, shared (n, d, d) or per
+    member (n, ..., d, d).
+    With G the Gram matrix of the generators and G beta = (F, L):
 
         {D, rho} = det G [{Delta L, rho} - sum_a beta_a {Delta F_a, rho}]
         g        = det G [(L, L) - (F, L)^T beta]
@@ -152,78 +184,87 @@ def dissipator_kernel(rho: np.ndarray, ops, log_column):
     through singular G: a degenerate generator set gives a round-off-level
     term, with no least-squares solve and no error.
 
-    The means fbar_a, G and the rows F_a rho and F_a come from
-    ``states.covariance_table``, and (F_a, L) = 2 (Re <F_a, B> - Tr(B)
-    fbar_a).  As {Delta L, rho} = B + B^dagger - 2 Tr(B) rho, with w = det
-    G beta the half-product is
+    ``states.covariance_rows`` writes rho F_a into the first n rows and
+    gives the means fbar_a, G and <B, F_a> from one real product, so
+    (F_a, L) = 2 (Re <B, F_a> - Tr(B) fbar_a).  As {Delta L, rho} = B +
+    B^dagger - 2 Tr(B) rho, with w = det G beta the half-product is
 
-        K = det G B + (w . fbar - det G Tr B) rho - sum_a w_a F_a rho.
+        K = det G B + (w . fbar - det G Tr B) rho - sum_a w_a rho F_a,
 
-    A stack of states adds leading axes to rho and the log column, the
-    operators are shared or per member as in ``covariance_table``, and g
-    has the stack's shape.
+    one coefficient product over the rows; ``scale``, a number or one per
+    member, multiplies the coefficients.  K and g have the stack's shape.
     """
-    d = rho.shape[-1]
-    batch = rho.shape[:-2]
-    b, tr_b, log_var = log_column
-    means, gram, f_rho_rows, f_rows = st.covariance_table(rho, ops)
-    pairs = 2.0 * ((f_rows @ st._real_rows(b)[..., None])[..., 0]
-                   - tr_b[..., None] * means)
-    n = pairs.shape[-1]
+    n = len(rows) - 2
+    means, gram, prods = st.covariance_rows(rows, ops)
+    pairs = 2.0 * (prods[n + 1] - tr_b[..., None] * means)
+    batch = means.shape[:-1]
     stack = np.empty((*batch, n + 1, n, n))
     stack[...] = gram[..., None, :, :]
     stack[..., np.arange(1, n + 1), :, np.arange(n)] = pairs
-    dets = np.linalg.det(stack)
+    dets = _det(stack)
     det, det_beta = dets[..., 0], dets[..., 1:]
-    coef = -det_beta
-    k = (coef[..., None, :] @ f_rho_rows)[..., 0, :].view(complex).reshape(*batch, d, d)
-    k -= (np.vecdot(coef, means) + det * tr_b)[..., None, None] * rho
-    k += det[..., None, None] * b
-    return k, det * log_var - np.vecdot(pairs, det_beta)
+    coef = np.empty((*batch, 1, n + 2))
+    coef[..., 0, :n] = -det_beta
+    coef[..., 0, n] = np.vecdot(det_beta, means) - det * tr_b
+    coef[..., 0, n + 1] = det
+    coef *= np.asarray(scale)[..., None, None]
+    d = rows.shape[-1]
+    k = coef @ st._rows_last(rows.view(np.float64).reshape(n + 2, *batch, 2 * d * d))
+    return k.view(complex).reshape(*batch, d, d), det * log_var - np.vecdot(pairs, det_beta)
 
 
-def _projection_form(rho: st.StateOperator, model: SingleConstituentModel):
-    """The half-product K and g at rho, with the regular p ln p pieces as the
-    log column.  It runs at q = p / sum p and scales K back by sum p, so the
-    result is traceless even where a trial state's negative eigenvalue
-    clipped to 0.  Per member of a (..., d, d) stack."""
-    spec = rho.spectral
-    total = spec.eigenvalues.sum(axis=-1)
-    q = spec.eigenvalues / total[..., None]
+def _matrix_and_spectrum(rho, model: SingleConstituentModel):
+    """The Hermitian matrix of rho (a StateOperator's own, else the Hermitian
+    part) and its spectral form, per member of a stack."""
+    if isinstance(rho, st.StateOperator):
+        m, spec = rho.matrix, rho.spectral
+    else:
+        m = op.hermitize(rho)
+        spec = st.spectral_form(m)
+    if model.H.shape != m.shape[-2:]:
+        raise DimensionMismatchError(f"state dim {m.shape} vs model dim {model.H.shape}")
+    return m, spec
+
+
+def _projection_form(spec: st.SpectralForm, model: SingleConstituentModel, scale=1.0):
+    """scale K and g at the state of spectral form ``spec``, with the regular
+    p ln p pieces as the log column.  It runs at q = p / sum p, sum p joining
+    the scale, so the result is traceless even where a trial state's
+    negative eigenvalue clipped to 0.  Per member of a (..., d, d) stack."""
+    p, u = spec.eigenvalues, spec.eigenvectors
+    total = p.sum(axis=-1)
+    q = p / total[..., None]
     plogp, tr_b, log_var = st.regular_log_spectrum(q)
-    rho_q, b = st.spectral_matrices(spec.eigenvectors, q, plogp)
-    k, g = dissipator_kernel(rho_q, model.operator_stack, (b, tr_b, log_var))
-    k *= total[..., None, None]
-    return k, g
+    ops = model.operator_stack
+    rho_b = st.spectral_matrices(u, q, plogp)
+    # the row array is made after the product has freed its temporaries: the
+    # other order lifts the heap's high-water mark, and at d = 64 glibc's
+    # malloc then trims and refaults the heap on every call
+    rows = np.empty((len(ops) + 2, *u.shape), dtype=complex)
+    rows[-2:] = rho_b
+    return dissipator_kernel(ops, rows, tr_b, log_var, scale * total)
 
 
-def _dissipator_half(rho: st.StateOperator, model: SingleConstituentModel):
-    """K with {D, rho} = K + K^dagger per member of a stack, or None when
-    every member is pure."""
-    if model.H.shape != rho.matrix.shape[-2:]:
-        raise DimensionMismatchError(
-            f"state dim {rho.matrix.shape} vs model dim {model.H.shape}")
+def _dissipator_half(rho, model: SingleConstituentModel, scale=1.0):
+    """The Hermitian matrix m of rho and scale K, with {D, rho} = K + K^dagger,
+    per member of a stack; K is None when every member is pure."""
+    m, spec = _matrix_and_spectrum(rho, model)
     # Pure states are exact fixed points of the dissipative term (rho ln rho
-    # is the null operator); returning an exact zero keeps integrator
-    # round-off from seeding the entropy-ascent instability of that manifold.
-    # Judged on the clipped spectrum so that trial steps overshooting purity
-    # still branch.
-    pure = st.is_pure(rho.spectral.eigenvalues)
-    n_pure = np.count_nonzero(pure)
-    if n_pure == pure.size:
-        return None
-    k = _projection_form(rho, model)[0]
-    if n_pure:
-        k[pure] = 0.0
-    return k
+    # is the null operator); an exact zero keeps integrator round-off from
+    # seeding the entropy-ascent instability of that manifold.  Judged on
+    # the clipped spectrum so that trial steps overshooting purity still
+    # branch; a pure member of a mixed stack gets a zero scale.
+    pure = st.is_pure(spec.eigenvalues)
+    if pure.all():
+        return m, None
+    return m, _projection_form(spec, model, np.where(pure, 0.0, scale))[0]
 
 
 def dissipator_anticommutator(rho, model: SingleConstituentModel) -> np.ndarray:
     """{D, rho} with D the operator-valued determinant of the dissipative
     term; per member of a (..., d, d) stack."""
-    rho = st.as_state(rho)
-    k = _dissipator_half(rho, model)
-    return np.zeros_like(rho.matrix) if k is None else op.plus_adjoint(k)
+    m, k = _dissipator_half(rho, model)
+    return np.zeros_like(m) if k is None else op.plus_adjoint(k)
 
 
 def sea_rhs(rho, model: SingleConstituentModel) -> np.ndarray:
@@ -232,25 +273,26 @@ def sea_rhs(rho, model: SingleConstituentModel) -> np.ndarray:
     ``rho`` is one state or a (..., d, d) stack of them, evaluated member by
     member in one pass: the eigendecompositions, Gram tables and
     determinants run stacked, and a pure member gets an exact-zero
-    dissipator.  With m the Hermitian part of rho and K the kernel's
-    half-product, the rhs is x + x^dagger for x = -(i/hbar) H m -
+    dissipator.  With m the Hermitian part of rho, H_c the centred
+    Hamiltonian (``operator_stack``, same commutator) and K the kernel's
+    half-product, the rhs is x + x^dagger for x = (i/hbar) m H_c -
     (tau/hbar^2) K, so it is Hermitian by construction.
     """
-    rho = st.as_state(rho)
-    k = _dissipator_half(rho, model)
     hbar = model.units.hbar
-    x = model.H @ rho.matrix
-    x *= -1j / hbar
+    m, k = _dissipator_half(rho, model, -model.tau / hbar**2)
+    # -(i/hbar) [H_c, m] = x + x^dagger for x = (i/hbar) m H_c, one product
+    # over the rows of the whole stack
+    d = m.shape[-1]
+    x = (m.reshape(-1, d) @ ((1j / hbar) * model.operator_stack[0])).reshape(m.shape)
     if k is not None:
-        k *= model.tau / hbar**2
-        x -= k
+        x += k
     return op.plus_adjoint(x)
 
 
 def gram_determinant_g(rho, model: SingleConstituentModel):
     """Entropy-production Gram determinant over {ln rho, H, X, ..., Y}; >= 0.
     One value per member of a (..., d, d) stack."""
-    return _projection_form(st.as_state(rho), model)[1]
+    return _projection_form(_matrix_and_spectrum(rho, model)[1], model)[1]
 
 
 def entropy_production_rate(rho, model: SingleConstituentModel) -> float:

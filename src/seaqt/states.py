@@ -20,10 +20,12 @@ vectors from one product.  ``gibbs_spectrum`` gives the weights of a Gibbs
 state exp(K)/Z and ln Z from one ``eigh`` of K.
 
 Covariance products (F, G) = Tr(rho {Delta F, Delta G}) have one body,
-``covariance_table``, in the original basis: one stacked product F_a rho
-gives the means and the table.  The SEA kernel (single systems and
-composite factors alike), the Gram conditioning probe and the Newton
-Hessian of the maxent dual all read it.
+``covariance_rows``, in the original basis: on a row array holding rho it
+writes the products rho F_a, and one real product of every row against
+the operators gives the means, the table and the products of any further
+rows.  The SEA kernel (single systems and composite factors alike) calls
+it on its own rows; the Gram conditioning probe and the Newton Hessian of
+the maxent dual read it through ``covariance_table``.
 """
 
 from __future__ import annotations
@@ -71,6 +73,13 @@ class SpectralForm:
     eigenvectors: np.ndarray
 
 
+def spectral_form(m: np.ndarray) -> SpectralForm:
+    """The spectral form of a Hermitian matrix, per member of a (..., d, d)
+    stack: one stacked ``eigh``."""
+    vals, vecs = np.linalg.eigh(m)   # ascending
+    return SpectralForm(np.clip(vals[..., ::-1], 0.0, 1.0), vecs[..., ::-1])
+
+
 @dataclass(frozen=True)
 class StateOperator:
     """Validated state operator (use ``validate`` to construct)."""
@@ -83,9 +92,7 @@ class StateOperator:
 
     @cached_property
     def spectral(self) -> SpectralForm:
-        """Per member of a (..., d, d) stack: one stacked ``eigh``."""
-        vals, vecs = np.linalg.eigh(self.matrix)   # ascending
-        return SpectralForm(np.clip(vals[..., ::-1], 0.0, 1.0), vecs[..., ::-1])
+        return spectral_form(self.matrix)
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -201,13 +208,18 @@ def _per_member(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
-def spectral_matrices(u: np.ndarray, *weights: np.ndarray) -> list[np.ndarray]:
-    """U diag(w) U^dagger for each weight vector w, from one product; per
-    member of a stack, with u (..., d, d) and each w (..., d)."""
-    d = u.shape[-1]
-    out = np.concatenate([u * w[..., None, :] for w in weights], axis=-2) \
-        @ u.conj().swapaxes(-1, -2)
-    return [out[..., i * d:(i + 1) * d, :] for i in range(len(weights))]
+def spectral_matrices(u: np.ndarray, *weights: np.ndarray) -> np.ndarray:
+    """U diag(w) U^dagger for each weight vector w, from one product, as one
+    (len(weights), ..., d, d) array; per member of a stack, with u (..., d,
+    d) and each w (..., d)."""
+    # the result is allocated before its factors: the other order made
+    # glibc's malloc trim and refault the heap on every d = 64 call, as the
+    # row array of sea._projection_form does when made before this product
+    out = np.empty((len(weights), *u.shape), dtype=complex)
+    left = np.empty_like(out)
+    for i, w in enumerate(weights):
+        np.multiply(u, w[..., None, :], out=left[i])
+    return np.matmul(left, u.conj().swapaxes(-1, -2), out=out)
 
 
 def _spectral_function(rho, f) -> np.ndarray:
@@ -271,23 +283,60 @@ def _real_rows(a: np.ndarray) -> np.ndarray:
     return a.view(np.float64).reshape(*a.shape[:-2], -1)
 
 
+def covariance_rows(rows: np.ndarray, ops):
+    """The one covariance body, on a C-contiguous complex row array ``rows``
+    (r, ..., d, d) whose row n = len(ops) holds rho, or a stack of them.
+    It writes rho F_a into rows :n, and one real product of every row
+    against the operators' real rows gives prods[i, ..., b] = Re <R_i,
+    F_b>_F.  The means are fbar = prods[n] and the table is (F_a, F_b) =
+    Tr(rho {Delta F_a, Delta F_b}) = 2 (prods[a, ..., b] - fbar_a fbar_b);
+    rows after n give their own products with the F_b.  ``ops`` (n, d, d)
+    are shared by the members of the stack, one product each over the rows
+    of the whole stack, or (n, ..., d, d) per member.  Returns (means,
+    table, prods)."""
+    if rows.dtype != complex or not rows.flags.c_contiguous:
+        # the products are written through reshaped views of rows
+        raise ValueError("covariance_rows needs a C-contiguous complex row array")
+    ops = np.asarray(ops, dtype=complex)
+    n, d = len(ops), rows.shape[-1]
+    rho = rows[n]
+    if ops.ndim == 3:
+        np.matmul(rho.reshape(1, -1, d), ops, out=rows[:n].reshape(n, -1, d))
+    else:
+        np.matmul(rho, ops, out=rows[:n])
+    op_rows = _real_rows(ops)
+    flat = rows.view(np.float64).reshape(*rows.shape[:-2], 2 * d * d)
+    if op_rows.ndim == 2:
+        prods = (flat.reshape(-1, 2 * d * d) @ op_rows.T).reshape(*rows.shape[:-2], n)
+    else:
+        prods = _rows_first(_rows_last(flat) @ _rows_last(op_rows).swapaxes(-1, -2))
+    means = prods[n]
+    table = 2.0 * (_rows_last(prods[:n]) - means[..., :, None] * means[..., None, :])
+    return means, table, prods
+
+
+def _rows_last(a: np.ndarray) -> np.ndarray:
+    """A view of a row array (r, ..., k) with the row axis moved next to the
+    last, (..., r, k)."""
+    return a.transpose(*range(1, a.ndim - 1), 0, a.ndim - 1)
+
+
+def _rows_first(a: np.ndarray) -> np.ndarray:
+    """The inverse of ``_rows_last``: (..., r, k) as a view (r, ..., k)."""
+    return a.transpose(a.ndim - 2, *range(a.ndim - 2), a.ndim - 1)
+
+
 def covariance_table(rho, ops):
-    """The means fbar_a = Re <F_a, rho> of the Hermitian ``ops``, their table
-    (F_a, F_b) = Tr(rho {Delta F_a, Delta F_b}) = 2 Re <F_a rho, F_b> -
-    2 fbar_a fbar_b, the F_a rho and the F_a as real rows of length 2 d^2,
-    all in the original basis from one (n d, d) by (d, d) product.  ``rho``
-    is a state, a matrix or a (..., d, d) stack, and ``ops`` (n, d, d) are
-    shared by its members or (..., n, d, d) per member."""
+    """The means fbar_a = Tr(rho F_a) of the Hermitian ``ops`` and their table
+    (F_a, F_b) = Tr(rho {Delta F_a, Delta F_b}), by ``covariance_rows``.
+    ``rho`` is a state, a matrix or a (..., d, d) stack, and ``ops`` (n, d,
+    d) are shared by its members or (..., n, d, d) per member."""
     rho = _as_matrix(rho)
-    d = rho.shape[-1]
-    ops = np.ascontiguousarray(ops, dtype=complex)
-    f_rows = _real_rows(ops)
-    f_rho_rows = (ops.reshape(*ops.shape[:-3], -1, d) @ rho) \
-        .view(np.float64).reshape(*rho.shape[:-2], -1, 2 * d * d)
-    means = (f_rows @ _real_rows(rho)[..., None])[..., 0]
-    table = 2.0 * (f_rho_rows @ f_rows.swapaxes(-1, -2)
-                   - means[..., :, None] * means[..., None, :])
-    return means, table, f_rho_rows, f_rows
+    ops = np.asarray(ops, dtype=complex)
+    n = ops.shape[-3]
+    rows = np.empty((n + 1, *rho.shape), dtype=complex)
+    rows[n] = rho
+    return covariance_rows(rows, ops if ops.ndim == 3 else np.moveaxis(ops, -3, 0))[:2]
 
 
 def distance(rho_a, rho_b) -> float:

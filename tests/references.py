@@ -1,10 +1,10 @@
 """Reference functions that tests compare the library against.
 
 No CLI path, demo or library call needs these, so they live beside the
-tests that read them: a trace-orthonormal Hermitian basis and Bloch
-coordinates in it, seeded random Hermitian matrices, the variance and the
-log covariances of a state, and the reduced operators V(j) and W(j) of one
-composite constituent.
+tests that read them: the trace inner product, a trace-orthonormal
+Hermitian basis and Bloch coordinates in it, seeded random Hermitian matrices, the variance and the
+log covariances of a state, the reduced operators V(j) and W(j) of one
+composite constituent, and the kernel at a state with a given log operator.
 """
 
 from math import sqrt
@@ -13,8 +13,17 @@ import numpy as np
 
 from seaqt import composite as cp
 from seaqt import operators as op
+from seaqt import sea
 from seaqt import states as st
 from seaqt.errors import DimensionMismatchError
+
+
+def trace_inner_product(f, g) -> float:
+    """Tr(FG), real for Hermitian inputs (tiny imaginary part discarded)."""
+    f, g = op.as_complex(f), op.as_complex(g)
+    op.require_same_dim(f, g)
+    val = np.trace(f @ g)
+    return float(val.real)
 
 
 def hermitian_basis(dim: int) -> list[np.ndarray]:
@@ -51,7 +60,7 @@ def bloch_coordinates(a, basis: list[np.ndarray]) -> np.ndarray:
     if len(basis) != dim * dim:
         raise DimensionMismatchError(
             f"basis has {len(basis)} elements, expected {dim * dim}")
-    return np.array([op.trace_inner_product(a, q) for q in basis])
+    return np.array([trace_inner_product(a, q) for q in basis])
 
 
 def random_hermitian(dim: int, rng) -> np.ndarray:
@@ -112,3 +121,22 @@ def reduced_log(rho, model: cp.CompositeModel, j: int) -> np.ndarray:
     rho = st.as_state(rho)
     cp._require_full_rank(rho)
     return _reduced(rho, model, j, st.log_operator(rho))
+
+
+def kernel_rows(rho, n: int) -> np.ndarray:
+    """A ``sea.dissipator_kernel`` row array for n operators, rho (or a
+    stack of states) in its row n and the other rows unset."""
+    rho = np.asarray(rho, dtype=complex)
+    rows = np.empty((n + 2, *rho.shape), dtype=complex)
+    rows[n] = rho
+    return rows
+
+
+def log_operator_kernel(rho, ops, log_op):
+    """``sea.dissipator_kernel`` (K, g) at rho with the operators ``ops``,
+    (n, d, d) or (..., n, d, d) per member of a stack, and the log column
+    B = rho L of the log operator L."""
+    ops = np.asarray(ops, dtype=complex)
+    rows = kernel_rows(rho, ops.shape[-3])
+    return sea.dissipator_kernel(np.moveaxis(ops, -3, 0), rows,
+                                 *sea.operator_log_column(rows, log_op))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from references import reduced_hamiltonian, reduced_log
+from references import log_operator_kernel, reduced_hamiltonian, reduced_log
 from seaqt import composite as cp
 from seaqt import equilibrium as eq
 from seaqt import integrate as ig
@@ -613,8 +613,7 @@ class TestStackedPass:
             embed = op.tensor_interleave(np.eye(dims[j]), [j], rho_rest, dims)
             v = op.hermitize(op.partial_trace(embed @ model.H, dims, keep=[j]))
             w = op.hermitize(op.partial_trace(embed @ log_full, dims, keep=[j]))
-            half, g = sea.dissipator_kernel(rho_j, [v, *c.generators],
-                                            sea.operator_log_column(rho_j, w))
+            half, g = log_operator_kernel(rho_j, [v, *c.generators], w)
             acomm = op.plus_adjoint(half)
             per.append((rho_j, v, w, acomm, g))
             diss += c.tau / model.units.hbar**2 * op.tensor_interleave(

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from seaqt import ensemble as en
+from seaqt import integrate as ig
 from seaqt import sea
 from seaqt import states as st
 from seaqt.errors import MeasureWeightError, TargetInfeasibleError
@@ -138,6 +141,45 @@ class TestEvolveMeasure:
         assert np.allclose(sorted(out.weights), sorted(mu.weights), atol=1e-12)
         assert en.mean_observable(out, h) == pytest.approx(e0, abs=1e-7)
 
+
+    @staticmethod
+    def three_point():
+        model = sea.validate_model(sea.SingleConstituentModel(
+            H=np.diag([0.0, 0.7, 1.5]), generators=(np.diag([1.0, -0.4, 0.2]),), tau=0.8))
+        mu = en.measure([(w, st.random_full_rank(3, seed=s))
+                         for s, w in enumerate((0.2, 0.5, 0.3))])
+        return mu, lambda m: sea.sea_rhs(m, model)
+
+    @pytest.mark.parametrize("config", [
+        ig.IntegratorConfig(), ig.IntegratorConfig(sample_every=5),
+        ig.IntegratorConfig(sample_dt=0.3),
+        ig.IntegratorConfig(method="rk4", dt_init=0.05, sample_every=5),
+        ig.IntegratorConfig(method="rk4", dt_init=0.05, sample_dt=0.3)],
+        ids=["default", "sample_every", "sample_dt", "rk4", "rk4-sample_dt"])
+    @pytest.mark.parametrize("t_max", [1.0, 0.0])
+    def test_final_states_are_the_trajectory_ends_bit_for_bit(self, monkeypatch,
+                                                              config, t_max):
+        # only the final states are returned, so only t = 0 and the end are
+        # recorded; the sampling of the config moves none of its steps
+        mu, rhs = self.three_point()
+        traj = en.integrate_support(mu, rhs, replace(config, t_max=t_max))
+        want = en.measure(zip(mu.weights, traj.final.rho))
+        recorded = []
+
+        def integrate_support(*args):
+            recorded.append(en_integrate_support(*args))
+            return recorded[-1]
+
+        en_integrate_support = en.integrate_support
+        monkeypatch.setattr(en, "integrate_support", integrate_support)
+        got = en.evolve_measure(mu, rhs, t_max=t_max, config=config)
+        assert np.array_equal(got.weights, want.weights)
+        for a, b in zip(got.states, want.states):
+            assert np.array_equal(a.matrix, b.matrix)
+        grid = config.sample_dt if config.method == "rk4" and config.sample_dt else t_max
+        times = recorded[0].times
+        assert times[0] == 0.0 and times[-1] == pytest.approx(t_max, abs=1e-12)
+        assert len(times) == (1 if t_max == 0 else int(np.ceil(t_max / grid - 1e-9)) + 1)
 
     def test_member_failure_keeps_its_exception_and_names_the_member(self):
         class TwoArgumentError(Exception):

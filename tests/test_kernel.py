@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import cofactor_reference as ref
-from references import (covariance_with_log, log_variance, random_hermitian,
-                        reduced_hamiltonian, reduced_log)
+from references import (covariance_with_log, kernel_rows, log_operator_kernel,
+                        log_variance, random_hermitian, reduced_hamiltonian,
+                        reduced_log)
 from seaqt import composite as cp
 from seaqt import operators as op
 from seaqt import sea
@@ -118,7 +119,7 @@ def test_degenerate_qubit_gram_gives_round_off_term():
 
 
 def test_kernel_with_ordinary_log_column_matches_regular_form():
-    # the composite's log column, B = L rho from an ordinary log operator L,
+    # the composite's log column, B = rho L from an ordinary log operator L,
     # agrees with the regular B = rho ln rho on a full-rank state, and both
     # with the cofactor expansion
     rng = np.random.default_rng(11)
@@ -126,10 +127,10 @@ def test_kernel_with_ordinary_log_column_matches_regular_form():
     h, x = (op.hermitize(rng.normal(size=(4, 4))) for _ in range(2))
     p, u = rho.spectral.eigenvalues, rho.spectral.eigenvectors
     log_rho = (u * np.log(p)) @ u.conj().T
-    got = sea.dissipator_kernel(rho.matrix, [h, x], sea.operator_log_column(rho.matrix, log_rho))
-    b = st.rho_log_rho(rho)
-    log_column = (b, np.trace(b).real, log_variance(rho))
-    want = sea.dissipator_kernel(rho.matrix, [h, x], log_column)
+    got = log_operator_kernel(rho.matrix, [h, x], log_rho)
+    rows = kernel_rows(rho.matrix, 2)
+    rows[3] = b = st.rho_log_rho(rho)
+    want = sea.dissipator_kernel([h, x], rows, np.trace(b).real, log_variance(rho))
     assert np.abs(got[0] - want[0]).max() <= 1e-12
     assert got[1] == pytest.approx(want[1], rel=1e-10)
     want_acomm, want_g = ref.single(rho, h, (x,))
@@ -178,7 +179,7 @@ def test_original_basis_kernel_matches_cofactor_expansion(seed, dim, n_gen, kind
         gram[1:, 1:] = ref.pair_table(rho_q.matrix, ops)
         gram[0, 1:] = gram[1:, 0] = [covariance_with_log(f, rho_q) for f in ops]
         bound = expansion_bound(gram)
-        got_half = sea._projection_form(st.as_state(rho), model)[0]
+        got_half = sea._projection_form(spec, model)[0]
         got_acomm = sea.dissipator_anticommutator(rho, model)
         got_g = sea.gram_determinant_g(rho, model)
     assert np.abs(op.plus_adjoint(got_half) - total * want_acomm).max() <= TOL * bound
@@ -199,14 +200,14 @@ def test_original_basis_kernel_matches_cofactor_expansion(seed, dim, n_gen, kind
 def test_kernel_with_an_operator_log_column_matches_per_member_expansions(seed, dim, n_gen):
     # the composite layout: a stack of states, each with its own log
     # operator L and operators (F_1, ...), L entering as the log column
-    # B = L rho
+    # B = rho L
     rng = np.random.default_rng(seed)
     states = [spectrum_state(kind, dim, rng)
               for kind in ("full", "near_singular", "full", "near_singular")]
     rho = np.stack([s.matrix for s in states])
     ops = np.stack([[st.log_operator(s), *(random_hermitian(dim, rng)
                                           for _ in range(n_gen + 1))] for s in states])
-    half, g = sea.dissipator_kernel(rho, ops[:, 1:], sea.operator_log_column(rho, ops[:, 0]))
+    half, g = log_operator_kernel(rho, ops[:, 1:], ops[:, 0])
     assert half.shape == rho.shape and g.shape == (len(states),)
     for i, s in enumerate(states):
         gram = ref.pair_table(s.matrix, list(ops[i]))

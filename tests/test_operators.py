@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from references import bloch_coordinates, hermitian_basis
+from references import bloch_coordinates, hermitian_basis, trace_inner_product
 from seaqt import composite as cp
 from seaqt import equilibrium as eq
 from seaqt import lindblad as lb
@@ -107,13 +107,13 @@ def test_commutation_threshold(entry, factor, accepted):
 
 class TestTraceInnerProduct:
     def test_identity_pair(self):
-        assert op.trace_inner_product(np.eye(4), np.eye(4)) == pytest.approx(4.0)
+        assert trace_inner_product(np.eye(4), np.eye(4)) == pytest.approx(4.0)
 
     def test_pauli_orthogonality(self):
-        assert op.trace_inner_product(SX, SY) == pytest.approx(0.0, abs=1e-14)
+        assert trace_inner_product(SX, SY) == pytest.approx(0.0, abs=1e-14)
 
     def test_pauli_normalization(self):
-        assert op.trace_inner_product(SZ, SZ) == pytest.approx(2.0)
+        assert trace_inner_product(SZ, SZ) == pytest.approx(2.0)
 
 
 class TestHermitianBasis:
@@ -132,7 +132,7 @@ class TestHermitianBasis:
     def test_gram_matrix_is_identity(self, dim):
         basis = hermitian_basis(dim)
         assert len(basis) == dim * dim
-        gram = np.array([[op.trace_inner_product(a, b) for b in basis] for a in basis])
+        gram = np.array([[trace_inner_product(a, b) for b in basis] for a in basis])
         assert np.abs(gram - np.eye(dim * dim)).max() <= 1e-12
 
 

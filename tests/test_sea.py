@@ -340,7 +340,7 @@ def dissipative_jacobian(rho, model, eps=1e-6):
     basis = np.array(hermitian_basis(model.dim))
 
     def f(m):
-        return -op.plus_adjoint(sea._dissipator_half(st.as_state(m), model))
+        return -op.plus_adjoint(sea._dissipator_half(m, model)[1])
 
     cols = [(f(rho + eps * q) - f(rho - eps * q)) / (2.0 * eps) for q in basis]
     return np.array([[np.trace(q @ c).real for c in cols] for q in basis])
@@ -378,3 +378,17 @@ def test_linearization_at_generalized_gibbs_states(seed, dim, n_gen):
     tol = 1e-7 * np.abs(want).max()
     assert np.abs(got.imag).max() <= tol
     assert np.abs(np.sort(got.real) - want).max() <= tol
+
+
+@pytest.mark.parametrize("offset", [1e2, 1e4, 1e6])
+def test_an_energy_offset_costs_the_dissipator_no_precision(offset):
+    # H + c I changes no physics; the kernel's operators are centred at their
+    # trace means once per model, so the uncentred products' loss of about
+    # c^2 eps is gone, while the model's own H is left as given
+    rho = st.random_full_rank(3, seed=3)
+    h = np.diag([0.0, 1.0, 2.0])
+    want = sea.dissipator_anticommutator(rho, sea.SingleConstituentModel(H=h))
+    model = sea.SingleConstituentModel(H=h + offset * np.eye(3))
+    got = sea.dissipator_anticommutator(rho, model)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.array_equal(model.H, h + offset * np.eye(3))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from references import random_hermitian
+from references import log_operator_kernel, random_hermitian
 from seaqt import cli
 from seaqt import composite as cp
 from seaqt import ensemble as en
@@ -80,11 +80,10 @@ def test_kernel_takes_per_member_operators(seed, dim, n_gen):
     rho_q, = st.spectral_matrices(spec.eigenvectors, spec.eigenvalues)
     ops = np.stack([[random_hermitian(dim, rng) for _ in range(n_gen + 2)]
                     for _ in stack])
-    half, g = sea.dissipator_kernel(rho_q, ops[:, 1:], sea.operator_log_column(rho_q, ops[:, 0]))
+    half, g = log_operator_kernel(rho_q, ops[:, 1:], ops[:, 0])
     assert half.shape == stack.shape and g.shape == (len(stack),)
     for i in range(len(stack)):
-        want, g_i = sea.dissipator_kernel(rho_q[i], ops[i, 1:],
-                                          sea.operator_log_column(rho_q[i], ops[i, 0]))
+        want, g_i = log_operator_kernel(rho_q[i], ops[i, 1:], ops[i, 0])
         assert np.abs(half[i] - want).max() <= 1e-14
         assert abs(g[i] - g_i) <= 1e-14
 
@@ -166,6 +165,61 @@ def test_stacked_composite_pass_matches_the_member_loop():
     assert cp.is_pure_product(stack, model).tolist() == [False, False, False, True, False]
     assert not cp.dissipative_term(stack, model)[3].any()
     assert not per[3].any()
+
+
+def clipped_trial_state(dim, clip, rng):
+    """A trial point in a random eigenbasis whose smallest eigenvalue is
+    -clip, which the kernel's spectral form clips to 0."""
+    p = rng.uniform(0.5, 1.5, dim)
+    p = p / p.sum()
+    p[-1], p[0] = -clip, p[0] + p[-1] + clip
+    u = random_unitary(dim, rng)
+    return op.hermitize((u * p) @ u.conj().T)
+
+
+def assert_conserving(rhs, ops, scale):
+    """Each member of the rhs stack is traceless and leaves the mean of each
+    operator unchanged, to round-off of its scale."""
+    for x in rhs:
+        assert abs(np.trace(x)) <= 1e-14 * scale
+        for f in ops:
+            assert abs(np.trace(f @ x)) <= 1e-13 * scale * np.abs(f).max()
+
+
+CLIPS = [1e-12, 1e-9, 1e-6]
+
+
+@pytest.mark.parametrize("clip", CLIPS)
+def test_single_rhs_at_clipped_trial_states(clip):
+    # the row-form kernel from the single-system law: the clipped spectrum
+    # is renormalized inside the kernel and its sum joins the coefficients
+    rng = np.random.default_rng(int(-np.log10(clip)))
+    model = commuting_model(4, 2, rng)
+    stack = np.stack([clipped_trial_state(4, clip, rng) for _ in range(3)])
+    assert (np.linalg.eigvalsh(stack)[:, 0] < 0).all()
+    rhs = sea.sea_rhs(stack, model)
+    assert np.array_equal(rhs, rhs.conj().swapaxes(-1, -2))
+    assert_conserving(rhs, model.operator_list(), max(1.0, np.abs(rhs).max()))
+    assert np.abs(rhs - np.stack([sea.sea_rhs(m, model) for m in stack])).max() <= 1e-14
+
+
+@pytest.mark.parametrize("clip", CLIPS)
+def test_composite_rhs_at_clipped_trial_states(clip):
+    # the same kernel from the composite law: the qubit's reduced state of
+    # a product trial point carries the clipped eigenvalue
+    rng = np.random.default_rng(int(-np.log10(clip)))
+    model = qubit_qutrit_model()
+    stack = np.stack([np.kron(clipped_trial_state(2, clip, rng),
+                              st.random_full_rank(3, seed=int(rng.integers(2**31))).matrix)
+                      for _ in range(3)])
+    assert (np.linalg.eigvalsh(cp.reduced_state(stack[0], model, 0).matrix)[0] < 0)
+    term = cp.dissipative_term(stack, model)
+    assert np.array_equal(term, term.conj().swapaxes(-1, -2))
+    lifted = [model.H, model.lifted_generator(1, model.constituents[1].generators[0])]
+    rhs = cp.composite_rhs(stack, model)
+    assert_conserving(rhs, lifted, max(1.0, np.abs(rhs).max()))
+    for f in (cp.composite_rhs, cp.dissipative_term):
+        assert np.abs(f(stack, model) - np.stack([f(m, model) for m in stack])).max() <= 1e-14
 
 
 def test_a_singular_state_stack_names_the_member():
