@@ -16,10 +16,14 @@ gather map, cached per tuple of kinds, splits any operator into (..., k, r,
 r, d_J, d_J) tensors for the kind's k constituents (the rest's indices,
 then J's) with one fancy index.  Contractions of the split rho give every
 rho(J) and rho(J'), and of the split ln rho and H every W(J) and V(J), so
-the dim x dim embedding I(J) (x) rho(J') is never formed.  One stacked eigh
-decomposes the reduced states, one kernel call takes the operators (n, ...,
-k, d_J, d_J) and the log columns, and the inverse gather puts every
-{D(J), rho(J)} (x) rho(J') back in the full space.
+the dim x dim embedding I(J) (x) rho(J') is never formed; H's split and the
+generators are constants, cached on the model.  One kernel call per kind
+takes the operators (n, ..., k, d_J, d_J), V(J) and the generators centred
+at their trace means, the rows rho(J) / Tr rho(J) and the log columns, and
+the inverse gather puts every {D(J), rho(J)} (x) rho(J') back in the full
+space.  The one eigendecomposition of a call is the global one that ln rho
+needs.  The Hamiltonian term is x + x^dagger for x = (i/hbar) rho H, one
+product, as in ``sea.sea_rhs``.
 
 W(J) needs ln(rho) of the full composite state, which exists only for
 full-rank rho.  Exact products of pure states get an exact-zero
@@ -32,7 +36,7 @@ the member (the documented workflow is to mix with epsilon >=
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -72,6 +76,29 @@ class CompositeModel:
 
     def lifted_generator(self, j: int, x: np.ndarray) -> np.ndarray:
         return op.embed_factors({j: x}, self.dims)
+
+    @cached_property
+    def _hamiltonian_operand(self) -> np.ndarray:
+        """(i/hbar) (H - (Tr H / dim) I), the operand of the Hamiltonian term:
+        the commutator is the same, and the centred product keeps the
+        precision that an energy offset would cost; built once per model."""
+        return (1j / self.units.hbar) * _centred(np.array(self.H, dtype=complex))
+
+    @cached_property
+    def _kind_operators(self) -> tuple:
+        """(kind, H split, generators) for each kind of ``_maps``: H split by
+        the kind's gather map, each d_J x d_J block centred at its trace
+        mean, so that ``_reduce`` gives every V(J) centred at its own; and
+        the members' generators centred at their trace means, (n - 1, k,
+        d_J, d_J).  Built once per model."""
+        out = []
+        for kind in _maps(self):
+            k, d = len(kind.members), kind.gather.shape[-1]
+            gens = np.reshape([self.constituents[j].generators for j in kind.members],
+                              (k, kind.n_gen, d, d)).swapaxes(0, 1)
+            out.append((kind, _centred(_split(self.H, kind.gather)),
+                        _centred(np.ascontiguousarray(gens, dtype=complex))))
+        return tuple(out)
 
 
 def validate_model(model: CompositeModel) -> CompositeModel:
@@ -145,6 +172,14 @@ def _maps(model: CompositeModel):
     return _index_maps(tuple((c.dim, len(c.generators)) for c in model.constituents))
 
 
+def _centred(a: np.ndarray) -> np.ndarray:
+    """Each (..., d, d) matrix of ``a`` less its trace mean on the diagonal,
+    F - (Tr F / d) I, in place, as in ``sea.SingleConstituentModel.operator_stack``."""
+    diag = np.einsum("...ii->...i", a)   # a writeable view
+    diag -= diag.real.sum(axis=-1, keepdims=True) / a.shape[-1]
+    return a
+
+
 def _marginals(m: np.ndarray, gather: np.ndarray):
     """rho(J) and rho(J') of the state matrix m, or of each member of a
     stack, for each constituent of a kind's (k, r, r, d_J, d_J) gather map."""
@@ -152,14 +187,21 @@ def _marginals(m: np.ndarray, gather: np.ndarray):
     return np.einsum("...ssab->...ab", t), np.einsum("...staa->...st", t)
 
 
-def _reduce(rest: np.ndarray, a: np.ndarray, gather: np.ndarray) -> np.ndarray:
-    """Tr_{J'}((I(J) (x) rho(J')) a) for each constituent of a kind's gather
-    map, as (..., k, d_J, d_J): the split a, shared or one per member of a
-    stack, contracted with rho(J') by one matmul, without the embedding."""
+def _split(a: np.ndarray, gather: np.ndarray) -> np.ndarray:
+    """The operator a, or each member of a stack, split by a kind's gather
+    map as (..., k, r^2, d_J, d_J): the rest's index pair, then J's."""
+    k, r, _, d, _ = gather.shape
+    return a.reshape(*a.shape[:-2], -1).take(gather.reshape(k, r * r, d, d), axis=-1)
+
+
+def _reduce(rest: np.ndarray, split: np.ndarray) -> np.ndarray:
+    """Tr_{J'}((I(J) (x) rho(J')) a) for each constituent of a kind, as (...,
+    k, d_J, d_J), from a's ``_split``, shared or one per member of a stack:
+    one matmul with rho(J'), without the embedding."""
     *lead, r, _ = rest.shape
-    d = gather.shape[-1]
-    t = a.reshape(*a.shape[:-2], -1).take(gather.reshape(-1, r * r, d * d), axis=-1)
-    return (rest.swapaxes(-1, -2).reshape(*lead, 1, r * r) @ t).reshape(*lead, d, d)
+    d = split.shape[-1]
+    return (rest.swapaxes(-1, -2).reshape(*lead, 1, r * r)
+            @ split.reshape(*split.shape[:-2], d * d)).reshape(*lead, d, d)
 
 
 def _require_full_rank(rho: StateOperator, exempt=False) -> None:
@@ -203,11 +245,16 @@ def _factor_terms(rho, model: CompositeModel):
     the members of a state stack and the kind's k members; exact zeros for
     a member that is a pure product, and empty when every member is one.
 
-    One pass per kind: the kind's gather map splits rho, ln rho and H for
-    all k members at once, contractions reduce them to every rho(J),
-    rho(J'), W(J) and V(J), one stacked eigh gives the reduced spectra and
-    one kernel call the dissipators, from per-member operators
-    (n, ..., k, d_J, d_J) and log columns B(J) = rho(J) W(J).
+    One pass per kind: the kind's gather map splits rho and ln rho for all
+    k members at once (H's split is the model's), contractions reduce them
+    to every rho(J), rho(J'), W(J) and V(J), and one kernel call gives the
+    dissipators from per-member operators (n, ..., k, d_J, d_J), V(J)
+    centred at its trace mean, and log columns B(J) = rho(J) W(J).  The
+    kernel runs at rho(J) / Tr rho(J) with Tr rho(J) as its scale, as
+    ``sea._projection_form`` does, so the term stays traceless at a trial
+    point off the state set.  The one eigendecomposition is the global one
+    that ln rho needs; the reduced states are decomposed only when a member
+    is globally pure, to tell a pure product.
 
     A StateOperator is held to the documented full-rank domain, member by
     member.  A raw matrix is an integrator trial point, whose tiny
@@ -216,49 +263,45 @@ def _factor_terms(rho, model: CompositeModel):
     """
     strict = isinstance(rho, StateOperator)
     rho = st.as_state(rho)
-    kinds = _maps(model)
-    marginals = [_marginals(rho.matrix, kind.gather) for kind in kinds]
-    reduced = [st.as_state(rho_j) for rho_j, _ in marginals]
-    pure = is_pure_product(rho, model, reduced)
-    if np.count_nonzero(pure) == np.size(pure):
+    kinds = model._kind_operators
+    marginals = [_marginals(rho.matrix, kind.gather) for kind, _, _ in kinds]
+    pure = is_pure_product(rho, model, [StateOperator(rho_j) for rho_j, _ in marginals])
+    any_pure = np.count_nonzero(pure)
+    if any_pure == np.size(pure):
         return []
     if strict:
         _require_full_rank(rho, pure)
     log_full = st.log_operator(rho)
     terms = []
-    for kind, rho_j, (_, rest) in zip(kinds, reduced, marginals):
-        k, d, n = len(kind.members), kind.gather.shape[-1], 1 + kind.n_gen
+    for (kind, h_split, gens), (rho_j, rest) in zip(kinds, marginals):
+        n, d = 1 + kind.n_gen, kind.gather.shape[-1]
         ops = np.empty((n, *rest.shape[:-2], d, d), dtype=complex)
-        ops[0] = op.hermitize(_reduce(rest, model.H, kind.gather))
+        ops[0] = op.hermitize(_reduce(rest, h_split))
         # each member's generators, (n - 1, 1, ..., 1, k, d, d) over the stack
-        ops[1:] = np.reshape([model.constituents[j].generators for j in kind.members],
-                             (k, n - 1, d, d)).swapaxes(0, 1).reshape(
-                                 n - 1, *[1] * (rest.ndim - 3), k, d, d)
-        # normalized reduced states, scaled back: see sea._projection_form
-        spec = rho_j.spectral
-        total = spec.eigenvalues.sum(axis=-1)
+        ops[1:] = gens.reshape(n - 1, *[1] * (rest.ndim - 3), *gens.shape[1:])
+        total = np.trace(rho_j, axis1=-2, axis2=-1).real
         rows = np.empty((n + 2, *rest.shape[:-2], d, d), dtype=complex)
-        rows[n] = st.spectral_matrices(spec.eigenvectors,
-                                       spec.eigenvalues / total[..., None])[0]
+        np.divide(rho_j, total[..., None, None], out=rows[n])
         log_column = sea.operator_log_column(
-            rows, op.hermitize(_reduce(rest, log_full, kind.gather)))
+            rows, op.hermitize(_reduce(rest, _split(log_full, kind.gather))))
         half, g = sea.dissipator_kernel(ops, rows, *log_column, total)
         acomm = op.plus_adjoint(half)
-        acomm[pure], g[pure] = 0.0, 0.0
+        if any_pure:
+            acomm[pure], g[pure] = 0.0, 0.0
         terms.append((kind, acomm, g, rest))
     return terms
 
 
 def _embed(terms, weights: np.ndarray, shape) -> np.ndarray:
     """sum_J weights[J] {D(J), rho(J)} (x) rho(J') on the full space, for
-    the state or stack of ``shape``: per kind, one broadcast product forms
-    the split tensors and the inverse gather puts them back."""
+    the state or stack of ``shape``: per kind, one batched outer product
+    forms the split tensors and the inverse gather puts them back."""
     *lead, dim, _ = shape
     out = np.zeros((*lead, dim * dim), dtype=complex)
     for kind, acomm, _, rest in terms:
         k, r = rest.shape[-3:-1]
         scaled = weights[kind.members, None, None] * acomm
-        t = rest.reshape(*lead, k, r * r, 1) * scaled.reshape(*lead, k, 1, -1)
+        t = rest.reshape(*lead, k, r * r, 1) @ scaled.reshape(*lead, k, 1, -1)
         out += t.reshape(*lead, -1).take(kind.scatter, axis=-1).sum(axis=-2)
     return out.reshape(shape)
 
@@ -279,9 +322,18 @@ def composite_rhs(rho, model: CompositeModel) -> np.ndarray:
     member in one pass, each member as a raw matrix (an integrator trial
     point) or, in a StateOperator, held to the full-rank domain.
     """
-    hbar = model.units.hbar
-    return -1j / hbar * op.commutator(model.H, st._as_matrix(rho)) \
-        - dissipative_term(rho, model)
+    out = _hamiltonian_term(rho, model)
+    out -= dissipative_term(rho, model)
+    return out
+
+
+def _hamiltonian_term(rho, model: CompositeModel) -> np.ndarray:
+    """-(i/hbar)[H, m] for the Hermitian part m of rho, per member of a
+    stack, as x + x^dagger with x = (i/hbar) m H_c for the centred H_c: one
+    product over the rows of the whole stack, as in ``sea.sea_rhs``."""
+    m = st.as_state(rho).matrix
+    d = m.shape[-1]
+    return op.plus_adjoint((m.reshape(-1, d) @ model._hamiltonian_operand).reshape(m.shape))
 
 
 def composite_entropy_production(rho, model: CompositeModel):
@@ -365,9 +417,8 @@ def reduced_rhs(rho, model: CompositeModel, block) -> np.ndarray:
     terms of K's own constituents, which leaves each {D(J), rho(J)} of K
     embedded against the reduced state of the rest of K."""
     keep, _ = _blocks(model, block)
-    hbar = model.units.hbar
-    out = -1j / hbar * op.commutator(model.H, st._as_matrix(rho))
+    out = _hamiltonian_term(rho, model)
     weights = np.array([c.tau if j in keep else 0.0
                         for j, c in enumerate(model.constituents)])
-    out = out - _embed(_factor_terms(rho, model), weights / hbar**2, out.shape)
+    out -= _embed(_factor_terms(rho, model), weights / model.units.hbar**2, out.shape)
     return op.partial_trace(out, model.dims, keep=keep)

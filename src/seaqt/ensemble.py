@@ -53,7 +53,10 @@ class StatisticalWeightMeasure:
 
 def measure(pairs) -> StatisticalWeightMeasure:
     """Canonicalize a list of (weight, state) pairs: positive weights summing
-    to one, support states merged when within the Frobenius tolerance."""
+    to one, support states merged when within the Frobenius tolerance.  In
+    order, each point joins the first entry whose first point is within
+    MERGE_TOL of it, or opens an entry; the distances come from stacked
+    differences (``_close_pairs``)."""
     pairs = [(float(w), st.validate(s)) for w, s in pairs]
     if not pairs:
         raise MeasureWeightError("measure needs at least one support point")
@@ -62,15 +65,32 @@ def measure(pairs) -> StatisticalWeightMeasure:
     total = sum(w for w, _ in pairs)
     if not abs(total - 1.0) <= op.WEIGHT_SUM_TOL:
         raise MeasureWeightError(f"weights sum to {total!r}, not 1")
-    merged: list[list] = []
-    for w, s in pairs:
-        for entry in merged:
-            if st.distance(entry[1], s) <= op.MERGE_TOL:
-                entry[0] += w
-                break
+    states = [s.matrix for _, s in pairs]
+    for m in states[1:]:
+        op.require_same_dim(states[0], m)
+    close = _close_pairs(np.stack(states)).tolist()
+    firsts: list[int] = []
+    weights: list[float] = []
+    for i, (w, _) in enumerate(pairs):
+        j = next((j for j, first in enumerate(firsts) if close[first][i]), None)
+        if j is None:
+            firsts.append(i)
+            weights.append(w)
         else:
-            merged.append([w, s])
-    return StatisticalWeightMeasure(tuple((w, s) for w, s in merged))
+            weights[j] += w
+    return StatisticalWeightMeasure(tuple((w, pairs[i][1]) for w, i in zip(weights, firsts)))
+
+
+def _close_pairs(m: np.ndarray) -> np.ndarray:
+    """The (N, N) mask of the pairs of an (N, d, d) stack within MERGE_TOL
+    of each other in Frobenius distance, each distance bit for bit
+    ``states.distance``: stacked differences over blocks of rows, a block
+    about 2^10 entries (16 KiB) or one row, so that the temporary grows
+    with N, not N^2."""
+    n = len(m)
+    step = max(1, (1 << 10) // (n * m[0].size))
+    return np.concatenate([op.frobenius_norms(m[i:i + step, None] - m) <= op.MERGE_TOL
+                           for i in range(0, n, step)])
 
 
 def dirac(state) -> StatisticalWeightMeasure:

@@ -101,7 +101,8 @@ def _reduced(rho: st.StateOperator, model: cp.CompositeModel, j: int,
     cp._blocks(model, [j])
     kind = next(kind for kind in cp._maps(model) if j in kind.members)
     gather = kind.gather[kind.members == j]
-    return op.hermitize(cp._reduce(cp._marginals(rho.matrix, gather)[1], a, gather)[0])
+    return op.hermitize(cp._reduce(cp._marginals(rho.matrix, gather)[1],
+                                   cp._split(a, gather))[0])
 
 
 def reduced_hamiltonian(rho, model: cp.CompositeModel, j: int) -> np.ndarray:

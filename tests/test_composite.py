@@ -12,6 +12,7 @@ from seaqt.errors import (DimensionMismatchError, NonCommutingGeneratorError,
                           SingularCompositeStateError)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
+SY = np.array([[0, -1j], [1j, 0]])
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 
@@ -184,6 +185,19 @@ class TestCompositeRhs:
         rho = op.kron(np.array([[0.7, 0.1], [0.1, 0.3]]),
                       np.diag([0.6, 0.4 + eps, -eps]))
         assert abs(np.trace(cp.composite_rhs(rho, model))) <= 1e-14
+
+    @pytest.mark.parametrize("offset", [1e2, 1e4, 1e6])
+    def test_an_energy_offset_costs_the_dissipator_no_precision(self, offset):
+        # V(J) carries the offset times Tr rho(J'); the kernel's operands
+        # are centred at their trace means, where the offset drops out
+        h = op.kron(SZ, I2) + 0.7 * op.kron(I2, SZ) + 0.3 * op.kron(SX, SX)
+        constituents = (cp.Constituent(2, tau=1.0), cp.Constituent(2, tau=0.6))
+        rho = st.random_full_rank(4, seed=3)
+        want = cp.dissipative_term(rho, cp.validate_model(cp.CompositeModel(constituents, h)))
+        got = cp.dissipative_term(rho, cp.validate_model(
+            cp.CompositeModel(constituents, h + offset * np.eye(4))))
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        assert np.array_equal(cp.CompositeModel(constituents, h).H, h)
 
     def test_lifted_generator_means_conserved(self):
         h = op.kron(SZ, I2) + op.kron(I2, SZ) + 0.25 * op.kron(SZ, SZ)
@@ -453,6 +467,47 @@ class TestEntanglementTriggersDissipation:
         assert max(norms) > 1e-6
 
 
+class TestKernelVector:
+    """<psi| rhs |psi> at a kernel vector psi of a rank-7 3-qubit state,
+    mixed with weight epsilon back in: whether the composite law keeps
+    rho >= 0 near the state boundary (the boundary case of the roadmap)."""
+
+    EPSILONS = (1e-4, 1e-6, 1e-8, 1e-10)
+
+    @staticmethod
+    def model():
+        dims = [2, 2, 2]
+        h = (op.embed_factors({0: SZ}, dims) + 0.7 * op.embed_factors({1: SZ}, dims)
+             + 1.3 * op.embed_factors({2: SZ}, dims)
+             + 0.4 * (op.embed_factors({0: SX, 1: SX}, dims)
+                      + op.embed_factors({0: SY, 1: SY}, dims))
+             + 0.3 * op.embed_factors({1: SZ, 2: SZ}, dims))
+        return cp.validate_model(cp.CompositeModel(
+            (cp.Constituent(2, tau=1.0), cp.Constituent(2, tau=0.6),
+             cp.Constituent(2, (SZ,), tau=1.4)), h))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_the_kernel_weight_grows_like_the_log_of_one_over_epsilon(self, seed):
+        model = self.model()
+        p, u = np.linalg.eigh(st.random_full_rank(8, seed=seed).matrix)
+        p[0] = 0.0
+        rank7 = (u * (p / p.sum())) @ u.conj().T
+        psi = u[:, 0]
+        rates = np.array([
+            (psi.conj() @ cp.composite_rhs((1 - eps) * rank7 + eps * np.outer(psi, psi.conj()),
+                                           model) @ psi).real
+            for eps in self.EPSILONS])
+        # the law pushes weight back onto the kernel vector: a barrier, and
+        # no loss of positivity
+        assert (rates > 0).all()
+        # equal steps per two decades of epsilon: a + b ln(1/epsilon)
+        steps = np.diff(rates)
+        assert (steps > 0).all()
+        assert np.ptp(steps) <= 0.01 * steps.mean()
+        if seed == 1:
+            assert rates == pytest.approx([0.0474, 0.0670, 0.0866, 0.1062], abs=1e-4)
+
+
 class TestThreeConstituents:
     """Interleaving stress: middle factors, noncontiguous blocks, mixed dims."""
 
@@ -653,6 +708,19 @@ class TestStackedPass:
         assert cp.is_pure_product(rho, model)
         assert not cp.dissipative_term(rho, model).any()
         assert cp.composite_entropy_production(rho, model) == (0.0, [0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    def test_one_eigendecomposition_per_rhs(self, shape, monkeypatch):
+        # the global eigh gives ln rho; the kernel rows take rho(J) as it is
+        model = self.model("three-kinds")
+        rho = np.stack([st.random_full_rank(model.dim, seed=620 + i).matrix
+                        for i in range(int(np.prod(shape)))]).reshape(*shape, 12, 12)
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        for state in (rho, st.StateOperator(rho)):
+            calls.clear()
+            cp.composite_rhs(state, model)
+            assert calls == [rho.shape]
 
     def test_index_maps_are_shared_and_read_only(self):
         kinds = cp._maps(self.model("qubit-qutrit-qubit"))

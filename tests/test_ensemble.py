@@ -5,9 +5,11 @@ import pytest
 
 from seaqt import ensemble as en
 from seaqt import integrate as ig
+from seaqt import operators as op
 from seaqt import sea
 from seaqt import states as st
-from seaqt.errors import MeasureWeightError, TargetInfeasibleError
+from seaqt.errors import (DimensionMismatchError, MeasureWeightError,
+                          TargetInfeasibleError)
 
 
 def two_point():
@@ -30,6 +32,25 @@ class TestMeasureConstruction:
         mu = en.measure([(0.4, rho), (0.6, st.StateOperator(rho.matrix.copy()))])
         assert mu.is_dirac
         assert mu.weights[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("order, groups", [
+        ("abc", ["ab", "c"]), ("bac", ["bac"]), ("acb", ["ab", "c"]), ("cab", ["cb", "a"])])
+    def test_a_point_joins_the_first_entry_whose_first_point_is_close(self, order, groups):
+        # a ~ b and b ~ c within MERGE_TOL, but a and c are not: merging is
+        # not transitive, so the grouping follows the order of the points
+        e = 0.7 * op.MERGE_TOL / np.sqrt(2.0)
+        points = {name: st.validate(np.diag([0.5 + i * e, 0.5 - i * e]))
+                  for i, name in enumerate("abc")}
+        weights = {"a": 0.2, "b": 0.3, "c": 0.5}
+        mu = en.measure([(weights[x], points[x]) for x in order])
+        assert len(mu) == len(groups)
+        assert all(s is points[g[0]] for s, g in zip(mu.states, groups))
+        assert list(mu.weights) == [sum(weights[x] for x in sorted(g, key=order.index))
+                                    for g in groups]
+
+    def test_points_of_different_dimension_are_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            en.measure([(0.5, st.pure_state([1, 0])), (0.5, st.pure_state([1, 0, 0]))])
 
     def test_canonicalization_idempotent(self):
         mu = two_point()
