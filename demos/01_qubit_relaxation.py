@@ -40,7 +40,7 @@ def run():
 
     cfg = ig.IntegratorConfig(t_max=60.0, dt_max=2.0, rel_tol=1e-12,
                               abs_tol=1e-13, equilibrium_norm_tol=1e-10,
-                              sample_every=10)
+                              sample_dt=1.0)
     obs = ig.Observables(energy_op=h,
                          g_rate=lambda m: sea.entropy_production_rate(m, model))
     traj = ig.integrate(rho0, lambda m: sea.sea_rhs(m, model), cfg, obs)

@@ -49,7 +49,7 @@ def run():
     rho2 = st.random_full_rank(2, seed=12)
     rho0 = st.StateOperator(op.kron(rho1.matrix, rho2.matrix))
     cfg = ig.IntegratorConfig(t_max=10.0, dt_max=0.5, rel_tol=1e-10,
-                              abs_tol=1e-12, sample_every=20)
+                              abs_tol=1e-12, sample_dt=0.25)
     traj = ig.integrate(rho0, lambda m: cp.composite_rhs(m, free), cfg)
     m1 = sea.validate_model(sea.SingleConstituentModel(H=SZ, tau=1.0))
     m2 = sea.validate_model(sea.SingleConstituentModel(H=0.7 * SZ, tau=0.6))
@@ -91,7 +91,7 @@ def run():
     print(f"dissipative term at the exact pure product    = {d0:.3e}")
     mixed = st.mix_with_identity(pure, 1e-6)
     cfg3 = ig.IntegratorConfig(t_max=3.0, dt_max=0.2, rel_tol=1e-9,
-                               abs_tol=1e-11, sample_every=5)
+                               abs_tol=1e-11, sample_dt=0.05)
     traj3 = ig.integrate(mixed, lambda m: cp.composite_rhs(m, interacting), cfg3)
     print("t        purity(factor 1)   dissipator norm")
     peak = 0.0

@@ -82,7 +82,7 @@ class CompositeModel:
         """(i/hbar) (H - (Tr H / dim) I), the operand of the Hamiltonian term:
         the commutator is the same, and the centred product keeps the
         precision that an energy offset would cost; built once per model."""
-        return (1j / self.units.hbar) * _centred(np.array(self.H, dtype=complex))
+        return (1j / self.units.hbar) * op.centred(np.array(self.H, dtype=complex))
 
     @cached_property
     def _kind_operators(self) -> tuple:
@@ -96,8 +96,8 @@ class CompositeModel:
             k, d = len(kind.members), kind.gather.shape[-1]
             gens = np.reshape([self.constituents[j].generators for j in kind.members],
                               (k, kind.n_gen, d, d)).swapaxes(0, 1)
-            out.append((kind, _centred(_split(self.H, kind.gather)),
-                        _centred(np.ascontiguousarray(gens, dtype=complex))))
+            out.append((kind, op.centred(_split(self.H, kind.gather)),
+                        op.centred(np.ascontiguousarray(gens, dtype=complex))))
         return tuple(out)
 
 
@@ -170,14 +170,6 @@ def _index_maps(kinds: tuple) -> tuple[_Kind, ...]:
 
 def _maps(model: CompositeModel):
     return _index_maps(tuple((c.dim, len(c.generators)) for c in model.constituents))
-
-
-def _centred(a: np.ndarray) -> np.ndarray:
-    """Each (..., d, d) matrix of ``a`` less its trace mean on the diagonal,
-    F - (Tr F / d) I, in place, as in ``sea.SingleConstituentModel.operator_stack``."""
-    diag = np.einsum("...ii->...i", a)   # a writeable view
-    diag -= diag.real.sum(axis=-1, keepdims=True) / a.shape[-1]
-    return a
 
 
 def _marginals(m: np.ndarray, gather: np.ndarray):

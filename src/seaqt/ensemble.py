@@ -16,7 +16,7 @@ conceptually carry infinite uncertainty and are out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,10 +45,6 @@ class StatisticalWeightMeasure:
 
     def __len__(self) -> int:
         return len(self.support)
-
-    @property
-    def is_dirac(self) -> bool:
-        return len(self.support) == 1
 
 
 def measure(pairs) -> StatisticalWeightMeasure:
@@ -119,24 +115,21 @@ def expected_entropy(mu: StatisticalWeightMeasure, k: float = 1.0) -> float:
     return expected_value(mu, lambda s: st.entropy(s, k=k))
 
 
-def evolve_measure(mu: StatisticalWeightMeasure, rhs, t_max: float,
-                   config=None) -> StatisticalWeightMeasure:
-    """Integrate every support state under ``rhs``; weights are untouched.
+def evolve_measure(mu: StatisticalWeightMeasure, rhs, t_max: float) -> StatisticalWeightMeasure:
+    """Integrate every support state under ``rhs`` with the default
+    integrator settings up to ``t_max``; weights are untouched.
 
     The support states advance as one (N, d, d) stack with a common dt
     (``integrate_support``), so ``rhs`` must accept a stack of shape
     (..., d, d), as the single and composite laws and the linear rhs do.
     Only the final states are returned, so the integrator records only at
-    t = 0 and at the end: the config's sampling is replaced by sample_dt =
-    t_max, which moves no rk45 step.  rk4 steps onto a configured sample_dt
-    grid, which it keeps.  The final states are those of
-    ``integrate_support`` with the config as given, bit for bit.  An
-    integration failure propagates with its own type and traceback and a
-    note naming the support index.
+    t = 0 and at the end (sample_dt = t_max, which moves no rk45 step); the
+    final states are those of the default settings, bit for bit.  Other
+    settings go through ``integrate_support``.  An integration failure
+    propagates with its own type and traceback and a note naming the
+    support index.
     """
-    cfg = config or ig.IntegratorConfig()
-    grid = cfg.sample_dt if cfg.method == "rk4" and cfg.sample_dt is not None else t_max
-    cfg = replace(cfg, t_max=t_max, sample_every=1, sample_dt=grid if t_max > 0 else None)
+    cfg = ig.IntegratorConfig(t_max=t_max, sample_dt=t_max if t_max > 0 else None)
     final = integrate_support(mu, rhs, cfg).final.rho
     return measure(zip(mu.weights, final))
 

@@ -3,9 +3,10 @@ recording.
 
 Works with any right-hand side (nonlinear single/composite, linear channels).
 The default method is an adaptive Dormand-Prince RK45; fixed-step RK4 is
-retained for convergence-order checks.  With full projection every recorded
-sample is a valid state operator, and the pre-projection trace/Hermiticity
-residuals are logged so projection never silently masks integrator failure.
+retained for convergence-order checks and records every step.  With full
+projection every recorded sample is a valid state operator, and the
+pre-projection trace/Hermiticity residuals are logged so projection never
+silently masks integrator failure.
 The validity rule itself, its tolerances and its repair, lives in
 ``states`` alone: full projection applies it to every step and sample, and
 with projection off the same rule checks each step's raw state and raises
@@ -31,20 +32,18 @@ has no rejections and no reuse) the counts obey exactly
 where e = 1 when detection uses the default rhs norm (it needs a k1 at the
 initial state too) and 0 otherwise.  ``projection_repairs`` counts, over
 the accepted steps, the members that the validity certificate did not
-prove valid (with projection off, of the raw state that the rule checks;
-with hermitize_only, none), so it is at most accepted_steps times the
-number of members.
+prove valid (with projection off, of the raw state that the rule checks),
+so it is at most accepted_steps times the number of members.
 
 The state may be a stack of shape (..., d, d), a single state being the
 empty leading shape.  The stack advances with one common dt, every step
 is one stacked rhs call per stage, and the counts above, all but
 ``projection_repairs``, are stacked calls.
 
-``sample_dt`` sets where samples fall, never the steps of rk45: a grid
-time inside an accepted step is read off the Dormand-Prince continuous
-extension over the step's stages, at no rhs call.  rk4, fixed-step and
-kept for order checks, has no free interpolant of its order, so its steps
-land on the grid.
+Without ``sample_dt`` every accepted step is recorded.  ``sample_dt``, which
+only rk45 takes, sets where samples fall, never its steps: a grid time
+inside an accepted step is read off the Dormand-Prince continuous
+extension over the step's stages, at no rhs call.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from . import states as st
 from .errors import StateInvalidError, StepUnderflowError
 
 METHODS = ("rk45", "rk4")
-PROJECTION_MODES = ("off", "hermitize_only", "full")
+PROJECTION_MODES = ("off", "full")
 
 # Dormand-Prince 5(4) tableau (the rhs is autonomous, so the nodes c_i are
 # not needed).  The last row of A is the 5th-order weight row B5, so the 7th
@@ -109,9 +108,7 @@ class IntegratorConfig:
     t_max: float = 10.0
     equilibrium_norm_tol: float = 0.0   # 0 disables early termination
     projection: str = "full"
-    sample_every: int = 1
-    sample_dt: float | None = None      # record at the multiples of this
-                                        # (rk45 interpolates, rk4 steps onto them)
+    sample_dt: float | None = None      # rk45 records at the multiples of this
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -126,8 +123,8 @@ class IntegratorConfig:
             raise ValueError("t_max must be finite")
         if self.sample_dt is not None and not self.sample_dt > 0:
             raise ValueError("sample_dt must be positive (or null for none)")
-        if self.sample_dt is not None and self.sample_every != 1:
-            raise ValueError("sample_every must be 1 when sample_dt is set")
+        if self.sample_dt is not None and self.method != "rk45":
+            raise ValueError("sample_dt needs method rk45: rk4 records every step")
 
 
 @dataclass(frozen=True)
@@ -197,9 +194,9 @@ def project(rho_raw: np.ndarray, mode: str) -> np.ndarray:
     """Pull a near-valid matrix, or each member of a (..., d, d) stack, back
     onto the state set.
 
-    hermitize_only symmetrizes; full additionally applies the state-validity
-    rule of ``states.validate`` and snaps near-pure members to purity.  A
-    member that the rule's certificate proves valid (Cholesky factorization,
+    off returns the matrix as given; full hermitizes, applies the
+    state-validity rule of ``states.validate`` and snaps near-pure members
+    to purity.  A member that the rule's certificate proves valid (Cholesky factorization,
     trace within ``operators.TRACE_TOL`` of 1, and Tr - ||rho||_F above
     ``operators.PURE_TOL``, which rules out a snap) only renormalizes its
     trace.  When any member fails it, ``eigh`` runs on the stack: eigenvalues
@@ -218,11 +215,8 @@ def _project(rho_raw: np.ndarray, mode: str):
     untouched = np.zeros(rho_raw.shape[:-2], dtype=bool)
     if mode == "off":
         return rho_raw, untouched, untouched
-    m = op.hermitize(rho_raw)
-    if mode == "hermitize_only":
-        return m, untouched, untouched
-    m, uncertified, spectral = st._check_and_repair(m, StateInvalidError, StateInvalidError,
-                                                    " during integration")
+    m, uncertified, spectral = st._check_and_repair(op.hermitize(rho_raw), StateInvalidError,
+                                                    StateInvalidError, " during integration")
     if spectral is None:
         return m, untouched, uncertified
     vals, vecs = spectral
@@ -284,12 +278,11 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
     Samples hold the stack, with one value per member in every column, and
     ``stats`` counts stacked evaluations.
 
-    With ``sample_dt`` set, samples fall on its multiples and at the end.
-    rk45 records a multiple inside a step from the step's continuous
-    extension, projected as every sample is, with the raw interpolant's
-    residuals; a multiple at a step's end, t_max and an equilibrium are
-    recorded from the step.  rk4 clips a step that would pass a multiple
-    to end on it, and takes its next step at dt_init again.
+    Without ``sample_dt`` every accepted step is a sample.  With it (rk45
+    only), samples fall on its multiples and at the end: a multiple inside
+    a step is recorded from the step's continuous extension, projected as
+    every sample is, with the raw interpolant's residuals; a multiple at a
+    step's end, t_max and an equilibrium are recorded from the step.
 
     ``eq_norm`` overrides the norm used for equilibrium detection (for the
     nonlinear dynamics the dissipative-term norm is the meaningful one);
@@ -303,7 +296,7 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
     stats.update(rhs_calls=0, accepted_steps=0, rejected_steps=0, k1_reused=0,
                  interpolated_samples=0, projection_repairs=0)
     t = 0.0
-    _record(traj, t, m, project(m, config.projection) if config.projection != "off" else m, obs)
+    _record(traj, t, m, project(m, config.projection), obs)
 
     def f(mat):
         stats["rhs_calls"] += 1
@@ -331,22 +324,15 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
     stages = np.empty((7, *m.shape), dtype=complex)
     flat = stages.reshape(7, -1)
     dt = config.dt_init
-    steps_since_sample = 0
     next_boundary = config.sample_dt
-    dense = next_boundary is not None and config.method == "rk45"
     while t < config.t_max - op.TIME_SLOP:
         dt = min(dt, config.t_max - t)
-        if next_boundary is not None:
-            if next_boundary <= t + op.TIME_SLOP:
-                next_boundary += config.sample_dt
-            if not dense:
-                dt = min(dt, next_boundary - t)
+        if next_boundary is not None and next_boundary <= t + op.TIME_SLOP:
+            next_boundary += config.sample_dt
         if k1 is None:
             k1 = f(m)
         if config.method == "rk4":
-            m_new = _rk4_step(f, m, dt, k1)
-            t_new = t + dt
-            dt_next = config.dt_init    # a step clipped to the grid is not kept
+            m_new, t_new, dt_next = _rk4_step(f, m, dt, k1), t + dt, config.dt_init
         else:
             # Dormand-Prince embedded pair with standard step control, on the
             # largest scaled error over the members
@@ -370,7 +356,7 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
                 stats["rejected_steps"] += 1
                 dt = max(config.dt_min, dt * max(0.2, 0.9 * ratio ** -0.2))
             # boundaries inside the step, from its continuous extension
-            while dense and next_boundary < t_new - op.TIME_SLOP:
+            while next_boundary is not None and next_boundary < t_new - op.TIME_SLOP:
                 theta = (next_boundary - t) / dt
                 mid = m + dt * (_DP_P @ theta ** np.arange(1, 5) @ flat).reshape(m.shape)
                 _record(traj, next_boundary, mid, _project(mid, config.projection)[0], obs)
@@ -386,7 +372,6 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
         stats["projection_repairs"] += int(np.count_nonzero(uncertified))
         t, m_raw, m = t_new, m_new, m_proj
         stats["accepted_steps"] += 1
-        steps_since_sample += 1
         at_end = t >= config.t_max - op.TIME_SLOP
         # FSAL: the last stage is the rhs at m_raw, and serves as the next k1
         # when the projection neither clamped nor snapped any member and
@@ -397,13 +382,9 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
         reached_eq, k1 = at_equilibrium(m, stages[6] if fsal else None)
         if fsal and (norm_from_k1 or not (at_end or reached_eq)):
             stats["k1_reused"] += 1
-        if next_boundary is not None:
-            due = t >= next_boundary - op.TIME_SLOP
-        else:
-            due = steps_since_sample >= config.sample_every
+        due = next_boundary is None or t >= next_boundary - op.TIME_SLOP
         if due or at_end or reached_eq:
             _record(traj, t, m_raw, m, obs)
-            steps_since_sample = 0
         if reached_eq:
             traj.termination = "equilibrium"
             return traj

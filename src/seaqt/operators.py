@@ -114,6 +114,15 @@ def require_same_dim(a: np.ndarray, b: np.ndarray) -> None:
         raise DimensionMismatchError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
+def centred(a: np.ndarray) -> np.ndarray:
+    """Each (..., d, d) complex matrix of ``a`` less its trace mean on the
+    diagonal, F - (Tr F / d) I, in place: the operands of the SEA kernel and
+    of the Hamiltonian term, which no such shift changes."""
+    diag = np.arange(a.shape[-1])
+    a[..., diag, diag] -= a[..., diag, diag].real.mean(axis=-1, keepdims=True)
+    return a
+
+
 def commutator(a, b) -> np.ndarray:
     """[A, B] = AB - BA; anti-Hermitian for Hermitian inputs."""
     a, b = as_complex(a), as_complex(b)
@@ -127,13 +136,6 @@ def commutation_check(x, h) -> tuple[bool, float]:
     checked as by ``commutator``."""
     defect = float(np.abs(commutator(x, h)).max())
     return defect <= COMMUTATION_TOL * max(1.0, float(np.abs(h).max())), defect
-
-
-def anticommutator(a, b) -> np.ndarray:
-    """{A, B} = AB + BA; Hermitian for Hermitian inputs."""
-    a, b = as_complex(a), as_complex(b)
-    require_same_dim(a, b)
-    return a @ b + b @ a
 
 
 def frobenius_norm(a) -> float:

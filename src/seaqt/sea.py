@@ -91,10 +91,7 @@ class SingleConstituentModel:
         centred at its trace mean, F_a - (Tr F_a / d) I: the operands of
         ``dissipator_kernel``, which no such shift changes; built once per
         model."""
-        ops = np.array(self.operator_list(), dtype=complex)
-        diag = np.arange(ops.shape[-1])
-        ops[:, diag, diag] -= ops[:, diag, diag].real.mean(axis=-1, keepdims=True)
-        return ops
+        return op.centred(np.array(self.operator_list(), dtype=complex))
 
 
 def validate_model(model: SingleConstituentModel) -> SingleConstituentModel:

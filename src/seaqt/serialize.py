@@ -51,7 +51,6 @@ STATE_KINDS = ("matrix", "pure", "gibbs", "random", "mix")
 INTEGRATOR_SCHEMA = {
     f.name: {"enum": list(ig.METHODS)} if f.name == "method"
     else {"enum": list(ig.PROJECTION_MODES)} if f.name == "projection"
-    else {"type": "integer", "minimum": 1} if f.type == "int"
     else {"type": ["number", "null"]} if f.type == "float | None"
     else NUMBER
     for f in fields(ig.IntegratorConfig)

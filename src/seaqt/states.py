@@ -1,4 +1,4 @@
-"""State operators: validity rules, entropy, deviations, covariance products.
+"""State operators: validity rules, entropy, covariance products.
 
 A state operator is a Hermitian, nonnegative-definite, unit-trace matrix.
 The rule that checks and repairs one has a single body here,
@@ -100,9 +100,6 @@ class StateOperator:
 
     def purity(self) -> float | np.ndarray:
         return _per_member(np.sum(self.eigenvalues ** 2, axis=-1))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
 
 
 def _raise_for(bad: np.ndarray, values, cls, message: str) -> None:
@@ -268,14 +265,6 @@ def entropy_rate(rho, rhs, k: float = 1.0) -> float | np.ndarray:
     return _per_member(-k * np.trace(rhs @ log_operator(rho), axis1=-2, axis2=-1).real)
 
 
-def deviation(f, rho) -> np.ndarray:
-    """Delta F = F - I Tr(rho F); satisfies Tr(rho Delta F) = 0."""
-    m = _as_matrix(rho)
-    f = op.as_complex(f)
-    op.require_same_dim(f, m)
-    return f - np.eye(f.shape[0], dtype=complex) * np.trace(m @ f).real
-
-
 def _real_rows(a: np.ndarray) -> np.ndarray:
     """The (..., d, d) complex blocks of ``a`` as real rows of length 2 d^2:
     the dot product of two rows is Re <X, Y>_F = Re Tr(X^dagger Y)."""
@@ -366,12 +355,6 @@ def pure_state(vec) -> StateOperator:
         raise ValueError("zero vector cannot define a pure state")
     v = v / norm
     return StateOperator(np.outer(v, v.conj()))
-
-
-def gibbs_seed(beta: float, h) -> StateOperator:
-    """exp(-beta H)/Z, by ``gibbs_spectrum``."""
-    _, w, vecs = gibbs_spectrum(-beta * op.require_hermitian(h, name="H"))
-    return StateOperator((vecs * w) @ vecs.conj().T)
 
 
 def random_full_rank(dim: int, seed: int, min_eig: float = op.RANDOM_MIN_EIG) -> StateOperator:

@@ -3,10 +3,14 @@
 No CLI path, demo or library call needs these, so they live beside the
 tests that read them: the trace inner product, a trace-orthonormal
 Hermitian basis and Bloch coordinates in it, seeded random Hermitian matrices, the variance and the
-log covariances of a state, the reduced operators V(j) and W(j) of one
-composite constituent, and the kernel at a state with a given log operator.
+log covariances of a state, its deviation operators and smallest
+eigenvalue, a Gibbs state of one Hamiltonian, whether a measure is a point
+measure, the reduced operators V(j) and W(j) of one composite constituent,
+the kernel at a state with a given log operator, and a trajectory thinned
+to every k-th step.
 """
 
+from dataclasses import replace
 from math import sqrt
 
 import numpy as np
@@ -78,6 +82,29 @@ def variance(g, rho) -> float:
     return float(np.trace(m @ g @ g).real) - st.mean(g, rho) ** 2
 
 
+def deviation(f, rho) -> np.ndarray:
+    """Delta F = F - I Tr(rho F); satisfies Tr(rho Delta F) = 0."""
+    m = st._as_matrix(rho)
+    f = op.as_complex(f)
+    op.require_same_dim(f, m)
+    return f - np.eye(f.shape[0], dtype=complex) * np.trace(m @ f).real
+
+
+def min_eigenvalue(rho) -> float:
+    return float(np.linalg.eigvalsh(st._as_matrix(rho))[0])
+
+
+def gibbs_seed(beta: float, h) -> st.StateOperator:
+    """exp(-beta H)/Z, by ``states.gibbs_spectrum``."""
+    _, w, vecs = st.gibbs_spectrum(-beta * op.require_hermitian(h, name="H"))
+    return st.StateOperator((vecs * w) @ vecs.conj().T)
+
+
+def is_dirac(mu) -> bool:
+    """Whether the measure has a single support point."""
+    return len(mu.support) == 1
+
+
 def covariance_with_log(f, rho) -> float:
     """(F, ln rho) = Tr(F {Delta ln rho, rho}) in the entropy-regular form.
 
@@ -141,3 +168,9 @@ def log_operator_kernel(rho, ops, log_op):
     rows = kernel_rows(rho, ops.shape[-3])
     return sea.dissipator_kernel(np.moveaxis(ops, -3, 0), rows,
                                  *sea.operator_log_column(rows, log_op))
+
+
+def thinned(traj, k: int):
+    """``traj`` with the samples of every k-th accepted step only: t = 0,
+    each k-th step after it, and the last sample."""
+    return replace(traj, samples=traj.samples[:-1:k] + traj.samples[-1:])

@@ -5,6 +5,7 @@ lines as they print)."""
 import numpy as np
 import pytest
 
+from references import gibbs_seed, is_dirac, thinned
 from seaqt import composite as cp
 from seaqt import ensemble as en
 from seaqt import equilibrium as eq
@@ -35,8 +36,8 @@ def test_01_pure_state_reduction():
     psi = np.array([np.cos(0.4), np.sin(0.4) * np.exp(0.3j)])
     rho0 = st.pure_state(psi)
     cfg = ig.IntegratorConfig(t_max=10.0, rel_tol=1e-12, abs_tol=1e-13,
-                              dt_max=0.1, sample_every=10)
-    traj = ig.integrate(rho0, lambda m: sea.sea_rhs(m, model), cfg)
+                              dt_max=0.1)
+    traj = thinned(ig.integrate(rho0, lambda m: sea.sea_rhs(m, model), cfg), 10)
     max_deficit = max(1.0 - s.purity for s in traj.samples)
     u = np.diag(np.exp(-1j * np.diag(SZ) * traj.final.t))
     want = u @ rho0.matrix @ u.conj().T
@@ -65,13 +66,13 @@ def test_02_conservation_suite():
                 seed += 1
     assert len(cases) == 20
     cfg = ig.IntegratorConfig(t_max=20.0, dt_max=2.0, rel_tol=1e-10,
-                              abs_tol=1e-12, sample_every=10)
+                              abs_tol=1e-12)
     for dim, h, gens, s in cases:
         model = single_model(h, gens=gens)
         rho0 = st.random_full_rank(dim, seed=s)
         obs = ig.Observables(energy_op=model.H, generator_ops=model.generators)
-        traj = ig.integrate(rho0, lambda m, _mod=model: sea.sea_rhs(m, _mod),
-                            cfg, observables=obs)
+        traj = thinned(ig.integrate(rho0, lambda m, _mod=model: sea.sea_rhs(m, _mod),
+                                    cfg, observables=obs), 10)
         e = traj.column("energy")
         ok &= bool(np.abs(traj.column("trace_err")).max() <= 1e-9)
         ok &= bool(np.abs(e - e[0]).max() <= 1e-7)
@@ -97,7 +98,7 @@ def test_03_entropy_monotonicity_and_rate_identity():
     rho0 = st.random_full_rank(3, seed=77)
     dt = 0.002
     cfg = ig.IntegratorConfig(method="rk4", t_max=3.0, dt_init=dt, dt_min=dt,
-                              dt_max=dt, sample_every=1)
+                              dt_max=dt)
     obs = ig.Observables(energy_op=h,
                          g_rate=lambda m: sea.entropy_production_rate(m, model))
     traj = ig.integrate(rho0, lambda m: sea.sea_rhs(m, model), cfg, obs)
@@ -145,12 +146,11 @@ def test_05_relaxation_to_stable_equilibrium():
     model = single_model(h, tau=1.0)
     constants = eq.constant_set([h])
     cfg = ig.IntegratorConfig(t_max=300.0, dt_max=10.0, rel_tol=1e-12,
-                              abs_tol=1e-13, equilibrium_norm_tol=1e-10,
-                              sample_every=50)
+                              abs_tol=1e-13, equilibrium_norm_tol=1e-10)
     ok = True
     for seed in range(10):
         rho0 = st.random_full_rank(3, seed=seed)
-        traj = ig.integrate(rho0, lambda m: sea.sea_rhs(m, model), cfg)
+        traj = thinned(ig.integrate(rho0, lambda m: sea.sea_rhs(m, model), cfg), 50)
         rhs_norm = float(np.linalg.norm(sea.sea_rhs(traj.final.rho, model), ord="fro"))
         m = eq.solve_multipliers(constants, [st.mean(h, rho0)])
         target = eq.gibbs_state(constants, m)
@@ -167,7 +167,7 @@ def test_06_fixed_point_suite():
     model = single_model(h)
     ok = True
     for beta in (-0.7, 0.0, 1.3):
-        rho = st.gibbs_seed(beta, h)
+        rho = gibbs_seed(beta, h)
         ok &= float(np.linalg.norm(sea.sea_rhs(rho, model), ord="fro")) <= 1e-9
     for level in range(3):
         vec = np.zeros(3)
@@ -244,8 +244,8 @@ def test_08_composite_theorems():
     ok &= th13
     # separable + independent stays product with additive entropy rates
     cfg = ig.IntegratorConfig(t_max=10.0, dt_max=0.5, rel_tol=1e-10,
-                              abs_tol=1e-12, sample_every=10)
-    traj = ig.integrate(rho, lambda m: cp.composite_rhs(m, model0), cfg)
+                              abs_tol=1e-12)
+    traj = thinned(ig.integrate(rho, lambda m: cp.composite_rhs(m, model0), cfg), 10)
     th15 = True
     for s in traj.samples:
         _, dist = cp.is_independent_state(s.rho, model0, (0,))
@@ -263,8 +263,8 @@ def test_08_composite_theorems():
     at0 = float(np.linalg.norm(cp.dissipative_term(pure, model_int), ord="fro"))
     mixed = st.mix_with_identity(pure, 1e-6)
     cfg8 = ig.IntegratorConfig(t_max=3.0, dt_max=0.2, rel_tol=1e-9,
-                               abs_tol=1e-11, sample_every=5)
-    traj8 = ig.integrate(mixed, lambda m: cp.composite_rhs(m, model_int), cfg8)
+                               abs_tol=1e-11)
+    traj8 = thinned(ig.integrate(mixed, lambda m: cp.composite_rhs(m, model_int), cfg8), 5)
     grown = max(float(np.linalg.norm(cp.dissipative_term(s.rho, model_int), ord="fro"))
                 for s in traj8.samples)
     th8 = at0 <= 1e-10 and grown > 1e-6
@@ -323,7 +323,7 @@ def test_10_linear_dynamics():
     w_sym = 0.8
     rho_c = st.pure_state(np.array([1.0, 1.0]) / np.sqrt(2))
     cfg_sym = ig.IntegratorConfig(t_max=2.0, dt_max=0.05, rel_tol=1e-10,
-                                  abs_tol=1e-12, projection="hermitize_only")
+                                  abs_tol=1e-12, projection="off")
     traj_sym = ig.integrate(rho_c, lambda m: lb.symmetric_limit_rhs(m, w_sym, h2),
                             cfg_sym)
     c0 = abs(rho_c.matrix[0, 1])
@@ -360,7 +360,7 @@ def test_11_ensemble_layer():
         mu = en.measure(list(zip(weights, states)))
         i_mu = en.statistical_uncertainty(mu)
         ok &= -1e-12 <= i_mu <= np.log(len(mu)) + 1e-12
-        ok &= (i_mu <= 1e-12) == mu.is_dirac
+        ok &= (i_mu <= 1e-12) == is_dirac(mu)
     # entropy-vs-uncertainty distinction
     mu2 = en.measure([(0.3, st.pure_state([1, 0])), (0.7, st.pure_state([0, 1]))])
     want_i = -(0.3 * np.log(0.3) + 0.7 * np.log(0.7))
@@ -422,8 +422,7 @@ def test_12_oracle_equivalence_and_order():
 
     def rk4_error(dt):
         cfg = ig.IntegratorConfig(method="rk4", t_max=1.0, dt_init=dt,
-                                  dt_min=dt / 4, dt_max=dt,
-                                  projection="hermitize_only")
+                                  dt_min=dt / 4, dt_max=dt, projection="off")
         out = ig.integrate(rho0, lambda m: sea.sea_rhs(m, model), cfg).final.rho
         return float(np.linalg.norm(out - ref, ord="fro"))
 

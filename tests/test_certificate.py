@@ -130,6 +130,8 @@ class TestProjectionRepairs:
         stats = self.run(stack)
         assert stats["projection_repairs"] == 2 * stats["accepted_steps"]
 
-    def test_hermitize_only_runs_no_rule(self):
-        stats = self.run(st.pure_state([0.0, 1.0, 0.0]).matrix, projection="hermitize_only")
-        assert stats["projection_repairs"] == 0
+    def test_off_counts_the_raw_states_that_fail(self):
+        # projection off keeps the integrated state, but the rule still
+        # checks it, so a pure state fails the certificate at every step
+        stats = self.run(st.pure_state([0.0, 1.0, 0.0]).matrix, projection="off")
+        assert stats["projection_repairs"] == stats["accepted_steps"] > 0

@@ -84,14 +84,36 @@ class TestSimulate:
         attempts = stats["accepted_steps"] + stats["rejected_steps"]
         assert stats["rhs_calls"] == 6 * attempts + stats["accepted_steps"] - stats["k1_reused"]
 
-    def test_sample_dt_with_sample_every_exits_3_naming_integrator(self, tmp_path,
-                                                                   capsys):
-        config = qubit_sea_scenario(integrator={"t_max": 2.0, "sample_dt": 0.25,
-                                                "sample_every": 7})
+    def test_dissipative_detection_stops_a_rotating_pure_state_at_once(self, tmp_path):
+        # a pure state's dissipator is zero, so the dissipative norm is at
+        # the tolerance from the start although the state rotates
+        config = qubit_sea_scenario(
+            system={"single": {"H": matrix_obj(np.diag([0.0, 1.3])), "tau": 1.0}},
+            initial={"dim": 2, "pure": [[0.6, 0.0], [0.8, 0.0]]},
+            integrator={"t_max": 5.0, "equilibrium_norm_tol": 1e-6})
+        path = tmp_path / "out"
+        for detection, termination, samples in (("dissipative", "equilibrium", 1),
+                                                ("full", "t_max", None)):
+            config["dynamics"] = {"sea": {"equilibrium_detection": detection}}
+            assert cli.main(["simulate", "--config", write_config(tmp_path, config),
+                             "--out", str(path)]) == 0
+            summary = json.loads((path / "run_summary.json").read_text())
+            assert summary["termination"] == termination
+            if samples:
+                assert summary["samples"] == samples and summary["final_time"] == 0.0
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"method": "rk4", "sample_dt": 0.25}, "integrator: sample_dt needs method rk45"),
+        ({"sample_every": 7}, "integrator.sample_every: unknown field"),
+        ({"projection": "hermitize_only"},
+         "integrator.projection: 'hermitize_only' is not one of ['off', 'full']")],
+        ids=["rk4-sample_dt", "sample_every", "hermitize_only"])
+    def test_a_removed_setting_exits_3_naming_its_field(self, tmp_path, capsys,
+                                                        settings, message):
+        config = qubit_sea_scenario(integrator={"t_max": 2.0, **settings})
         assert cli.main(["simulate", "--config", write_config(tmp_path, config),
                          "--out", str(tmp_path)]) == 3
-        assert "ERROR Config: integrator: sample_every must be 1 when sample_dt is set" \
-            in capsys.readouterr().err
+        assert f"ERROR Config: {message}" in capsys.readouterr().err
         assert not (tmp_path / "run.csv").exists()
 
     def test_missing_tau_exits_3_and_names_tau(self, tmp_path, capsys):
@@ -304,17 +326,6 @@ class TestCompare:
         final = np.linalg.norm(trajs["sea"].final.rho - trajs["lindblad"].final.rho)
         assert report["final_state_distance"] == pytest.approx(final, rel=1e-12)
 
-    def test_sample_every_is_rejected_where_compare_sets_sample_dt(self, tmp_path,
-                                                                  capsys):
-        config = qubit_sea_scenario(
-            dynamics={"sea": {}, "lindblad": {"B": matrix_obj(-np.diag([0.0, 1.0]))}},
-            integrator={"t_max": 1.0, "sample_every": 7})
-        out = tmp_path / "out"
-        assert cli.main(["compare", "--config", write_config(tmp_path, config),
-                         "--out", str(out)]) == 3
-        assert "ERROR Config: integrator: sample_every must be 1" in capsys.readouterr().err
-        assert not (out / "sea_trajectory.csv").exists()
-
     # a config error in either block exits before the first integration
     def test_noncommuting_double_commutator_writes_nothing(self, tmp_path, capsys):
         sx = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -441,6 +452,30 @@ class TestValidate:
         rho0 = st.random_full_rank(3, seed=5)
         worst = max(0.0, -loop.min(), -sea.entropy_production_rate(rho0, model))
         assert measured == pytest.approx(worst, abs=1e-16)
+
+    def test_dissipative_equilibrium_detection_stops_like_simulate(self, tmp_path):
+        # H and the first support state of the benchmark's ensemble scenario
+        # at seed 1: the dissipative norm reaches the tolerance at t = 33.3,
+        # the full rhs norm, which the rotation keeps larger, two steps later
+        state = {"dim": 2, "matrix": [
+            [0.36274342600594967, 0.0], [-0.2490359734069241, 0.19061142618867133],
+            [-0.2490359734069241, -0.19061142618867133], [0.6372565739940502, 0.0]]}
+        config = {
+            "system": {"single": {"H": matrix_obj(np.diag([0.0, 0.6271639718663639])),
+                                  "tau": 1.0}},
+            "initial": state,
+            "dynamics": {"sea": {"equilibrium_detection": "dissipative"}},
+            "integrator": {"t_max": 50.0, "equilibrium_norm_tol": 1e-6},
+            "outputs": {"summary_json": "sim.json", "report_json": "report.json"},
+        }
+        path = write_config(tmp_path, config)
+        for command in ("simulate", "validate"):
+            assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 0
+        simulated = json.loads((tmp_path / "sim.json").read_text())
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert simulated["termination"] == report["termination"] == "equilibrium"
+        assert simulated["final_time"] == pytest.approx(33.305, abs=1e-3)
+        assert report["stats"] == simulated["stats"]
 
     def test_broken_generator_exits_3(self, tmp_path, capsys):
         config = qubit_sea_scenario()
@@ -737,6 +772,12 @@ class TestSchema:
         props = schema["properties"]["integrator"]["properties"]
         assert set(props) == {f.name for f in fields(IntegratorConfig)}
 
+    def test_removed_settings_are_not_listed(self, capsys):
+        assert cli.main(["--print-schema"]) == 0
+        integrator = json.loads(capsys.readouterr().out)["properties"]["integrator"]
+        assert "sample_every" not in integrator["properties"]
+        assert integrator["properties"]["projection"] == {"enum": ["off", "full"]}
+
     def test_integrator_accepts_every_config_field(self):
         spec = {f.name: f.default for f in fields(IntegratorConfig)}
         sz.check_config({"integrator": spec})
@@ -938,6 +979,21 @@ class TestCompositeScenarios:
         config_path = write_config(tmp_path, self.composite_config())
         code = cli.main(["validate", "--config", config_path, "--out", str(tmp_path)])
         assert code == 0
+
+    def test_composite_validate_runs_the_simulated_trajectory(self, tmp_path):
+        # with dissipative detection on, validate integrates exactly as
+        # simulate does, down to the k1 reuse that the detection norm decides
+        config = self.composite_config()
+        config["dynamics"] = {"sea": {"equilibrium_detection": "dissipative"}}
+        config["integrator"]["equilibrium_norm_tol"] = 1e-3
+        config["outputs"] = {"summary_json": "sim.json", "report_json": "report.json"}
+        path = write_config(tmp_path, config)
+        for command in ("simulate", "validate"):
+            assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 0
+        simulated = json.loads((tmp_path / "sim.json").read_text())
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["termination"] == simulated["termination"]
+        assert report["stats"] == simulated["stats"]
 
     @pytest.mark.parametrize("command", ["validate", "ensemble"])
     def test_composite_singular_start_exits_3_before_integrating(self, command,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from references import log_operator_kernel, reduced_hamiltonian, reduced_log
+from references import log_operator_kernel, reduced_hamiltonian, reduced_log, thinned
 from seaqt import composite as cp
 from seaqt import equilibrium as eq
 from seaqt import integrate as ig
@@ -250,7 +250,7 @@ class TestEntropyProduction:
         rho0 = st.random_full_rank(4, seed=60)
         dt = 0.002
         cfg = ig.IntegratorConfig(method="rk4", t_max=0.5, dt_init=dt,
-                                  dt_min=dt, dt_max=dt, sample_every=1)
+                                  dt_min=dt, dt_max=dt)
         obs = ig.Observables(
             energy_op=model.H,
             g_rate=lambda m: cp.composite_entropy_production(m, model)[0])
@@ -430,8 +430,8 @@ class TestIndependencePersistence:
         rho0 = product_state(st.random_full_rank(2, seed=201),
                              st.random_full_rank(2, seed=202))
         cfg = ig.IntegratorConfig(t_max=10.0, dt_max=0.5, rel_tol=1e-9,
-                                  abs_tol=1e-11, sample_every=5)
-        traj = ig.integrate(rho0, lambda m: cp.composite_rhs(m, model), cfg)
+                                  abs_tol=1e-11)
+        traj = thinned(ig.integrate(rho0, lambda m: cp.composite_rhs(m, model), cfg), 5)
         for s in traj.samples:
             _, dist = cp.is_independent_state(s.rho, model, (0,))
             assert dist <= 1e-6
@@ -460,8 +460,8 @@ class TestEntanglementTriggersDissipation:
         # eigenvalue above the integrator noise scale
         rho0 = st.mix_with_identity(pure, 1e-6)
         cfg = ig.IntegratorConfig(t_max=3.0, dt_max=0.2, rel_tol=1e-9,
-                                  abs_tol=1e-11, sample_every=5)
-        traj = ig.integrate(rho0, lambda m: cp.composite_rhs(m, model), cfg)
+                                  abs_tol=1e-11)
+        traj = thinned(ig.integrate(rho0, lambda m: cp.composite_rhs(m, model), cfg), 5)
         norms = [np.linalg.norm(cp.dissipative_term(s.rho, model), ord="fro")
                  for s in traj.samples]
         assert max(norms) > 1e-6

@@ -1,8 +1,9 @@
-from dataclasses import replace
+import inspect
 
 import numpy as np
 import pytest
 
+from references import is_dirac
 from seaqt import ensemble as en
 from seaqt import integrate as ig
 from seaqt import operators as op
@@ -30,7 +31,7 @@ class TestMeasureConstruction:
     def test_duplicate_support_merges(self):
         rho = st.pure_state([1, 0])
         mu = en.measure([(0.4, rho), (0.6, st.StateOperator(rho.matrix.copy()))])
-        assert mu.is_dirac
+        assert is_dirac(mu)
         assert mu.weights[0] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("order, groups", [
@@ -61,13 +62,13 @@ class TestMeasureConstruction:
     def test_combine_of_distinct_diracs_not_dirac(self):
         # the composition 0.3 delta_a + 0.7 delta_b of two distinct points
         mu = en.measure([(0.3, st.pure_state([1, 0])), (0.7, st.pure_state([0, 1]))])
-        assert not mu.is_dirac
+        assert not is_dirac(mu)
         assert len(mu) == 2
 
     def test_combine_identical_diracs_is_dirac(self):
         # 0.4 delta_a + 0.6 delta_a, with a built twice, is delta_a
         mu = en.measure([(0.4, st.pure_state([1, 0])), (0.6, st.pure_state([1, 0]))])
-        assert mu.is_dirac
+        assert is_dirac(mu)
 
 
 class TestExpectedValues:
@@ -116,7 +117,7 @@ class TestStatisticalUncertainty:
             mu = en.measure(list(zip(raw, states)))
             i_mu = en.statistical_uncertainty(mu)
             assert -1e-12 <= i_mu <= np.log(len(mu)) + 1e-12
-            assert (i_mu <= 1e-12) == mu.is_dirac
+            assert (i_mu <= 1e-12) == is_dirac(mu)
 
     def test_scale_constant(self):
         mu = two_point()
@@ -150,7 +151,7 @@ class TestEvolveMeasure:
         model = sea.validate_model(sea.SingleConstituentModel(H=h, tau=1.0))
         mu = en.dirac(st.validate(np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex)))
         out = en.evolve_measure(mu, lambda m: sea.sea_rhs(m, model), t_max=1.0)
-        assert out.is_dirac
+        assert is_dirac(out)
 
     def test_weights_invariant_and_energy_conserved(self):
         h = np.diag([0.0, 1.0])
@@ -171,19 +172,12 @@ class TestEvolveMeasure:
                          for s, w in enumerate((0.2, 0.5, 0.3))])
         return mu, lambda m: sea.sea_rhs(m, model)
 
-    @pytest.mark.parametrize("config", [
-        ig.IntegratorConfig(), ig.IntegratorConfig(sample_every=5),
-        ig.IntegratorConfig(sample_dt=0.3),
-        ig.IntegratorConfig(method="rk4", dt_init=0.05, sample_every=5),
-        ig.IntegratorConfig(method="rk4", dt_init=0.05, sample_dt=0.3)],
-        ids=["default", "sample_every", "sample_dt", "rk4", "rk4-sample_dt"])
     @pytest.mark.parametrize("t_max", [1.0, 0.0])
-    def test_final_states_are_the_trajectory_ends_bit_for_bit(self, monkeypatch,
-                                                              config, t_max):
+    def test_final_states_are_the_trajectory_ends_bit_for_bit(self, monkeypatch, t_max):
         # only the final states are returned, so only t = 0 and the end are
-        # recorded; the sampling of the config moves none of its steps
+        # recorded; that sampling moves none of the default settings' steps
         mu, rhs = self.three_point()
-        traj = en.integrate_support(mu, rhs, replace(config, t_max=t_max))
+        traj = en.integrate_support(mu, rhs, ig.IntegratorConfig(t_max=t_max))
         want = en.measure(zip(mu.weights, traj.final.rho))
         recorded = []
 
@@ -193,14 +187,17 @@ class TestEvolveMeasure:
 
         en_integrate_support = en.integrate_support
         monkeypatch.setattr(en, "integrate_support", integrate_support)
-        got = en.evolve_measure(mu, rhs, t_max=t_max, config=config)
+        got = en.evolve_measure(mu, rhs, t_max=t_max)
         assert np.array_equal(got.weights, want.weights)
         for a, b in zip(got.states, want.states):
             assert np.array_equal(a.matrix, b.matrix)
-        grid = config.sample_dt if config.method == "rk4" and config.sample_dt else t_max
         times = recorded[0].times
         assert times[0] == 0.0 and times[-1] == pytest.approx(t_max, abs=1e-12)
-        assert len(times) == (1 if t_max == 0 else int(np.ceil(t_max / grid - 1e-9)) + 1)
+        assert len(times) == (1 if t_max == 0 else 2)
+
+    def test_takes_no_integrator_settings(self):
+        # custom settings go through integrate_support
+        assert list(inspect.signature(en.evolve_measure).parameters) == ["mu", "rhs", "t_max"]
 
     def test_member_failure_keeps_its_exception_and_names_the_member(self):
         class TwoArgumentError(Exception):

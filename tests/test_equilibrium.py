@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from references import min_eigenvalue
 from seaqt import equilibrium as eq
 from seaqt import sea
 from seaqt import states as st
@@ -31,7 +32,7 @@ class TestGibbsState:
 
     def test_full_rank(self, two_level):
         rho = eq.gibbs_state(two_level, eq.MultiplierVector(beta=3.0))
-        assert rho.min_eigenvalue() > 0
+        assert min_eigenvalue(rho) > 0
 
 
 class TestPartitionFunction:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from references import gibbs_seed
 from seaqt import composite as cp
 from seaqt import integrate as ig
 from seaqt import lindblad as lb
@@ -33,7 +34,7 @@ class TestProject:
     def test_hermitizes_noise(self):
         rho = st.random_full_rank(2, seed=2)
         noisy = rho.matrix + 1e-12 * np.array([[0, 1], [0, 0]])
-        out = ig.project(noisy, "hermitize_only")
+        out = ig.project(noisy, "full")
         assert np.abs(out - out.conj().T).max() == 0.0
 
     def test_clamps_round_off_negativity(self):
@@ -58,7 +59,7 @@ class TestDetectEquilibrium:
     CONFIG = ig.IntegratorConfig(t_max=0.1, equilibrium_norm_tol=1e-9)
 
     def test_gibbs_state_detected(self, qubit_model):
-        rho = st.gibbs_seed(1.0, qubit_model.H)
+        rho = gibbs_seed(1.0, qubit_model.H)
         traj = ig.integrate(rho, sea_rhs_fn(qubit_model), self.CONFIG)
         assert traj.termination == "equilibrium"
         assert traj.stats["accepted_steps"] == 0
@@ -129,7 +130,7 @@ class TestIntegrate:
 
     def test_entropy_monotone_energy_conserved(self, qubit_model):
         rho0 = st.validate(np.array([[0.6, 0.25], [0.25, 0.4]], dtype=complex))
-        config = ig.IntegratorConfig(t_max=20.0, dt_max=2.0, sample_every=1)
+        config = ig.IntegratorConfig(t_max=20.0, dt_max=2.0)
         obs = ig.Observables(energy_op=qubit_model.H,
                              g_rate=lambda m: sea.entropy_production_rate(m, qubit_model))
         traj = ig.integrate(rho0, sea_rhs_fn(qubit_model), config, observables=obs)
@@ -269,8 +270,7 @@ class TestIntegrate:
 
         def rk4_error(dt):
             cfg = ig.IntegratorConfig(method="rk4", t_max=1.0, dt_init=dt,
-                                      dt_min=dt / 4, dt_max=dt,
-                                      projection="hermitize_only")
+                                      dt_min=dt / 4, dt_max=dt, projection="off")
             out = ig.integrate(rho0, sea_rhs_fn(qubit_model), cfg).final.rho
             return np.linalg.norm(out - ref, ord="fro")
 
@@ -294,8 +294,7 @@ class TestIntegrate:
         # centered finite difference of entropy matches the recorded g rate
         rho0 = st.validate(np.array([[0.65, 0.22], [0.22, 0.35]], dtype=complex))
         dt = 0.01
-        cfg = ig.IntegratorConfig(method="rk4", t_max=2.0, dt_init=dt,
-                                  dt_min=dt, dt_max=dt, sample_every=1)
+        cfg = ig.IntegratorConfig(method="rk4", t_max=2.0, dt_init=dt, dt_min=dt, dt_max=dt)
         obs = ig.Observables(energy_op=qubit_model.H,
                              g_rate=lambda m: sea.entropy_production_rate(m, qubit_model))
         traj = ig.integrate(rho0, sea_rhs_fn(qubit_model), cfg, observables=obs)
@@ -447,32 +446,11 @@ class TestSampledGrid:
             for got, want in conditions:
                 assert got == pytest.approx(want, abs=1e-14)
 
-    def test_rk4_steps_land_on_the_grid(self):
-        # fixed steps of 0.2 are clipped at the multiples of 0.3
-        sampled = self.run("sea", method="rk4", t_max=1.2, dt_init=0.2, dt_max=0.2,
-                           sample_dt=0.3)
-        assert sampled.times == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.2], abs=1e-15)
-        assert sampled.stats["accepted_steps"] > 6
-        assert sampled.stats["rhs_calls"] == 4 * sampled.stats["accepted_steps"]
-        assert sampled.stats["interpolated_samples"] == 0
-
-    def test_rk4_goes_back_to_its_step_after_a_clip(self):
-        # steps of 0.2 clipped at 0.3, 0.9 (and landing on 0.6, 1.2):
-        # 0.2, 0.3 | 0.5, 0.6 | 0.8, 0.9 | 1.1, 1.2 is 8 steps; keeping the
-        # clipped 0.1 after the first clip would take 11
-        h = np.diag([0.0, 1.0, 2.0]).astype(complex)
-        model = sea.SingleConstituentModel(H=h)
-
-        def run(**settings):
-            return ig.integrate(st.random_full_rank(3, seed=3),
-                                lambda m: sea.sea_rhs(m, model),
-                                ig.IntegratorConfig(method="rk4", t_max=1.2, dt_init=0.2,
-                                                    dt_max=0.2, **settings))
-
-        sampled = run(sample_dt=0.3)
-        assert sampled.stats["accepted_steps"] == 8
-        assert sampled.times == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.2], abs=1e-15)
-        assert run().stats["accepted_steps"] == 6
+    def test_rk4_records_every_step(self):
+        traj = self.run("sea", method="rk4", t_max=1.2, dt_init=0.2, dt_max=0.2)
+        assert traj.times == pytest.approx(0.2 * np.arange(7), abs=1e-12)
+        assert traj.stats["accepted_steps"] == 6
+        assert traj.stats["rhs_calls"] == 4 * 6
 
     def test_reruns_give_identical_csv(self):
         first = self.run("sea", t_max=3.0, sample_dt=0.07).to_csv()
@@ -483,12 +461,16 @@ class TestSampledGrid:
         with pytest.raises(ValueError, match="sample_dt"):
             ig.IntegratorConfig(sample_dt=sample_dt)
 
-    def test_a_grid_takes_no_sample_every(self):
-        # sample_dt alone decides where samples fall, so a sample_every
-        # beside it would be silently ignored
-        with pytest.raises(ValueError, match="sample_every must be 1 when sample_dt is set"):
-            ig.IntegratorConfig(sample_dt=0.25, sample_every=7)
-        assert ig.IntegratorConfig(sample_dt=0.25, sample_every=1).sample_every == 1
+    def test_a_grid_needs_rk45(self):
+        # fixed-step rk4 has no interpolant of its order and records every step
+        with pytest.raises(ValueError, match="sample_dt needs method rk45"):
+            ig.IntegratorConfig(method="rk4", sample_dt=0.3)
+
+
+def test_projection_is_off_or_full():
+    assert ig.PROJECTION_MODES == ("off", "full")
+    with pytest.raises(ValueError, match="unknown projection mode"):
+        ig.IntegratorConfig(projection="hermitize_only")
 
 
 @pytest.mark.parametrize("field, value, message", [

@@ -233,7 +233,7 @@ class TestSymmetricLimit:
         w = 0.8
         rho0 = st.pure_state(np.array([1.0, 1.0]) / np.sqrt(2))
         cfg = ig.IntegratorConfig(t_max=2.0, dt_max=0.05, rel_tol=1e-10,
-                                  abs_tol=1e-12, projection="hermitize_only")
+                                  abs_tol=1e-12, projection="off")
         traj = ig.integrate(rho0, lambda m: lb.symmetric_limit_rhs(m, w, h), cfg)
         c0 = abs(rho0.matrix[0, 1])
         for s in traj.samples[1:]:

@@ -29,6 +29,19 @@ def random_hermitian(dim, rng):
     return 0.5 * (x + x.conj().T)
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (2, 4, 4), (2, 3, 5, 5)])
+def test_centred_subtracts_each_trace_mean_in_place(shape):
+    rng = np.random.default_rng(len(shape))
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    a = a + np.swapaxes(a, -1, -2).conj()
+    before = a.copy()
+    assert op.centred(a) is a
+    d = shape[-1]
+    shift = np.trace(before, axis1=-2, axis2=-1).real / d
+    assert np.abs(before - a - shift[..., None, None] * np.eye(d)).max() <= 1e-14
+    assert np.abs(np.trace(a, axis1=-2, axis2=-1)).max() <= 1e-13
+
+
 class TestCommutators:
     def test_self_commutation_is_zero(self):
         rng = np.random.default_rng(0)
@@ -43,20 +56,21 @@ class TestCommutators:
         b = random_hermitian(4, rng)
         assert np.allclose(op.commutator(np.eye(4), b), 0)
 
+    # the SEA law forms {A, B} of Hermitian A, B as AB + (AB)^dagger
     def test_anticommutator_with_identity(self):
         rng = np.random.default_rng(2)
         a = random_hermitian(3, rng)
-        assert np.allclose(op.anticommutator(a, np.eye(3)), 2 * a)
+        assert np.allclose(op.plus_adjoint(a @ np.eye(3)), 2 * a)
 
     def test_pauli_anticommutators(self):
-        assert np.allclose(op.anticommutator(SX, SX), 2 * I2)
-        assert np.allclose(op.anticommutator(SX, SY), 0)
+        assert np.allclose(op.plus_adjoint(SX @ SX), 2 * I2)
+        assert np.allclose(op.plus_adjoint(SX @ SY), 0)
 
     def test_hermiticity_character(self):
         # {A,B} Hermitian, [A,B] anti-Hermitian, for Hermitian A, B
         rng = np.random.default_rng(3)
         a, b = random_hermitian(5, rng), random_hermitian(5, rng)
-        anti = op.anticommutator(a, b)
+        anti = op.plus_adjoint(a @ b)
         comm = op.commutator(a, b)
         assert np.abs(anti - anti.conj().T).max() <= 1e-12 * max(1, np.abs(anti).max())
         assert np.abs(comm + comm.conj().T).max() <= 1e-12 * max(1, np.abs(comm).max())

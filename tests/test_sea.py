@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from references import hermitian_basis
+from references import gibbs_seed, hermitian_basis
 from seaqt import composite as cp
 from seaqt import equilibrium as eq
 from seaqt import operators as op
@@ -117,7 +117,7 @@ class TestDissipator:
         assert np.abs(d).max() <= 1e-12
 
     def test_gibbs_is_fixed_point(self, qubit_model):
-        rho = st.gibbs_seed(0.7, qubit_model.H)
+        rho = gibbs_seed(0.7, qubit_model.H)
         d = sea.dissipator_anticommutator(rho, qubit_model)
         assert np.abs(d).max() <= 1e-10
 
@@ -206,7 +206,7 @@ class TestEntropyProduction:
         assert abs(sea.gram_determinant_g(st.pure_state([0, 1]), qubit_model)) <= 1e-12
 
     def test_gram_determinant_zero_at_gibbs(self, qubit_model):
-        rho = st.gibbs_seed(1.3, qubit_model.H)
+        rho = gibbs_seed(1.3, qubit_model.H)
         assert abs(sea.gram_determinant_g(rho, qubit_model)) <= 1e-12
 
     def test_two_level_scalar_oracle(self, qubit_model):
@@ -292,7 +292,7 @@ class TestConstantsOfMotion:
 
 class TestEquilibriumDetection:
     def test_gibbs_is_equilibrium(self, qubit_model):
-        rho = st.gibbs_seed(0.9, qubit_model.H)
+        rho = gibbs_seed(0.9, qubit_model.H)
         report = sea.is_equilibrium(rho, qubit_model)
         assert report.is_equilibrium
         assert report.rhs_norm <= 1e-9

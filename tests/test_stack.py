@@ -329,7 +329,7 @@ def test_projection_failure_names_the_member():
     assert info.value.member == 2
     mu = en.measure([(0.25, m) for m in stack])
     with pytest.raises(StateInvalidError) as info:
-        en.evolve_measure(mu, rhs, t_max=1.0, config=config)
+        en.integrate_support(mu, rhs, config)
     assert info.value.__notes__ == ["support point 2"]
 
 
