@@ -1,10 +1,11 @@
 """Composite-system equation of motion with per-constituent dissipators.
 
 Each elementary constituent J contributes a factor-local dissipator: the
-projection-form kernel of the single-constituent law (``sea.dissipator_kernel``)
-evaluated on the reduced state rho(J), with the reduced Hamiltonian V(J)
-and J's own generators as the operators and the reduced log operator W(J)
-as the log column, B(J) = rho(J) W(J) (``sea.operator_log_column``).
+projection form of the single-constituent law evaluated on the reduced
+state rho(J), with the reduced Hamiltonian V(J) and J's own generators as
+the operators and the reduced log operator W(J) as the log column, B(J) =
+rho(J) W(J) (``sea.operator_log_kernel``: the single system's covariance
+body and Cramer step, ``sea.dissipator_kernel``).
 W(J) = Tr_J'((I(J) (x) rho(J')) ln rho), and V(J) likewise with H.  The
 full dissipative term is the sum over constituents of (tau(J)/hbar^2)
 {D(J), rho(J)} (x) rho(J').
@@ -18,19 +19,22 @@ then J's) with one fancy index.  Contractions of the split rho give every
 rho(J) and rho(J'), and of the split ln rho and H every W(J) and V(J), so
 the dim x dim embedding I(J) (x) rho(J') is never formed; H's split and the
 generators are constants, cached on the model.  One kernel call per kind
-takes the operators (n, ..., k, d_J, d_J), V(J) and the generators centred
-at their trace means, the rows rho(J) / Tr rho(J) and the log columns, and
-the inverse gather puts every {D(J), rho(J)} (x) rho(J') back in the full
-space.  The one eigendecomposition of a call is the global one that ln rho
-needs.  The Hamiltonian term is x + x^dagger for x = (i/hbar) rho H, one
-product, as in ``sea.sea_rhs``.
+takes rho(J) and the operators (n + 1, ..., k, d_J, d_J): V(J) and the
+generators centred at their trace means, then W(J), whose products it
+builds at d_J, as they change with the state.  The inverse gather puts
+every {D(J), rho(J)} (x) rho(J') back in the full space.  The one
+eigendecomposition of a call is the global one that ln rho needs.  The
+Hamiltonian term is x + x^dagger for x = (i/hbar) rho H, one product, as
+in ``sea.sea_rhs``; a raw matrix is made Hermitian once, for both terms.
 
 W(J) needs ln(rho) of the full composite state, which exists only for
 full-rank rho.  Exact products of pure states get an exact-zero
-dissipator, member by member; any other StateOperator that
-``states.is_singular`` flags raises ``SingularCompositeStateError`` naming
-the member (the documented workflow is to mix with epsilon >=
-``operators.MIX_FLOOR`` of the identity before integrating).
+dissipator, member by member.  Any other member that
+``states.is_singular`` flags raises ``SingularCompositeStateError``
+naming it when the state is held to the domain (``strict``; by default a
+StateOperator is, and a raw matrix is an integrator trial point).  The
+documented workflow is to mix with epsilon >= ``operators.MIX_FLOOR`` of
+the identity before integrating.
 """
 
 from __future__ import annotations
@@ -232,29 +236,33 @@ def is_pure_product(rho, model: CompositeModel, reduced=None):
     return bool(pure) if pure.ndim == 0 else pure
 
 
-def _factor_terms(rho, model: CompositeModel):
+def _law_state(rho, strict=None):
+    """rho as a StateOperator, a raw matrix by its Hermitian part wrapped
+    unvalidated, and whether it is held to the documented full-rank
+    domain: ``strict`` if given, else whether rho came as a StateOperator."""
+    return st.as_state(rho), isinstance(rho, StateOperator) if strict is None else strict
+
+
+def _factor_terms(rho: StateOperator, model: CompositeModel, *, strict: bool,
+                  half: bool = True):
     """[(kind, {D(J), rho(J)}, g(J), rho(J'))] per kind, each stacked over
     the members of a state stack and the kind's k members; exact zeros for
     a member that is a pure product, and empty when every member is one.
+    Without ``half`` the dissipators are None and only the g(J) are made.
 
     One pass per kind: the kind's gather map splits rho and ln rho for all
     k members at once (H's split is the model's), contractions reduce them
-    to every rho(J), rho(J'), W(J) and V(J), and one kernel call gives the
-    dissipators from per-member operators (n, ..., k, d_J, d_J), V(J)
-    centred at its trace mean, and log columns B(J) = rho(J) W(J).  The
-    kernel runs at rho(J) / Tr rho(J) with Tr rho(J) as its scale, as
-    ``sea._projection_form`` does, so the term stays traceless at a trial
-    point off the state set.  The one eigendecomposition is the global one
-    that ln rho needs; the reduced states are decomposed only when a member
-    is globally pure, to tell a pure product.
+    to every rho(J), rho(J'), W(J) and V(J), and one
+    ``sea.operator_log_kernel`` call gives the dissipators, at rho(J) / Tr
+    rho(J) and scaled by Tr rho(J), so that they stay traceless at a trial
+    point off the state set.  The reduced states are decomposed only when
+    a member is globally pure, to tell a pure product.
 
-    A StateOperator is held to the documented full-rank domain, member by
-    member.  A raw matrix is an integrator trial point, whose tiny
+    With ``strict``, every member is held to the documented full-rank
+    domain.  Otherwise rho is an integrator trial point, whose tiny
     eigenvalues step negative by O(dt^2): ln rho is then clamped at the log
     floor, a continuous extension off the state manifold.
     """
-    strict = isinstance(rho, StateOperator)
-    rho = st.as_state(rho)
     kinds = model._kind_operators
     marginals = [_marginals(rho.matrix, kind.gather) for kind, _, _ in kinds]
     pure = is_pure_product(rho, model, [StateOperator(rho_j) for rho_j, _ in marginals])
@@ -267,19 +275,17 @@ def _factor_terms(rho, model: CompositeModel):
     terms = []
     for (kind, h_split, gens), (rho_j, rest) in zip(kinds, marginals):
         n, d = 1 + kind.n_gen, kind.gather.shape[-1]
-        ops = np.empty((n, *rest.shape[:-2], d, d), dtype=complex)
+        ops = np.empty((n + 1, *rest.shape[:-2], d, d), dtype=complex)
         ops[0] = op.hermitize(_reduce(rest, h_split))
         # each member's generators, (n - 1, 1, ..., 1, k, d, d) over the stack
-        ops[1:] = gens.reshape(n - 1, *[1] * (rest.ndim - 3), *gens.shape[1:])
-        total = np.trace(rho_j, axis1=-2, axis2=-1).real
-        rows = np.empty((n + 2, *rest.shape[:-2], d, d), dtype=complex)
-        np.divide(rho_j, total[..., None, None], out=rows[n])
-        log_column = sea.operator_log_column(
-            rows, op.hermitize(_reduce(rest, _split(log_full, kind.gather))))
-        half, g = sea.dissipator_kernel(ops, rows, *log_column, total)
-        acomm = op.plus_adjoint(half)
+        ops[1:n] = gens.reshape(n - 1, *[1] * (rest.ndim - 3), *gens.shape[1:])
+        ops[n] = op.hermitize(_reduce(rest, _split(log_full, kind.gather)))
+        k, g = sea.operator_log_kernel(rho_j, ops, half)
+        acomm = None if k is None else op.plus_adjoint(k)
         if any_pure:
-            acomm[pure], g[pure] = 0.0, 0.0
+            g[pure] = 0.0
+            if acomm is not None:
+                acomm[pure] = 0.0
         terms.append((kind, acomm, g, rest))
     return terms
 
@@ -298,13 +304,16 @@ def _embed(terms, weights: np.ndarray, shape) -> np.ndarray:
     return out.reshape(shape)
 
 
-def dissipative_term(rho, model: CompositeModel) -> np.ndarray:
+def dissipative_term(rho, model: CompositeModel, *, strict=None) -> np.ndarray:
     """Sum_J (tau(J)/hbar^2) {D(J), rho(J)} (x) rho(J') on the full space,
     per member of a (..., d, d) stack.  Zero (exactly) on pure products;
-    raises on other singular StateOperators."""
+    raises on other singular states that ``strict`` holds to the domain
+    (by default, a StateOperator is held and a raw matrix is a trial
+    point)."""
+    rho, strict = _law_state(rho, strict)
     taus = np.array([c.tau for c in model.constituents])
-    return _embed(_factor_terms(rho, model), taus / model.units.hbar**2,
-                  st._as_matrix(rho).shape)
+    return _embed(_factor_terms(rho, model, strict=strict), taus / model.units.hbar**2,
+                  rho.matrix.shape)
 
 
 def composite_rhs(rho, model: CompositeModel) -> np.ndarray:
@@ -312,18 +321,19 @@ def composite_rhs(rho, model: CompositeModel) -> np.ndarray:
 
     ``rho`` is one state or a (..., d, d) stack of them, evaluated member by
     member in one pass, each member as a raw matrix (an integrator trial
-    point) or, in a StateOperator, held to the full-rank domain.
+    point) or, in a StateOperator, held to the full-rank domain.  The
+    Hermitian part of a raw matrix is taken once, for both terms.
     """
-    out = _hamiltonian_term(rho, model)
-    out -= dissipative_term(rho, model)
+    rho, strict = _law_state(rho)
+    out = _hamiltonian_term(rho.matrix, model)
+    out -= dissipative_term(rho, model, strict=strict)
     return out
 
 
-def _hamiltonian_term(rho, model: CompositeModel) -> np.ndarray:
-    """-(i/hbar)[H, m] for the Hermitian part m of rho, per member of a
-    stack, as x + x^dagger with x = (i/hbar) m H_c for the centred H_c: one
-    product over the rows of the whole stack, as in ``sea.sea_rhs``."""
-    m = st.as_state(rho).matrix
+def _hamiltonian_term(m: np.ndarray, model: CompositeModel) -> np.ndarray:
+    """-(i/hbar)[H, m] for a Hermitian m, per member of a stack, as x +
+    x^dagger with x = (i/hbar) m H_c for the centred H_c: one product over
+    the rows of the whole stack, as in ``sea.sea_rhs``."""
     d = m.shape[-1]
     return op.plus_adjoint((m.reshape(-1, d) @ model._hamiltonian_operand).reshape(m.shape))
 
@@ -331,8 +341,9 @@ def _hamiltonian_term(rho, model: CompositeModel) -> np.ndarray:
 def composite_entropy_production(rho, model: CompositeModel):
     """Total rate sum_J k tau(J) g(J) / hbar^2 and the per-constituent g(J) >= 0;
     for a (..., d, d) stack, arrays (...) and (..., n) instead of a float and a list."""
-    per = np.zeros((*st._as_matrix(rho).shape[:-2], len(model.constituents)))
-    for kind, _, g, _ in _factor_terms(rho, model):
+    rho, strict = _law_state(rho)
+    per = np.zeros((*rho.matrix.shape[:-2], len(model.constituents)))
+    for kind, _, g, _ in _factor_terms(rho, model, strict=strict, half=False):
         per[..., kind.members] = g
     u = model.units
     total = sum(u.k_B * c.tau * per[..., j] / u.hbar**2
@@ -409,8 +420,10 @@ def reduced_rhs(rho, model: CompositeModel, block) -> np.ndarray:
     terms of K's own constituents, which leaves each {D(J), rho(J)} of K
     embedded against the reduced state of the rest of K."""
     keep, _ = _blocks(model, block)
-    out = _hamiltonian_term(rho, model)
+    rho, strict = _law_state(rho)
+    out = _hamiltonian_term(rho.matrix, model)
     weights = np.array([c.tau if j in keep else 0.0
                         for j, c in enumerate(model.constituents)])
-    out -= _embed(_factor_terms(rho, model), weights / model.units.hbar**2, out.shape)
+    out -= _embed(_factor_terms(rho, model, strict=strict), weights / model.units.hbar**2,
+                  out.shape)
     return op.partial_trace(out, model.dims, keep=keep)

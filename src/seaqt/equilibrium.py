@@ -154,7 +154,7 @@ def solve_multipliers(constants: ConstantSet, target_means,
     m_arr = np.zeros(n)
     phi, p, vecs = dual(m_arr)
     for _ in range(op.MAX_NEWTON_ITERATIONS):
-        means, cov = st.covariance_table((vecs * p) @ vecs.conj().T, ops)[:2]
+        means, cov = st.covariance_table((vecs * p) @ vecs.conj().T, ops)
         residual = means - targets
         if float(np.linalg.norm(residual)) <= tol:
             return MultiplierVector.from_array(m_arr)

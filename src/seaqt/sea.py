@@ -19,28 +19,24 @@ determinant.  It is a polynomial in the Gram entries, so a singular G (a
 generator affine in the others) needs no least-squares solve and gives a
 round-off-level term.
 
-``dissipator_kernel`` evaluates the form in the original basis, in row
-form.  Every deviation anticommutator is a half-product plus its adjoint,
-{Delta F, rho} = K_F + K_F^dagger with K_F = rho F - fbar rho, so the
-kernel works on one complex row array [rho F_a; rho; B], with B = rho L
-the log column, over a whole stack of states.  One real product of those
-rows against the operators' real rows (``states.covariance_rows``) gives
-the Gram table (F_a, F_b) = 2 Re <rho F_a, F_b>_F - 2 fbar_a fbar_b, the
-means fbar and the pairs <B, F_a>, and one coefficient product over the
-same rows gives the half-product K, with {D, rho} = K + K^dagger.
-Per-member scales (the trace renormalization, and in ``sea_rhs``
--tau/hbar^2) multiply the coefficients, not the matrices.  A single
-system's operators are centred at their trace means once per model
-(``operator_stack``): the Gram table, the pairs and K do not change under
-F -> F + c I, and the centred products keep the precision that an energy
-offset would cost.  The composite module calls the same kernel on its
-stacked reduced states with B(J) = rho(J) W(J).  ``sea_rhs`` adds
-(i/hbar) rho H to K and takes the Hermitian sum once, so the rhs is
-Hermitian by construction.  Its one eigendecomposition per call gives the
-clipped spectrum that the entropy-regular log column needs, and one
-product rebuilds rho and B = rho ln rho = U diag(p ln p) U^dagger from it:
-{Delta ln rho, rho} = 2 (B - Tr(B) rho), so singular states need no
-eigenvalue flooring.
+The form is evaluated in the original basis, in product form: {D, rho} =
+K + K^dagger with K = det G B + c rho - sum_a w_a rho F_a, w = det G beta
+and B = rho L the log column.  With the identity, the F_a and their
+symmetrized products {F_a, F_b}/2 at hand (``states.operator_products``),
+the trace, the means and the Gram table at rho are real dot products,
+O(n^2 d^2) (``states.covariance``), and the pairs (F_a, L) those of B.
+``dissipator_kernel`` is the Cramer step from those scalars, shared with
+the composite factors (``operator_log_kernel``, B(J) = rho(J) W(J)).
+
+A single system's operators are centred at their trace means, which
+changes no Gram entry, pair or K and keeps the precision an energy offset
+would cost, and their products are cached once per model.  ``sea_rhs``
+makes one eigendecomposition per call, for the clipped spectrum, and one
+product rebuilds B = rho ln rho = U diag(p ln p) U^dagger from it, so
+singular states need no eigenvalue flooring.  Where no eigenvalue was
+clipped the state is its Hermitian part m over Tr m, and K and the
+Hamiltonian term share the left factor m: one more product gives x, and
+the rhs is x + x^dagger, Hermitian by construction.
 """
 
 from __future__ import annotations
@@ -86,12 +82,20 @@ class SingleConstituentModel:
         return [self.H, *self.generators]
 
     @cached_property
+    def operator_products(self) -> np.ndarray:
+        """``states.operator_products`` of ``operator_list``, each operator
+        centred at its trace mean, F_a - (Tr F_a / d) I, which changes no
+        Gram entry, pair or dissipator: the identity, the F_a and their
+        symmetrized products {F_a, F_b}/2, 1 + n (n + 3) / 2 complex d x d
+        matrices, from which one real product gives the trace, the means and
+        the Gram table at a state; built once per model."""
+        return st.operator_products(op.centred(np.array(self.operator_list(), dtype=complex)))
+
+    @property
     def operator_stack(self) -> np.ndarray:
-        """``operator_list`` as one complex (n, d, d) array, each operator
-        centred at its trace mean, F_a - (Tr F_a / d) I: the operands of
-        ``dissipator_kernel``, which no such shift changes; built once per
-        model."""
-        return op.centred(np.array(self.operator_list(), dtype=complex))
+        """The centred operators F_a as one complex (n, d, d) array, a view
+        into ``operator_products``."""
+        return self.operator_products[1:len(self.generators) + 2]
 
 
 def validate_model(model: SingleConstituentModel) -> SingleConstituentModel:
@@ -132,82 +136,73 @@ def gram_condition_number(rho, model: SingleConstituentModel) -> float:
     return float(np.linalg.cond(st.covariance_table(rho, model.operator_stack)[1]))
 
 
-def operator_log_column(rows: np.ndarray, w: np.ndarray):
-    """The log column of a Hermitian log operator W given as such: writes
-    B = rho W into the last row of a kernel row array whose row before it
-    holds rho, and returns (Tr B, (W, W)), with (W, W) = 2 (Re <B, W>_F -
-    (Tr B)^2).  Per member of a stack, with W (..., d, d)."""
-    b = np.matmul(rows[-2], w, out=rows[-1])
-    tr_b = np.trace(b, axis1=-2, axis2=-1).real
-    inner = np.vecdot(b.reshape(*b.shape[:-2], -1), w.reshape(*w.shape[:-2], -1)).real
-    return tr_b, 2.0 * (inner - tr_b ** 2)
-
-
-def _det(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.det`` of each member of a (..., n, n) stack, in closed form
-    for n <= 2 (H alone, or H and one generator: the common case), where
-    the gufunc's LU factorization of each member costs more than the
-    arithmetic (3.3 against 10.9 us on a (24, 3, 2, 2) stack)."""
-    n = a.shape[-1]
+def _cramer(gram: np.ndarray, pairs: np.ndarray):
+    """det G and w_a = det G_a, G_a the Gram matrix G with column a replaced
+    by the pairs (Cramer's rule: w = det G beta), per member of a stack; in
+    closed form for n <= 2, where an LU factorization per member costs
+    more than the arithmetic."""
+    n = gram.shape[-1]
     if n == 1:
-        return a[..., 0, 0]
+        return gram[..., 0, 0], pairs
     if n == 2:
-        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    return np.linalg.det(a)
-
-
-def dissipator_kernel(ops, rows: np.ndarray, tr_b, log_var, scale=1.0):
-    """(scale K, g) of the operator-valued Gram determinant in projection
-    form, with {D, rho} = K + K^dagger.
-
-    ``rows`` is a C-contiguous complex (n + 2, ..., d, d) array whose last
-    two rows hold rho, a unit-trace Hermitian matrix (the state, or the
-    reduced state rho(J)), or a stack of them, and B = rho L, the log
-    column of the log operator L, with ``tr_b`` = Tr B and ``log_var`` =
-    (L, L).  A single system passes the entropy-regular B = rho ln rho, a
-    composite factor B(J) = rho(J) W(J) (``operator_log_column``).
-    ``ops`` are the n generator operators F_a, shared (n, d, d) or per
-    member (n, ..., d, d).
-    With G the Gram matrix of the generators and G beta = (F, L):
-
-        {D, rho} = det G [{Delta L, rho} - sum_a beta_a {Delta F_a, rho}]
-        g        = det G [(L, L) - (F, L)^T beta]
-
-    the Schur-complement form of the determinant.  Only det G and
-    det G beta enter, and Cramer's rule gives both from one stacked
-    determinant: det G beta_a = det G_a, with G_a the Gram matrix whose
-    column a is replaced by (F, L).  That is the adjugate of G applied to
-    the pairs, a polynomial in the Gram entries, so it stays continuous
-    through singular G: a degenerate generator set gives a round-off-level
-    term, with no least-squares solve and no error.
-
-    ``states.covariance_rows`` writes rho F_a into the first n rows and
-    gives the means fbar_a, G and <B, F_a> from one real product, so
-    (F_a, L) = 2 (Re <B, F_a> - Tr(B) fbar_a).  As {Delta L, rho} = B +
-    B^dagger - 2 Tr(B) rho, with w = det G beta the half-product is
-
-        K = det G B + (w . fbar - det G Tr B) rho - sum_a w_a rho F_a,
-
-    one coefficient product over the rows; ``scale``, a number or one per
-    member, multiplies the coefficients.  K and g have the stack's shape.
-    """
-    n = len(rows) - 2
-    means, gram, prods = st.covariance_rows(rows, ops)
-    pairs = 2.0 * (prods[n + 1] - tr_b[..., None] * means)
-    batch = means.shape[:-1]
-    stack = np.empty((*batch, n + 1, n, n))
+        g00, g01, g10, g11 = gram[..., 0, 0], gram[..., 0, 1], gram[..., 1, 0], gram[..., 1, 1]
+        p0, p1 = pairs[..., 0], pairs[..., 1]
+        w = np.empty_like(pairs)
+        w[..., 0], w[..., 1] = p0 * g11 - g01 * p1, g00 * p1 - p0 * g10
+        return g00 * g11 - g01 * g10, w
+    stack = np.empty((*gram.shape[:-2], n + 1, n, n))
     stack[...] = gram[..., None, :, :]
     stack[..., np.arange(1, n + 1), :, np.arange(n)] = pairs
-    dets = _det(stack)
-    det, det_beta = dets[..., 0], dets[..., 1:]
-    coef = np.empty((*batch, 1, n + 2))
-    coef[..., 0, :n] = -det_beta
-    coef[..., 0, n] = np.vecdot(det_beta, means) - det * tr_b
-    coef[..., 0, n + 1] = det
-    coef *= np.asarray(scale)[..., None, None]
-    d = rows.shape[-1]
-    k = coef @ st._rows_last(rows.view(np.float64).reshape(n + 2, *batch, 2 * d * d))
-    return k.view(complex).reshape(*batch, d, d), det * log_var - np.vecdot(pairs, det_beta)
+    dets = np.linalg.det(stack)
+    return dets[..., 0], dets[..., 1:]
+
+
+def dissipator_kernel(means, gram, pairs, tr_b, log_var):
+    """The Cramer step, shared by single systems and composite factors: the
+    coefficients (det G, w, c, g) of
+
+        K = det G B + c rho - sum_a w_a rho F_a,    {D, rho} = K + K^dagger
+        g = det G (L, L) - (F, L)^T w
+
+    per member of a stack, from the means fbar_a, the Gram table G, the
+    pairs (F, L), Tr B and (L, L), with w = det G beta and c = w . fbar -
+    det G Tr B.  As {Delta L, rho} = B + B^dagger - 2 Tr(B) rho and
+    {Delta F_a, rho} = rho F_a - fbar_a rho plus its adjoint, this is the
+    projection form above.  ``_cramer`` gives det G and w as polynomials in
+    the Gram entries, so they stay continuous through singular G."""
+    det, w = _cramer(gram, pairs)
+    return det, w, np.vecdot(w, means) - det * tr_b, det * log_var - np.vecdot(pairs, w)
+
+
+def _combine(coef: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """sum_a coef[..., a] F_a for complex coefficients (..., n) and ops (n,
+    ..., d, d), shared by the members of a stack ((n, d, d): one product
+    over the whole stack) or one per member."""
+    n, d = len(ops), ops.shape[-1]
+    if ops.ndim == 3:
+        rows = ops.reshape(n, d * d)
+        return (coef.reshape(-1, n) @ rows).reshape(*coef.shape[:-1], d, d)
+    rows = ops.reshape(*ops.shape[:-2], d * d)
+    rows = rows.transpose(*range(1, rows.ndim - 1), 0, rows.ndim - 1)
+    return (coef[..., None, :] @ rows).reshape(*coef.shape[:-1], d, d)
+
+
+def operator_log_kernel(rho: np.ndarray, ops: np.ndarray, half: bool = True):
+    """(K, g) at rho / Tr rho, K scaled by Tr rho so that it stays traceless
+    off the state set, for a Hermitian rho or a stack, with a log operator
+    L given as such: ``ops`` (n + 1, ..., d, d), shared or one per member,
+    holds the F_a and then L.  The covariance of all n + 1 gives the table,
+    the pairs, Tr B = Tr(rho L) and (L, L), and K = rho (det G L - sum_a
+    w_a F_a + c I) is one product, skipped without ``half`` (K is None)."""
+    n = len(ops) - 1
+    products = st.operator_products(ops)
+    means, gram = st.covariance(st.real_dots(rho, products), n + 1)
+    det, w, c, g = dissipator_kernel(means[..., :n], gram[..., :n, :n], gram[..., :n, n],
+                                     means[..., n], gram[..., n, n])
+    if not half:
+        return None, g
+    coef = np.concatenate([c[..., None], -w, det[..., None]], axis=-1)
+    return rho @ _combine(coef, products[:n + 2]), g
 
 
 def _matrix_and_spectrum(rho, model: SingleConstituentModel):
@@ -223,28 +218,62 @@ def _matrix_and_spectrum(rho, model: SingleConstituentModel):
     return m, spec
 
 
-def _projection_form(spec: st.SpectralForm, model: SingleConstituentModel, scale=1.0):
-    """scale K and g at the state of spectral form ``spec``, with the regular
-    p ln p pieces as the log column.  It runs at q = p / sum p, sum p joining
-    the scale, so the result is traceless even where a trial state's
-    negative eigenvalue clipped to 0.  Per member of a (..., d, d) stack."""
+def _law_terms(m: np.ndarray, spec: st.SpectralForm, model: SingleConstituentModel):
+    """(t, m_c, B, (det G, w, c, g)) at the Hermitian matrix m with spectral
+    form ``spec``, per member of a stack.  The law runs at rho_q = m_c / t,
+    m_c = U diag(p) U^dagger for the clipped spectrum p and t = Tr m_c, so
+    the result is traceless even where a trial state's negative eigenvalue
+    clipped to 0.  Where nothing was clipped m_c = m, and one product
+    rebuilds B = rho_q ln rho_q; after a clip it rebuilds m_c too.  The
+    traces are those of the matrices, not of their spectra, so that the
+    round-off of the eigendecomposition cancels from the trace of K."""
     p, u = spec.eigenvalues, spec.eigenvectors
-    total = p.sum(axis=-1)
-    q = p / total[..., None]
-    plogp, tr_b, log_var = st.regular_log_spectrum(q)
-    ops = model.operator_stack
-    rho_b = st.spectral_matrices(u, q, plogp)
-    # the row array is made after the product has freed its temporaries: the
-    # other order lifts the heap's high-water mark, and at d = 64 glibc's
-    # malloc then trims and refaults the heap on every call
-    rows = np.empty((len(ops) + 2, *u.shape), dtype=complex)
-    rows[-2:] = rho_b
-    return dissipator_kernel(ops, rows, tr_b, log_var, scale * total)
+    plogp, log_var = st.regular_log_spectrum(p / p.sum(axis=-1)[..., None])
+    clipped = (p[..., -1] <= 0.0) | (p[..., 0] >= 1.0)
+    if clipped.any():
+        rebuilt, b = st.spectral_matrices(u, p, plogp)
+        m_c = np.where(clipped[..., None, None], rebuilt, m)
+    else:
+        m_c, (b,) = m, st.spectral_matrices(u, plogp)
+    products, n = model.operator_products, len(model.generators) + 1
+    dots = st.real_dots(m_c, products)
+    b_dots = st.real_dots(b, products[:n + 1])
+    means, gram = st.covariance(dots, n)
+    tr_b = b_dots[..., 0]
+    pairs = 2.0 * (b_dots[..., 1:] - tr_b[..., None] * means)
+    return dots[..., 0], m_c, b, dissipator_kernel(means, gram, pairs, tr_b, log_var)
 
 
-def _dissipator_half(rho, model: SingleConstituentModel, scale=1.0):
-    """The Hermitian matrix m of rho and scale K, with {D, rho} = K + K^dagger,
-    per member of a stack; K is None when every member is pure."""
+def _half_product(m: np.ndarray, spec: st.SpectralForm, model: SingleConstituentModel,
+                  hamiltonian=0.0, scale=1.0) -> np.ndarray:
+    """x = hamiltonian m H_c + scale K, per member of a stack, with H_c the
+    centred Hamiltonian, so that the velocity is x + x^dagger:
+
+        x = m_c (scale c I + hamiltonian H_c - scale sum_a w_a F_a)
+            + scale t det G B,
+
+    one coefficient product over the cached operators and one d x d
+    product beside the rebuild of B; after a clip, (m - m_c) H_c is one
+    more."""
+    t, m_c, b, (det, w, c, _) = _law_terms(m, spec, model)
+    scale = np.asarray(scale)
+    n = w.shape[-1]
+    coef = np.empty((*w.shape[:-1], n + 1), dtype=complex)
+    coef[..., 0] = scale * c
+    coef[..., 1:] = -scale[..., None] * w
+    coef[..., 1] += hamiltonian
+    x = m_c @ _combine(coef, model.operator_products[:n + 1])
+    b *= (scale * t * det)[..., None, None]
+    x += b
+    if m_c is not m and hamiltonian:
+        # the Hamiltonian term acts on m itself: add back what the clip took
+        x += _times_shared(m - m_c, hamiltonian * model.operator_stack[0])
+    return x
+
+
+def _velocity(rho, model: SingleConstituentModel, hamiltonian=0.0, scale=1.0) -> np.ndarray:
+    """``_half_product`` at rho, per member of a stack, with a zero scale for
+    a pure member, and no dissipator at all when every member is pure."""
     m, spec = _matrix_and_spectrum(rho, model)
     # Pure states are exact fixed points of the dissipative term (rho ln rho
     # is the null operator); an exact zero keeps integrator round-off from
@@ -252,16 +281,24 @@ def _dissipator_half(rho, model: SingleConstituentModel, scale=1.0):
     # the clipped spectrum so that trial steps overshooting purity still
     # branch; a pure member of a mixed stack gets a zero scale.
     pure = st.is_pure(spec.eigenvalues)
-    if pure.all():
-        return m, None
-    return m, _projection_form(spec, model, np.where(pure, 0.0, scale))[0]
+    if not pure.all():
+        return _half_product(m, spec, model, hamiltonian, np.where(pure, 0.0, scale))
+    if hamiltonian:
+        return _times_shared(m, hamiltonian * model.operator_stack[0])
+    return np.zeros_like(m)
+
+
+def _times_shared(m: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """m a for one d x d operand a shared by every member of a stack m: one
+    product over the rows of the whole stack."""
+    d = m.shape[-1]
+    return (m.reshape(-1, d) @ a).reshape(m.shape)
 
 
 def dissipator_anticommutator(rho, model: SingleConstituentModel) -> np.ndarray:
     """{D, rho} with D the operator-valued determinant of the dissipative
     term; per member of a (..., d, d) stack."""
-    m, k = _dissipator_half(rho, model)
-    return np.zeros_like(m) if k is None else op.plus_adjoint(k)
+    return op.plus_adjoint(_velocity(rho, model))
 
 
 def sea_rhs(rho, model: SingleConstituentModel) -> np.ndarray:
@@ -273,23 +310,17 @@ def sea_rhs(rho, model: SingleConstituentModel) -> np.ndarray:
     dissipator.  With m the Hermitian part of rho, H_c the centred
     Hamiltonian (``operator_stack``, same commutator) and K the kernel's
     half-product, the rhs is x + x^dagger for x = (i/hbar) m H_c -
-    (tau/hbar^2) K, so it is Hermitian by construction.
+    (tau/hbar^2) K, so it is Hermitian by construction; the Hamiltonian
+    term shares the dissipator's left factor m.
     """
     hbar = model.units.hbar
-    m, k = _dissipator_half(rho, model, -model.tau / hbar**2)
-    # -(i/hbar) [H_c, m] = x + x^dagger for x = (i/hbar) m H_c, one product
-    # over the rows of the whole stack
-    d = m.shape[-1]
-    x = (m.reshape(-1, d) @ ((1j / hbar) * model.operator_stack[0])).reshape(m.shape)
-    if k is not None:
-        x += k
-    return op.plus_adjoint(x)
+    return op.plus_adjoint(_velocity(rho, model, 1j / hbar, -model.tau / hbar**2))
 
 
 def gram_determinant_g(rho, model: SingleConstituentModel):
     """Entropy-production Gram determinant over {ln rho, H, X, ..., Y}; >= 0.
     One value per member of a (..., d, d) stack."""
-    return _projection_form(_matrix_and_spectrum(rho, model)[1], model)[1]
+    return _law_terms(*_matrix_and_spectrum(rho, model), model)[-1][-1]
 
 
 def entropy_production_rate(rho, model: SingleConstituentModel) -> float:

@@ -20,18 +20,20 @@ vectors from one product.  ``gibbs_spectrum`` gives the weights of a Gibbs
 state exp(K)/Z and ln Z from one ``eigh`` of K.
 
 Covariance products (F, G) = Tr(rho {Delta F, Delta G}) have one body,
-``covariance_rows``, in the original basis: on a row array holding rho it
-writes the products rho F_a, and one real product of every row against
-the operators gives the means, the table and the products of any further
-rows.  The SEA kernel (single systems and composite factors alike) calls
-it on its own rows; the Gram conditioning probe and the Newton Hessian of
-the maxent dual read it through ``covariance_table``.
+``covariance``, in the original basis and in product form: with the
+identity, the operators F_a and their symmetrized products {F_a, F_b}/2
+at hand (``operator_products``), the trace, the means and the table at
+rho are real dot products (``real_dots``), O(n^2 d^2) per state, with no
+d x d product.  A single system caches its operator products on the
+model; the composite factors, whose V(J) and W(J) change with the state,
+build theirs per call at d_J.  The Gram conditioning probe and the Newton
+Hessian of the maxent dual read the body through ``covariance_table``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -77,7 +79,7 @@ def spectral_form(m: np.ndarray) -> SpectralForm:
     """The spectral form of a Hermitian matrix, per member of a (..., d, d)
     stack: one stacked ``eigh``."""
     vals, vecs = np.linalg.eigh(m)   # ascending
-    return SpectralForm(np.clip(vals[..., ::-1], 0.0, 1.0), vecs[..., ::-1])
+    return SpectralForm(vals[..., ::-1].clip(0.0, 1.0), vecs[..., ::-1])
 
 
 @dataclass(frozen=True)
@@ -210,8 +212,7 @@ def spectral_matrices(u: np.ndarray, *weights: np.ndarray) -> np.ndarray:
     (len(weights), ..., d, d) array; per member of a stack, with u (..., d,
     d) and each w (..., d)."""
     # the result is allocated before its factors: the other order made
-    # glibc's malloc trim and refault the heap on every d = 64 call, as the
-    # row array of sea._projection_form does when made before this product
+    # glibc's malloc trim and refault the heap on every d = 64 call
     out = np.empty((len(weights), *u.shape), dtype=complex)
     left = np.empty_like(out)
     for i, w in enumerate(weights):
@@ -240,13 +241,12 @@ def rho_log_rho(rho) -> np.ndarray:
 
 
 def regular_log_spectrum(p: np.ndarray):
-    """(p ln p, Tr B, (ln rho, ln rho)) of a spectrum p, or of each of a
-    (..., d) stack, from the regular forms: B = rho ln rho has the spectrum
-    p ln p, and (ln rho, ln rho) = 2 [sum p (ln p)^2 - (sum p ln p)^2]."""
+    """(p ln p, (ln rho, ln rho)) of a spectrum p, or of each of a (..., d)
+    stack, from the regular forms: B = rho ln rho has the spectrum p ln p,
+    and (ln rho, ln rho) = 2 [sum p (ln p)^2 - (sum p ln p)^2]."""
     log_p = np.log(np.where(p > op.LOG_ZERO_CUTOFF, p, 1.0))
     plogp = p * log_p
-    tr_b = plogp.sum(axis=-1)
-    return plogp, tr_b, 2.0 * (np.vecdot(plogp, log_p) - tr_b ** 2)
+    return plogp, 2.0 * (np.vecdot(plogp, log_p) - plogp.sum(axis=-1) ** 2)
 
 
 def log_operator(rho) -> np.ndarray:
@@ -272,60 +272,71 @@ def _real_rows(a: np.ndarray) -> np.ndarray:
     return a.view(np.float64).reshape(*a.shape[:-2], -1)
 
 
-def covariance_rows(rows: np.ndarray, ops):
-    """The one covariance body, on a C-contiguous complex row array ``rows``
-    (r, ..., d, d) whose row n = len(ops) holds rho, or a stack of them.
-    It writes rho F_a into rows :n, and one real product of every row
-    against the operators' real rows gives prods[i, ..., b] = Re <R_i,
-    F_b>_F.  The means are fbar = prods[n] and the table is (F_a, F_b) =
-    Tr(rho {Delta F_a, Delta F_b}) = 2 (prods[a, ..., b] - fbar_a fbar_b);
-    rows after n give their own products with the F_b.  ``ops`` (n, d, d)
-    are shared by the members of the stack, one product each over the rows
-    of the whole stack, or (n, ..., d, d) per member.  Returns (means,
-    table, prods)."""
-    if rows.dtype != complex or not rows.flags.c_contiguous:
-        # the products are written through reshaped views of rows
-        raise ValueError("covariance_rows needs a C-contiguous complex row array")
+@lru_cache(maxsize=None)
+def _pairs(n: int):
+    """The pairs a <= b of n operators in ``np.triu_indices`` order, and the
+    (n, n) map from (a, b) and (b, a) to their place in it; read-only, as
+    a handful of n occur."""
+    a, b = np.triu_indices(n)
+    place = np.empty((n, n), dtype=np.intp)
+    place[a, b] = place[b, a] = np.arange(len(a))
+    for x in (a, b, place):
+        x.flags.writeable = False
+    return a, b, place
+
+
+def operator_products(ops) -> np.ndarray:
+    """The identity, the operators F_a, (n, ..., d, d) shared by a stack ((n,
+    d, d)) or one per member, and their symmetrized products {F_a, F_b}/2
+    for a <= b (in ``np.triu_indices`` order), as one complex (1 + n (n + 3)
+    / 2, ..., d, d) array: the operands of ``covariance``.  One product per
+    pair."""
     ops = np.asarray(ops, dtype=complex)
-    n, d = len(ops), rows.shape[-1]
-    rho = rows[n]
-    if ops.ndim == 3:
-        np.matmul(rho.reshape(1, -1, d), ops, out=rows[:n].reshape(n, -1, d))
-    else:
-        np.matmul(rho, ops, out=rows[:n])
-    op_rows = _real_rows(ops)
-    flat = rows.view(np.float64).reshape(*rows.shape[:-2], 2 * d * d)
-    if op_rows.ndim == 2:
-        prods = (flat.reshape(-1, 2 * d * d) @ op_rows.T).reshape(*rows.shape[:-2], n)
-    else:
-        prods = _rows_first(_rows_last(flat) @ _rows_last(op_rows).swapaxes(-1, -2))
-    means = prods[n]
-    table = 2.0 * (_rows_last(prods[:n]) - means[..., :, None] * means[..., None, :])
-    return means, table, prods
+    n = len(ops)
+    a, b, _ = _pairs(n)
+    out = np.empty((1 + n + len(a), *ops.shape[1:]), dtype=complex)
+    out[0] = np.eye(ops.shape[-1])
+    out[1:n + 1] = ops
+    prod = ops[a] @ ops[b]
+    # (F_a F_b)^dagger = F_b F_a for Hermitian operators
+    np.add(prod, prod.conj().swapaxes(-1, -2), out=out[n + 1:])
+    out[n + 1:] *= 0.5
+    return out
 
 
-def _rows_last(a: np.ndarray) -> np.ndarray:
-    """A view of a row array (r, ..., k) with the row axis moved next to the
-    last, (..., r, k)."""
-    return a.transpose(*range(1, a.ndim - 1), 0, a.ndim - 1)
+def real_dots(a: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Re <A, F_i>_F = Re Tr(A^dagger F_i) of a matrix, or of each member of
+    a (..., d, d) stack, against each of ``ops``, shared (r, d, d) or one
+    per member (r, ..., d, d): a (..., r) array.  For Hermitian A and F it
+    is Tr(A F)."""
+    x, y = _real_rows(a), _real_rows(ops)
+    if y.ndim == 2:
+        return (x.reshape(-1, x.shape[-1]) @ y.T).reshape(*x.shape[:-1], len(y))
+    dots = np.vecdot(x, y)
+    return dots.transpose(*range(1, dots.ndim), 0)
 
 
-def _rows_first(a: np.ndarray) -> np.ndarray:
-    """The inverse of ``_rows_last``: (..., r, k) as a view (r, ..., k)."""
-    return a.transpose(a.ndim - 2, *range(a.ndim - 2), a.ndim - 1)
+def covariance(dots: np.ndarray, n: int):
+    """The one covariance body: the means fbar_a = Tr(rho F_a) and the table
+    (F_a, F_b) = Tr(rho {Delta F_a, Delta F_b}) = 2 Tr(rho {F_a, F_b}/2) -
+    2 fbar_a fbar_b of n operators at rho = A / Tr A, from the ``real_dots``
+    (..., r) of a Hermitian A, or of each member of a stack, against their
+    ``operator_products``, whose first, Tr A, normalizes the rest: O(n^2
+    d^2) per member, in one real product."""
+    dots = dots[..., 1:] / dots[..., :1]
+    means = dots[..., :n]
+    place = _pairs(n)[2]
+    return means, 2.0 * (dots[..., n + place] - means[..., :, None] * means[..., None, :])
 
 
 def covariance_table(rho, ops):
     """The means fbar_a = Tr(rho F_a) of the Hermitian ``ops`` and their table
-    (F_a, F_b) = Tr(rho {Delta F_a, Delta F_b}), by ``covariance_rows``.
-    ``rho`` is a state, a matrix or a (..., d, d) stack, and ``ops`` (n, d,
-    d) are shared by its members or (..., n, d, d) per member."""
-    rho = _as_matrix(rho)
+    (F_a, F_b) = Tr(rho {Delta F_a, Delta F_b}), by ``covariance``.  ``rho``
+    is a state, a matrix or a (..., d, d) stack, and ``ops`` (n, d, d) are
+    shared by its members or (..., n, d, d) per member."""
     ops = np.asarray(ops, dtype=complex)
-    n = ops.shape[-3]
-    rows = np.empty((n + 1, *rho.shape), dtype=complex)
-    rows[n] = rho
-    return covariance_rows(rows, ops if ops.ndim == 3 else np.moveaxis(ops, -3, 0))[:2]
+    ops = ops if ops.ndim == 3 else np.moveaxis(ops, -3, 0)
+    return covariance(real_dots(_as_matrix(rho), operator_products(ops)), len(ops))
 
 
 def distance(rho_a, rho_b) -> float:

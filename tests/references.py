@@ -119,7 +119,7 @@ def covariance_with_log(f, rho) -> float:
 
 def log_variance(rho) -> float:
     """(ln rho, ln rho) = 2 [sum p (ln p)^2 - (sum p ln p)^2], always finite."""
-    return st.regular_log_spectrum(st.as_state(rho).eigenvalues)[2]
+    return st.regular_log_spectrum(st.as_state(rho).eigenvalues)[1]
 
 
 def _reduced(rho: st.StateOperator, model: cp.CompositeModel, j: int,
@@ -151,23 +151,17 @@ def reduced_log(rho, model: cp.CompositeModel, j: int) -> np.ndarray:
     return _reduced(rho, model, j, st.log_operator(rho))
 
 
-def kernel_rows(rho, n: int) -> np.ndarray:
-    """A ``sea.dissipator_kernel`` row array for n operators, rho (or a
-    stack of states) in its row n and the other rows unset."""
-    rho = np.asarray(rho, dtype=complex)
-    rows = np.empty((n + 2, *rho.shape), dtype=complex)
-    rows[n] = rho
-    return rows
-
-
 def log_operator_kernel(rho, ops, log_op):
-    """``sea.dissipator_kernel`` (K, g) at rho with the operators ``ops``,
+    """``sea.operator_log_kernel`` (K, g) at rho with the operators ``ops``,
     (n, d, d) or (..., n, d, d) per member of a stack, and the log column
     B = rho L of the log operator L."""
+    rho = np.asarray(rho, dtype=complex)
     ops = np.asarray(ops, dtype=complex)
-    rows = kernel_rows(rho, ops.shape[-3])
-    return sea.dissipator_kernel(np.moveaxis(ops, -3, 0), rows,
-                                 *sea.operator_log_column(rows, log_op))
+    n = ops.shape[-3]
+    operands = np.empty((n + 1, *rho.shape), dtype=complex)
+    operands[:n] = np.moveaxis(ops, -3, 0)
+    operands[n] = log_op
+    return sea.operator_log_kernel(rho, operands)
 
 
 def thinned(traj, k: int):

@@ -14,9 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import cofactor_reference as ref
-from references import (covariance_with_log, kernel_rows, log_operator_kernel,
-                        log_variance, random_hermitian, reduced_hamiltonian,
-                        reduced_log)
+from references import (covariance_with_log, log_operator_kernel, log_variance,
+                        random_hermitian, reduced_hamiltonian, reduced_log)
 from seaqt import composite as cp
 from seaqt import operators as op
 from seaqt import sea
@@ -38,6 +37,17 @@ def expansion_bound(gram):
     inequality on the scalar rows gives prod_a sqrt(d_a) (sum d)^(n+1)/2."""
     d = np.diag(gram)
     return float(np.prod(np.sqrt(d[1:])) * d.sum() ** (len(d) / 2))
+
+
+def law_bound(rho, model):
+    """``expansion_bound`` of the full Gram matrix over (ln rho, H, X, ...)
+    at the state rho."""
+    ops = model.operator_list()
+    gram = np.empty((len(ops) + 1,) * 2)
+    gram[0, 0] = log_variance(rho)
+    gram[1:, 1:] = ref.pair_table(rho.matrix, ops)
+    gram[0, 1:] = gram[1:, 0] = [covariance_with_log(f, rho) for f in ops]
+    return expansion_bound(gram)
 
 
 def make_state(kind, dim, rng):
@@ -70,12 +80,7 @@ def test_single_kernel_matches_cofactor_expansion(seed, dim, gen_set, kind):
     rho = make_state(kind, dim, rng)
     with np.errstate(all="raise"):
         want_acomm, want_g = ref.single(rho, model.H, model.generators)
-        ops = model.operator_list()
-        gram = np.empty((len(ops) + 1,) * 2)
-        gram[0, 0] = log_variance(rho)
-        gram[1:, 1:] = ref.pair_table(rho.matrix, ops)
-        gram[0, 1:] = gram[1:, 0] = [covariance_with_log(f, rho) for f in ops]
-        bound = expansion_bound(gram)
+        bound = law_bound(rho, model)
         got_acomm = sea.dissipator_anticommutator(rho, model)
         got_g = sea.gram_determinant_g(rho, model)
     assert np.isfinite(got_acomm).all() and np.isfinite(got_g)
@@ -128,9 +133,8 @@ def test_kernel_with_ordinary_log_column_matches_regular_form():
     p, u = rho.spectral.eigenvalues, rho.spectral.eigenvectors
     log_rho = (u * np.log(p)) @ u.conj().T
     got = log_operator_kernel(rho.matrix, [h, x], log_rho)
-    rows = kernel_rows(rho.matrix, 2)
-    rows[3] = b = st.rho_log_rho(rho)
-    want = sea.dissipator_kernel([h, x], rows, np.trace(b).real, log_variance(rho))
+    model = sea.SingleConstituentModel(H=h, generators=(x,))
+    want = sea._velocity(rho, model), sea.gram_determinant_g(rho, model)
     assert np.abs(got[0] - want[0]).max() <= 1e-12
     assert got[1] == pytest.approx(want[1], rel=1e-10)
     want_acomm, want_g = ref.single(rho, h, (x,))
@@ -142,16 +146,17 @@ def test_kernel_with_ordinary_log_column_matches_regular_form():
 def spectrum_state(kind, dim, rng):
     """A random eigenbasis with a spectrum of the given kind: full rank, its
     smallest eigenvalue at 1e-12, or a trial point whose smallest eigenvalue
-    -1e-11 the spectral form clips to 0 (returned as a raw matrix)."""
+    -1e-11 ("clipped") or -1e-6 ("deep_clip") the spectral form clips to 0
+    (returned as a raw matrix)."""
     u = random_unitary(dim, rng)
     p = rng.uniform(0.5, 1.5, dim)
     p /= p.sum()
     if kind != "full":
-        shift = 1e-12 if kind == "near_singular" else -1e-11
+        shift = {"near_singular": 1e-12, "clipped": -1e-11, "deep_clip": -1e-6}[kind]
         p[0] += p[-1] - shift
         p[-1] = shift
     m = op.hermitize((u * p) @ u.conj().T)
-    return m if kind == "clipped" else st.validate(m)
+    return st.validate(m) if kind in ("full", "near_singular") else m
 
 
 @settings(SETTINGS, max_examples=48)
@@ -173,13 +178,8 @@ def test_original_basis_kernel_matches_cofactor_expansion(seed, dim, n_gen, kind
                                                   spec.eigenvalues / total)[0])
     with np.errstate(all="raise"):
         want_acomm, want_g = ref.single(rho_q, h, model.generators)
-        ops = model.operator_list()
-        gram = np.empty((len(ops) + 1,) * 2)
-        gram[0, 0] = log_variance(rho_q)
-        gram[1:, 1:] = ref.pair_table(rho_q.matrix, ops)
-        gram[0, 1:] = gram[1:, 0] = [covariance_with_log(f, rho_q) for f in ops]
-        bound = expansion_bound(gram)
-        got_half = sea._projection_form(spec, model)[0]
+        bound = law_bound(rho_q, model)
+        got_half = sea._half_product(st.as_state(rho).matrix, spec, model)
         got_acomm = sea.dissipator_anticommutator(rho, model)
         got_g = sea.gram_determinant_g(rho, model)
     assert np.abs(op.plus_adjoint(got_half) - total * want_acomm).max() <= TOL * bound
@@ -192,6 +192,40 @@ def test_original_basis_kernel_matches_cofactor_expansion(seed, dim, n_gen, kind
     rhs = sea.sea_rhs(rho, model)
     assert np.array_equal(rhs, rhs.conj().T)
     assert abs(np.trace(rhs)) <= 1e-14 * max(1.0, np.abs(rhs).max())
+
+
+@settings(SETTINGS, max_examples=60)
+@given(seed=hs.integers(0, 2**31 - 1), dim=hs.sampled_from([2, 3, 4, 8]),
+       n_gen=hs.integers(0, 2),
+       kind=hs.sampled_from(["full", "near_singular", "clipped", "deep_clip", "stack"]))
+def test_sea_rhs_matches_the_law_at_the_clipped_spectrum(seed, dim, n_gen, kind):
+    # sea_rhs takes the dissipator's left factor from m itself where no
+    # eigenvalue was clipped, and from the spectrum's rebuild where one was;
+    # both give -(i/hbar)[H, m] - (tau/hbar^2) Tr {D, rho_q}, with the law
+    # at rho_q, the clipped spectrum at unit trace.  "stack" mixes the
+    # four kinds in one call.
+    rng = np.random.default_rng(seed)
+    u = random_unitary(dim, rng)
+    h, *gens = [op.hermitize((u * rng.normal(size=dim)) @ u.conj().T)
+                for _ in range(n_gen + 1)]
+    model = sea.SingleConstituentModel(H=h, generators=tuple(gens),
+                                       tau=float(rng.uniform(0.2, 1.0)))
+    kinds = ["full", "near_singular", "clipped", "deep_clip"] if kind == "stack" else [kind]
+    members = [st.as_state(spectrum_state(k, dim, rng)).matrix for k in kinds]
+    got = sea.sea_rhs(np.stack(members) if kind == "stack" else members[0], model)
+    hbar = model.units.hbar
+    for m, rhs in zip(members, got.reshape(len(members), dim, dim)):
+        spec = st.spectral_form(m)
+        total = spec.eigenvalues.sum()
+        rho_q = st.StateOperator(st.spectral_matrices(spec.eigenvectors,
+                                                      spec.eigenvalues / total)[0])
+        want = -1j / hbar * op.commutator(h, m)
+        with np.errstate(all="raise"):
+            if not st.is_pure(spec.eigenvalues):
+                # a state on the purity cut gets an exact-zero dissipator
+                want -= model.tau / hbar**2 * total * ref.single(rho_q, h, model.generators)[0]
+            bound = law_bound(rho_q, model)
+        assert np.abs(rhs - want).max() <= TOL * bound
 
 
 @settings(SETTINGS, max_examples=24)

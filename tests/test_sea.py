@@ -340,7 +340,7 @@ def dissipative_jacobian(rho, model, eps=1e-6):
     basis = np.array(hermitian_basis(model.dim))
 
     def f(m):
-        return -op.plus_adjoint(sea._dissipator_half(m, model)[1])
+        return -op.plus_adjoint(sea._velocity(m, model))
 
     cols = [(f(rho + eps * q) - f(rho - eps * q)) / (2.0 * eps) for q in basis]
     return np.array([[np.trace(q @ c).real for c in cols] for q in basis])

@@ -173,51 +173,58 @@ def covariance_product(f, g, rho) -> float:
 
 class TestCovarianceTable:
     """The one covariance body against the explicit pair table, on each of
-    its call shapes: ``covariance_table``, and ``covariance_rows`` on a row
-    array with one more row after rho."""
+    its call shapes: ``covariance_table``, and ``covariance`` on the
+    ``operator_products``, with the ``real_dots`` of one more matrix."""
 
     @staticmethod
-    def check(rho, ops, got, rows, prods):
+    def check(rho, ops, got, products, dots, extra):
         means, table = got
         n = len(ops)
         assert np.abs(means - [np.trace(rho @ f).real for f in ops]).max() <= 1e-13
         assert np.abs(table - ref.pair_table(rho, list(ops))).max() <= 1e-13
-        assert np.abs(rows[:n] - rho @ ops).max() <= 1e-14
-        assert np.array_equal(rows[n], rho)
-        assert np.array_equal(prods[n], means)
-        extra = [np.vdot(rows[n + 1], f).real for f in ops]
-        assert np.abs(prods[n + 1] - extra).max() <= 1e-14
+        a, b = np.triu_indices(n)
+        sym = [(ops[i] @ ops[j] + ops[j] @ ops[i]) / 2 for i, j in zip(a, b)]
+        assert np.abs(products[n + 1:] - sym).max() <= 1e-14
+        assert np.array_equal(products[1:n + 1], ops)
+        assert np.array_equal(products[0], np.eye(len(rho)))
+        assert np.array_equal(dots[0], means)
+        want = [np.vdot(extra, f).real for f in ops]
+        assert np.abs(dots[1] - want).max() <= 1e-14
 
     @staticmethod
-    def rows(rho, ops, rng):
-        """``covariance_rows`` on [?; rho; Y] with a random Hermitian Y per
-        member: the filled rows and their products, member axes first."""
+    def products(rho, ops, rng):
+        """``operator_products`` of ops, the ``real_dots`` of rho against the
+        operators over those against the identity (its trace), and the
+        ``real_dots`` of a random Hermitian Y per member, with Y: member axes
+        first."""
         n, d = ops.shape[-3], rho.shape[-1]
-        rows = np.empty((n + 2, *rho.shape), dtype=complex)
-        rows[n] = rho
-        rows[n + 1] = np.reshape(
+        ops = ops if ops.ndim == 3 else np.moveaxis(ops, -3, 0)
+        products = st.operator_products(ops)
+        extra = np.reshape(
             [random_hermitian(d, rng) for _ in range(rho[..., 0, 0].size)], rho.shape)
-        means, table, prods = st.covariance_rows(
-            rows, ops if ops.ndim == 3 else np.moveaxis(ops, -3, 0))
-        assert np.array_equal(prods[n], means)
-        return np.moveaxis(rows, 0, -3), np.moveaxis(prods, 0, -2)
+        rho_dots = st.real_dots(rho, products)
+        means, _ = st.covariance(rho_dots, n)
+        dots = np.stack([rho_dots[..., 1:n + 1] / rho_dots[..., :1],
+                         st.real_dots(extra, products)[..., 1:n + 1]])
+        assert np.array_equal(dots[0], means)
+        return np.moveaxis(products, 0, -3), np.moveaxis(dots, 0, -2), extra
 
     def test_one_state(self):
         rng = np.random.default_rng(40)
         rho = st.random_full_rank(4, seed=41)
         ops = np.stack([random_hermitian(4, rng) for _ in range(3)])
         self.check(rho.matrix, ops, st.covariance_table(rho, ops),
-                   *self.rows(rho.matrix, ops, rng))
+                   *self.products(rho.matrix, ops, rng))
 
     def test_stack_with_shared_operators(self):
         rng = np.random.default_rng(42)
         stack = np.stack([st.random_full_rank(3, seed=s).matrix for s in range(5)])
         ops = np.stack([random_hermitian(3, rng) for _ in range(2)])
         got = st.covariance_table(stack, ops)
-        rows, prods = self.rows(stack, ops, rng)
+        products, dots, extra = self.products(stack, ops, rng)
         assert got[1].shape == (5, 2, 2)
         for i, m in enumerate(stack):
-            self.check(m, ops, [a[i] for a in got], rows[i], prods[i])
+            self.check(m, ops, [a[i] for a in got], products, dots[i], extra[i])
 
     def test_stack_with_per_member_operators(self):
         rng = np.random.default_rng(43)
@@ -226,17 +233,11 @@ class TestCovarianceTable:
         ops = np.stack([random_hermitian(3, rng)
                         for _ in range(24)]).reshape(2, 3, 4, 3, 3)
         got = st.covariance_table(stack, ops)
-        rows, prods = self.rows(stack, ops, rng)
+        products, dots, extra = self.products(stack, ops, rng)
         assert got[1].shape == (2, 3, 4, 4)
         for i in np.ndindex(2, 3):
-            self.check(stack[i], ops[i], [a[i] for a in got], rows[i], prods[i])
-
-    def test_rejects_a_row_array_it_cannot_write_in_place(self):
-        ops = np.stack([np.eye(3, dtype=complex)] * 2)
-        rows = np.empty((4, 4, 3, 3), dtype=complex)
-        for strided in (rows.swapaxes(-1, -2), rows[:, ::2], rows[1:, ::2]):
-            with pytest.raises(ValueError, match="C-contiguous"):
-                st.covariance_rows(strided, ops)
+            self.check(stack[i], ops[i], [a[i] for a in got], products[i], dots[i],
+                       extra[i])
 
 
 class TestCovarianceProduct:
