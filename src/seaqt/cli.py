@@ -99,13 +99,13 @@ def build_initial(config: dict, scenario: Scenario) -> st.StateOperator:
     return rho0
 
 
-def preflight(scenario: Scenario, rho: st.StateOperator, where: str = "initial") -> None:
+def preflight(scenario: Scenario, rho, where: str = "initial") -> None:
     """Hold the state or stack a subcommand integrates, named ``where``, to the
-    system's dimension and, on a composite system, to the documented domain:
-    ``composite_rhs`` on a StateOperator is strict."""
+    system's dimension and, on a composite system, to the documented domain
+    (``composite.require_full_rank``)."""
     sz.require_state_dim(rho, scenario.model, where)
     if scenario.kind == "composite":
-        cp.composite_rhs(rho, scenario.model)
+        cp.require_full_rank(rho, scenario.model)
 
 
 def build_integrator(config: dict) -> ig.IntegratorConfig:
@@ -170,9 +170,9 @@ def build_dynamics(kind: str, model, name: str, block: dict, units):
         rhs = lb.double_commutator(f, block["tau"], model.H, units=units)
 
     def g_rate(m):
-        rho = st.as_state(m)
-        rate = st.entropy_rate(rho, rhs(m), k_B)
-        return np.where(st.is_singular(rho.eigenvalues), np.nan, rate)[()]
+        spec = st.matrix_and_spectrum(m)[1]
+        rate = st.entropy_rate(spec, rhs(m), k_B)
+        return np.where(st.is_singular(spec.eigenvalues), np.nan, rate)[()]
 
     obs = ig.Observables(energy_op=energy_op, generator_ops=gen_ops, g_rate=g_rate, k_B=k_B)
     return rhs, obs, None
@@ -405,8 +405,7 @@ def cmd_ensemble(config: dict, out_dir: Path, seed: int | None) -> int:
     if len(scenario.dynamics) != 1:
         raise ConfigError("ensemble needs exactly one dynamics block")
     (rhs, obs, eq_norm), = scenario.dynamics.values()
-    preflight(scenario, st.StateOperator(np.stack([s.matrix for s in mu.states])),
-              "measure.support")
+    preflight(scenario, np.stack([s.matrix for s in mu.states]), "measure.support")
     outputs = config.get("outputs", {})
     # the support states advance as one stack on the user's settings; the
     # series needs no entropy production rate

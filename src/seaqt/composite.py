@@ -25,16 +25,16 @@ builds at d_J, as they change with the state.  The inverse gather puts
 every {D(J), rho(J)} (x) rho(J') back in the full space.  The one
 eigendecomposition of a call is the global one that ln rho needs.  The
 Hamiltonian term is x + x^dagger for x = (i/hbar) rho H, one product, as
-in ``sea.sea_rhs``; a raw matrix is made Hermitian once, for both terms.
+in ``sea.sea_rhs``; an array is made Hermitian once, for both terms.
 
 W(J) needs ln(rho) of the full composite state, which exists only for
-full-rank rho.  Exact products of pure states get an exact-zero
-dissipator, member by member.  Any other member that
-``states.is_singular`` flags raises ``SingularCompositeStateError``
-naming it when the state is held to the domain (``strict``; by default a
-StateOperator is, and a raw matrix is an integrator trial point).  The
-documented workflow is to mix with epsilon >= ``operators.MIX_FLOOR`` of
-the identity before integrating.
+full-rank rho; exact products of pure states get an exact-zero
+dissipator, member by member.  ``require_full_rank`` is the one check of
+that domain.  The law is a function of the Hermitian matrix, the same for
+a StateOperator and its matrix, and does not check: ln rho is floored at
+the log floor, a continuous extension off the domain for integrator trial
+points.  The documented workflow is to mix with epsilon >=
+``operators.MIX_FLOOR`` of the identity before integrating.
 """
 
 from __future__ import annotations
@@ -200,12 +200,16 @@ def _reduce(rest: np.ndarray, split: np.ndarray) -> np.ndarray:
             @ split.reshape(*split.shape[:-2], d * d)).reshape(*lead, d, d)
 
 
-def _require_full_rank(rho: StateOperator, exempt=False) -> None:
-    """The documented domain of W(J): no member of a stack that the mask
-    ``exempt`` does not flag is ``states.is_singular``."""
-    p = rho.eigenvalues
-    st._raise_for(st.is_singular(p) & np.logical_not(exempt), p[..., -1],
-                  SingularCompositeStateError,
+def require_full_rank(rho, model: CompositeModel) -> None:
+    """The one check of the law's documented domain: raise
+    ``SingularCompositeStateError``, naming the member of a stack, for a
+    state that ``states.is_singular`` flags and that is no pure product."""
+    m, spec = st.matrix_and_spectrum(rho)
+    p = spec.eigenvalues
+    singular = st.is_singular(p)
+    if np.count_nonzero(singular):
+        singular = singular & np.logical_not(is_pure_product(m, model, spec))
+    st._raise_for(singular, p[..., -1], SingularCompositeStateError,
                   "composite state has eigenvalue {:.3e} below the log floor; mix "
                   f"with identity (epsilon >= {op.MIX_FLOOR:g}) before use")
 
@@ -220,58 +224,47 @@ def subsystem_state(rho, model: CompositeModel, indices) -> StateOperator:
     return StateOperator(op.hermitize(sub))
 
 
-def is_pure_product(rho, model: CompositeModel, reduced=None):
+def is_pure_product(rho, model: CompositeModel, spectrum=None):
     """Whether the state is (numerically exactly) a product of pure factor
     states: all spectral weight on one global eigenvector and every reduced
-    state pure.  A bool, or a mask over the members of a stack.  ``reduced``
-    passes the reduced states already at hand, one per kind."""
-    rho = st.as_state(rho)
-    pure = st.is_pure(rho.spectral.eigenvalues)
+    state pure, the reduced states decomposed only when a member is
+    globally pure.  A bool, or a mask over the members of a stack.
+    ``spectrum`` passes the spectral form at hand, rho then being its
+    Hermitian matrix."""
+    if spectrum is None:
+        rho, spectrum = st.matrix_and_spectrum(rho)
+    pure = st.is_pure(spectrum.eigenvalues)
     if np.count_nonzero(pure):
-        if reduced is None:
-            reduced = [st.as_state(_marginals(rho.matrix, kind.gather)[0])
-                       for kind in _maps(model)]
-        for sub in reduced:
-            pure = pure & st.is_pure(sub.spectral.eigenvalues).all(axis=-1)
+        for kind in _maps(model):
+            p_j = st.spectral_form(_marginals(rho, kind.gather)[0]).eigenvalues
+            pure = pure & st.is_pure(p_j).all(axis=-1)
     return bool(pure) if pure.ndim == 0 else pure
 
 
-def _law_state(rho, strict=None):
-    """rho as a StateOperator, a raw matrix by its Hermitian part wrapped
-    unvalidated, and whether it is held to the documented full-rank
-    domain: ``strict`` if given, else whether rho came as a StateOperator."""
-    return st.as_state(rho), isinstance(rho, StateOperator) if strict is None else strict
-
-
-def _factor_terms(rho: StateOperator, model: CompositeModel, *, strict: bool,
+def _factor_terms(m: np.ndarray, spec: st.SpectralForm, model: CompositeModel,
                   half: bool = True):
-    """[(kind, {D(J), rho(J)}, g(J), rho(J'))] per kind, each stacked over
-    the members of a state stack and the kind's k members; exact zeros for
-    a member that is a pure product, and empty when every member is one.
-    Without ``half`` the dissipators are None and only the g(J) are made.
+    """[(kind, {D(J), rho(J)}, g(J), rho(J'))] per kind at the Hermitian
+    matrix m of spectral form ``spec``, each stacked over the members of a
+    state stack and the kind's k members; exact zeros for a member that is
+    a pure product, and empty when every member is one.  Without ``half``
+    the dissipators are None and only the g(J) are made.
 
-    One pass per kind: the kind's gather map splits rho and ln rho for all
-    k members at once (H's split is the model's), contractions reduce them
+    One pass per kind: the kind's gather map splits m and ln m for all k
+    members at once (H's split is the model's), contractions reduce them
     to every rho(J), rho(J'), W(J) and V(J), and one
     ``sea.operator_log_kernel`` call gives the dissipators, at rho(J) / Tr
     rho(J) and scaled by Tr rho(J), so that they stay traceless at a trial
-    point off the state set.  The reduced states are decomposed only when
-    a member is globally pure, to tell a pure product.
-
-    With ``strict``, every member is held to the documented full-rank
-    domain.  Otherwise rho is an integrator trial point, whose tiny
-    eigenvalues step negative by O(dt^2): ln rho is then clamped at the log
-    floor, a continuous extension off the state manifold.
+    point off the state set.  ln m has its eigenvalues floored at the log
+    floor: a continuous extension off the full-rank domain for integrator
+    trial points, whose tiny eigenvalues step negative by O(dt^2).
     """
     kinds = model._kind_operators
-    marginals = [_marginals(rho.matrix, kind.gather) for kind, _, _ in kinds]
-    pure = is_pure_product(rho, model, [StateOperator(rho_j) for rho_j, _ in marginals])
+    marginals = [_marginals(m, kind.gather) for kind, _, _ in kinds]
+    pure = is_pure_product(m, model, spec)
     any_pure = np.count_nonzero(pure)
     if any_pure == np.size(pure):
         return []
-    if strict:
-        _require_full_rank(rho, pure)
-    log_full = st.log_operator(rho)
+    log_full = st.spectral_log(spec)
     terms = []
     for (kind, h_split, gens), (rho_j, rest) in zip(kinds, marginals):
         n, d = 1 + kind.n_gen, kind.gather.shape[-1]
@@ -304,29 +297,27 @@ def _embed(terms, weights: np.ndarray, shape) -> np.ndarray:
     return out.reshape(shape)
 
 
-def dissipative_term(rho, model: CompositeModel, *, strict=None) -> np.ndarray:
+def dissipative_term(rho, model: CompositeModel, spectrum=None) -> np.ndarray:
     """Sum_J (tau(J)/hbar^2) {D(J), rho(J)} (x) rho(J') on the full space,
-    per member of a (..., d, d) stack.  Zero (exactly) on pure products;
-    raises on other singular states that ``strict`` holds to the domain
-    (by default, a StateOperator is held and a raw matrix is a trial
-    point)."""
-    rho, strict = _law_state(rho, strict)
+    per member of a (..., d, d) stack; exactly zero on pure products.
+    ``spectrum`` passes the spectral form at hand, rho then being its
+    Hermitian matrix."""
+    if spectrum is None:
+        rho, spectrum = st.matrix_and_spectrum(rho)
     taus = np.array([c.tau for c in model.constituents])
-    return _embed(_factor_terms(rho, model, strict=strict), taus / model.units.hbar**2,
-                  rho.matrix.shape)
+    return _embed(_factor_terms(rho, spectrum, model), taus / model.units.hbar**2, rho.shape)
 
 
 def composite_rhs(rho, model: CompositeModel) -> np.ndarray:
     """d rho/dt = -(i/hbar)[H, rho] - sum_J (tau(J)/hbar^2) {D(J), rho(J)} (x) rho(J').
 
     ``rho`` is one state or a (..., d, d) stack of them, evaluated member by
-    member in one pass, each member as a raw matrix (an integrator trial
-    point) or, in a StateOperator, held to the full-rank domain.  The
-    Hermitian part of a raw matrix is taken once, for both terms.
+    member in one pass; the Hermitian part of an array is taken once, for
+    both terms.
     """
-    rho, strict = _law_state(rho)
-    out = _hamiltonian_term(rho.matrix, model)
-    out -= dissipative_term(rho, model, strict=strict)
+    m, spec = st.matrix_and_spectrum(rho)
+    out = _hamiltonian_term(m, model)
+    out -= dissipative_term(m, model, spec)
     return out
 
 
@@ -341,9 +332,9 @@ def _hamiltonian_term(m: np.ndarray, model: CompositeModel) -> np.ndarray:
 def composite_entropy_production(rho, model: CompositeModel):
     """Total rate sum_J k tau(J) g(J) / hbar^2 and the per-constituent g(J) >= 0;
     for a (..., d, d) stack, arrays (...) and (..., n) instead of a float and a list."""
-    rho, strict = _law_state(rho)
-    per = np.zeros((*rho.matrix.shape[:-2], len(model.constituents)))
-    for kind, _, g, _ in _factor_terms(rho, model, strict=strict, half=False):
+    m, spec = st.matrix_and_spectrum(rho)
+    per = np.zeros((*m.shape[:-2], len(model.constituents)))
+    for kind, _, g, _ in _factor_terms(m, spec, model, half=False):
         per[..., kind.members] = g
     u = model.units
     total = sum(u.k_B * c.tau * per[..., j] / u.hbar**2
@@ -353,9 +344,9 @@ def composite_entropy_production(rho, model: CompositeModel):
 
 def entropy_rate_pairing(rho, model: CompositeModel) -> float:
     """-k Tr(composite_rhs ln rho) on full-rank states (``states.entropy_rate``)."""
-    rho = st.as_state(rho)
-    _require_full_rank(rho)
-    return st.entropy_rate(rho, composite_rhs(rho, model), model.units.k_B)
+    require_full_rank(rho, model)
+    spec = st.matrix_and_spectrum(rho)[1]
+    return st.entropy_rate(spec, composite_rhs(rho, model), model.units.k_B)
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +411,9 @@ def reduced_rhs(rho, model: CompositeModel, block) -> np.ndarray:
     terms of K's own constituents, which leaves each {D(J), rho(J)} of K
     embedded against the reduced state of the rest of K."""
     keep, _ = _blocks(model, block)
-    rho, strict = _law_state(rho)
-    out = _hamiltonian_term(rho.matrix, model)
+    m, spec = st.matrix_and_spectrum(rho)
+    out = _hamiltonian_term(m, model)
     weights = np.array([c.tau if j in keep else 0.0
                         for j, c in enumerate(model.constituents)])
-    out -= _embed(_factor_terms(rho, model, strict=strict), weights / model.units.hbar**2,
-                  out.shape)
+    out -= _embed(_factor_terms(m, spec, model), weights / model.units.hbar**2, out.shape)
     return op.partial_trace(out, model.dims, keep=keep)

@@ -119,8 +119,10 @@ class IntegratorConfig:
             raise ValueError("require 0 < dt_min <= dt_init <= dt_max")
         if not self.rel_tol > 0 or not self.abs_tol > 0:
             raise ValueError("tolerances must be positive")
-        if not np.isfinite(self.t_max):
-            raise ValueError("t_max must be finite")
+        if not 0 <= self.t_max < np.inf:
+            raise ValueError("t_max must be finite and nonnegative")
+        if not self.equilibrium_norm_tol >= 0:
+            raise ValueError("equilibrium_norm_tol must be nonnegative (0 disables detection)")
         if self.sample_dt is not None and not self.sample_dt > 0:
             raise ValueError("sample_dt must be positive (or null for none)")
         if self.sample_dt is not None and self.method != "rk45":

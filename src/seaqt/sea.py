@@ -122,8 +122,7 @@ def validate_model(model: SingleConstituentModel) -> SingleConstituentModel:
                 f"generator {i} does not commute with H (defect {defect:.3e})")
         gens.append(x)
     validated = replace(model, H=h, generators=tuple(gens))
-    cond = gram_condition_number(st.StateOperator(np.eye(h.shape[0]) / h.shape[0]),
-                                 validated)
+    cond = gram_condition_number(np.eye(h.shape[0]) / h.shape[0], validated)
     if cond > op.GRAM_CONDITION_WARN:
         warnings.warn(
             f"generator Gram matrix at I/dim has condition number {cond:.3e}",
@@ -206,13 +205,8 @@ def operator_log_kernel(rho: np.ndarray, ops: np.ndarray, half: bool = True):
 
 
 def _matrix_and_spectrum(rho, model: SingleConstituentModel):
-    """The Hermitian matrix of rho (a StateOperator's own, else the Hermitian
-    part) and its spectral form, per member of a stack."""
-    if isinstance(rho, st.StateOperator):
-        m, spec = rho.matrix, rho.spectral
-    else:
-        m = op.hermitize(rho)
-        spec = st.spectral_form(m)
+    """``states.matrix_and_spectrum`` of rho, held to the model's dimension."""
+    m, spec = st.matrix_and_spectrum(rho)
     if model.H.shape != m.shape[-2:]:
         raise DimensionMismatchError(f"state dim {m.shape} vs model dim {model.H.shape}")
     return m, spec
@@ -331,8 +325,8 @@ def entropy_production_rate(rho, model: SingleConstituentModel) -> float:
 
 def entropy_rate_pairing(rho, model: SingleConstituentModel) -> float:
     """-k Tr(sea_rhs(rho) ln rho) by ``states.entropy_rate`` (full-rank rho)."""
-    rho = st.as_state(rho)
-    return st.entropy_rate(rho, sea_rhs(rho, model), model.units.k_B)
+    spec = st.matrix_and_spectrum(rho)[1]
+    return st.entropy_rate(spec, sea_rhs(rho, model), model.units.k_B)
 
 
 @dataclass(frozen=True)

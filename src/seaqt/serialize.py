@@ -315,11 +315,12 @@ def decode_pauli(obj, units: UnitSystem) -> lb.PauliRates:
     return lb.pauli_rates(obj["w"], obj["energies"], units)
 
 
-def require_state_dim(rho: st.StateOperator, model, where: str) -> None:
+def require_state_dim(rho, model, where: str) -> None:
     """Hold the state or stack named ``where`` (its dotted config path) to
     the system's dimension."""
-    if rho.dim != model.dim:
-        raise DimensionMismatchError(f"{where} has dim {rho.dim}, but the system "
+    dim = st._as_matrix(rho).shape[-1]
+    if dim != model.dim:
+        raise DimensionMismatchError(f"{where} has dim {dim}, but the system "
                                      f"has dim {model.dim}")
 
 

@@ -1,6 +1,10 @@
 """State operators: validity rules, entropy, covariance products.
 
 A state operator is a Hermitian, nonnegative-definite, unit-trace matrix.
+``StateOperator``, the validated type, lives at the library's edges;
+inside, the library works on plain arrays, and a public function that
+takes either enters through ``matrix_and_spectrum``.  Only this module
+tells the two apart.
 The rule that checks and repairs one has a single body here,
 ``_check_and_repair``, stacked over (..., d, d): ``validate`` runs it on
 user input (``NotPositiveError``, ``TraceError``) and the integrator's
@@ -14,7 +18,7 @@ Log-dependent quantities of the equation of motion route through the
 regular p ln p forms (``rho_log_rho``, ``regular_log_spectrum``), so
 singular states never require ln(rho) on its own.  Where ln(rho) itself is
 needed (entropy-rate pairings, the composite reduced log),
-``log_operator`` gives it with eigenvalues floored at ``LOG_FLOOR``.
+``spectral_log`` gives it with eigenvalues floored at ``LOG_FLOOR``.
 ``spectral_matrices`` rebuilds U diag(w) U^dagger for several weight
 vectors from one product.  ``gibbs_spectrum`` gives the weights of a Gibbs
 state exp(K)/Z and ln Z from one ``eigh`` of K.
@@ -45,12 +49,14 @@ def _as_matrix(rho) -> np.ndarray:
     return rho.matrix if isinstance(rho, StateOperator) else op.as_complex(rho)
 
 
-def as_state(rho) -> StateOperator:
-    """rho itself, or the Hermitian part of a matrix wrapped unvalidated
-    (integrator trial points sit slightly off the state set)."""
+def matrix_and_spectrum(rho):
+    """A StateOperator's own matrix and cached spectral form, or the
+    Hermitian part of an array or (..., d, d) stack (an integrator trial
+    point sits slightly off the state set) and its spectral form."""
     if isinstance(rho, StateOperator):
-        return rho
-    return StateOperator(op.hermitize(rho))
+        return rho.matrix, rho.spectral
+    m = op.hermitize(rho)
+    return m, spectral_form(m)
 
 
 def is_pure(p: np.ndarray) -> np.ndarray:
@@ -220,16 +226,15 @@ def spectral_matrices(u: np.ndarray, *weights: np.ndarray) -> np.ndarray:
     return np.matmul(left, u.conj().swapaxes(-1, -2), out=out)
 
 
-def _spectral_function(rho, f) -> np.ndarray:
-    """sum_i f(p_i) |i><i| over the spectrum of rho, per member of a stack."""
-    spec = as_state(rho).spectral
+def _spectral_function(spec: SpectralForm, f) -> np.ndarray:
+    """sum_i f(p_i) |i><i| over a spectral form, per member of a stack."""
     return spectral_matrices(spec.eigenvectors, f(spec.eigenvalues))[0]
 
 
 def entropy(rho, k: float = 1.0) -> float | np.ndarray:
     """Entropy functional -k sum p_i ln p_i (p ln p -> 0 at p = 0): a float,
     or one value per member of a stack."""
-    return _per_member(-k * np.sum(_plogp(as_state(rho).eigenvalues), axis=-1))
+    return _per_member(-k * np.sum(_plogp(matrix_and_spectrum(rho)[1].eigenvalues), axis=-1))
 
 
 def rho_log_rho(rho) -> np.ndarray:
@@ -237,7 +242,7 @@ def rho_log_rho(rho) -> np.ndarray:
 
     Finite for every valid state; the null operator on pure states.
     """
-    return _spectral_function(rho, _plogp)
+    return _spectral_function(matrix_and_spectrum(rho)[1], _plogp)
 
 
 def regular_log_spectrum(p: np.ndarray):
@@ -250,19 +255,21 @@ def regular_log_spectrum(p: np.ndarray):
 
 
 def log_operator(rho) -> np.ndarray:
-    """ln rho by the spectral form, eigenvalues floored at LOG_FLOOR.
-
-    Callers that need a full-rank state check ``is_singular`` first.
-    """
-    return _spectral_function(rho, lambda p: np.log(np.maximum(p, op.LOG_FLOOR)))
+    """ln rho by ``spectral_log``; callers that need full rank check first."""
+    return spectral_log(matrix_and_spectrum(rho)[1])
 
 
-def entropy_rate(rho, rhs, k: float = 1.0) -> float | np.ndarray:
-    """-k Tr(rhs ln rho), the entropy rate of a velocity ``rhs`` at rho, with
-    ln rho from ``log_operator``; a float, or one value per member of a
-    stack.  Exact on full-rank states."""
-    rho = as_state(rho)
-    return _per_member(-k * np.trace(rhs @ log_operator(rho), axis1=-2, axis2=-1).real)
+def spectral_log(spec: SpectralForm) -> np.ndarray:
+    """ln rho from its spectral form, eigenvalues floored at LOG_FLOOR, per
+    member of a stack."""
+    return _spectral_function(spec, lambda p: np.log(np.maximum(p, op.LOG_FLOOR)))
+
+
+def entropy_rate(spec: SpectralForm, rhs, k: float = 1.0) -> float | np.ndarray:
+    """-k Tr(rhs ln rho), the entropy rate of a velocity ``rhs`` at the state
+    of spectral form ``spec``, with ln rho from ``spectral_log``; a float, or
+    one value per member of a stack.  Exact on full-rank states."""
+    return _per_member(-k * np.trace(rhs @ spectral_log(spec), axis1=-2, axis2=-1).real)
 
 
 def _real_rows(a: np.ndarray) -> np.ndarray:

@@ -119,23 +119,24 @@ def covariance_with_log(f, rho) -> float:
 
 def log_variance(rho) -> float:
     """(ln rho, ln rho) = 2 [sum p (ln p)^2 - (sum p ln p)^2], always finite."""
-    return st.regular_log_spectrum(st.as_state(rho).eigenvalues)[1]
+    return st.regular_log_spectrum(st.matrix_and_spectrum(rho)[1].eigenvalues)[1]
 
 
-def _reduced(rho: st.StateOperator, model: cp.CompositeModel, j: int,
+def _reduced(m: np.ndarray, model: cp.CompositeModel, j: int,
              a: np.ndarray) -> np.ndarray:
-    """Tr_{j'}((I(j) (x) rho(j')) a) for the one constituent j."""
+    """Tr_{j'}((I(j) (x) rho(j')) a) for the one constituent j of the state
+    matrix m."""
     cp._blocks(model, [j])
     kind = next(kind for kind in cp._maps(model) if j in kind.members)
     gather = kind.gather[kind.members == j]
-    return op.hermitize(cp._reduce(cp._marginals(rho.matrix, gather)[1],
+    return op.hermitize(cp._reduce(cp._marginals(m, gather)[1],
                                    cp._split(a, gather))[0])
 
 
 def reduced_hamiltonian(rho, model: cp.CompositeModel, j: int) -> np.ndarray:
     """V(j) = Tr_{j'}((I(j) (x) rho(j')) H); for a separable constituent this
     is its private Hamiltonian shifted by the complement's mean energy."""
-    return _reduced(st.as_state(rho), model, j, model.H)
+    return _reduced(st.matrix_and_spectrum(rho)[0], model, j, model.H)
 
 
 def reduced_log(rho, model: cp.CompositeModel, j: int) -> np.ndarray:
@@ -144,11 +145,11 @@ def reduced_log(rho, model: cp.CompositeModel, j: int) -> np.ndarray:
     For an independent constituent this reduces to
     ln rho(j) - (sbar(j')/k) I.  Exact products of pure states carry no
     finite W(j); they are handled by the pure-product branch of the equation
-    of motion, and calling this directly on one raises.
+    of motion.  Any other singular state raises (``composite.require_full_rank``).
     """
-    rho = st.as_state(rho)
-    cp._require_full_rank(rho)
-    return _reduced(rho, model, j, st.log_operator(rho))
+    cp.require_full_rank(rho, model)
+    m, spec = st.matrix_and_spectrum(rho)
+    return _reduced(m, model, j, st.spectral_log(spec))
 
 
 def log_operator_kernel(rho, ops, log_op):

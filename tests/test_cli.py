@@ -106,8 +106,12 @@ class TestSimulate:
         ({"method": "rk4", "sample_dt": 0.25}, "integrator: sample_dt needs method rk45"),
         ({"sample_every": 7}, "integrator.sample_every: unknown field"),
         ({"projection": "hermitize_only"},
-         "integrator.projection: 'hermitize_only' is not one of ['off', 'full']")],
-        ids=["rk4-sample_dt", "sample_every", "hermitize_only"])
+         "integrator.projection: 'hermitize_only' is not one of ['off', 'full']"),
+        ({"t_max": -1.0}, "integrator: t_max must be finite and nonnegative"),
+        ({"equilibrium_norm_tol": -1e-6},
+         "integrator: equilibrium_norm_tol must be nonnegative")],
+        ids=["rk4-sample_dt", "sample_every", "hermitize_only", "negative-t_max",
+             "negative-equilibrium_norm_tol"])
     def test_a_removed_setting_exits_3_naming_its_field(self, tmp_path, capsys,
                                                         settings, message):
         config = qubit_sea_scenario(integrator={"t_max": 2.0, **settings})

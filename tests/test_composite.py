@@ -399,6 +399,33 @@ class TestReducedRhs:
             assert np.abs(got[0] + 1j * op.commutator(h_a, rho_a)).max() > 1e-3
             assert np.abs(got[1] - got[0]).max() <= 1e-12
 
+    def test_no_signalling_through_the_rest_of_a_non_interacting_constituent(self):
+        # A does not interact and B-C do, on a full-rank state that
+        # correlates A with B-C.  A unitary U on B-C leaves A's reduced
+        # dynamics as it is: W(A) = Tr_BC((I (x) rho(BC)) ln rho) is
+        # invariant by the cyclicity of the partial trace, and V(A) moves by
+        # a multiple of the identity only.  Both depend on rho(A') = rho(BC).
+        # A's generator lies outside span{I, H_A}, which keeps its
+        # dissipator on.
+        rng = np.random.default_rng(33)
+        u_a = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+        h_a, x_a = [(u_a * v) @ u_a.conj().T for v in ([0.0, 0.6, 1.5], [1.0, -1.0, 0.2])]
+        h_bc = op.hermitize(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        model = cp.validate_model(cp.CompositeModel(
+            (cp.Constituent(3, (x_a,), tau=1.3), cp.Constituent(2, tau=0.7),
+             cp.Constituent(2, tau=0.9)),
+            op.kron(h_a, np.eye(4)) + op.kron(np.eye(3), h_bc)))
+        for seed in range(5):
+            rho = st.random_full_rank(12, seed=130 + seed)
+            assert not cp.is_independent_state(rho, model, (0,))[0]
+            u = op.kron(np.eye(3), np.linalg.qr(rng.normal(size=(4, 4))
+                                                + 1j * rng.normal(size=(4, 4)))[0])
+            moved = st.validate(u @ rho.matrix @ u.conj().T)
+            got = [cp.reduced_rhs(r, model, [0]) for r in (rho, moved)]
+            rho_a = cp.reduced_state(rho, model, 0).matrix
+            assert np.abs(got[0] + 1j * op.commutator(h_a, rho_a)).max() > 1e-3
+            assert np.abs(got[1] - got[0]).max() <= 1e-12 * np.abs(got[0]).max()
+
 
 class TestCompositeConstants:
     """The law keeps the mean of C when C is in the span of {I, H, lifted

@@ -475,6 +475,9 @@ def test_projection_is_off_or_full():
 
 @pytest.mark.parametrize("field, value, message", [
     ("t_max", np.inf, "t_max must be finite"), ("t_max", np.nan, "t_max must be finite"),
+    ("t_max", -1.0, "t_max must be finite and nonnegative"),
+    ("equilibrium_norm_tol", -1e-6, "equilibrium_norm_tol must be nonnegative"),
+    ("equilibrium_norm_tol", np.nan, "equilibrium_norm_tol must be nonnegative"),
     ("rel_tol", np.nan, "tolerances"), ("abs_tol", np.nan, "tolerances")])
 def test_non_finite_settings_are_rejected(field, value, message):
     with pytest.raises(ValueError, match=message):

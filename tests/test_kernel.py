@@ -172,14 +172,14 @@ def test_original_basis_kernel_matches_cofactor_expansion(seed, dim, n_gen, kind
                 for _ in range(n_gen + 1)]
     model = sea.SingleConstituentModel(H=h, generators=tuple(gens))
     rho = spectrum_state(kind, dim, rng)
-    spec = st.as_state(rho).spectral
+    m, spec = st.matrix_and_spectrum(rho)
     total = spec.eigenvalues.sum()
     rho_q = st.StateOperator(st.spectral_matrices(spec.eigenvectors,
                                                   spec.eigenvalues / total)[0])
     with np.errstate(all="raise"):
         want_acomm, want_g = ref.single(rho_q, h, model.generators)
         bound = law_bound(rho_q, model)
-        got_half = sea._half_product(st.as_state(rho).matrix, spec, model)
+        got_half = sea._half_product(m, spec, model)
         got_acomm = sea.dissipator_anticommutator(rho, model)
         got_g = sea.gram_determinant_g(rho, model)
     assert np.abs(op.plus_adjoint(got_half) - total * want_acomm).max() <= TOL * bound
@@ -211,7 +211,7 @@ def test_sea_rhs_matches_the_law_at_the_clipped_spectrum(seed, dim, n_gen, kind)
     model = sea.SingleConstituentModel(H=h, generators=tuple(gens),
                                        tau=float(rng.uniform(0.2, 1.0)))
     kinds = ["full", "near_singular", "clipped", "deep_clip"] if kind == "stack" else [kind]
-    members = [st.as_state(spectrum_state(k, dim, rng)).matrix for k in kinds]
+    members = [st.matrix_and_spectrum(spectrum_state(k, dim, rng))[0] for k in kinds]
     got = sea.sea_rhs(np.stack(members) if kind == "stack" else members[0], model)
     hbar = model.units.hbar
     for m, rhs in zip(members, got.reshape(len(members), dim, dim)):

@@ -76,7 +76,7 @@ def test_kernel_takes_per_member_operators(seed, dim, n_gen):
     # operators (k, n, d, d), as the reduced W(J), V(J) of a constituent kind
     rng = np.random.default_rng(seed)
     stack = mixed_stack(dim, rng)
-    spec = st.as_state(stack).spectral
+    spec = st.matrix_and_spectrum(stack)[1]
     rho_q, = st.spectral_matrices(spec.eigenvectors, spec.eigenvalues)
     ops = np.stack([[random_hermitian(dim, rng) for _ in range(n_gen + 2)]
                     for _ in stack])
@@ -229,8 +229,36 @@ def test_a_singular_state_stack_names_the_member():
     bell = st.pure_state(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)).matrix
     stack = st.StateOperator(np.stack([st.random_full_rank(4, seed=1).matrix, bell]))
     with pytest.raises(SingularCompositeStateError, match=r"\(member 1\)") as info:
-        cp.composite_rhs(stack, model)
+        cp.require_full_rank(stack, model)
     assert info.value.member == 1
+
+
+def test_the_composite_law_ignores_the_argument_type():
+    # the law is a function of the Hermitian matrix: a StateOperator and its
+    # matrix give the same bits, a singular member included (the law's
+    # trial-point extension); the domain is the named check's alone
+    model = cp.validate_model(cp.CompositeModel(
+        (cp.Constituent(2, (), 1.0), cp.Constituent(2, (), 0.5)),
+        np.kron(np.diag([0.0, 1.0]), np.eye(2)) + np.kron(np.eye(2), np.diag([0.0, 1.3]))
+        + 0.4 * np.kron([[0, 1], [1, 0]], [[0, 1], [1, 0]])))
+    full = st.random_full_rank(4, seed=1).matrix
+    bell = st.pure_state(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)).matrix
+    laws = [cp.composite_rhs, cp.dissipative_term,
+            lambda rho, model: np.concatenate([np.ravel(x) for x in
+                                               cp.composite_entropy_production(rho, model)])]
+    for m in (full, np.stack([full, bell]), bell):
+        # the reduced equation of motion takes one state
+        for law in laws + [lambda rho, model: cp.reduced_rhs(rho, model, [0])] * (m.ndim == 2):
+            got = law(m, model)
+            assert np.isfinite(got).all()
+            assert np.array_equal(law(st.StateOperator(m), model), got)
+    cp.require_full_rank(full, model)
+    with pytest.raises(SingularCompositeStateError, match=r"\(member 1\)") as info:
+        cp.require_full_rank(np.stack([full, bell]), model)
+    assert info.value.member == 1
+    with pytest.raises(SingularCompositeStateError, match="below the log floor") as info:
+        cp.require_full_rank(bell, model)
+    assert info.value.member is None
 
 
 @pytest.mark.parametrize("kind", ["single", "composite"])

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,8 @@ from seaqt.errors import NotHermitianError, NotPositiveError, TraceError
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+SRC = Path(st.__file__).resolve().parent
 
 
 class TestValidate:
@@ -347,3 +352,27 @@ class TestConstructors:
     def test_gibbs_seed_two_level(self):
         rho = gibbs_seed(np.log(3), np.diag([0.0, 1.0]))
         assert np.allclose(rho.matrix, np.diag([0.75, 0.25]))
+
+
+def _tests_for_the_state_type(node) -> bool:
+    """Whether ``node`` is a call isinstance(x, ...) whose classes name
+    StateOperator, bare or as a module attribute, alone or in a tuple."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2):
+        return False
+    return any(isinstance(n, ast.Name) and n.id == "StateOperator"
+               or isinstance(n, ast.Attribute) and n.attr == "StateOperator"
+               for n in ast.walk(node.args[1]))
+
+
+def test_only_states_decides_by_the_state_type():
+    # the library takes arrays inside: a public function coerces its
+    # argument once, through states.matrix_and_spectrum, and no other
+    # module chooses what it does by whether it got a StateOperator
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "states.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if _tests_for_the_state_type(node)]
+    assert found == []
+    states = ast.parse((SRC / "states.py").read_text())
+    assert any(_tests_for_the_state_type(node) for node in ast.walk(states))
