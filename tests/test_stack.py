@@ -243,12 +243,14 @@ def test_the_composite_law_ignores_the_argument_type():
         + 0.4 * np.kron([[0, 1], [1, 0]], [[0, 1], [1, 0]])))
     full = st.random_full_rank(4, seed=1).matrix
     bell = st.pure_state(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)).matrix
-    laws = [cp.composite_rhs, cp.dissipative_term,
-            lambda rho, model: np.concatenate([np.ravel(x) for x in
-                                               cp.composite_entropy_production(rho, model)])]
-    for m in (full, np.stack([full, bell]), bell):
-        # the reduced equation of motion takes one state
-        for law in laws + [lambda rho, model: cp.reduced_rhs(rho, model, [0])] * (m.ndim == 2):
+    stack_laws = [cp.composite_rhs, cp.dissipative_term,
+                  lambda rho, model: np.concatenate(
+                      [np.ravel(x) for x in cp.composite_entropy_production(rho, model)])]
+    # the reduced equation of motion takes one state, not a stack
+    state_laws = [*stack_laws, lambda rho, model: cp.reduced_rhs(rho, model, [0])]
+    for m, laws in ((full, state_laws), (np.stack([full, bell]), stack_laws),
+                    (bell, state_laws)):
+        for law in laws:
             got = law(m, model)
             assert np.isfinite(got).all()
             assert np.array_equal(law(st.StateOperator(m), model), got)
