@@ -131,8 +131,6 @@ def build_dynamics(kind: str, model, name: str, block: dict, units):
             def diss_norm(m):
                 d = sea.dissipator_anticommutator(m, model)
                 return model.tau / units.hbar**2 * np.linalg.norm(d, axis=(-2, -1))
-
-            gen_ops = model.generators
         else:
             def rhs(m):
                 return cp.composite_rhs(m, model)
@@ -142,12 +140,8 @@ def build_dynamics(kind: str, model, name: str, block: dict, units):
 
             def diss_norm(m):
                 return np.linalg.norm(cp.dissipative_term(m, model), axis=(-2, -1))
-
-            gen_ops = tuple(model.lifted_generator(j, x)
-                            for j, c in enumerate(model.constituents)
-                            for x in c.generators)
         eq_norm = diss_norm if block.get("equilibrium_detection") == "dissipative" else None
-        obs = ig.Observables(energy_op=model.H, generator_ops=gen_ops,
+        obs = ig.Observables(energy_op=model.H, generator_ops=model.generators,
                              g_rate=g_rate, k_B=k_B)
         return rhs, obs, eq_norm
     if kind != "single":

@@ -13,34 +13,35 @@ full dissipative term is the sum over constituents of (tau(J)/hbar^2)
 The constituents are evaluated in one stacked pass per kind, a kind being
 a (factor dim, generator count) pair (a model of identical constituents is
 one kind), over every member of a (..., dim, dim) state stack at once.  A
-gather map, cached per tuple of kinds, splits any operator into (..., k, r,
-r, d_J, d_J) tensors for the kind's k constituents (the rest's indices,
-then J's) with one fancy index.  Contractions of the split rho give every
-rho(J) and rho(J'), and of the split ln rho and H every W(J) and V(J), so
-the dim x dim embedding I(J) (x) rho(J') is never formed; H's split and the
-generators are constants, cached on the model.  One kernel call per kind
-takes rho(J) and the operators (n + 1, ..., k, d_J, d_J): V(J) and the
-generators centred at their trace means, then W(J), whose products it
-builds at d_J, as they change with the state.  The inverse gather puts
-every {D(J), rho(J)} (x) rho(J') back in the full space.  The one
-eigendecomposition of a call is the global one that ln rho needs.  The
+gather map splits any operator into (..., k, r, r, d_J, d_J) tensors for
+the kind's k constituents (the rest's indices, then J's) with one fancy
+index.  Contractions of the split rho give every rho(J) and rho(J'), and of
+the split ln rho and H every W(J) and V(J), so the dim x dim embedding I(J)
+(x) rho(J') is never formed.  The layout, H's split and the generators
+are constants, cached on the model with its lifted generators.  One kernel
+call per kind takes rho(J) and the operators (n + 1, ..., k, d_J, d_J):
+V(J) and the generators centred at their trace means, then W(J), whose
+products it builds at d_J, as they change with the state.  The inverse
+gather puts every {D(J), rho(J)} (x) rho(J') back in the full space.  The
+one eigendecomposition of a call is the global one that ln rho needs.  The
 Hamiltonian term is x + x^dagger for x = (i/hbar) rho H, one product, as
 in ``sea.sea_rhs``; an array is made Hermitian once, for both terms.
 
 W(J) needs ln(rho) of the full composite state, which exists only for
 full-rank rho; exact products of pure states get an exact-zero
-dissipator, member by member.  ``require_full_rank`` is the one check of
-that domain.  The law is a function of the Hermitian matrix, the same for
-a StateOperator and its matrix, and does not check: ln rho is floored at
-the log floor, a continuous extension off the domain for integrator trial
-points.  The documented workflow is to mix with epsilon >=
-``operators.MIX_FLOOR`` of the identity before integrating.
+dissipator, member by member, though the default integrator does not keep
+such a state pure (ROADMAP item 1).  ``require_full_rank`` is the one
+check of that domain.  The law is a function of the Hermitian matrix, the
+same for a StateOperator and its matrix, and does not check: ln rho is
+floored at the log floor, a continuous extension off the domain for
+integrator trial points.  The documented workflow is to mix with epsilon
+>= ``operators.MIX_FLOOR`` of the identity before integrating.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -51,7 +52,6 @@ from . import states as st
 from .errors import (DimensionMismatchError, NonCommutingGeneratorError,
                      NonPositiveTauError, SingularCompositeStateError)
 from .operators import UnitSystem
-from .states import StateOperator
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,20 @@ class Constituent:
     dim: int
     generators: tuple = ()
     tau: float = 1.0
+
+
+class _Kind(NamedTuple):
+    """The constituents of one (factor dim, generator count) kind: their
+    index maps into a flattened dim x dim operator, and the model's constant
+    operators split for them."""
+
+    n_gen: int
+    members: np.ndarray     # the k constituent indices, ascending
+    gather: np.ndarray      # (k, r, r, d_J, d_J): a.ravel()[gather] splits a
+    scatter: np.ndarray     # (k, dim^2): t.ravel()[scatter] puts each member of
+                            # a split (k, r, r, d_J, d_J) stack t back in place
+    h_split: np.ndarray     # (k, r^2, d_J, d_J): H's ``_split``, blocks centred
+    generators: np.ndarray  # (n_gen, k, d_J, d_J): the members' generators, centred
 
 
 @dataclass(frozen=True)
@@ -78,8 +92,12 @@ class CompositeModel:
     def dim(self) -> int:
         return int(np.prod(self.dims))
 
-    def lifted_generator(self, j: int, x: np.ndarray) -> np.ndarray:
-        return op.embed_factors({j: x}, self.dims)
+    @cached_property
+    def generators(self) -> tuple:
+        """Every constituent's generators embedded in the full space, in
+        constituent order: the conserved operators beside H."""
+        return tuple(op.embed_factors({j: x}, self.dims)
+                     for j, c in enumerate(self.constituents) for x in c.generators)
 
     @cached_property
     def _hamiltonian_operand(self) -> np.ndarray:
@@ -89,19 +107,34 @@ class CompositeModel:
         return (1j / self.units.hbar) * op.centred(np.array(self.H, dtype=complex))
 
     @cached_property
-    def _kind_operators(self) -> tuple:
-        """(kind, H split, generators) for each kind of ``_maps``: H split by
-        the kind's gather map, each d_J x d_J block centred at its trace
-        mean, so that ``_reduce`` gives every V(J) centred at its own; and
-        the members' generators centred at their trace means, (n - 1, k,
-        d_J, d_J).  Built once per model."""
+    def _kinds(self) -> tuple[_Kind, ...]:
+        """One ``_Kind`` per distinct (factor dim, generator count) pair of
+        the constituents, in order of first appearance; built once per model,
+        every array read-only.
+
+        Constituent J's gather map is the array of flat indices split by
+        ``operators.split_factors`` with J kept.  H is split by the kind's
+        gather map, each d_J x d_J block centred at its trace mean, so that
+        ``_reduce`` gives every V(J) centred at its own.
+        """
+        dims, size = self.dims, self.dim
+        index = np.arange(size * size).reshape(size, size)
+        keys = [(c.dim, len(c.generators)) for c in self.constituents]
         out = []
-        for kind in _maps(self):
-            k, d = len(kind.members), kind.gather.shape[-1]
-            gens = np.reshape([self.constituents[j].generators for j in kind.members],
-                              (k, kind.n_gen, d, d)).swapaxes(0, 1)
-            out.append((kind, op.centred(_split(self.H, kind.gather)),
-                        op.centred(np.ascontiguousarray(gens, dtype=complex))))
+        for d, n_gen in dict.fromkeys(keys):
+            members = np.array([j for j, key in enumerate(keys) if key == (d, n_gen)])
+            k = len(members)
+            gather = np.stack([op.split_factors(index, dims, [j]) for j in members])
+            # each member's inverse permutation, offset to its row of the stack
+            scatter = np.argsort(gather.reshape(k, -1), axis=1) \
+                + size * size * np.arange(k)[:, None]
+            gens = np.reshape([self.constituents[j].generators for j in members],
+                              (k, n_gen, d, d)).swapaxes(0, 1)
+            kind = _Kind(n_gen, members, gather, scatter, op.centred(_split(self.H, gather)),
+                         op.centred(np.ascontiguousarray(gens, dtype=complex)))
+            for a in kind[1:]:
+                a.flags.writeable = False
+            out.append(kind)
         return tuple(out)
 
 
@@ -131,49 +164,6 @@ def validate_model(model: CompositeModel) -> CompositeModel:
             gens.append(x)
         new_constituents.append(Constituent(c.dim, tuple(gens), c.tau))
     return CompositeModel(tuple(new_constituents), h, model.units)
-
-
-class _Kind(NamedTuple):
-    """The constituents of one (factor dim, generator count) kind, with their
-    index maps into a flattened dim x dim operator."""
-
-    n_gen: int
-    members: np.ndarray   # the k constituent indices, ascending
-    gather: np.ndarray    # (k, r, r, d_J, d_J): a.ravel()[gather] splits a
-    scatter: np.ndarray   # (k, dim^2): t.ravel()[scatter] puts each member of
-                          # a split (k, r, r, d_J, d_J) stack t back in place
-
-
-@lru_cache(maxsize=32)   # a process meets a handful of layouts
-def _index_maps(kinds: tuple) -> tuple[_Kind, ...]:
-    """The index maps of constituents with (factor dim, generator count)
-    pairs ``kinds``: one ``_Kind`` per distinct pair, in order of first
-    appearance.
-
-    Constituent J's gather map is the array of flat indices split by
-    ``operators.split_factors`` with J kept.  A pure function of the tuple,
-    cached: a model's maps are built once, and the frozen model is left as
-    it is.
-    """
-    dims = [d for d, _ in kinds]
-    size = int(np.prod(dims))
-    index = np.arange(size * size).reshape(size, size)
-    split = [op.split_factors(index, dims, [j]) for j in range(len(dims))]
-    out = []
-    for kind in dict.fromkeys(kinds):
-        members = np.array([j for j, other in enumerate(kinds) if other == kind])
-        gather = np.stack([split[j] for j in members])
-        # each member's inverse permutation, offset to its row of the stack
-        scatter = np.argsort(gather.reshape(len(members), -1), axis=1) \
-            + size * size * np.arange(len(members))[:, None]
-        for a in (members, gather, scatter):
-            a.flags.writeable = False
-        out.append(_Kind(kind[1], members, gather, scatter))
-    return tuple(out)
-
-
-def _maps(model: CompositeModel):
-    return _index_maps(tuple((c.dim, len(c.generators)) for c in model.constituents))
 
 
 def _marginals(m: np.ndarray, gather: np.ndarray):
@@ -214,14 +204,15 @@ def require_full_rank(rho, model: CompositeModel) -> None:
                   f"with identity (epsilon >= {op.MIX_FLOOR:g}) before use")
 
 
-def reduced_state(rho, model: CompositeModel, j: int) -> StateOperator:
-    """Reduced state operator of constituent j (partial trace over the rest)."""
+def reduced_state(rho, model: CompositeModel, j: int) -> np.ndarray:
+    """Reduced state of constituent j: the Hermitian part of the partial
+    trace over the rest, an array."""
     return subsystem_state(rho, model, [j])
 
 
-def subsystem_state(rho, model: CompositeModel, indices) -> StateOperator:
-    sub = op.partial_trace(st._as_matrix(rho), model.dims, keep=sorted(indices))
-    return StateOperator(op.hermitize(sub))
+def subsystem_state(rho, model: CompositeModel, indices) -> np.ndarray:
+    return op.hermitize(op.partial_trace(st._as_matrix(rho), model.dims,
+                                         keep=sorted(indices)))
 
 
 def is_pure_product(rho, model: CompositeModel, spectrum=None):
@@ -235,7 +226,7 @@ def is_pure_product(rho, model: CompositeModel, spectrum=None):
         rho, spectrum = st.matrix_and_spectrum(rho)
     pure = st.is_pure(spectrum.eigenvalues)
     if np.count_nonzero(pure):
-        for kind in _maps(model):
+        for kind in model._kinds:
             p_j = st.spectral_form(_marginals(rho, kind.gather)[0]).eigenvalues
             pure = pure & st.is_pure(p_j).all(axis=-1)
     return bool(pure) if pure.ndim == 0 else pure
@@ -258,18 +249,18 @@ def _factor_terms(m: np.ndarray, spec: st.SpectralForm, model: CompositeModel,
     floor: a continuous extension off the full-rank domain for integrator
     trial points, whose tiny eigenvalues step negative by O(dt^2).
     """
-    kinds = model._kind_operators
-    marginals = [_marginals(m, kind.gather) for kind, _, _ in kinds]
+    kinds = model._kinds
+    marginals = [_marginals(m, kind.gather) for kind in kinds]
     pure = is_pure_product(m, model, spec)
     any_pure = np.count_nonzero(pure)
     if any_pure == np.size(pure):
         return []
     log_full = st.spectral_log(spec)
     terms = []
-    for (kind, h_split, gens), (rho_j, rest) in zip(kinds, marginals):
-        n, d = 1 + kind.n_gen, kind.gather.shape[-1]
+    for kind, (rho_j, rest) in zip(kinds, marginals):
+        n, d, gens = 1 + kind.n_gen, kind.gather.shape[-1], kind.generators
         ops = np.empty((n + 1, *rest.shape[:-2], d, d), dtype=complex)
-        ops[0] = op.hermitize(_reduce(rest, h_split))
+        ops[0] = op.hermitize(_reduce(rest, kind.h_split))
         # each member's generators, (n - 1, 1, ..., 1, k, d, d) over the stack
         ops[1:n] = gens.reshape(n - 1, *[1] * (rest.ndim - 3), *gens.shape[1:])
         ops[n] = op.hermitize(_reduce(rest, _split(log_full, kind.gather)))
@@ -399,8 +390,8 @@ def is_independent_state(rho, model: CompositeModel, block) -> tuple[bool, float
     """True when rho factors as rho(K) (x) rho(K') across the cut between
     ``block`` K and the rest, with the Frobenius distance to that product."""
     keep, rest = _blocks(model, block)
-    product = op.tensor_interleave(subsystem_state(rho, model, keep).matrix, keep,
-                                   subsystem_state(rho, model, rest).matrix, model.dims)
+    product = op.tensor_interleave(subsystem_state(rho, model, keep), keep,
+                                   subsystem_state(rho, model, rest), model.dims)
     dist = float(np.linalg.norm(st._as_matrix(rho) - product, ord="fro"))
     return dist <= op.INDEPENDENCE_TOL, dist
 

@@ -281,9 +281,7 @@ def decode_state(obj, model=None, seed_override: int | None = None) -> st.StateO
         if model is None:
             raise ConfigError("needs a system block", "gibbs")
         multipliers = spec["multipliers"]
-        ops = [model.H]
-        gens = getattr(model, "generators", ())
-        ops.extend(gens)
+        ops = [model.H, *model.generators]
         if len(multipliers) != len(ops):
             raise ConfigError(f"expected {len(ops)} (H plus generators), "
                               f"got {len(multipliers)}", "gibbs.multipliers")

@@ -127,7 +127,7 @@ def _reduced(m: np.ndarray, model: cp.CompositeModel, j: int,
     """Tr_{j'}((I(j) (x) rho(j')) a) for the one constituent j of the state
     matrix m."""
     cp._blocks(model, [j])
-    kind = next(kind for kind in cp._maps(model) if j in kind.members)
+    kind = next(kind for kind in model._kinds if j in kind.members)
     gather = kind.gather[kind.members == j]
     return op.hermitize(cp._reduce(cp._marginals(m, gather)[1],
                                    cp._split(a, gather))[0])

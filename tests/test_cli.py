@@ -13,6 +13,7 @@ import pytest
 
 from seaqt import cli
 from seaqt import composite as cp
+from seaqt import equilibrium as eq
 from seaqt import integrate as ig
 from seaqt import lindblad as lb
 from seaqt import sea
@@ -1064,6 +1065,39 @@ class TestGibbsInitialWithGenerators:
         code = cli.main(["simulate", "--config", config_path, "--out", str(tmp_path)])
         assert code == 3
         assert "multipliers" in capsys.readouterr().err
+
+
+class TestCompositeGibbsStart:
+    """A composite Gibbs start takes one multiplier for H and then one per
+    lifted generator, in constituent order."""
+
+    @staticmethod
+    def config(multipliers):
+        config = TestCompositeScenarios.composite_config()
+        config["system"]["composite"]["constituents"][0]["generators"] = [
+            matrix_obj(np.diag([1.0, -1.0]))]
+        config["initial"] = {"gibbs": {"multipliers": multipliers}}
+        config["outputs"] = {"trajectory_csv": "gibbs.csv"}
+        return config
+
+    def test_multipliers_cover_the_lifted_generators(self, tmp_path):
+        config = self.config([0.5, 0.2])
+        assert cli.main(["simulate", "--config", write_config(tmp_path, config),
+                         "--out", str(tmp_path)]) == 0
+        h = sz.decode_matrix(config["system"]["composite"]["H"])
+        lifted = np.kron(np.diag([1.0, -1.0]), np.eye(2))
+        want = eq.gibbs_state(eq.constant_set([h, lifted]),
+                              eq.MultiplierVector(0.5, (0.2,)))
+        lines = (tmp_path / "gibbs.csv").read_text().strip().split("\n")
+        first = dict(zip(lines[0].split(","), map(float, lines[1].split(","))))
+        assert first["gen_0"] == pytest.approx(st.mean(lifted, want), abs=1e-12)
+        assert first["energy"] == pytest.approx(st.mean(h, want), abs=1e-12)
+
+    def test_one_multiplier_exits_3(self, tmp_path, capsys):
+        code = cli.main(["simulate", "--config", write_config(tmp_path, self.config([0.5])),
+                         "--out", str(tmp_path)])
+        assert code == 3
+        assert "ERROR Config: initial.gibbs.multipliers: expected 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("module", ["seaqt", "seaqt.cli"])

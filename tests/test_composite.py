@@ -53,19 +53,19 @@ class TestReducedState:
         rho1 = st.random_full_rank(2, seed=1)
         rho2 = st.random_full_rank(2, seed=2)
         rho = product_state(rho1, rho2)
-        assert np.abs(cp.reduced_state(rho, model, 0).matrix - rho1.matrix).max() <= 1e-12
-        assert np.abs(cp.reduced_state(rho, model, 1).matrix - rho2.matrix).max() <= 1e-12
+        assert np.abs(cp.reduced_state(rho, model, 0) - rho1.matrix).max() <= 1e-12
+        assert np.abs(cp.reduced_state(rho, model, 1) - rho2.matrix).max() <= 1e-12
 
     def test_bell_state(self):
         model = two_qubit_model()
         bell = st.pure_state(np.array([1, 0, 0, 1]) / np.sqrt(2))
-        assert np.abs(cp.reduced_state(bell, model, 0).matrix - I2 / 2).max() <= 1e-12
+        assert np.abs(cp.reduced_state(bell, model, 0) - I2 / 2).max() <= 1e-12
 
     def test_trace_one(self):
         model = two_qubit_model(coupling=0.3)
         rho = st.random_full_rank(4, seed=3)
         for j in (0, 1):
-            assert np.trace(cp.reduced_state(rho, model, j).matrix).real == \
+            assert np.trace(cp.reduced_state(rho, model, j)).real == \
                 pytest.approx(1.0, abs=1e-12)
 
 
@@ -147,6 +147,22 @@ class TestCompositeRhs:
         ham = -1j * op.commutator(model.H, rho.matrix)
         assert np.abs(rhs - ham).max() == 0.0
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_pure_product_stays_pure_under_default_settings(self):
+        # the law gives the start an exact-zero dissipator, but Runge-Kutta
+        # stages leave the pure-product set and the floored-log law then
+        # acts at a singular state that is no pure product: purity falls to
+        # 0.27 by t = 5
+        model = cp.validate_model(cp.CompositeModel(
+            (cp.Constituent(2, tau=1.0), cp.Constituent(2, tau=1.0)),
+            op.kron(SZ, I2) + 0.7 * op.kron(I2, SZ)))
+        rho0 = product_state(st.pure_state([0.6, 0.8]),
+                             st.pure_state([1 / np.sqrt(2), 1j / np.sqrt(2)]))
+        cp.require_full_rank(rho0, model)
+        traj = ig.integrate(rho0, lambda m: cp.composite_rhs(m, model),
+                            ig.IntegratorConfig(t_max=5.0, sample_dt=1.0))
+        assert all(s.purity >= 1 - 1e-9 and s.entropy <= 1e-9 for s in traj.samples)
+
     def test_global_gibbs_is_fixed_point(self):
         model = two_qubit_model(coupling=0.5)
         constants = eq.constant_set([model.H])
@@ -205,7 +221,7 @@ class TestCompositeRhs:
             constituents=(cp.Constituent(2, generators=(SZ,), tau=1.0),
                           cp.Constituent(2, tau=1.0)),
             H=h))
-        lifted = model.lifted_generator(0, SZ)
+        lifted, = model.generators
         for seed in range(3):
             rho = st.random_full_rank(4, seed=30 + seed)
             rhs = cp.composite_rhs(rho, model)
@@ -395,7 +411,7 @@ class TestReducedRhs:
             rho = st.random_full_rank(6, seed=110 + seed)
             assert not cp.is_independent_state(rho, models[0], (0,))[0]
             got = [cp.reduced_rhs(rho, model, (0,)) for model in models]
-            rho_a = cp.reduced_state(rho, models[0], 0).matrix
+            rho_a = cp.reduced_state(rho, models[0], 0)
             assert np.abs(got[0] + 1j * op.commutator(h_a, rho_a)).max() > 1e-3
             assert np.abs(got[1] - got[0]).max() <= 1e-12
 
@@ -422,7 +438,7 @@ class TestReducedRhs:
                                                 + 1j * rng.normal(size=(4, 4)))[0])
             moved = st.validate(u @ rho.matrix @ u.conj().T)
             got = [cp.reduced_rhs(r, model, [0]) for r in (rho, moved)]
-            rho_a = cp.reduced_state(rho, model, 0).matrix
+            rho_a = cp.reduced_state(rho, model, 0)
             assert np.abs(got[0] + 1j * op.commutator(h_a, rho_a)).max() > 1e-3
             assert np.abs(got[1] - got[0]).max() <= 1e-12 * np.abs(got[0]).max()
 
@@ -714,7 +730,7 @@ class TestStackedPass:
             _, g = cp.composite_entropy_production(rho, model)
             assert np.abs(np.array(g) - [r[4] for r in per]).max() <= 1e-13
             for j, (rho_j, v, w, _, _) in enumerate(per):
-                assert np.abs(cp.reduced_state(rho, model, j).matrix - rho_j).max() <= 1e-13
+                assert np.abs(cp.reduced_state(rho, model, j) - rho_j).max() <= 1e-13
                 assert np.abs(reduced_hamiltonian(rho, model, j) - v).max() <= 1e-13
                 assert np.abs(reduced_log(rho, model, j) - w).max() <= 1e-13
 
@@ -749,11 +765,12 @@ class TestStackedPass:
             cp.composite_rhs(state, model)
             assert calls == [rho.shape]
 
-    def test_index_maps_are_shared_and_read_only(self):
-        kinds = cp._maps(self.model("qubit-qutrit-qubit"))
-        assert cp._maps(self.model("qubit-qutrit-qubit")) is kinds
+    def test_kinds_are_cached_on_the_model_and_read_only(self):
+        model = self.model("qubit-qutrit-qubit")
+        kinds = model._kinds
+        assert model._kinds is kinds
         assert [k.members.tolist() for k in kinds] == [[0, 2], [1]]
-        assert not any(a.flags.writeable for a in (kinds[0].gather, kinds[0].scatter))
+        assert not any(a.flags.writeable for kind in kinds for a in kind[1:])
         # each member's scatter row inverts its gather map
         for kind in kinds:
             for i, gather in enumerate(kind.gather):

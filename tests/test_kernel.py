@@ -104,7 +104,7 @@ def test_composite_factors_match_cofactor_expansion(seed, dims):
     for j, tau in enumerate(taus):
         acomm, g = ref.composite_factor(rho, model.H, dims, j)
         w, v = reduced_log(rho, model, j), reduced_hamiltonian(rho, model, j)
-        bound = expansion_bound(ref.pair_table(cp.reduced_state(rho, model, j).matrix, [w, v]))
+        bound = expansion_bound(ref.pair_table(cp.reduced_state(rho, model, j), [w, v]))
         assert abs(per[j] - g) <= TOL * bound
         rest = op.partial_trace(rho.matrix, dims, keep=[i for i in range(len(dims)) if i != j])
         want_term += tau * op.tensor_interleave(acomm, [j], rest, dims)
