@@ -150,18 +150,18 @@ def build_dynamics(kind: str, model, name: str, block: dict, units):
     if name == "lindblad":
         lmodel = sz.decode_lindblad(block, units)
         dim = lmodel.dim
-        rhs = partial(lb.kl_rhs, model=lmodel)
     elif name == "pauli":
         rates = sz.decode_pauli(block, units)
         dim, energy_op = rates.dim, np.diag(rates.energies).astype(complex)
-        rhs = partial(lb.pauli_rhs, rates=rates)
     else:   # double_commutator, the one block the schema admits beyond these
         f = block["F"]
         dim, gen_ops = len(f), (f,)
     if dim != len(model.H):
         raise ConfigError(f"{name} operators do not match the system dimension")
     if name == "double_commutator":   # validates [F, H] = 0 once, after the dim check
-        rhs = lb.double_commutator(f, block["tau"], model.H, units=units)
+        lmodel = lb.double_commutator(f, block["tau"], model.H, units=units)
+    rhs = (partial(lb.pauli_rhs, rates=rates) if name == "pauli"
+           else partial(lb.kl_rhs, model=lmodel))
 
     def g_rate(m):
         spec = st.matrix_and_spectrum(m)[1]
@@ -455,8 +455,6 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's random seed")
-        p.add_argument("--print-schema", action="store_true",
-                       help="emit the scenario JSON schema and exit")
     args = parser.parse_args(argv)
     if args.print_schema:
         print(json.dumps(sz.CONFIG_SCHEMA, indent=2))

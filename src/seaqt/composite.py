@@ -49,8 +49,8 @@ import numpy as np
 from . import operators as op
 from . import sea
 from . import states as st
-from .errors import (DimensionMismatchError, NonCommutingGeneratorError,
-                     NonPositiveTauError, SingularCompositeStateError)
+from .errors import (DimensionMismatchError, NonPositiveTauError,
+                     SingularCompositeStateError)
 from .operators import UnitSystem
 
 
@@ -156,11 +156,8 @@ def validate_model(model: CompositeModel) -> CompositeModel:
             if x.shape[0] != c.dim:
                 raise DimensionMismatchError(
                     f"constituent {j} generator {i} has dim {x.shape[0]}, expected {c.dim}")
-            commutes, defect = op.commutation_check(op.embed_factors({j: x}, dims), h)
-            if not commutes:
-                raise NonCommutingGeneratorError(
-                    f"lifted generator {i} of constituent {j} does not commute "
-                    f"with H (defect {defect:.3e})")
+            op.require_commuting(op.embed_factors({j: x}, dims), h,
+                                 f"lifted generator {i} of constituent {j}")
             gens.append(x)
         new_constituents.append(Constituent(c.dim, tuple(gens), c.tau))
     return CompositeModel(tuple(new_constituents), h, model.units)

@@ -60,15 +60,14 @@ class ConstantSet:
 
 
 def constant_set(operators, units: UnitSystem | None = None) -> ConstantSet:
-    """Validate Hermiticity, commutation with H, and linear independence."""
+    """Validate Hermiticity, commutation with H (``operators.require_commuting``)
+    and linear independence."""
     ops = [op.require_hermitian(o, name=f"constant {i}") for i, o in enumerate(operators)]
     if not ops:
         raise ValueError("constant set needs at least the Hamiltonian")
     h = ops[0]
     for i, c in enumerate(ops[1:], start=1):
-        commutes, defect = op.commutation_check(c, h)
-        if not commutes:
-            raise ValueError(f"constant {i} does not commute with H (defect {defect:.3e})")
+        op.require_commuting(c, h, f"constant {i}")
     # independence must include the identity: the Gibbs parametrization is
     # gauge-degenerate when some combination of the constants is a multiple
     # of I, and the multiplier problem is then ill-posed

@@ -22,7 +22,8 @@ class TraceError(SeaqtError):
 
 
 class NonCommutingGeneratorError(SeaqtError):
-    """A declared generator does not commute with the Hamiltonian."""
+    """An operator declared conserved (a generator, a constant of the
+    motion, the double-commutator F) does not commute with the Hamiltonian."""
 
 
 class NonPositiveTauError(SeaqtError):
@@ -51,10 +52,6 @@ class StepUnderflowError(SeaqtError):
 
 class StateInvalidError(SeaqtError):
     """Integrated matrix left the valid state set beyond repair."""
-
-
-class NonCommutingFError(SeaqtError):
-    """Double-commutator generator F must commute with H."""
 
 
 class MeasureWeightError(SeaqtError):

@@ -1,6 +1,10 @@
-"""Linear comparison dynamics: the Kossakowski-Lindblad superoperator and
-its entropy production, the Pauli master equation with its energy-balance
-condition and symmetric limit, and the double-commutator equation.
+"""Linear comparison dynamics in one generator form, Kossakowski-Lindblad
+(KL): i[B, rho] + sum_j (A_j rho A_j+ - (1/2){A_j+ A_j, rho}), and its
+entropy production.  The double-commutator equation (one Hermitian jump)
+and the symmetric limit (one projector jump per eigenvector of H) are
+``LindbladModel`` constructors that validate their inputs once.  The Pauli
+master equation keeps its matrix-element form ``pauli_rhs``: its dyadic KL
+form needs d^2 jumps.
 
 This module is the baseline the nonlinear law is contrasted against: the
 generator is linear in the state, and its entropy production diverges
@@ -11,13 +15,13 @@ exhibits directly instead of hiding behind regularization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import operators as op
 from . import states as st
-from .errors import (DimensionMismatchError, NonCommutingFError,
-                     NonPositiveTauError, SingularStateError)
+from .errors import DimensionMismatchError, NonPositiveTauError, SingularStateError
 from .operators import UnitSystem
 from .states import StateOperator
 
@@ -35,6 +39,16 @@ class LindbladModel:
     def dim(self) -> int:
         return self.B.shape[0]
 
+    @cached_property
+    def jump_stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The jumps as one complex (J, d, d) array A, its adjoints A+, and
+        K = iB - (1/2) sum_j A_j+ A_j, the drift less half the loss operator:
+        on a state the drift and loss terms of the generator are K rho +
+        (K rho)+.  Built once per model."""
+        a = np.array(self.jump_ops, dtype=complex).reshape(-1, self.dim, self.dim)
+        a_dag = a.conj().swapaxes(-1, -2)
+        return a, a_dag, 1j * self.B - 0.5 * (a_dag @ a).sum(axis=0)
+
 
 def lindblad_model(B, jump_ops=(), units: UnitSystem | None = None) -> LindbladModel:
     b = op.require_hermitian(B, name="B")
@@ -51,32 +65,26 @@ def kl_rhs(rho, model: LindbladModel) -> np.ndarray:
     """i[B, rho] + sum_j (A_j rho A_j+ - (1/2){A_j+ A_j, rho}).
 
     Trace-free and linear in rho.  The drift part is the Liouvillian when
-    B = -H/hbar.  A (..., d, d) stack of states broadcasts.
+    B = -H/hbar.  ``rho`` is one state or a (..., d, d) stack of them; the
+    drift and loss terms are x + x+ for x = K rho (``jump_stack``), so the
+    rhs is Hermitian by construction.
     """
     m = st._as_matrix(rho)
     op.require_same_dim(m, model.B)
-    out = 1j * op.commutator(model.B, m)
-    for a in model.jump_ops:
-        ada = a.conj().T @ a
-        out = out + a @ m @ a.conj().T - 0.5 * (ada @ m + m @ ada)
-    return out
+    a, a_dag, k = model.jump_stack
+    return op.plus_adjoint(k @ m) + (a @ m[..., None, :, :] @ a_dag).sum(axis=-3)
 
 
 def kl_entropy_production(rho, model: LindbladModel) -> float:
-    """k sum_j Tr(A_j+ A_j rho ln rho - A_j rho A_j+ ln rho) on full-rank
-    states; equals -k Tr(kl_rhs ln rho), the drift part contributing zero."""
+    """-k Tr(kl_rhs ln rho) (``states.entropy_rate``) on full-rank states:
+    k sum_j Tr(A_j+ A_j rho ln rho - A_j rho A_j+ ln rho), the drift part
+    contributing zero."""
     rho = st.validate(rho)
     if st.is_singular(rho.eigenvalues):
         raise SingularStateError(
             "entropy production diverges on singular states; "
             "see singular_divergence_demo")
-    log_rho = st.log_operator(rho)
-    m = rho.matrix
-    total = 0.0
-    for a in model.jump_ops:
-        ada = a.conj().T @ a
-        total += float(np.trace(ada @ m @ log_rho - a @ m @ a.conj().T @ log_rho).real)
-    return model.units.k_B * total
+    return st.entropy_rate(rho.spectral, kl_rhs(rho.matrix, model), model.units.k_B)
 
 
 def divergence_probes(dim: int, occupations, fill_state=None) -> list[StateOperator]:
@@ -146,22 +154,14 @@ def pauli_rates(w, energies, units: UnitSystem | None = None) -> PauliRates:
     return PauliRates(w, energies, units or UnitSystem())
 
 
-def pauli_jump_operators(rates: PauliRates) -> list[np.ndarray]:
-    """Dyadic jumps A_rs = sqrt(w_rs) |r><s| for every nonzero rate."""
-    dim = rates.dim
-    jumps = []
-    for r in range(dim):
-        for s in range(dim):
-            if rates.w[r, s] > 0:
-                a = np.zeros((dim, dim), dtype=complex)
-                a[r, s] = np.sqrt(rates.w[r, s])
-                jumps.append(a)
-    return jumps
-
-
 def as_lindblad(rates: PauliRates) -> LindbladModel:
+    """The KL form of the master equation: drift -diag(E)/hbar and the
+    dyadic jumps A_rs = sqrt(w_rs) |r><s|, one per nonzero rate."""
+    r, s = np.nonzero(rates.w)
+    jumps = np.zeros((len(r), rates.dim, rates.dim), dtype=complex)
+    jumps[np.arange(len(r)), r, s] = np.sqrt(rates.w[r, s])
     b = -np.diag(rates.energies).astype(complex) / rates.units.hbar
-    return LindbladModel(b, tuple(pauli_jump_operators(rates)), rates.units)
+    return LindbladModel(b, tuple(jumps), rates.units)
 
 
 def pauli_rhs(rho, rates: PauliRates) -> np.ndarray:
@@ -190,41 +190,30 @@ def energy_balance_residual(rates: PauliRates) -> float:
     return float(np.abs(per_level).max())
 
 
-def symmetric_limit_rhs(rho, w: float, h) -> np.ndarray:
-    """D(rho)/Dt = w (diag(rho) - rho) in the H eigenbasis: diagonal sector
-    frozen, coherences decay at rate w on top of the phase rotation."""
+def symmetric_limit(w: float, h) -> LindbladModel:
+    """The symmetric limit D(rho)/Dt = w (diag(rho) - rho) in the H
+    eigenbasis as a KL model: drift -H and one jump sqrt(w) |k><k| per
+    eigenvector of H (hbar = 1).  The diagonal sector is frozen and
+    coherences decay at rate w on top of the phase rotation.  w >= 0 and
+    Hermitian H are checked, and H diagonalized, once, here."""
     if not w >= 0:
         raise ValueError("decay rate w must be nonnegative")
-    m = st._as_matrix(rho)
     h = op.require_hermitian(h, name="H")
-    op.require_same_dim(m, h)
-    vals, vecs = np.linalg.eigh(h)
-    m_h = vecs.conj().T @ m @ vecs
-    phase = -1j * (vals[:, None] - vals[None, :]) * m_h
-    decay = w * (np.diag(np.diag(m_h)) - m_h)
-    return vecs @ (phase + decay) @ vecs.conj().T
+    vecs = np.linalg.eigh(h)[1]
+    return LindbladModel(-h, tuple(np.sqrt(w) * np.einsum("ak,bk->kab", vecs, vecs.conj())))
 
 
-def double_commutator(f, tau: float, h, units: UnitSystem | None = None):
-    """The rhs rho -> -(i/hbar)[H, rho] - (tau/2 hbar^2) [F, [F, rho]], with
-    F and H validated here once: Hermitian, of one dimension, and [F, H] = 0
-    (else ``NonCommutingFError``), and tau > 0 (else ``NonPositiveTauError``).
-
-    Conserves the trace and the means of H and F by construction.  The rhs
-    takes a state or a (..., d, d) stack of states.
-    """
+def double_commutator(f, tau: float, h, units: UnitSystem | None = None) -> LindbladModel:
+    """The double-commutator equation -(i/hbar)[H, rho] - (tau/2 hbar^2)
+    [F, [F, rho]] as a KL model: drift -H/hbar and the one Hermitian jump
+    sqrt(tau) F/hbar.  F and H are validated here once: Hermitian, of one
+    dimension, and [F, H] = 0 (else ``NonCommutingGeneratorError``), and
+    tau > 0 (else ``NonPositiveTauError``).  Conserves the trace and the
+    means of H and F by construction."""
     u = units or UnitSystem()
     if not tau > 0:
         raise NonPositiveTauError(f"tau must be positive, got {tau}")
     f = op.require_hermitian(f, name="F")
     h = op.require_hermitian(h, name="H")
-    op.require_same_dim(f, h)
-    if not op.commutation_check(f, h)[0]:
-        raise NonCommutingFError("F must commute with H")
-
-    def rhs(rho) -> np.ndarray:
-        m = st._as_matrix(rho)
-        op.require_same_dim(m, h)
-        ham = -1j / u.hbar * op.commutator(h, m)
-        return ham - tau / (2.0 * u.hbar**2) * op.commutator(f, op.commutator(f, m))
-    return rhs
+    op.require_commuting(f, h, "F")
+    return LindbladModel(-h / u.hbar, (np.sqrt(tau) * f / u.hbar,), u)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotHermitianError
+from .errors import DimensionMismatchError, NonCommutingGeneratorError, NotHermitianError
 
 # The tolerance table.  Scales: "abs." absolute, "rel." relative to what follows.
 HERMITICITY_TOL = 1e-12        # require_hermitian: rejects above; |A - A+|max rel. max(1,|A|max)
@@ -136,6 +136,15 @@ def commutation_check(x, h) -> tuple[bool, float]:
     checked as by ``commutator``."""
     defect = float(np.abs(commutator(x, h)).max())
     return defect <= COMMUTATION_TOL * max(1.0, float(np.abs(h).max())), defect
+
+
+def require_commuting(x, h, name: str) -> None:
+    """The one admission rule for an operator ``name`` declared conserved:
+    ``NonCommutingGeneratorError`` unless ``commutation_check(x, h)`` passes."""
+    commutes, defect = commutation_check(x, h)
+    if not commutes:
+        raise NonCommutingGeneratorError(
+            f"{name} does not commute with H (defect {defect:.3e})")
 
 
 def frobenius_norm(a) -> float:

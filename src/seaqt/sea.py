@@ -49,8 +49,7 @@ import numpy as np
 
 from . import operators as op
 from . import states as st
-from .errors import (DimensionMismatchError, NonCommutingGeneratorError,
-                     NonPositiveTauError)
+from .errors import DimensionMismatchError, NonPositiveTauError
 from .operators import UnitSystem
 
 
@@ -102,7 +101,7 @@ def validate_model(model: SingleConstituentModel) -> SingleConstituentModel:
     """Check Hermiticity, commutation and tau; warn on near-degenerate Gram.
 
     Returns the model with symmetrized operators.  Commutation is judged by
-    ``operators.commutation_check``.  The Gram condition number of the
+    ``operators.require_commuting``.  The Gram condition number of the
     generators is probed at rho = I/dim and a warning is issued above
     GRAM_CONDITION_WARN (duplicate generators degrade gracefully to a
     round-off-level dissipator, but silence would hide the degeneracy).
@@ -116,10 +115,7 @@ def validate_model(model: SingleConstituentModel) -> SingleConstituentModel:
         if x.shape != h.shape:
             raise DimensionMismatchError(
                 f"generator {i} has dim {x.shape[0]}, expected {h.shape[0]}")
-        commutes, defect = op.commutation_check(x, h)
-        if not commutes:
-            raise NonCommutingGeneratorError(
-                f"generator {i} does not commute with H (defect {defect:.3e})")
+        op.require_commuting(x, h, f"generator {i}")
         gens.append(x)
     validated = replace(model, H=h, generators=tuple(gens))
     cond = gram_condition_number(np.eye(h.shape[0]) / h.shape[0], validated)

@@ -67,7 +67,7 @@ CONFIG_SCHEMA = {
                        "gibbs": _object({"multipliers": _array(NUMBER)}, "multipliers"),
                        "random": _object({"dim": DIM,
                                           "seed": {"type": "integer", "minimum": 0},
-                                          "min_eig": NUMBER}),
+                                          "min_eig": {"type": "number", "minimum": 0}}),
                        "mix": _object({"state": STATE, "epsilon": NUMBER},
                                       "state", "epsilon")}),
             "dependentRequired": {"matrix": ["dim"], "pure": ["dim"]},
@@ -266,7 +266,16 @@ def decode_composite_model(obj, units: UnitSystem) -> cp.CompositeModel:
     return cp.validate_model(cp.CompositeModel(constituents, obj["H"], units))
 
 
-def decode_state(obj, model=None, seed_override: int | None = None) -> st.StateOperator:
+@contextmanager
+def _constructor_field(name: str):
+    """A state constructor's ``ValueError`` as a ``ConfigError`` naming ``name``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc), name) from exc
+
+
+def decode_state(obj, model, seed_override: int | None = None) -> st.StateOperator:
     kinds = [kind for kind in STATE_KINDS if kind in obj]
     if len(kinds) != 1:
         raise ConfigError(f"a state needs exactly one of {', '.join(STATE_KINDS)}; "
@@ -275,11 +284,10 @@ def decode_state(obj, model=None, seed_override: int | None = None) -> st.StateO
     if kind == "matrix":
         return st.validate(decode_matrix(obj))
     if kind == "pure":
-        return st.pure_state(decode_vector(obj))
+        with _constructor_field("pure"):
+            return st.pure_state(decode_vector(obj))
     spec = obj[kind]
     if kind == "gibbs":
-        if model is None:
-            raise ConfigError("needs a system block", "gibbs")
         multipliers = spec["multipliers"]
         ops = [model.H, *model.generators]
         if len(multipliers) != len(ops):
@@ -288,21 +296,18 @@ def decode_state(obj, model=None, seed_override: int | None = None) -> st.StateO
         constants = eq.constant_set(ops, units=model.units)
         return eq.gibbs_state(constants, eq.MultiplierVector.from_array(multipliers))
     if kind == "random":
-        dim = spec.get("dim")
-        if dim is None:
-            if model is None:
-                raise ConfigError("required without a system block", "random.dim")
-            dim = model.H.shape[0]
         seed = seed_override if seed_override is not None else spec.get("seed")
         if seed is None:
             raise ConfigError("required field missing; give it here or pass --seed",
                               "random.seed")
-        return st.random_full_rank(dim, seed=seed,
-                                   min_eig=spec.get("min_eig", op.RANDOM_MIN_EIG))
+        with _constructor_field("random.min_eig"):
+            return st.random_full_rank(spec.get("dim", model.dim), seed=seed,
+                                       min_eig=spec.get("min_eig", op.RANDOM_MIN_EIG))
     # kind == "mix"
     with field_path("mix.state"):
         inner = decode_state(spec["state"], model=model, seed_override=seed_override)
-    return st.mix_with_identity(inner, spec["epsilon"])
+    with _constructor_field("mix.epsilon"):
+        return st.mix_with_identity(inner, spec["epsilon"])
 
 
 def decode_lindblad(obj, units: UnitSystem) -> lb.LindbladModel:
@@ -322,16 +327,15 @@ def require_state_dim(rho, model, where: str) -> None:
                                      f"has dim {model.dim}")
 
 
-def decode_measure(obj, model=None,
+def decode_measure(obj, model,
                    seed_override: int | None = None) -> en.StatisticalWeightMeasure:
-    """The ``measure`` block; with ``model``, each support state is held to
-    the system's dimension."""
+    """The ``measure`` block, each support state held to the system's
+    dimension."""
     pairs = []
     for i, point in enumerate(obj["support"]):
         with field_path(f"support[{i}].state"):
             state = decode_state(point["state"], model=model, seed_override=seed_override)
-        if model is not None:
-            require_state_dim(state, model, f"measure.support[{i}].state")
+        require_state_dim(state, model, f"measure.support[{i}].state")
         pairs.append((point["w"], state))
     return en.measure(pairs)
 

@@ -376,12 +376,15 @@ def pure_state(vec) -> StateOperator:
 
 
 def random_full_rank(dim: int, seed: int, min_eig: float = op.RANDOM_MIN_EIG) -> StateOperator:
-    """Deterministic full-rank random state with min eigenvalue >= min_eig."""
+    """Deterministic full-rank random state with min eigenvalue >= min_eig,
+    for 0 <= min_eig < 1/dim (else ``ValueError``)."""
+    if not 0.0 <= min_eig * dim < 1.0:
+        raise ValueError(f"min_eig must be in [0, 1/dim) = [0, {1 / dim:g}), got {min_eig}")
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = x @ x.conj().T
     m /= np.trace(m).real
-    eps = min_eig * dim / (1.0 - min_eig * dim) if min_eig * dim < 1.0 else 0.5
+    eps = min_eig * dim / (1.0 - min_eig * dim)
     m = (m + eps * np.eye(dim) / dim) / (1.0 + eps)
     return validate(m)
 

@@ -6,8 +6,9 @@ Hermitian basis and Bloch coordinates in it, seeded random Hermitian matrices, t
 log covariances of a state, its deviation operators and smallest
 eigenvalue, a Gibbs state of one Hamiltonian, whether a measure is a point
 measure, the reduced operators V(j) and W(j) of one composite constituent,
-the kernel at a state with a given log operator, and a trajectory thinned
-to every k-th step.
+the kernel at a state with a given log operator, the Kossakowski-Lindblad
+dissipator summed jump by jump, and a trajectory thinned to every k-th
+step.
 """
 
 from dataclasses import replace
@@ -163,6 +164,16 @@ def log_operator_kernel(rho, ops, log_op):
     operands[:n] = np.moveaxis(ops, -3, 0)
     operands[n] = log_op
     return sea.operator_log_kernel(rho, operands)
+
+
+def kl_dissipator(jumps, rho) -> np.ndarray:
+    """sum_j (A_j rho A_j+ - (1/2){A_j+ A_j, rho}), one jump at a time."""
+    rho = np.asarray(rho, dtype=complex)
+    out = np.zeros_like(rho)
+    for a in jumps:
+        ada = a.conj().T @ a
+        out += a @ rho @ a.conj().T - 0.5 * (ada @ rho + rho @ ada)
+    return out
 
 
 def thinned(traj, k: int):

@@ -324,8 +324,8 @@ def test_10_linear_dynamics():
     rho_c = st.pure_state(np.array([1.0, 1.0]) / np.sqrt(2))
     cfg_sym = ig.IntegratorConfig(t_max=2.0, dt_max=0.05, rel_tol=1e-10,
                                   abs_tol=1e-12, projection="off")
-    traj_sym = ig.integrate(rho_c, lambda m: lb.symmetric_limit_rhs(m, w_sym, h2),
-                            cfg_sym)
+    sym_model = lb.symmetric_limit(w_sym, h2)
+    traj_sym = ig.integrate(rho_c, lambda m: lb.kl_rhs(m, sym_model), cfg_sym)
     c0 = abs(rho_c.matrix[0, 1])
     for s in traj_sym.samples[1:]:
         want = c0 * np.exp(-w_sym * s.t)

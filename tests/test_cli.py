@@ -341,7 +341,7 @@ class TestCompare:
         code = cli.main(["compare", "--config", write_config(tmp_path, config),
                          "--out", str(out)])
         assert code == 3
-        assert "NonCommutingF" in capsys.readouterr().err
+        assert "NonCommutingGenerator" in capsys.readouterr().err
         assert not (out / "sea_trajectory.csv").exists()
 
     def test_linear_block_on_a_composite_system_writes_nothing(self, tmp_path, capsys):
@@ -699,6 +699,25 @@ class TestSemanticErrorsNameTheirField:
         err = self.run(tmp_path, capsys, config)
         assert "ERROR DimensionMismatch: generator 0 has dim 3, expected 2" in err
 
+    @pytest.mark.parametrize("initial, message", [
+        ({"random": {"seed": 1, "min_eig": 0.6}}, "initial.random.min_eig: min_eig must be in"),
+        ({"random": {"seed": 1, "min_eig": -0.01}}, "initial.random.min_eig: must be >= 0"),
+        ({"mix": {"state": {"random": {"seed": 1}}, "epsilon": 2}},
+         "initial.mix.epsilon: epsilon must be in (0, 1)"),
+        ({"dim": 2, "pure": [[0.0, 0.0], [0.0, 0.0]]},
+         "initial.pure: zero vector cannot define a pure state")],
+        ids=["min_eig-above-1/dim", "min_eig-negative", "epsilon", "zero-pure"])
+    def test_state_constructor_argument(self, tmp_path, capsys, initial, message):
+        err = self.run(tmp_path, capsys, qubit_sea_scenario(initial=initial))
+        assert f"ERROR Config: {message}" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_non_commuting_constant(self, tmp_path, capsys):
+        config = {"constants": [matrix_obj(np.diag([0.0, 1.0])),
+                                matrix_obj([[0.0, 1.0], [1.0, 0.0]])], "targets": [0.5, 0.0]}
+        err = self.run(tmp_path, capsys, config, command="equilibrium")
+        assert "ERROR NonCommutingGenerator: constant 1 does not commute with H (defect" in err
+
     def test_target_count(self, tmp_path, capsys):
         config = {"constants": [matrix_obj(np.diag([0.0, 1.0]))], "targets": [0.5, 0.5]}
         err = self.run(tmp_path, capsys, config, command="equilibrium")
@@ -766,10 +785,6 @@ class TestSchema:
         schema = json.loads(capsys.readouterr().out)
         assert schema["title"].startswith("seaqt")
         assert "dynamics" in schema["properties"]
-
-    def test_print_schema_after_subcommand(self, capsys):
-        assert cli.main(["simulate", "--config", "x", "--print-schema"]) == 0
-        assert "seaqt" in json.loads(capsys.readouterr().out)["title"]
 
     def test_integrator_properties_are_the_config_fields(self, capsys):
         assert cli.main(["--print-schema"]) == 0

@@ -1,12 +1,16 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
+from references import kl_dissipator
 from seaqt import integrate as ig
 from seaqt import lindblad as lb
 from seaqt import operators as op
 from seaqt import sea
 from seaqt import states as st
-from seaqt.errors import NonCommutingFError, NonPositiveTauError, SingularStateError
+from seaqt.errors import (NonCommutingGeneratorError, NonPositiveTauError,
+                          SingularStateError)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -57,6 +61,18 @@ class TestKlRhs:
         combo = lb.kl_rhs(0.3 * a + 0.7 * b, model)
         split = 0.3 * lb.kl_rhs(a, model) + 0.7 * lb.kl_rhs(b, model)
         assert np.abs(combo - split).max() <= 1e-12
+
+    @pytest.mark.parametrize("n_jumps", [0, 1, 3])
+    def test_jump_stack_matches_the_per_jump_formula(self, n_jumps):
+        # J = 0, 1 and d jumps at d = 3, on one state and on a stack
+        rng = np.random.default_rng(20 + n_jumps)
+        jumps = rng.normal(size=(n_jumps, 3, 3)) + 1j * rng.normal(size=(n_jumps, 3, 3))
+        b = np.diag([0.0, 0.6, 1.7])
+        model = lb.lindblad_model(b, jump_ops=tuple(jumps))
+        rhos = np.stack([st.random_full_rank(3, seed=80 + k).matrix for k in range(4)])
+        want = np.stack([1j * (b @ m - m @ b) + kl_dissipator(jumps, m) for m in rhos])
+        assert np.abs(lb.kl_rhs(rhos, model) - want).max() <= 1e-13
+        assert np.abs(lb.kl_rhs(rhos[0], model) - want[0]).max() <= 1e-13
 
 
 def energy_drift(model, h) -> float:
@@ -214,18 +230,18 @@ class TestSymmetricLimit:
     @pytest.mark.parametrize("w", [-0.5, np.nan])
     def test_negative_or_nan_rate_rejected(self, w):
         with pytest.raises(ValueError):
-            lb.symmetric_limit_rhs(st.validate(I2 / 2), w, np.diag([0.0, 1.0]))
+            lb.symmetric_limit(w, np.diag([0.0, 1.0]))
 
     def test_diagonal_invariant(self):
         h = np.diag([0.0, 1.0])
         rho = st.random_full_rank(2, seed=60)
-        rhs = lb.symmetric_limit_rhs(rho, 0.7, h)
+        rhs = lb.kl_rhs(rho, lb.symmetric_limit(0.7, h))
         assert np.abs(np.diag(rhs).real).max() <= 1e-13
 
     def test_energy_conserved(self):
         h = np.diag([0.0, 1.0, 2.0])
         rho = st.random_full_rank(3, seed=61)
-        rhs = lb.symmetric_limit_rhs(rho, 0.4, h)
+        rhs = lb.kl_rhs(rho, lb.symmetric_limit(0.4, h))
         assert abs(np.trace(h @ rhs).real) <= 1e-12
 
     def test_coherence_decays_exponentially(self):
@@ -234,7 +250,7 @@ class TestSymmetricLimit:
         rho0 = st.pure_state(np.array([1.0, 1.0]) / np.sqrt(2))
         cfg = ig.IntegratorConfig(t_max=2.0, dt_max=0.05, rel_tol=1e-10,
                                   abs_tol=1e-12, projection="off")
-        traj = ig.integrate(rho0, lambda m: lb.symmetric_limit_rhs(m, w, h), cfg)
+        traj = ig.integrate(rho0, partial(lb.kl_rhs, model=lb.symmetric_limit(w, h)), cfg)
         c0 = abs(rho0.matrix[0, 1])
         for s in traj.samples[1:]:
             want = c0 * np.exp(-w * s.t)
@@ -248,13 +264,53 @@ class TestSymmetricLimit:
         model = lb.as_lindblad(rates)
         rho = st.random_full_rank(2, seed=62)
         assert np.abs(lb.kl_rhs(rho, model) -
-                      lb.symmetric_limit_rhs(rho, w, h)).max() <= 1e-12
+                      lb.kl_rhs(rho, lb.symmetric_limit(w, h))).max() <= 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_matches_dephasing_in_the_h_eigenbasis(self, dim):
+        # w (diag(rho) - rho) - i[H, rho], diag taken in the H eigenbasis
+        rng = np.random.default_rng(dim)
+        x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h, w = op.hermitize(x), 0.6
+        vecs = np.linalg.eigh(h)[1]
+        rho = st.random_full_rank(dim, seed=63).matrix
+        m_h = vecs.conj().T @ rho @ vecs
+        want = (-1j * (h @ rho - rho @ h)
+                + w * vecs @ (np.diag(np.diag(m_h)) - m_h) @ vecs.conj().T)
+        assert np.abs(lb.kl_rhs(rho, lb.symmetric_limit(w, h)) - want).max() <= 1e-13
+
+    def test_operators_validated_once_when_built(self, monkeypatch):
+        calls, in_rhs = [], []
+
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append((name, bool(in_rhs)))
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        rho0 = st.random_full_rank(3, seed=64)
+        counting(op, "require_hermitian")
+        counting(np.linalg, "eigh")
+        model = lb.symmetric_limit(0.5, np.diag([0.0, 1.0, 2.0]))
+        assert sorted(calls) == [("eigh", False), ("require_hermitian", False)]
+
+        def rhs(m):
+            in_rhs.append(True)
+            try:
+                return lb.kl_rhs(m, model)
+            finally:
+                in_rhs.pop()
+        traj = ig.integrate(rho0, rhs, ig.IntegratorConfig(t_max=2.0))
+        assert traj.stats["rhs_calls"] > 100
+        assert [c for c in calls if c[1]] == []
 
 
 class TestDoubleCommutator:
     def test_coherence_decay_populations_fixed(self):
         rho = st.validate(np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex))
-        rhs = lb.double_commutator(SZ, 0.5, SZ)(rho)
+        rhs = lb.kl_rhs(rho, lb.double_commutator(SZ, 0.5, SZ))
         # F = H = sigma_z: comm part cancels on diagonal, coherences damped
         assert np.abs(np.diag(rhs).real).max() <= 1e-13
         # [sz, [sz, rho]] off-diagonal = 4 rho_01
@@ -264,7 +320,7 @@ class TestDoubleCommutator:
     def test_commuting_state_gives_zero_dissipation(self):
         f = np.diag([1.0, -1.0])
         rho = st.validate(np.diag([0.7, 0.3]))
-        rhs = lb.double_commutator(f, 1.0, np.diag([0.0, 1.0]))(rho)
+        rhs = lb.kl_rhs(rho, lb.double_commutator(f, 1.0, np.diag([0.0, 1.0])))
         assert np.abs(rhs).max() <= 1e-13
 
     def test_conserves_f_mean(self):
@@ -272,14 +328,25 @@ class TestDoubleCommutator:
         h = np.diag([0.0, 1.0, 2.0])
         for seed in range(5):
             rho = st.random_full_rank(3, seed=70 + seed)
-            rhs = lb.double_commutator(f, 0.8, h)(rho)
+            rhs = lb.kl_rhs(rho, lb.double_commutator(f, 0.8, h))
             assert abs(np.trace(f @ rhs).real) <= 1e-12
             assert abs(np.trace(h @ rhs).real) <= 1e-12
             assert abs(np.trace(rhs)) <= 1e-13
 
     def test_non_commuting_f_rejected(self):
-        with pytest.raises(NonCommutingFError):
-            lb.double_commutator(SX, 1.0, np.diag([0.0, 1.0]))(st.validate(I2 / 2))
+        with pytest.raises(NonCommutingGeneratorError, match="F does not commute with H"):
+            lb.double_commutator(SX, 1.0, np.diag([0.0, 1.0]))
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.7])
+    def test_model_is_the_double_commutator_equation(self, hbar):
+        # -(i/hbar)[H, rho] - (tau/2 hbar^2)[F, [F, rho]]
+        f, h, tau = np.diag([1.0, 2.0, -1.0]), np.diag([0.0, 1.0, 2.0]), 0.8
+        model = lb.double_commutator(f, tau, h, units=op.UnitSystem(hbar=hbar))
+        for seed in range(4):
+            rho = st.random_full_rank(3, seed=90 + seed).matrix
+            want = (-1j / hbar * op.commutator(h, rho)
+                    - tau / (2 * hbar**2) * op.commutator(f, op.commutator(f, rho)))
+            assert np.abs(lb.kl_rhs(rho, model) - want).max() <= 1e-13
 
     @pytest.mark.parametrize("tau", [np.nan, -1.0, 0.0])
     def test_nonpositive_or_nan_tau_rejected(self, tau):
@@ -287,7 +354,7 @@ class TestDoubleCommutator:
             lb.double_commutator(SZ, tau, np.diag([0.0, 1.0]))
 
     def test_operators_validated_once_when_built(self, monkeypatch):
-        with pytest.raises(NonCommutingFError):
+        with pytest.raises(NonCommutingGeneratorError):
             lb.double_commutator(SX, 1.0, np.diag([0.0, 1.0]))
         rho0 = st.random_full_rank(3, seed=75)   # validated before counting
         calls = []
@@ -303,7 +370,7 @@ class TestDoubleCommutator:
         for name in ("require_hermitian", "commutation_check"):
             monkeypatch.setattr(op, name, counting(name))
         f, h = np.diag([1.0, 2.0, -1.0]), np.diag([0.0, 1.0, 2.0])
-        rhs = lb.double_commutator(f, 0.8, h)
+        rhs = partial(lb.kl_rhs, model=lb.double_commutator(f, 0.8, h))
         traj = ig.integrate(rho0, rhs, ig.IntegratorConfig(t_max=2.0))
         assert traj.stats["rhs_calls"] > 100
         assert sorted(calls) == ["commutation_check"] + ["require_hermitian"] * 2
@@ -312,6 +379,7 @@ class TestDoubleCommutator:
         h = np.diag([0.0, 1.0])
         rho0 = st.validate(np.array([[0.6, 0.25], [0.25, 0.4]], dtype=complex))
         cfg = ig.IntegratorConfig(t_max=5.0, dt_max=0.2)
-        traj = ig.integrate(rho0, lb.double_commutator(SZ, 1.0, h), cfg)
+        traj = ig.integrate(rho0, partial(lb.kl_rhs, model=lb.double_commutator(SZ, 1.0, h)),
+                            cfg)
         s = traj.column("entropy")
         assert np.all(np.diff(s) >= -1e-10)

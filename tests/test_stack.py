@@ -105,10 +105,10 @@ def test_linear_and_composite_rhs_accept_a_stack():
     a[0, 2] = 0.6
     lmodel = lb.lindblad_model(-h, jump_ops=(a,))
     rates = lb.pauli_rates(rng.uniform(0.1, 1.0, (3, 3)), np.diag(h).real)
-    f = np.diag([1.0, -1.0, 0.3]).astype(complex)
+    dmodel = lb.double_commutator(np.diag([1.0, -1.0, 0.3]), 0.5, h)
     stack = np.stack([st.random_full_rank(3, seed=s).matrix for s in range(4)])
     for rhs in (lambda m: lb.kl_rhs(m, lmodel), lambda m: lb.pauli_rhs(m, rates),
-                lb.double_commutator(f, 0.5, h)):
+                lambda m: lb.kl_rhs(m, dmodel)):
         want = np.stack([rhs(m) for m in stack])
         assert np.abs(rhs(stack) - want).max() <= 1e-14
     model = cp.validate_model(cp.CompositeModel(

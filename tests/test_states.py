@@ -349,6 +349,17 @@ class TestConstructors:
             rho = st.random_full_rank(4, seed=seed)
             assert min_eigenvalue(rho) >= 1e-4 - 1e-12
 
+    @pytest.mark.parametrize("min_eig", [0.25, 0.3, -0.01, np.nan])
+    def test_random_full_rank_min_eig_outside_0_to_1_over_dim_rejected(self, min_eig):
+        with pytest.raises(ValueError, match="min_eig"):
+            st.random_full_rank(4, seed=1, min_eig=min_eig)
+
+    @pytest.mark.parametrize("min_eig", [0.0, 0.2, 0.25 - 1e-9])
+    def test_random_full_rank_meets_min_eig_up_to_1_over_dim(self, min_eig):
+        for seed in range(5):
+            rho = st.random_full_rank(4, seed=seed, min_eig=min_eig)
+            assert min_eigenvalue(rho) >= min_eig - 1e-12
+
     def test_gibbs_seed_two_level(self):
         rho = gibbs_seed(np.log(3), np.diag([0.0, 1.0]))
         assert np.allclose(rho.matrix, np.diag([0.75, 0.25]))
