@@ -14,7 +14,6 @@ from seaqt.errors import (NonCommutingGeneratorError, NonPositiveTauError,
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-I2 = np.eye(2, dtype=complex)
 
 
 def decay_channel(gamma=1.0, h=None):
