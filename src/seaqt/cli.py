@@ -7,7 +7,8 @@ config is first checked against ``serialize.CONFIG_SCHEMA``, which
 ``--print-schema`` prints, and then decoded by a walk of the same schema
 (``serialize.decode_config``).  ``load_scenario`` then builds the units,
 the system, every dynamics block and the integrator before any integration
-or output, so a config error leaves no partial output.
+or output, so a config error leaves no partial output.  Each block is built
+inside ``serialize.field_path(<its dotted path>)``: its errors name that path.
 
 Exit codes: 0 success; 2 no subcommand, a usage error, or a config that
 is not valid JSON or not a JSON object; 3 every ConfigError (a missing
@@ -85,34 +86,31 @@ def load_scenario(config: dict, seed: int | None) -> Scenario:
         raise ConfigError("scenario needs a 'system' object")
     (kind, spec), = config["system"].items()
     decode = sz.decode_single_model if kind == "single" else sz.decode_composite_model
-    model = decode(spec, units)
-    dynamics = {name: build_dynamics(kind, model, name, block, units)
-                for name, block in config.get("dynamics", {}).items()}
+    with sz.field_path(f"system.{kind}"):
+        model = decode(spec, units)
+    dynamics = {}
+    for name, block in config.get("dynamics", {}).items():
+        with sz.field_path(f"dynamics.{name}"):
+            dynamics[name] = build_dynamics(kind, model, name, block, units)
     return Scenario(kind, model, dynamics, build_integrator(config), seed)
 
 
 def build_initial(config: dict, scenario: Scenario) -> st.StateOperator:
     with sz.field_path("initial"):
-        rho0 = sz.decode_state(config.get("initial", {}), model=scenario.model,
-                               seed_override=scenario.seed)
-    preflight(scenario, rho0)
+        rho0 = sz.decode_state(config.get("initial", {}), scenario.model, scenario.seed)
+        preflight(scenario, rho0)
     return rho0
 
 
-def preflight(scenario: Scenario, rho, where: str = "initial") -> None:
-    """Hold the state or stack a subcommand integrates, named ``where``, to the
-    system's dimension and, on a composite system, to the documented domain
-    (``composite.require_full_rank``)."""
-    sz.require_state_dim(rho, scenario.model, where)
+def preflight(scenario: Scenario, rho) -> None:
+    """Hold a composite's integrated state or stack to ``require_full_rank``."""
     if scenario.kind == "composite":
         cp.require_full_rank(rho, scenario.model)
 
 
 def build_integrator(config: dict) -> ig.IntegratorConfig:
-    try:
+    with sz.field_path("integrator"):
         return ig.IntegratorConfig(**config.get("integrator", {}))
-    except ValueError as exc:
-        raise ConfigError(f"integrator: {exc}") from exc
 
 
 def build_dynamics(kind: str, model, name: str, block: dict, units):
@@ -145,7 +143,7 @@ def build_dynamics(kind: str, model, name: str, block: dict, units):
                              g_rate=g_rate, k_B=k_B)
         return rhs, obs, eq_norm
     if kind != "single":
-        raise ConfigError(f"dynamics '{name}' requires a single system")
+        raise ConfigError("requires a single system")
     energy_op, gen_ops = model.H, model.generators
     if name == "lindblad":
         lmodel = sz.decode_lindblad(block, units)
@@ -157,7 +155,7 @@ def build_dynamics(kind: str, model, name: str, block: dict, units):
         f = block["F"]
         dim, gen_ops = len(f), (f,)
     if dim != len(model.H):
-        raise ConfigError(f"{name} operators do not match the system dimension")
+        raise ConfigError("operators do not match the system dimension")
     if name == "double_commutator":   # validates [F, H] = 0 once, after the dim check
         lmodel = lb.double_commutator(f, block["tau"], model.H, units=units)
     rhs = (partial(lb.pauli_rhs, rates=rates) if name == "pauli"
@@ -226,16 +224,18 @@ def cmd_equilibrium(config: dict, out_dir: Path, seed: int | None) -> int:
         raise ConfigError("equilibrium config needs 'constants'")
     if "targets" in config and "multipliers" in config:
         raise ConfigError("equilibrium takes 'targets' or 'multipliers', not both")
-    constants = eq.constant_set(config["constants"], units=units)
+    with sz.field_path("constants"):
+        constants = eq.constant_set(config["constants"], units=units)
     name = "multipliers" if "multipliers" in config else "targets"
     if name not in config:
         raise ConfigError("equilibrium config needs 'targets' or 'multipliers'")
     values = config[name]
-    if len(values) != len(constants):
-        raise ConfigError(f"expected {len(constants)} (one per constant), "
-                          f"got {len(values)}", name)
-    m = (eq.MultiplierVector.from_array(values) if name == "multipliers"
-         else eq.solve_multipliers(constants, values))
+    with sz.field_path(name):
+        if len(values) != len(constants):
+            raise ConfigError(f"expected {len(constants)} (one per constant), "
+                              f"got {len(values)}")
+        m = (eq.MultiplierVector.from_array(values) if name == "multipliers"
+             else eq.solve_multipliers(constants, values))
     rho = eq.gibbs_state(constants, m)
     return write_result(config, out_dir, {
         "multipliers": list(m.as_array()),
@@ -382,9 +382,9 @@ def cmd_ensemble(config: dict, out_dir: Path, seed: int | None) -> int:
         states = []
         for i, s in enumerate(spec["states"]):
             with sz.field_path(f"maxent.states[{i}]"):
-                states.append(sz.decode_state(s, model=model, seed_override=seed))
-            sz.require_state_dim(states[-1], model, f"maxent.states[{i}]")
-        mu = en.maxent_known_spectrum(states, spec["target_energy"], model.H)
+                states.append(sz.decode_state(s, model, seed))
+        with sz.field_path("maxent.target_energy"):
+            mu = en.maxent_known_spectrum(states, spec["target_energy"], model.H)
         return write_result(config, out_dir, {
             "weights": [float(w) for w in mu.weights],
             "statistical_uncertainty": en.statistical_uncertainty(mu, c=model.units.c_stat),
@@ -399,7 +399,8 @@ def cmd_ensemble(config: dict, out_dir: Path, seed: int | None) -> int:
     if len(scenario.dynamics) != 1:
         raise ConfigError("ensemble needs exactly one dynamics block")
     (rhs, obs, eq_norm), = scenario.dynamics.values()
-    preflight(scenario, np.stack([s.matrix for s in mu.states]), "measure.support")
+    with sz.field_path("measure.support"):
+        preflight(scenario, np.stack([s.matrix for s in mu.states]))
     outputs = config.get("outputs", {})
     # the support states advance as one stack on the user's settings; the
     # series needs no entropy production rate

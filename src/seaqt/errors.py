@@ -2,7 +2,13 @@
 
 
 class SeaqtError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.  ``field`` is the dotted config path
+    of the offending field: empty in the library, filled in while a scenario
+    is decoded (``serialize.field_path``), and then the text starts with it."""
+
+    def __init__(self, message: str, field: str = ""):
+        super().__init__(f"{field}: {message}" if field else message)
+        self.message, self.field = message, field
 
 
 class DimensionMismatchError(SeaqtError):
@@ -59,10 +65,4 @@ class MeasureWeightError(SeaqtError):
 
 
 class ConfigError(SeaqtError):
-    """Scenario configuration failed to parse or validate.  ``field`` is the
-    dotted path of the offending field when it is known; the message then
-    starts with it."""
-
-    def __init__(self, message: str, field: str = ""):
-        super().__init__(f"{field}: {message}" if field else message)
-        self.message, self.field = message, field
+    """Scenario configuration failed to parse or validate."""

@@ -352,7 +352,9 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
                     dt_next = min(config.dt_max, dt * factor)
                     break
                 if dt <= config.dt_min * op.DT_MIN_SLACK:
-                    st._raise_for(ratios == ratio, ratios, StepUnderflowError,
+                    # a NaN error is no member's maximum: name the first non-finite
+                    worst = ~np.isfinite(ratios) if np.isnan(ratio) else ratios == ratio
+                    st._raise_for(worst, ratios, StepUnderflowError,
                                   f"dt_min {config.dt_min:g} reached at t = {t:g} with "
                                   "scaled error {:.3e}")
                 stats["rejected_steps"] += 1

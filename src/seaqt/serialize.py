@@ -8,6 +8,7 @@ lists.  ``CONFIG_SCHEMA`` both checks and parses a scenario: ``decode_config``
 checks it, then decodes its matrices and integers by a walk of the schema.
 Each block decoder takes a block so decoded; states and measures need the
 model and a seed, so they are decoded where they are used.
+``field_path`` is the one way a semantic error names its field.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import lindblad as lb
 from . import operators as op
 from . import sea
 from . import states as st
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError, SeaqtError
 from .operators import UnitSystem
 
 
@@ -106,11 +107,12 @@ CONFIG_SCHEMA = {
         "constants": {**_array(MATRIX), "description": "equilibrium subcommand"},
         "targets": _array(NUMBER),
         "multipliers": _array(NUMBER),
-        "measure": {**_object({"support": _array(_object({"w": NUMBER, "state": STATE},
-                                                          "w", "state"))}, "support"),
+        "measure": {**_object({"support": {**_array(_object({"w": NUMBER, "state": STATE},
+                                                             "w", "state")),
+                                           "minItems": 1}}, "support"),
                     "description": "ensemble subcommand: weighted support"},
-        "maxent": _object({"states": _array(STATE), "target_energy": NUMBER},
-                          "states", "target_energy"),
+        "maxent": _object({"states": {**_array(STATE), "minItems": 1},
+                           "target_energy": NUMBER}, "states", "target_energy"),
     }),
 }
 
@@ -126,52 +128,53 @@ def _has_type(value, name: str) -> bool:
     return isinstance(value, _TYPES[name])
 
 
-def _check_size(n: int, lo: int, hi, where: str, noun: str) -> None:
+def _check_size(n: int, lo: int, hi, field: str, noun: str) -> None:
     if n < lo or (hi is not None and n > hi):
         bound = lo if lo == hi else f"at least {lo}" if hi is None else f"{lo} to {hi}"
-        raise ConfigError(f"{where}: expected {bound} {noun}, got {n}")
+        raise ConfigError(f"expected {bound} {noun}, got {n}", field)
 
 
-def _field(path: str, name: str) -> str:
-    return f"{path}.{name}" if path else name
+def _join(path: str, field: str) -> str:
+    """``path`` and the ``field`` inside it as one path; an index joins undotted."""
+    return f"{path}.{field}" if path and field[:1] not in ("", "[") else path + field
 
 
 def _check(value, schema: dict, path: str) -> None:
     if "$ref" in schema:
         schema = CONFIG_SCHEMA["$defs"][schema["$ref"].removeprefix("#/$defs/")]
-    where = path or "config"
+    field = path or "config"
     if isinstance(value, float) and not np.isfinite(value):
-        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+        raise ConfigError(f"expected a finite number, got {value!r}", field)
     if "type" in schema:
         types = schema["type"] if isinstance(schema["type"], list) else [schema["type"]]
         if not any(_has_type(value, t) for t in types):
-            raise ConfigError(f"{where}: expected {' or '.join(types)}, "
-                              f"got {type(value).__name__}")
+            raise ConfigError(f"expected {' or '.join(types)}, "
+                              f"got {type(value).__name__}", field)
     if "enum" in schema and value not in schema["enum"]:
-        raise ConfigError(f"{where}: {value!r} is not one of {schema['enum']}")
+        raise ConfigError(f"{value!r} is not one of {schema['enum']}", field)
     if "minimum" in schema and value < schema["minimum"]:
-        raise ConfigError(f"{where}: must be >= {schema['minimum']}, got {value!r}")
+        raise ConfigError(f"must be >= {schema['minimum']}, got {value!r}", field)
     if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
-        raise ConfigError(f"{where}: must be > {schema['exclusiveMinimum']}, "
-                          f"got {value!r}")
+        raise ConfigError(f"must be > {schema['exclusiveMinimum']}, got {value!r}",
+                          field)
     if isinstance(value, dict):
         properties = schema.get("properties", {})
         for name, item in value.items():
             if name in properties:
-                _check(item, properties[name], _field(path, name))
+                _check(item, properties[name], _join(path, name))
             elif schema.get("additionalProperties") is False:
-                raise ConfigError(f"{_field(path, name)}: unknown field")
+                raise ConfigError("unknown field", _join(path, name))
         needed = [*schema.get("required", ()),
                   *(need for name, needs in schema.get("dependentRequired", {}).items()
                     if name in value for need in needs)]
         for name in needed:
             if name not in value:
-                raise ConfigError(f"{_field(path, name)}: required field missing")
+                raise ConfigError("required field missing", _join(path, name))
         _check_size(len(value), schema.get("minProperties", 0),
-                    schema.get("maxProperties"), where, "field(s)")
+                    schema.get("maxProperties"), field, "field(s)")
     if isinstance(value, list):
         _check_size(len(value), schema.get("minItems", 0), schema.get("maxItems"),
-                    where, "item(s)")
+                    field, "item(s)")
         for i, item in enumerate(value):
             _check(item, schema.get("items", {}), f"{path}[{i}]")
 
@@ -187,15 +190,18 @@ def check_config(config) -> None:
 
 @contextmanager
 def field_path(path: str):
-    """Prefix the field of a ``ConfigError`` raised inside with ``path``, the
-    dotted path of the object being decoded, so that a semantic error names
-    its field as a schema error does: ``system.single.generators[0].matrix``."""
+    """Name ``path``, the dotted path of the block built inside, in its errors
+    as a schema error names its field.  A ``SeaqtError`` keeps its type (so
+    its exit code) with ``path`` prefixed to its field; a ``ValueError``, a
+    constructor's argument error, becomes a ``ConfigError`` naming ``path``."""
     try:
         yield
-    except ConfigError as exc:
-        field = path + ("." if exc.field[:1] not in ("", "[") else "") + exc.field
-        exc.field, exc.args = field, (f"{field}: {exc.message}",)
+    except SeaqtError as exc:
+        exc.field = _join(path, exc.field)
+        exc.args = (f"{exc.field}: {exc.message}",)
         raise
+    except ValueError as exc:
+        raise ConfigError(str(exc), path) from exc
 
 
 def _decode(value, schema: dict, path: str):
@@ -209,7 +215,7 @@ def _decode(value, schema: dict, path: str):
     if schema.get("type") == "integer":
         return int(value)
     if isinstance(value, dict):
-        return {name: _decode(item, schema["properties"][name], _field(path, name))
+        return {name: _decode(item, schema["properties"][name], _join(path, name))
                 for name, item in value.items()}
     if isinstance(value, list):
         return [_decode(item, schema["items"], f"{path}[{i}]")
@@ -266,16 +272,16 @@ def decode_composite_model(obj, units: UnitSystem) -> cp.CompositeModel:
     return cp.validate_model(cp.CompositeModel(constituents, obj["H"], units))
 
 
-@contextmanager
-def _constructor_field(name: str):
-    """A state constructor's ``ValueError`` as a ``ConfigError`` naming ``name``."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(str(exc), name) from exc
-
-
 def decode_state(obj, model, seed_override: int | None = None) -> st.StateOperator:
+    """The state ``obj`` describes, held to the dimension of ``model``'s system."""
+    rho = _decode_state(obj, model, seed_override)
+    if rho.dim != model.dim:
+        raise DimensionMismatchError(f"state has dim {rho.dim}, but the system "
+                                     f"has dim {model.dim}")
+    return rho
+
+
+def _decode_state(obj, model, seed_override: int | None) -> st.StateOperator:
     kinds = [kind for kind in STATE_KINDS if kind in obj]
     if len(kinds) != 1:
         raise ConfigError(f"a state needs exactly one of {', '.join(STATE_KINDS)}; "
@@ -284,8 +290,9 @@ def decode_state(obj, model, seed_override: int | None = None) -> st.StateOperat
     if kind == "matrix":
         return st.validate(decode_matrix(obj))
     if kind == "pure":
-        with _constructor_field("pure"):
-            return st.pure_state(decode_vector(obj))
+        psi = decode_vector(obj)
+        with field_path("pure"):
+            return st.pure_state(psi)
     spec = obj[kind]
     if kind == "gibbs":
         multipliers = spec["multipliers"]
@@ -300,13 +307,13 @@ def decode_state(obj, model, seed_override: int | None = None) -> st.StateOperat
         if seed is None:
             raise ConfigError("required field missing; give it here or pass --seed",
                               "random.seed")
-        with _constructor_field("random.min_eig"):
+        with field_path("random.min_eig"):
             return st.random_full_rank(spec.get("dim", model.dim), seed=seed,
                                        min_eig=spec.get("min_eig", op.RANDOM_MIN_EIG))
     # kind == "mix"
     with field_path("mix.state"):
-        inner = decode_state(spec["state"], model=model, seed_override=seed_override)
-    with _constructor_field("mix.epsilon"):
+        inner = _decode_state(spec["state"], model, seed_override)
+    with field_path("mix.epsilon"):
         return st.mix_with_identity(inner, spec["epsilon"])
 
 
@@ -318,25 +325,12 @@ def decode_pauli(obj, units: UnitSystem) -> lb.PauliRates:
     return lb.pauli_rates(obj["w"], obj["energies"], units)
 
 
-def require_state_dim(rho, model, where: str) -> None:
-    """Hold the state or stack named ``where`` (its dotted config path) to
-    the system's dimension."""
-    dim = st._as_matrix(rho).shape[-1]
-    if dim != model.dim:
-        raise DimensionMismatchError(f"{where} has dim {dim}, but the system "
-                                     f"has dim {model.dim}")
-
-
 def decode_measure(obj, model,
                    seed_override: int | None = None) -> en.StatisticalWeightMeasure:
-    """The ``measure`` block, each support state held to the system's
-    dimension."""
     pairs = []
     for i, point in enumerate(obj["support"]):
         with field_path(f"support[{i}].state"):
-            state = decode_state(point["state"], model=model, seed_override=seed_override)
-        require_state_dim(state, model, f"measure.support[{i}].state")
-        pairs.append((point["w"], state))
+            pairs.append((point["w"], decode_state(point["state"], model, seed_override)))
     return en.measure(pairs)
 
 

@@ -19,7 +19,7 @@ from seaqt import lindblad as lb
 from seaqt import sea
 from seaqt import serialize as sz
 from seaqt import states as st
-from seaqt.errors import ConfigError
+from seaqt.errors import ConfigError, NotHermitianError
 from seaqt.integrate import IntegratorConfig
 from seaqt.operators import UnitSystem
 
@@ -120,6 +120,27 @@ class TestSimulate:
                          "--out", str(tmp_path)]) == 3
         assert f"ERROR Config: {message}" in capsys.readouterr().err
         assert not (tmp_path / "run.csv").exists()
+
+    def test_a_non_finite_stage_exits_4(self, tmp_path, capsys, monkeypatch):
+        # H = diag(0, 1e100) passes every check, but the stages overflow to
+        # NaN; the sentinel bounds the run should rk45 keep rejecting them
+        calls, sea_rhs = [], sea.sea_rhs
+
+        def counted(m, model):
+            calls.append(None)
+            if len(calls) > 10_000:
+                raise RuntimeError("rk45 kept rejecting a non-finite step")
+            return sea_rhs(m, model)
+
+        monkeypatch.setattr(sea, "sea_rhs", counted)
+        config = qubit_sea_scenario()
+        config["system"]["single"]["H"] = matrix_obj(np.diag([0.0, 1e100]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["simulate", "--config", write_config(tmp_path, config),
+                             "--out", str(tmp_path)])
+        assert code == 4
+        assert "ERROR StepUnderflow: dt_min 1e-12 reached at t = 0 with scaled error " \
+               "nan" in capsys.readouterr().err
 
     def test_missing_tau_exits_3_and_names_tau(self, tmp_path, capsys):
         config = qubit_sea_scenario()
@@ -408,8 +429,8 @@ class TestLinearBlocks:
         code = cli.main(["simulate", "--config", write_config(tmp_path, config),
                          "--out", str(tmp_path)])
         assert code == 3
-        assert f"ERROR Config: {name} operators do not match the system dimension" in \
-            capsys.readouterr().err
+        assert f"ERROR Config: dynamics.{name}: operators do not match the system " \
+               "dimension" in capsys.readouterr().err
 
 
 class TestValidate:
@@ -674,7 +695,8 @@ class TestSemanticErrorsNameTheirField:
         if command == "compare":
             config["dynamics"]["lindblad"] = {"B": matrix_obj(-np.diag([0.0, 1.0]))}
         err = self.run(tmp_path, capsys, config, command=command)
-        assert "ERROR DimensionMismatch: initial has dim 3, but the system has dim 2" in err
+        assert "ERROR DimensionMismatch: initial: state has dim 3, but the system has " \
+               "dim 2" in err
 
     def test_maxent_state_of_another_dimension(self, tmp_path, capsys):
         config = qubit_sea_scenario(maxent={
@@ -682,22 +704,31 @@ class TestSemanticErrorsNameTheirField:
                        {"random": {"dim": 3, "seed": 1}}],
             "target_energy": 0.25}, outputs={})
         err = self.run(tmp_path, capsys, config, command="ensemble")
-        assert "ERROR DimensionMismatch: maxent.states[1] has dim 3, but the system " \
-               "has dim 2" in err
+        assert "ERROR DimensionMismatch: maxent.states[1]: state has dim 3, but the " \
+               "system has dim 2" in err
 
     def test_measure_support_state_of_another_dimension(self, tmp_path, capsys):
         config = qubit_sea_scenario(measure={"support": [
             {"w": 0.5, "state": {"dim": 2, "pure": [[1.0, 0.0], [0.0, 0.0]]}},
             {"w": 0.5, "state": {"random": {"dim": 3, "seed": 1}}}]}, outputs={})
         err = self.run(tmp_path, capsys, config, command="ensemble")
-        assert "ERROR DimensionMismatch: measure.support[1].state has dim 3, but the " \
-               "system has dim 2" in err
+        assert "ERROR DimensionMismatch: measure.support[1].state: state has dim 3, " \
+               "but the system has dim 2" in err
+
+    @pytest.mark.parametrize("block, path", [
+        ({"maxent": {"states": [], "target_energy": 0.5}}, "maxent.states"),
+        ({"measure": {"support": []}}, "measure.support")], ids=["maxent", "measure"])
+    def test_an_empty_array_is_named_by_the_schema(self, tmp_path, capsys, block, path):
+        err = self.run(tmp_path, capsys, qubit_sea_scenario(outputs={}, **block),
+                       command="ensemble")
+        assert f"ERROR Config: {path}: expected at least 1 item(s), got 0" in err
 
     def test_generator_of_another_dimension(self, tmp_path, capsys):
         config = qubit_sea_scenario()
         config["system"]["single"]["generators"] = [matrix_obj(np.diag([1.0, 0.0, 0.0]))]
         err = self.run(tmp_path, capsys, config)
-        assert "ERROR DimensionMismatch: generator 0 has dim 3, expected 2" in err
+        assert "ERROR DimensionMismatch: system.single: generator 0 has dim 3, " \
+               "expected 2" in err
 
     @pytest.mark.parametrize("initial, message", [
         ({"random": {"seed": 1, "min_eig": 0.6}}, "initial.random.min_eig: min_eig must be in"),
@@ -716,7 +747,8 @@ class TestSemanticErrorsNameTheirField:
         config = {"constants": [matrix_obj(np.diag([0.0, 1.0])),
                                 matrix_obj([[0.0, 1.0], [1.0, 0.0]])], "targets": [0.5, 0.0]}
         err = self.run(tmp_path, capsys, config, command="equilibrium")
-        assert "ERROR NonCommutingGenerator: constant 1 does not commute with H (defect" in err
+        assert "ERROR NonCommutingGenerator: constants: constant 1 does not commute " \
+               "with H (defect" in err
 
     def test_target_count(self, tmp_path, capsys):
         config = {"constants": [matrix_obj(np.diag([0.0, 1.0]))], "targets": [0.5, 0.5]}
@@ -730,6 +762,138 @@ class TestSemanticErrorsNameTheirField:
         err = self.run(tmp_path, capsys, config)
         assert "ERROR Config: constants[0].matrix: dim 2 needs 4 entries, got 3" in err
         assert not list(tmp_path.glob("*.csv"))
+
+
+SX = [[0.0, 1.0], [1.0, 0.0]]
+UPPER = [[0.0, 1.0], [0.0, 0.0]]    # no Hermitian matrix
+BELL = {"dim": 4, "pure": [[v, 0.0] for v in (2 ** -0.5, 0.0, 0.0, 2 ** -0.5)]}
+
+
+def qubit_with(single=None, **blocks):
+    """The qubit scenario, its system.single fields and top-level blocks replaced."""
+    config = qubit_sea_scenario(outputs={}, **blocks)
+    config["system"]["single"].update(single or {})
+    return config
+
+
+def composite_with(constituent=None, **blocks):
+    config = TestCompositeScenarios.composite_config()
+    config["system"]["composite"]["constituents"][0].update(constituent or {})
+    config.update(blocks)
+    return config
+
+
+# (id, subcommand, config, exit code, printed kind, dotted path of the block)
+BLOCK_ERRORS = [
+    ("H-not-hermitian", "simulate", lambda: qubit_with({"H": matrix_obj(UPPER)}),
+     3, "NotHermitian", "system.single"),
+    ("generator-not-hermitian", "simulate",
+     lambda: qubit_with({"generators": [matrix_obj(UPPER)]}), 3, "NotHermitian",
+     "system.single"),
+    ("generator-not-commuting", "simulate",
+     lambda: qubit_with({"generators": [matrix_obj(SX)]}), 3, "NonCommutingGenerator",
+     "system.single"),
+    ("constituent-generator-dim", "simulate",
+     lambda: composite_with({"generators": [matrix_obj(np.eye(3))]}), 3,
+     "DimensionMismatch", "system.composite"),
+    ("composite-H-against-factors", "simulate", lambda: composite_with({"dim": 3}), 3,
+     "DimensionMismatch", "system.composite"),
+    ("lindblad-B-not-hermitian", "simulate",
+     lambda: qubit_with(dynamics={"lindblad": {"B": matrix_obj(UPPER)}}), 3,
+     "NotHermitian", "dynamics.lindblad"),
+    ("lindblad-jump-shape", "simulate",
+     lambda: qubit_with(dynamics={"lindblad": {"B": matrix_obj(np.diag([0.0, -1.0])),
+                                               "jumps": [matrix_obj(np.eye(3))]}}),
+     3, "DimensionMismatch", "dynamics.lindblad"),
+    ("pauli-negative-rate", "simulate",
+     lambda: qubit_with(dynamics={"pauli": {"w": [[0.0, -0.1], [0.2, 0.0]],
+                                            "energies": [0.0, 1.0]}}),
+     3, "Config", "dynamics.pauli"),
+    ("double-commutator-F", "simulate",
+     lambda: qubit_with(dynamics={"double_commutator": {"F": matrix_obj(SX), "tau": 0.5}}),
+     3, "NonCommutingGenerator", "dynamics.double_commutator"),
+    ("linear-block-dim", "simulate",
+     lambda: qubit_with(dynamics={"lindblad": {"B": matrix_obj(np.diag([0.0, -1.0, -2.0]))}}),
+     3, "Config", "dynamics.lindblad"),
+    ("constant-not-commuting", "equilibrium",
+     lambda: {"constants": [matrix_obj(np.diag([0.0, 1.0])), matrix_obj(SX)],
+              "targets": [0.5, 0.0]}, 3, "NonCommutingGenerator", "constants"),
+    ("constants-dependent", "equilibrium",
+     lambda: {"constants": [matrix_obj(np.diag([0.0, 1.0])),
+                            matrix_obj(np.diag([0.0, 2.0]))], "targets": [0.5, 1.0]},
+     3, "Config", "constants"),
+    ("equilibrium-target", "equilibrium",
+     lambda: {"constants": [matrix_obj(np.diag([0.0, 1.0]))], "targets": [5.0]},
+     5, "TargetInfeasible", "targets"),
+    ("maxent-target", "ensemble",
+     lambda: qubit_with(maxent={"states": [{"dim": 2, "pure": [[1.0, 0.0], [0.0, 0.0]]},
+                                           {"dim": 2, "pure": [[0.0, 0.0], [1.0, 0.0]]}],
+                                "target_energy": 5.0}),
+     5, "TargetInfeasible", "maxent.target_energy"),
+    ("initial-not-positive", "simulate",
+     lambda: qubit_with(initial={"dim": 2, "matrix": [[1.5, 0.0], [0.0, 0.0],
+                                                      [0.0, 0.0], [-0.5, 0.0]]}),
+     3, "NotPositive", "initial"),
+    ("composite-singular-initial", "simulate", lambda: composite_with(initial=BELL),
+     3, "SingularCompositeState", "initial"),
+    ("composite-singular-support", "ensemble",
+     lambda: composite_with(measure={"support": [
+         {"w": 0.5, "state": {"random": {"dim": 4, "seed": 1}}}, {"w": 0.5, "state": BELL}]}),
+     3, "SingularCompositeState", "measure.support"),
+]
+
+
+class TestBlockErrorsNameTheirPath:
+    """Every error a block causes names the block's dotted path and keeps its
+    own kind and exit code; a constructor's ValueError prints as Config."""
+
+    @pytest.mark.parametrize("command, make, code, kind, path",
+                             [case[1:] for case in BLOCK_ERRORS],
+                             ids=[case[0] for case in BLOCK_ERRORS])
+    def test_error_names_its_block(self, tmp_path, capsys, command, make, code, kind,
+                                   path):
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", write_config(tmp_path, make()),
+                         "--out", str(out)]) == code
+        assert f"ERROR {kind}: {path}: " in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+
+class TestFieldPath:
+    MODEL = sea.SingleConstituentModel(H=np.diag([0.0, 1.0]))
+
+    def test_keeps_the_error_type_and_prefixes_its_field(self):
+        bad = sea.SingleConstituentModel(H=np.array(UPPER))
+        with pytest.raises(NotHermitianError) as outside:
+            sea.validate_model(bad)
+        with pytest.raises(NotHermitianError) as inside:
+            with sz.field_path("system.single"):
+                sea.validate_model(bad)
+        assert outside.value.field == "" and outside.value.message == str(outside.value)
+        assert str(outside.value) == "H is not Hermitian within tolerance 1e-12"
+        assert inside.value.field == "system.single"
+        assert inside.value.message == outside.value.message
+        assert str(inside.value) == f"system.single: {outside.value}"
+
+    def test_nested_paths_join_once(self):
+        with pytest.raises(ConfigError) as info:
+            with sz.field_path("initial"):
+                sz.decode_state({"mix": {"state": {"random": {}}, "epsilon": 0.1}},
+                                self.MODEL)
+        assert info.value.field == "initial.mix.state.random.seed"
+        assert str(info.value).startswith("initial.mix.state.random.seed: required")
+        with pytest.raises(ConfigError, match=r"^measure\.support\[1\]\.w: x$"):
+            with sz.field_path("measure"):
+                with sz.field_path("support[1]"):
+                    raise ConfigError("x", "w")
+
+    def test_a_value_error_becomes_a_config_error(self):
+        with pytest.raises(ConfigError) as info:
+            with sz.field_path("dynamics.pauli"):
+                lb.pauli_rates([[0.0, -0.1], [0.2, 0.0]], [0.0, 1.0])
+        assert info.value.field == "dynamics.pauli"
+        assert isinstance(info.value.__cause__, ValueError)
+        assert str(info.value) == f"dynamics.pauli: {info.value.__cause__}"
 
 
 def test_reports_record_the_integrator_settings_that_ran(tmp_path):

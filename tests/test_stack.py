@@ -374,6 +374,25 @@ def test_step_underflow_names_the_member():
     assert info.value.member == 1
 
 
+def test_a_non_finite_stage_underflows_naming_the_member():
+    # a NaN error estimate is no maximum over the members: the step still
+    # shrinks to dt_min and stops there, within a bounded number of calls
+    stack = np.stack([st.random_full_rank(2, seed=s).matrix for s in range(3)])
+    calls = []
+
+    def rhs(m):
+        calls.append(None)
+        if len(calls) > 10_000:
+            raise RuntimeError("rk45 kept rejecting a non-finite step")
+        out = np.zeros_like(m)
+        out[1] = np.nan if len(calls) > 3 else 0.0
+        return out
+
+    with pytest.raises(StepUnderflowError, match=r"scaled error nan.*member 1\)") as info:
+        ig.integrate(stack, rhs, ig.IntegratorConfig(t_max=1.0))
+    assert info.value.member == 1
+
+
 def test_single_state_errors_name_no_member():
     rho = st.random_full_rank(2, seed=0).matrix
     config = ig.IntegratorConfig(t_max=1.0, dt_init=0.1)
