@@ -268,9 +268,9 @@ def cmd_compare(config: dict, out_dir: Path, seed: int | None) -> int:
         raise ConfigError("compare needs a 'sea' block plus one linear dynamics block")
     rho0 = build_initial(config, scenario)
     int_config = scenario.integrator
-    if int_config.sample_dt is None and int_config.method == "rk45":
-        # pointwise diffs need shared sample times; rk45 interpolates them
-        # and keeps its own steps (the report records the settings that ran)
+    if int_config.sample_dt is None and ig.METHODS[int_config.method].p is not None:
+        # pointwise diffs need shared sample times; a continuous extension reads
+        # them off the run's own steps (the report records the settings that ran)
         int_config = replace(int_config, sample_dt=int_config.t_max / 256.0)
     trajectories = {name: ig.integrate(rho0, rhs, int_config, observables=obs,
                                        eq_norm=eq_norm)

@@ -1,12 +1,13 @@
 """Time integration with structure-preserving projection and trajectory
 recording.
 
-Works with any right-hand side (nonlinear single/composite, linear channels).
-The default method is an adaptive Dormand-Prince RK45; fixed-step RK4 is
-retained for convergence-order checks and records every step.  With full
-projection every recorded sample is a valid state operator, and the
-pre-projection trace/Hermiticity residuals are logged so projection never
-silently masks integrator failure.
+Works with any right-hand side (nonlinear single/composite, linear
+channels).  A method is an explicit Runge-Kutta tableau, and one loop steps
+them all: rk45, the default, is the adaptive Dormand-Prince 5(4) pair, and
+rk4, with no error weights, takes fixed steps for convergence-order checks.
+With full projection every recorded sample is a valid state operator, and
+the pre-projection trace/Hermiticity residuals are logged so projection
+never silently masks integrator failure.
 The validity rule itself, its tolerances and its repair, lives in
 ``states`` alone: full projection applies it to every step and sample, and
 with projection off the same rule checks each step's raw state and raises
@@ -15,21 +16,22 @@ certificate (a Cholesky factorization and a norm test) that proves a
 member valid with no eigendecomposition; ``eigh`` runs only where that
 fails, and ``stats["projection_repairs"]`` counts those member-steps.
 
-Dormand-Prince is FSAL (first same as last): its 7th stage is evaluated at
-the 5th-order solution.  When the projection neither clamped an eigenvalue
-nor snapped the state to purity, and moved it by no more than
-``FSAL_MOVE_TOL`` relative to ||rho|| (round-off of the hermitization and
-trace renormalization), that stage is the next step's k1; after a clamp or
-a snap, however small, k1 is evaluated fresh at the projected state.  A
-rejected retry keeps its k1.  With equilibrium detection by the default
-rhs norm, the norm is taken from the same k1.  ``Trajectory.stats`` counts
-what the integrator makes, and with s stages (7 for rk45, 4 for rk4; rk4
-has no rejections and no reuse) the counts obey exactly
+A tableau is FSAL (first same as last) when its weights are its last stage
+row, as Dormand-Prince's are: that stage is the rhs at the solution.  When
+the projection neither clamped an eigenvalue nor snapped the state to
+purity, and moved it by no more than ``FSAL_MOVE_TOL`` relative to ||rho||
+(round-off of the hermitization and trace renormalization), that stage is
+the next step's k1; after a clamp or a snap, however small, k1 is evaluated
+fresh at the projected state.  A rejected retry keeps its k1.  With
+equilibrium detection by the default rhs norm, the norm is taken from the
+same k1.  ``Trajectory.stats`` counts what the integrator makes, and with s
+the tableau's stage count (a tableau without error weights rejects no step,
+and one that is not FSAL reuses no k1) the counts obey exactly
 
     rhs_calls = (s - 1) (accepted_steps + rejected_steps)
-                + accepted_steps + e - k1_reused,
+                + accepted_steps + n0 - k1_reused,
 
-where e = 1 when detection uses the default rhs norm (it needs a k1 at the
+where n0 = 1 when detection uses the default rhs norm (it needs a k1 at the
 initial state too) and 0 otherwise.  ``projection_repairs`` counts, over
 the accepted steps, the members that the validity certificate did not
 prove valid (with projection off, of the raw state that the rule checks),
@@ -41,8 +43,8 @@ is one stacked rhs call per stage, and the counts above, all but
 ``projection_repairs``, are stacked calls.
 
 Without ``sample_dt`` every accepted step is recorded.  ``sample_dt``, which
-only rk45 takes, sets where samples fall, never its steps: a grid time
-inside an accepted step is read off the Dormand-Prince continuous
+only a tableau with a continuous extension (rk45) takes, sets where samples
+fall, never its steps: a grid time inside an accepted step is read off that
 extension over the step's stages, at no rhs call.
 """
 
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,8 +60,18 @@ from . import operators as op
 from . import states as st
 from .errors import StateInvalidError, StepUnderflowError
 
-METHODS = ("rk45", "rk4")
 PROJECTION_MODES = ("off", "full")
+
+
+class Tableau(NamedTuple):
+    """An explicit Runge-Kutta method."""
+
+    a: np.ndarray                   # stage rows, strictly lower triangular
+    b: np.ndarray                   # weights of the solution
+    e: np.ndarray | None = None     # error weights; None: fixed steps of dt_init
+    p: np.ndarray | None = None     # continuous extension; None: no sample_dt
+    fsal: bool = False              # b is the last row of a
+
 
 # Dormand-Prince 5(4) tableau (the rhs is autonomous, so the nodes c_i are
 # not needed).  The last row of A is the 5th-order weight row B5, so the 7th
@@ -76,7 +88,6 @@ _DP_A = np.array([
 ])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
-_DP_E = _DP_A[6] - _DP_B4
 # Continuous extension of the pair (Shampine, Math. Comp. 46 (1986) 135;
 # Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6): over an accepted
 # step y(t + theta h) = y0 + h sum_i b_i(theta) k_i, 4th order, with
@@ -95,6 +106,11 @@ _DP_P = np.array([
      -1453857185 / 822651844],
     [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
+
+METHODS = {
+    "rk45": Tableau(_DP_A, _DP_A[6], _DP_A[6] - _DP_B4, _DP_P, fsal=True),
+    "rk4": Tableau(np.diag([0.5, 0.5, 1.0], -1), np.array([1, 2, 2, 1]) / 6),
+}
 
 
 @dataclass(frozen=True)
@@ -125,7 +141,7 @@ class IntegratorConfig:
             raise ValueError("equilibrium_norm_tol must be nonnegative (0 disables detection)")
         if self.sample_dt is not None and not self.sample_dt > 0:
             raise ValueError("sample_dt must be positive (or null for none)")
-        if self.sample_dt is not None and self.method != "rk45":
+        if self.sample_dt is not None and METHODS[self.method].p is None:
             raise ValueError("sample_dt needs method rk45: rk4 records every step")
 
 
@@ -256,13 +272,6 @@ def _record(traj: Trajectory, t: float, raw: np.ndarray, projected: np.ndarray,
         generator_means=tuple(_expectation(projected, x) for x in obs.generator_ops)))
 
 
-def _rk4_step(f, m, dt, k1):
-    k2 = f(m + 0.5 * dt * k1)
-    k3 = f(m + 0.5 * dt * k2)
-    k4 = f(m + dt * k3)
-    return m + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
               config: IntegratorConfig,
               observables: Observables | None = None,
@@ -276,7 +285,8 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
     step is accepted on the largest ratio.  Projection repairs each member;
     after any member's clamp or purity snap k1 is evaluated fresh for the
     whole stack.  Equilibrium is reached when every member is there.  A
-    ``StateInvalidError`` or ``StepUnderflowError`` names the member.
+    stage that is not finite ends the run at once: no dt makes it finite.
+    A ``StateInvalidError`` or ``StepUnderflowError`` names the member.
     Samples hold the stack, with one value per member in every column, and
     ``stats`` counts stacked evaluations.
 
@@ -323,49 +333,49 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
         traj.termination = "equilibrium"
         return traj
 
-    stages = np.empty((7, *m.shape), dtype=complex)
-    flat = stages.reshape(7, -1)
+    a, b, e, p, fsal = METHODS[config.method]
+    stages = np.empty((len(b), *m.shape), dtype=complex)
+    flat = stages.reshape(len(b), -1)
     dt = config.dt_init
     next_boundary = config.sample_dt
     while t < config.t_max - op.TIME_SLOP:
         dt = min(dt, config.t_max - t)
         if next_boundary is not None and next_boundary <= t + op.TIME_SLOP:
             next_boundary += config.sample_dt
-        if k1 is None:
-            k1 = f(m)
-        if config.method == "rk4":
-            m_new, t_new, dt_next = _rk4_step(f, m, dt, k1), t + dt, config.dt_init
-        else:
-            # Dormand-Prince embedded pair with standard step control, on the
-            # largest scaled error over the members
-            stages[0] = k1
-            scale = config.abs_tol + config.rel_tol * op.frobenius_norms(m)
-            while True:
-                for i in range(1, 7):
-                    y = m + dt * (_DP_A[i, :i] @ flat[:i]).reshape(m.shape)
-                    stages[i] = f(y)
-                ratios = dt * op.frobenius_norms((_DP_E @ flat).reshape(m.shape)) / scale
+        stages[0] = f(m) if k1 is None else k1
+        scale = config.abs_tol + config.rel_tol * op.frobenius_norms(m)
+        while True:
+            for i in range(1, len(b)):
+                y = m + dt * (a[i, :i] @ flat[:i]).reshape(m.shape)
+                stages[i] = f(y)
+            m_new = y if fsal else m + dt * (b @ flat).reshape(m.shape)
+            if e is None:
+                ratio = 0.0 if np.isfinite(m_new).all() else np.inf
+            else:   # standard step control, on the largest scaled error over the members
+                ratios = dt * op.frobenius_norms((e @ flat).reshape(m.shape)) / scale
                 ratio = float(ratios.max())
-                if ratio <= 1.0:
-                    m_new, t_new = y, t + dt    # y = m + dt B5 k, stage 7's point
-                    factor = 5.0 if ratio == 0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
-                    dt_next = min(config.dt_max, dt * factor)
-                    break
-                if dt <= config.dt_min * op.DT_MIN_SLACK:
-                    # a NaN error is no member's maximum: name the first non-finite
-                    worst = ~np.isfinite(ratios) if np.isnan(ratio) else ratios == ratio
-                    st._raise_for(worst, ratios, StepUnderflowError,
-                                  f"dt_min {config.dt_min:g} reached at t = {t:g} with "
-                                  "scaled error {:.3e}")
-                stats["rejected_steps"] += 1
-                dt = max(config.dt_min, dt * max(0.2, 0.9 * ratio ** -0.2))
-            # boundaries inside the step, from its continuous extension
-            while next_boundary is not None and next_boundary < t_new - op.TIME_SLOP:
-                theta = (next_boundary - t) / dt
-                mid = m + dt * (_DP_P @ theta ** np.arange(1, 5) @ flat).reshape(m.shape)
-                _record(traj, next_boundary, mid, _project(mid, config.projection)[0], obs)
-                stats["interpolated_samples"] += 1
-                next_boundary += config.sample_dt
+            if not ratio < np.inf:   # no dt makes a non-finite stage finite
+                for i, bad in enumerate(~np.isfinite(stages).all(axis=(-2, -1))):
+                    st._raise_for(bad, bad, StateInvalidError,
+                                  f"{config.method} stage {i + 1} is not finite at t = {t:g}")
+            factor = 5.0 if ratio == 0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
+            if ratio <= 1.0 or e is None:
+                break
+            if dt <= config.dt_min * op.DT_MIN_SLACK:
+                st._raise_for(ratios == ratio, ratios, StepUnderflowError,
+                              f"dt_min {config.dt_min:g} reached at t = {t:g} with "
+                              "scaled error {:.3e}")
+            stats["rejected_steps"] += 1
+            dt = max(config.dt_min, dt * factor)
+        t_new = t + dt
+        dt_next = config.dt_init if e is None else min(config.dt_max, dt * factor)
+        # boundaries inside the step, from its continuous extension
+        while next_boundary is not None and next_boundary < t_new - op.TIME_SLOP:
+            theta = (next_boundary - t) / dt
+            mid = m + dt * (p @ theta ** np.arange(1, len(p[0]) + 1) @ flat).reshape(m.shape)
+            _record(traj, next_boundary, mid, _project(mid, config.projection)[0], obs)
+            stats["interpolated_samples"] += 1
+            next_boundary += config.sample_dt
 
         m_proj, repaired, uncertified = _project(m_new, config.projection)
         if config.projection == "off":
@@ -380,11 +390,11 @@ def integrate(rho0, rhs: Callable[[np.ndarray], np.ndarray],
         # FSAL: the last stage is the rhs at m_raw, and serves as the next k1
         # when the projection neither clamped nor snapped any member and
         # moved each by round-off only
-        fsal = config.method == "rk45" and not np.count_nonzero(repaired) and (
+        reuse = fsal and not np.count_nonzero(repaired) and (
             m is m_raw or bool((op.frobenius_norms(m - m_raw)
                                 <= op.FSAL_MOVE_TOL * op.frobenius_norms(m_raw)).all()))
-        reached_eq, k1 = at_equilibrium(m, stages[6] if fsal else None)
-        if fsal and (norm_from_k1 or not (at_end or reached_eq)):
+        reached_eq, k1 = at_equilibrium(m, stages[-1] if reuse else None)
+        if reuse and (norm_from_k1 or not (at_end or reached_eq)):
             stats["k1_reused"] += 1
         due = next_boundary is None or t >= next_boundary - op.TIME_SLOP
         if due or at_end or reached_eq:

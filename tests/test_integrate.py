@@ -25,6 +25,41 @@ def qubit_model():
         sea.SingleConstituentModel(H=SZ.copy(), tau=1.0))
 
 
+def order_conditions(w, a, order):
+    """(sum, its exact value, order) for the weights w of the stage rows a,
+    one per rooted tree through the given order (at most 5): 1, 1, 2, 4 and
+    9 conditions (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.2)."""
+    c = a.sum(axis=1)
+    ac, ac2, aac = a @ c, a @ c**2, a @ a @ c
+    conditions = [
+        (w.sum(), 1, 1), (w @ c, 1 / 2, 2), (w @ c**2, 1 / 3, 3), (w @ ac, 1 / 6, 3),
+        (w @ c**3, 1 / 4, 4), (w @ (c * ac), 1 / 8, 4), (w @ ac2, 1 / 12, 4),
+        (w @ aac, 1 / 24, 4), (w @ c**4, 1 / 5, 5), (w @ (c**2 * ac), 1 / 10, 5),
+        (w @ (c * ac2), 1 / 15, 5), (w @ (c * aac), 1 / 30, 5), (w @ ac**2, 1 / 20, 5),
+        (w @ a @ c**3, 1 / 20, 5), (w @ a @ (c * ac), 1 / 40, 5), (w @ a @ ac2, 1 / 60, 5),
+        (w @ a @ aac, 1 / 120, 5)]
+    return [cond for cond in conditions if cond[2] <= order]
+
+
+class TestTableaux:
+    ORDERS = {"rk45": 5, "rk4": 4}
+
+    @pytest.mark.parametrize("method", ig.METHODS)
+    def test_every_tableau_meets_its_order_conditions(self, method):
+        # explicit stages, consistent weights, and the order the method
+        # claims; the embedded weights b - e are one order lower
+        tableau, order = ig.METHODS[method], self.ORDERS[method]
+        assert not np.triu(tableau.a).any()
+        assert tableau.b.sum() == pytest.approx(1.0, abs=1e-15)
+        for got, want, _ in order_conditions(tableau.b, tableau.a, order):
+            assert got == pytest.approx(want, abs=1e-14)
+        if tableau.e is not None:
+            assert tableau.e.sum() == pytest.approx(0.0, abs=1e-15)
+            for got, want, _ in order_conditions(tableau.b - tableau.e, tableau.a, order - 1):
+                assert got == pytest.approx(want, abs=1e-14)
+        assert tableau.fsal == np.array_equal(tableau.b, tableau.a[-1])
+
+
 class TestProject:
     def test_valid_state_unchanged(self):
         rho = st.random_full_rank(3, seed=1)
@@ -183,7 +218,8 @@ class TestIntegrate:
             return sea.sea_rhs(m, qubit_model)
 
         rho0 = st.validate(np.array([[0.6, 0.25], [0.25, 0.4]], dtype=complex))
-        dt = 1.0 if method == "rk45" else 0.05
+        tableau = ig.METHODS[method]
+        dt = 1.0 if tableau.e is not None else 0.05
         config = ig.IntegratorConfig(
             method=method, t_max=30.0, dt_init=dt, dt_max=dt,
             equilibrium_norm_tol=0.0 if detection == "off" else 1e-6)
@@ -191,15 +227,13 @@ class TestIntegrate:
             if detection == "eq_norm" else None
         stats = ig.integrate(rho0, rhs, config, eq_norm=eq_norm).stats
         assert stats["rhs_calls"] == len(calls)
-        if method == "rk45":
-            assert stats["rejected_steps"] > 0
-            assert stats["k1_reused"] > 0
-        else:
-            assert stats["rejected_steps"] == stats["k1_reused"] == 0
+        # step control rejects, and only an FSAL tableau reuses its last stage
+        assert (stats["rejected_steps"] > 0) == (tableau.e is not None)
+        assert (stats["k1_reused"] > 0) == tableau.fsal
         # every attempt evaluates stages 2..s; every accepted step, and the
         # detection by the rhs norm at the start, needs a k1 that is either
         # reused from the last stage or evaluated fresh
-        stages = 7 if method == "rk45" else 4
+        stages = len(tableau.b)
         attempts = stats["accepted_steps"] + stats["rejected_steps"]
         k1_needed = stats["accepted_steps"] + (detection == "rhs_norm")
         assert stats["rhs_calls"] == (stages - 1) * attempts + k1_needed - stats["k1_reused"]
@@ -426,25 +460,18 @@ class TestSampledGrid:
             assert got.column("g_rate").min() >= -1e-12
 
     def test_continuous_extension_meets_the_step_and_its_order(self):
-        # b(0) = 0 gives y0 and b(1) = B5 the step's endpoint; every theta
+        # b(0) = 0 gives y0 and b(1) = b the step's endpoint; every theta
         # meets the eight order conditions through order 4
-        a = ig._DP_A
-        c = a.sum(axis=1)
+        tableau = ig.METHODS["rk45"]
 
         def b(theta):
-            return ig._DP_P @ theta ** np.arange(1, 5)
+            return tableau.p @ theta ** np.arange(1, len(tableau.p[0]) + 1)
 
         assert not b(0.0).any()
-        assert np.abs(b(1.0) - a[6]).max() <= 1e-15
+        assert np.abs(b(1.0) - tableau.b).max() <= 1e-15
         for theta in (0.1, 0.35, 0.8, 1.0):
-            w = b(theta)
-            conditions = [
-                (w.sum(), theta), (w @ c, theta**2 / 2),
-                (w @ c**2, theta**3 / 3), (w @ a @ c, theta**3 / 6),
-                (w @ c**3, theta**4 / 4), (w @ (c * (a @ c)), theta**4 / 8),
-                (w @ a @ c**2, theta**4 / 12), (w @ a @ a @ c, theta**4 / 24)]
-            for got, want in conditions:
-                assert got == pytest.approx(want, abs=1e-14)
+            for got, want, order in order_conditions(b(theta), tableau.a, 4):
+                assert got == pytest.approx(want * theta**order, abs=1e-14)
 
     def test_rk4_records_every_step(self):
         traj = self.run("sea", method="rk4", t_max=1.2, dt_init=0.2, dt_max=0.2)

@@ -374,23 +374,26 @@ def test_step_underflow_names_the_member():
     assert info.value.member == 1
 
 
-def test_a_non_finite_stage_underflows_naming_the_member():
-    # a NaN error estimate is no maximum over the members: the step still
-    # shrinks to dt_min and stops there, within a bounded number of calls
+@pytest.mark.parametrize("method", ig.METHODS)
+def test_a_non_finite_stage_ends_the_run_naming_the_member(method):
+    # no dt makes a NaN stage finite: the first attempt ends the run, and
+    # the error names the method, the stage, t and the member
     stack = np.stack([st.random_full_rank(2, seed=s).matrix for s in range(3)])
-    calls = []
+    calls, stages = [], len(ig.METHODS[method].b)
 
     def rhs(m):
         calls.append(None)
-        if len(calls) > 10_000:
-            raise RuntimeError("rk45 kept rejecting a non-finite step")
+        if len(calls) > stages:
+            raise RuntimeError("a non-finite stage was retried")
         out = np.zeros_like(m)
         out[1] = np.nan if len(calls) > 3 else 0.0
         return out
 
-    with pytest.raises(StepUnderflowError, match=r"scaled error nan.*member 1\)") as info:
-        ig.integrate(stack, rhs, ig.IntegratorConfig(t_max=1.0))
+    with pytest.raises(StateInvalidError,
+                       match=rf"^{method} stage 4 is not finite at t = 0 \(member 1\)$") as info:
+        ig.integrate(stack, rhs, ig.IntegratorConfig(method=method, t_max=1.0))
     assert info.value.member == 1
+    assert len(calls) == stages
 
 
 def test_single_state_errors_name_no_member():

@@ -43,6 +43,12 @@ def test_every_method_has_an_rhs_call_count(tracing):
     assert set(ig.METHODS) <= set(tracing.RHS_CALLS_PER_ATTEMPT)
 
 
+def test_the_rhs_call_counts_are_the_stage_counts(tracing):
+    # an attempt evaluates every stage of its tableau once
+    for name, tableau in ig.METHODS.items():
+        assert tracing.RHS_CALLS_PER_ATTEMPT[name] == len(tableau.b)
+
+
 def test_the_fields_the_tracer_reads():
     assert hasattr(ig.IntegratorConfig(), "projection")
     assert dataclasses.replace(ig.Observables(), g_rate=None).g_rate is None
